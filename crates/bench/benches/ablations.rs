@@ -75,9 +75,8 @@ fn bench_movement() {
     println!("-- movement --");
     use rheem_core::channel::kinds;
     use rheem_core::cost::CostModel;
-    use rheem_core::movement::ConversionGraph;
     let ctx = default_context();
-    let graph = ConversionGraph::from_registry(ctx.registry());
+    let graph = ctx.registry().conversion_graph();
     let profiles = ctx.profiles().clone();
     let model = CostModel::new();
     // A cached RDD (reusable) feeding two driver-side consumers and a Flink
@@ -89,7 +88,7 @@ fn bench_movement() {
     let consumers =
         vec![vec![kinds::COLLECTION], vec![kinds::COLLECTION], vec![platform_flink::DATASET]];
     bench("movement/mct_shared_tree", 20, || {
-        graph.best_tree(root, &consumers, 1e6, 64.0, &profiles, &model).unwrap().cost_ms
+        graph.best_tree(root, &consumers, 1e6, 64.0, &profiles, &model).unwrap().unwrap().cost_ms
     });
     bench("movement/per_consumer_paths", 20, || {
         consumers
@@ -98,7 +97,8 @@ fn bench_movement() {
             .sum::<f64>()
     });
 
-    let shared = graph.best_tree(root, &consumers, 1e6, 64.0, &profiles, &model).unwrap().cost_ms;
+    let shared =
+        graph.best_tree(root, &consumers, 1e6, 64.0, &profiles, &model).unwrap().unwrap().cost_ms;
     let separate: f64 = consumers
         .iter()
         .map(|k| graph.best_path_cost(root, k, 1e6, 64.0, &profiles, &model).unwrap())

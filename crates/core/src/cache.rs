@@ -579,9 +579,11 @@ impl Inner {
 
     /// Bring both tiers back under budget: memory pressure demotes LRU
     /// entries to disk (falling back to eviction when the spill tier is
-    /// off, full, or failing), then disk pressure evicts LRU spilled
-    /// entries outright. Quoted namespaces are victimized last in both
-    /// loops so cross-tenant pressure lands on unquoted entries first.
+    /// off, failing, or smaller than the entry), then disk pressure evicts
+    /// LRU spilled entries outright — so a full spill tier ages out its
+    /// oldest entry, not the one being demoted. Quoted namespaces are
+    /// victimized last in both loops so cross-tenant pressure lands on
+    /// unquoted entries first.
     fn enforce(
         &mut self,
         mem_budget: u64,
@@ -595,10 +597,7 @@ impl Inner {
                 .or_else(|| self.victim_where(Some(Tier::Memory), |_| true))
                 .expect("over budget implies a resident entry");
             let vbytes = self.map.get(&victim).map(|e| e.bytes).unwrap_or(0);
-            if self.spill.is_some()
-                && self.disk_bytes + vbytes <= disk_budget
-                && self.spill_victim(victim)
-            {
+            if self.spill.is_some() && vbytes <= disk_budget && self.spill_victim(victim) {
                 events.push((EventKind::CacheSpilled, victim.1, vbytes));
             } else {
                 let freed = self.evict(victim);

@@ -14,7 +14,7 @@ use crate::channel::ChannelKind;
 use crate::cost::CostModel;
 use crate::error::{Result, RheemError};
 use crate::exec::ExecutionOperator;
-use crate::movement::{ConvNode, ConversionGraph};
+use crate::movement::ConvNode;
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::{PlatformId, Profiles};
@@ -136,7 +136,7 @@ pub fn build_exec_plan(
     profiles: &Profiles,
     model: &CostModel,
 ) -> Result<ExecPlan> {
-    let graph = ConversionGraph::from_registry(registry);
+    let graph = registry.conversion_graph();
     let mut b = Builder { plan, nodes: Vec::new(), cand_node: HashMap::new() };
 
     // 1. One node per distinct chosen candidate, in topological order of the
@@ -272,7 +272,7 @@ pub fn build_exec_plan(
             let kind_sets: Vec<Vec<ChannelKind>> =
                 edge_idxs.iter().map(|&i| edges[i].kinds.clone()).collect();
             let tree = graph
-                .best_tree(out_kind, &kind_sets, card, avg_bytes, profiles, model)
+                .best_tree(out_kind, &kind_sets, card, avg_bytes, profiles, model)?
                 .ok_or_else(|| {
                     RheemError::Optimizer(format!(
                         "no conversion path from {} for {}",

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::channel::ChannelKind;
 use crate::cost::CostModel;
+use crate::error::{Result, RheemError};
 use crate::platform::Profiles;
 use crate::registry::{Conversion, Registry};
 
@@ -77,12 +78,24 @@ pub struct MovementPlan {
     pub cost_ms: f64,
 }
 
+/// Most consumers one producer's conversion tree can serve: the subset DP
+/// tabulates `2^consumers` rows.
+pub const MAX_CONSUMERS: usize = 16;
+
 #[derive(Clone, Copy)]
 enum Back {
     Leaf(usize),
     Edge { to: usize, conv: usize },
     Merge { s1: usize },
     None,
+}
+
+/// One solved movement problem.
+struct Solved {
+    /// Per vertex: cheapest cost of serving every consumer from it.
+    cost: Vec<f64>,
+    /// Per consumer subset (bitmask), per vertex: how its cost is achieved.
+    back: Vec<Vec<Back>>,
 }
 
 /// The channel conversion graph with solver.
@@ -96,7 +109,9 @@ pub struct ConversionGraph {
 }
 
 impl ConversionGraph {
-    /// Build from the registry's channels and conversion operators.
+    /// Build from the registry's channels and conversion operators. Jobs
+    /// share the registry's own instance
+    /// ([`Registry::conversion_graph`]) instead of rebuilding it.
     pub fn from_registry(registry: &Registry) -> Self {
         let mut kinds: Vec<ChannelKind> = registry.channel_kinds();
         // Conversions may mention kinds the registry didn't describe.
@@ -127,24 +142,40 @@ impl ConversionGraph {
         self.kinds.len()
     }
 
-    /// Estimated virtual ms of one conversion for `card` quanta of
-    /// `avg_bytes` each.
-    fn edge_cost(
+    /// Vertex of a channel kind; `None` for a kind no channel or conversion
+    /// mentions (nothing is reachable from or at it).
+    pub fn kind_index(&self, kind: ChannelKind) -> Option<usize> {
+        self.kind_idx.get(&kind).copied()
+    }
+
+    /// The vertices among `kinds`, in order (unknown kinds match nothing).
+    pub fn kind_indices(&self, kinds: &[ChannelKind]) -> Vec<usize> {
+        kinds.iter().filter_map(|k| self.kind_index(*k)).collect()
+    }
+
+    /// Estimated virtual ms of every conversion for `card` quanta of
+    /// `avg_bytes` each, indexed like the graph's conversions. They depend
+    /// on nothing else, so one producer's problems all share one vector.
+    pub fn edge_weights(
         &self,
-        conv: usize,
         card: f64,
         avg_bytes: f64,
         profiles: &Profiles,
-        _model: &CostModel,
-    ) -> f64 {
-        let op = &self.conversions[conv].op;
-        let load = op.load(&[card], avg_bytes, _model);
-        load.to_ms(profiles.get(op.platform())) + 0.01 // epsilon: prefer fewer hops
+        model: &CostModel,
+    ) -> Vec<f64> {
+        self.conversions
+            .iter()
+            .map(|conv| {
+                let load = conv.op.load(&[card], avg_bytes, model);
+                load.to_ms(profiles.get(conv.op.platform())) + 0.01 // epsilon: prefer fewer hops
+            })
+            .collect()
     }
 
     /// Solve the minimal-conversion-tree problem: the producer emits
     /// `from`; consumer `i` accepts any kind in `consumers[i]`. Returns
-    /// `None` when some consumer is unreachable.
+    /// `Ok(None)` when some consumer is unreachable and an error for more
+    /// than [`MAX_CONSUMERS`] consumers.
     pub fn best_tree(
         &self,
         from: ChannelKind,
@@ -153,36 +184,99 @@ impl ConversionGraph {
         avg_bytes: f64,
         profiles: &Profiles,
         model: &CostModel,
-    ) -> Option<MovementPlan> {
-        let c = consumers.len();
-        assert!(c <= 16, "movement planner supports up to 16 consumers");
-        let root = *self.kind_idx.get(&from)?;
-        let k = self.kinds.len();
-        if c == 0 {
-            return Some(MovementPlan {
-                tree: ConvNode { kind: from, deliver: vec![], children: vec![] },
-                cost_ms: 0.0,
-            });
-        }
+    ) -> Result<Option<MovementPlan>> {
+        check_consumers(consumers.len())?;
+        Ok(self.tree_by(Self::solve, from, consumers, card, avg_bytes, profiles, model))
+    }
 
-        let full = (1usize << c) - 1;
+    /// [`ConversionGraph::best_tree`] as it stood before edge weights were
+    /// shared and one consumer got its own path: the subset DP for any
+    /// number of consumers. The reference the tests compare against.
+    #[cfg(test)]
+    pub(crate) fn best_tree_general(
+        &self,
+        from: ChannelKind,
+        consumers: &[Vec<ChannelKind>],
+        card: f64,
+        avg_bytes: f64,
+        profiles: &Profiles,
+        model: &CostModel,
+    ) -> Option<MovementPlan> {
+        assert!(consumers.len() <= MAX_CONSUMERS);
+        self.tree_by(Self::solve_subsets, from, consumers, card, avg_bytes, profiles, model)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn tree_by(
+        &self,
+        solver: fn(&Self, &[&[usize]], &[f64]) -> Solved,
+        from: ChannelKind,
+        consumers: &[Vec<ChannelKind>],
+        card: f64,
+        avg_bytes: f64,
+        profiles: &Profiles,
+        model: &CostModel,
+    ) -> Option<MovementPlan> {
+        let root = self.kind_index(from)?;
+        let sets: Vec<Vec<usize>> = consumers.iter().map(|c| self.kind_indices(c)).collect();
+        let sets: Vec<&[usize]> = sets.iter().map(Vec::as_slice).collect();
+        let solved = solver(self, &sets, &self.edge_weights(card, avg_bytes, profiles, model));
+        let cost_ms = solved.cost[root];
+        let full = solved.back.len() - 1;
+        cost_ms
+            .is_finite()
+            .then(|| MovementPlan { tree: self.rebuild(&solved.back, full, root), cost_ms })
+    }
+
+    /// Cost of [`ConversionGraph::best_tree`] alone, for a producer at
+    /// vertex `root`, consumers given as vertex sets and the weights of
+    /// [`ConversionGraph::edge_weights`] — what plan enumeration settles.
+    pub(crate) fn best_cost(
+        &self,
+        root: usize,
+        consumers: &[&[usize]],
+        w: &[f64],
+    ) -> Result<Option<f64>> {
+        check_consumers(consumers.len())?;
+        let cost_ms = self.solve(consumers, w).cost[root];
+        Ok(cost_ms.is_finite().then_some(cost_ms))
+    }
+
+    /// One consumer needs a cheapest path, not a tree: a single relaxed row
+    /// instead of the subset tables (whose only non-empty subset it is).
+    fn solve(&self, consumers: &[&[usize]], w: &[f64]) -> Solved {
+        match consumers {
+            [targets] => {
+                let k = self.kinds.len();
+                let (mut dp, mut back) = (vec![f64::INFINITY; k], vec![Back::None; k]);
+                for &vi in *targets {
+                    dp[vi] = 0.0;
+                    back[vi] = Back::Leaf(0);
+                }
+                self.relax(&mut dp, &mut back, w);
+                Solved { cost: dp, back: vec![Vec::new(), back] }
+            }
+            _ => self.solve_subsets(consumers, w),
+        }
+    }
+
+    /// Dreyfus–Wagner over consumer subsets.
+    fn solve_subsets(&self, consumers: &[&[usize]], w: &[f64]) -> Solved {
+        let k = self.kinds.len();
+        let full = (1usize << consumers.len()) - 1;
         let mut dp = vec![vec![f64::INFINITY; k]; full + 1];
         let mut back = vec![vec![Back::None; k]; full + 1];
-
-        // Pre-compute edge costs once (they depend only on card/bytes).
-        let w: Vec<f64> = (0..self.conversions.len())
-            .map(|e| self.edge_cost(e, card, avg_bytes, profiles, model))
-            .collect();
-
+        if full == 0 {
+            // No consumers: the producer's output is the whole (free) tree.
+            dp[0].fill(0.0);
+        }
         for s in 1..=full {
             // Singleton bases.
             if s.count_ones() == 1 {
                 let i = s.trailing_zeros() as usize;
-                for (vi, kind) in self.kinds.iter().enumerate() {
-                    if consumers[i].contains(kind) {
-                        dp[s][vi] = 0.0;
-                        back[s][vi] = Back::Leaf(i);
-                    }
+                for &vi in consumers[i] {
+                    dp[s][vi] = 0.0;
+                    back[s][vi] = Back::Leaf(i);
                 }
             }
             // Merges: split S at a reusable vertex.
@@ -206,30 +300,31 @@ impl ConversionGraph {
                 }
                 s1 = (s1 - 1) & s;
             }
-            // Edge relaxations (Bellman–Ford over the small graph).
-            for _ in 0..k {
-                let mut changed = false;
-                for vi in 0..k {
-                    for &(to, conv) in &self.edges[vi] {
-                        let cost = dp[s][to] + w[conv];
-                        if cost + 1e-12 < dp[s][vi] {
-                            dp[s][vi] = cost;
-                            back[s][vi] = Back::Edge { to, conv };
-                            changed = true;
-                        }
+            self.relax(&mut dp[s], &mut back[s], w);
+        }
+        Solved { cost: dp.swap_remove(full), back }
+    }
+
+    /// Edge relaxations of one subset's row (Bellman–Ford over the small
+    /// graph).
+    fn relax(&self, dp: &mut [f64], back: &mut [Back], w: &[f64]) {
+        let k = self.kinds.len();
+        for _ in 0..k {
+            let mut changed = false;
+            for vi in 0..k {
+                for &(to, conv) in &self.edges[vi] {
+                    let cost = dp[to] + w[conv];
+                    if cost + 1e-12 < dp[vi] {
+                        dp[vi] = cost;
+                        back[vi] = Back::Edge { to, conv };
+                        changed = true;
                     }
                 }
-                if !changed {
-                    break;
-                }
+            }
+            if !changed {
+                break;
             }
         }
-
-        if !dp[full][root].is_finite() {
-            return None;
-        }
-        let tree = self.rebuild(&back, full, root);
-        Some(MovementPlan { tree, cost_ms: dp[full][root] })
     }
 
     fn rebuild(&self, back: &[Vec<Back>], s: usize, v: usize) -> ConvNode {
@@ -267,9 +362,21 @@ impl ConversionGraph {
         profiles: &Profiles,
         model: &CostModel,
     ) -> Option<f64> {
-        self.best_tree(from, &[targets.to_vec()], card, avg_bytes, profiles, model)
-            .map(|p| p.cost_ms)
+        let root = self.kind_index(from)?;
+        let w = self.edge_weights(card, avg_bytes, profiles, model);
+        let cost_ms = self.solve(&[&self.kind_indices(targets)], &w).cost[root];
+        cost_ms.is_finite().then_some(cost_ms)
     }
+}
+
+fn check_consumers(c: usize) -> Result<()> {
+    if c > MAX_CONSUMERS {
+        return Err(RheemError::Optimizer(format!(
+            "one operator's output feeds {c} consumers; the movement planner supports up to \
+             {MAX_CONSUMERS}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -277,7 +384,6 @@ mod tests {
     use super::*;
     use crate::channel::{kinds, ChannelData, ChannelDescriptor};
     use crate::cost::Load;
-    use crate::error::Result;
     use crate::exec::{ExecCtx, ExecutionOperator};
     use crate::platform::PlatformId;
     use crate::udf::BroadcastCtx;
@@ -323,13 +429,29 @@ mod tests {
         r
     }
 
+    /// Solve through the public entry and check it against the subset DP
+    /// with weights of its own (`best_tree_general`): same cost, same tree.
+    fn solve(
+        g: &ConversionGraph,
+        from: ChannelKind,
+        consumers: &[Vec<ChannelKind>],
+        card: f64,
+    ) -> Option<MovementPlan> {
+        let (profiles, model) = (Profiles::bare(), CostModel::new());
+        let plan = g.best_tree(from, consumers, card, 64.0, &profiles, &model).unwrap();
+        let general = g.best_tree_general(from, consumers, card, 64.0, &profiles, &model);
+        assert_eq!(
+            plan.as_ref().map(|p| (p.cost_ms.to_bits(), format!("{:?}", p.tree))),
+            general.as_ref().map(|p| (p.cost_ms.to_bits(), format!("{:?}", p.tree))),
+            "{from} -> {consumers:?} at {card}"
+        );
+        plan
+    }
+
     #[test]
     fn direct_delivery_costs_nothing() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
-        let plan = g
-            .best_tree(RDD, &[vec![RDD]], 100.0, 64.0, &Profiles::bare(), &CostModel::new())
-            .unwrap();
+        let g = ConversionGraph::from_registry(&test_registry());
+        let plan = solve(&g, RDD, &[vec![RDD]], 100.0).unwrap();
         assert_eq!(plan.cost_ms, 0.0);
         assert_eq!(plan.tree.edge_count(), 0);
         assert_eq!(plan.tree.deliver, vec![0]);
@@ -337,41 +459,21 @@ mod tests {
 
     #[test]
     fn single_consumer_takes_cheapest_path() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
-        let plan = g
-            .best_tree(
-                RDD,
-                &[vec![kinds::COLLECTION]],
-                100.0,
-                64.0,
-                &Profiles::bare(),
-                &CostModel::new(),
-            )
-            .unwrap();
+        let g = ConversionGraph::from_registry(&test_registry());
+        let plan = solve(&g, RDD, &[vec![kinds::COLLECTION]], 100.0).unwrap();
         // direct RDD->Collection (2.5) beats Cache(1)+Collect(2)=3
         assert_eq!(plan.tree.op_names(), vec!["CollectDirect"]);
     }
 
     #[test]
     fn fanout_on_nonreusable_channel_routes_through_cache() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
+        let g = ConversionGraph::from_registry(&test_registry());
         // two consumers both need RDD; RDD is not reusable, so the tree must
         // cache first and re-derive RDDs... but there is no cached->rdd edge,
         // so instead it goes rdd -> collection (reusable) -> parallelize x2?
         // cheapest valid: direct-collect (2.5) then two Parallelize (2+2)
         // vs cache(1)+collect(2) then 2x parallelize: 1+2+4=7 > 6.5
-        let plan = g
-            .best_tree(
-                RDD,
-                &[vec![RDD], vec![RDD]],
-                1.0,
-                64.0,
-                &Profiles::bare(),
-                &CostModel::new(),
-            )
-            .unwrap();
+        let plan = solve(&g, RDD, &[vec![RDD], vec![RDD]], 1.0).unwrap();
         let names = plan.tree.op_names();
         assert_eq!(names.iter().filter(|n| *n == "Parallelize").count(), 2, "{names:?}");
         assert!(names.contains(&"CollectDirect".to_string()), "{names:?}");
@@ -379,20 +481,10 @@ mod tests {
 
     #[test]
     fn shared_prefix_is_not_duplicated() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
+        let g = ConversionGraph::from_registry(&test_registry());
         // one consumer wants a collection, another wants an RDD: share the
         // collect, then parallelize for the second.
-        let plan = g
-            .best_tree(
-                RDD,
-                &[vec![kinds::COLLECTION], vec![RDD]],
-                1.0,
-                64.0,
-                &Profiles::bare(),
-                &CostModel::new(),
-            )
-            .unwrap();
+        let plan = solve(&g, RDD, &[vec![kinds::COLLECTION], vec![RDD]], 1.0).unwrap();
         let names = plan.tree.op_names();
         assert_eq!(names.iter().filter(|n| *n == "CollectDirect").count(), 1);
         assert_eq!(names.iter().filter(|n| *n == "Parallelize").count(), 1);
@@ -400,29 +492,53 @@ mod tests {
 
     #[test]
     fn unreachable_target_returns_none() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
-        let plan = g.best_tree(
-            RDD,
-            &[vec![ChannelKind("mars.rover")]],
-            1.0,
-            64.0,
-            &Profiles::bare(),
-            &CostModel::new(),
-        );
-        assert!(plan.is_none());
+        let g = ConversionGraph::from_registry(&test_registry());
+        assert!(solve(&g, RDD, &[vec![ChannelKind("mars.rover")]], 1.0).is_none());
+        // ...also for a kind the graph knows but no conversion reaches.
+        assert!(solve(&g, kinds::LOCAL_FILE, &[vec![RDD]], 1.0).is_none());
     }
 
     #[test]
     fn costs_scale_with_cardinality() {
-        let r = test_registry();
-        let g = ConversionGraph::from_registry(&r);
-        let profiles = Profiles::bare();
-        let model = CostModel::new();
-        let small =
-            g.best_path_cost(RDD, &[kinds::COLLECTION], 10.0, 64.0, &profiles, &model).unwrap();
-        let large =
-            g.best_path_cost(RDD, &[kinds::COLLECTION], 10_000.0, 64.0, &profiles, &model).unwrap();
+        let g = ConversionGraph::from_registry(&test_registry());
+        let small = solve(&g, RDD, &[vec![kinds::COLLECTION]], 10.0).unwrap().cost_ms;
+        let large = solve(&g, RDD, &[vec![kinds::COLLECTION]], 10_000.0).unwrap().cost_ms;
         assert!(large > small);
+        let (profiles, model) = (Profiles::bare(), CostModel::new());
+        let path = g.best_path_cost(RDD, &[kinds::COLLECTION], 10.0, 64.0, &profiles, &model);
+        assert_eq!(path.map(f64::to_bits), Some(small.to_bits()));
+    }
+
+    /// One weight vector serves every problem at its cardinality and bytes:
+    /// costs equal those of solves that each computed their own.
+    #[test]
+    fn shared_edge_weights_cost_the_same() {
+        let g = ConversionGraph::from_registry(&test_registry());
+        let (profiles, model) = (Profiles::bare(), CostModel::new());
+        let w = g.edge_weights(1.0, 64.0, &profiles, &model);
+        let root = g.kind_index(RDD).unwrap();
+        for consumers in [
+            vec![vec![RDD]],
+            vec![vec![kinds::COLLECTION]],
+            vec![vec![RDD], vec![RDD]],
+            vec![vec![kinds::COLLECTION], vec![RDD]],
+            vec![vec![ChannelKind("mars.rover")]],
+        ] {
+            let sets: Vec<Vec<usize>> = consumers.iter().map(|c| g.kind_indices(c)).collect();
+            let sets: Vec<&[usize]> = sets.iter().map(Vec::as_slice).collect();
+            let shared = g.best_cost(root, &sets, &w).unwrap();
+            let own = solve(&g, RDD, &consumers, 1.0).map(|p| p.cost_ms);
+            assert_eq!(shared.map(f64::to_bits), own.map(f64::to_bits), "{consumers:?}");
+        }
+    }
+
+    #[test]
+    fn too_many_consumers_is_a_typed_error() {
+        let g = ConversionGraph::from_registry(&test_registry());
+        let consumers = vec![vec![kinds::COLLECTION]; MAX_CONSUMERS + 1];
+        let (profiles, model) = (Profiles::bare(), CostModel::new());
+        let err = g.best_tree(RDD, &consumers, 1.0, 64.0, &profiles, &model).unwrap_err();
+        assert!(matches!(err, RheemError::Optimizer(_)), "{err}");
+        assert!(g.best_tree(RDD, &consumers[1..], 1.0, 64.0, &profiles, &model).is_ok());
     }
 }

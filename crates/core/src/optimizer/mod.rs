@@ -15,7 +15,6 @@ use crate::cardinality::{Estimates, Estimator};
 use crate::cost::{CostModel, Interval};
 use crate::error::{Result, RheemError};
 use crate::mapping::Candidate;
-use crate::movement::ConversionGraph;
 use crate::plan::{OperatorId, RheemPlan};
 use crate::platform::{PlatformId, Profiles};
 use crate::registry::Registry;
@@ -113,8 +112,7 @@ impl<'a> Optimizer<'a> {
         plan: &RheemPlan,
         estimates: Estimates,
     ) -> Result<OptimizedPlan> {
-        let graph = ConversionGraph::from_registry(self.registry);
-        enumerate::enumerate(self, plan, estimates, &graph)
+        enumerate::enumerate(self, plan, estimates)
     }
 
     /// Enumerate without pruning (exhaustive baseline for the ablation
@@ -126,8 +124,7 @@ impl<'a> Optimizer<'a> {
     ) -> Result<OptimizedPlan> {
         plan.validate()?;
         let estimates = estimator.estimate(plan)?;
-        let graph = ConversionGraph::from_registry(self.registry);
-        enumerate::enumerate_with(self, plan, estimates, &graph, false)
+        enumerate::enumerate_with(self, plan, estimates, false)
     }
 
     pub(crate) fn err_no_candidates(plan: &RheemPlan, id: OperatorId) -> RheemError {

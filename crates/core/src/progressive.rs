@@ -231,6 +231,8 @@ pub fn run_progressive(
             t.attr(es, "candidates", opt.stats.candidates.into());
             t.attr(es, "partials_created", opt.stats.partials_created.into());
             t.attr(es, "partials_pruned", opt.stats.partials_pruned.into());
+            t.attr(es, "movement_settlements", opt.stats.movement_settlements.into());
+            t.attr(es, "movement_solves", opt.stats.movement_solves.into());
             let cs = t.instant(Some(os), SpanKind::Costing, "cost", None, virtual_ms);
             t.attr(cs, "est_lo_ms", opt.est_interval.lo.into());
             t.attr(cs, "est_hi_ms", opt.est_interval.hi.into());

@@ -8,11 +8,12 @@
 //! `O(n)`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::channel::{ChannelDescriptor, ChannelKind};
 use crate::exec::ExecutionOperator;
 use crate::mapping::{Candidate, OperatorMapping};
+use crate::movement::ConversionGraph;
 use crate::plan::{OperatorNode, RheemPlan};
 use crate::platform::PlatformId;
 
@@ -42,6 +43,9 @@ pub struct Registry {
     platforms: Vec<PlatformId>,
     source_estimators: Vec<crate::cardinality::SourceEstimator>,
     fusion: bool,
+    /// The conversion graph over `channels` and `conversions`, built on
+    /// first use and dropped by every change to either.
+    graph: OnceLock<ConversionGraph>,
 }
 
 impl Default for Registry {
@@ -53,6 +57,7 @@ impl Default for Registry {
             platforms: Vec::new(),
             source_estimators: Vec::new(),
             fusion: true,
+            graph: OnceLock::new(),
         }
     }
 }
@@ -105,6 +110,7 @@ impl Registry {
     /// Register a channel kind.
     pub fn add_channel(&mut self, desc: ChannelDescriptor) {
         self.channels.insert(desc.kind, desc);
+        self.graph.take();
     }
 
     /// Register a conversion operator edge.
@@ -115,6 +121,7 @@ impl Registry {
         op: Arc<dyn ExecutionOperator>,
     ) {
         self.conversions.push(Conversion { from, to, op });
+        self.graph.take();
     }
 
     /// Register a source-cardinality estimator (e.g. the relational store
@@ -144,6 +151,13 @@ impl Registry {
     /// All conversion edges.
     pub fn conversions(&self) -> &[Conversion] {
         &self.conversions
+    }
+
+    /// The channel conversion graph of the registered channels and
+    /// conversions: built once per registry state and shared by every
+    /// optimization and execution-plan build over it.
+    pub fn conversion_graph(&self) -> &ConversionGraph {
+        self.graph.get_or_init(|| ConversionGraph::from_registry(self))
     }
 
     /// All execution alternatives for `node` across every registered
@@ -280,6 +294,17 @@ mod tests {
         let c = r.candidates_for(&plan, node);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].covers.len(), 1);
+    }
+
+    #[test]
+    fn conversion_graph_follows_the_registry() {
+        let mut r = Registry::new();
+        let kinds = r.conversion_graph().kind_count();
+        assert!(std::ptr::eq(r.conversion_graph(), r.conversion_graph()), "built once");
+        r.add_channel(ChannelDescriptor { kind: ChannelKind("late"), reusable: false });
+        assert_eq!(r.conversion_graph().kind_count(), kinds + 1);
+        r.add_conversion(kinds::COLLECTION, ChannelKind("later"), Arc::new(Noop(PlatformId("a"))));
+        assert_eq!(r.conversion_graph().kind_count(), kinds + 2);
     }
 
     #[test]

@@ -312,6 +312,12 @@ impl FlinkOperator {
                 };
                 Ok(if parts.is_empty() { vec![Arc::new(Vec::new())] } else { parts })
             }
+            // Columnar partitions land 1:1 as row partitions (the right
+            // side of Cartesian / InequalityJoin has no columnar kernel).
+            ChannelData::BatchParts(bs) => {
+                let parts: Vec<Dataset> = bs.iter().map(|b| Arc::new(b.to_values())).collect();
+                Ok(if parts.is_empty() { vec![Arc::new(Vec::new())] } else { parts })
+            }
             other => Err(RheemError::Execution(format!(
                 "flink operator expects a DataSet, found {other:?}"
             ))),

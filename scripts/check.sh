@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints on the core crate, and the tier-1 suite.
+# Repo gate: formatting, lints on the core crate, the tier-1 suite and the
+# whole workspace's tests.
 # Run from the repo root: ./scripts/check.sh
 set -eu
 
@@ -12,6 +13,12 @@ cargo clippy -p rheem-core --all-targets -- -D warnings
 echo "== tier-1: build + full test suite (adaptive scheduler)"
 cargo build --release
 cargo test -q
+
+echo "== whole workspace: every crate's unit and integration tests, not only the root package's"
+cargo test --workspace --no-fail-fast -q
+
+echo "== perf harness unit tests (a read-only consumer of the product crates)"
+cargo test -q --manifest-path perf/Cargo.toml
 
 echo "== tier-1 under both forced scheduler modes"
 RHEEM_SCHED=conc cargo test -q

@@ -90,6 +90,21 @@ fn all_platforms_agree_on_wordcount_result() {
     }
 }
 
+/// The inequality self-join of the tax cleaning task reads its right-hand
+/// input from a projected, columnar stage output: both distributed engines
+/// must land that as rows.
+#[test]
+fn distributed_engines_land_a_columnar_right_join_input() {
+    let rows = rheem_datagen::generate_tax(200, 0.1, 3);
+    let expected = rheem_datagen::tax::count_violations_bruteforce(&rows);
+    for forced in [ids::SPARK, ids::FLINK] {
+        let mut ctx = rheem::default_context();
+        ctx.forced_platform = Some(forced);
+        let fixes = rheem::bigdansing::detect_violations(&ctx, rows.clone()).unwrap();
+        assert_eq!(fixes.len(), expected, "forced on {forced:?}");
+    }
+}
+
 #[test]
 fn forced_platform_is_respected() {
     for forced in [ids::JAVA_STREAMS, ids::SPARK, ids::FLINK] {

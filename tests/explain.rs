@@ -205,7 +205,7 @@ fn explain_analyze_wordcount_golden_structure() {
   [submit] submit
   [phase] phase 1
     [optimize] optimize operators=5
-      [enumeration] enumerate candidates=17 partials_created=70 partials_pruned=32
+      [enumeration] enumerate candidates=17 partials_created=70 partials_pruned=32 movement_settlements=78 movement_solves=42
       [costing] cost platforms=[java.streams]
     [stage] stage 0 @rheem.driver stage=0 iteration=0 phase=1 run=0
       [operator] DriverCollectionSource @rheem.driver node=0 tuples_in=0 tuples_out=60

@@ -23,6 +23,18 @@ use rheem_core::cache::ResultCache;
 use rheem_core::obs::{scrape, validate_exposition};
 use rheem_core::trace::json;
 
+// ---- one test at a time ---------------------------------------------------
+
+/// The watchdog test reads stage latencies, so this suite is written for
+/// one test at a time (`--test-threads=1` in check.sh and CI). Hold that
+/// under a plain `cargo test` too: on a small host the heavy neighbours
+/// otherwise starve the very tenant the watchdog test expects to be well
+/// served (about one run in five on 2 cores).
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 // ---- plan generators -----------------------------------------------------
 
 fn sum_reduce() -> ReduceUdf {
@@ -76,6 +88,7 @@ fn straggler_plan() -> RheemPlan {
 
 #[test]
 fn recorder_budgets_hold_under_concurrent_writes() {
+    let _serial = one_at_a_time();
     const THREADS: usize = 8;
     const PER_THREAD: usize = 2_000;
     const MAX_ENTRIES: usize = 256;
@@ -121,6 +134,7 @@ fn recorder_budgets_hold_under_concurrent_writes() {
 
 #[test]
 fn recorder_drop_accounting_is_exact_single_thread() {
+    let _serial = one_at_a_time();
     let rec = FlightRecorder::with_capacity(4, 1 << 20);
     for i in 0..10 {
         rec.record(EventKind::JobQueued, None, Some(i), None, 0.0, "");
@@ -137,6 +151,7 @@ fn recorder_drop_accounting_is_exact_single_thread() {
 
 #[test]
 fn recorder_dump_parses_and_is_deterministic() {
+    let _serial = one_at_a_time();
     let rec = FlightRecorder::with_capacity(64, 1 << 20);
     rec.record(EventKind::JobAdmitted, Some("a"), Some(1), None, 0.25, "");
     rec.record(EventKind::StageCommitted, Some("a"), Some(1), Some(3), 7.5, "java.streams");
@@ -170,6 +185,7 @@ fn recorder_dump_parses_and_is_deterministic() {
 
 #[test]
 fn prometheus_exposition_invariants_hold_after_multi_tenant_run() {
+    let _serial = one_at_a_time();
     let mut ctx = rheem::default_context();
     ctx.set_cache(Some(Arc::new(ResultCache::new(64 << 20))));
     let tenants = vec![
@@ -214,6 +230,7 @@ fn prometheus_exposition_invariants_hold_after_multi_tenant_run() {
 
 #[test]
 fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
+    let _serial = one_at_a_time();
     let mut ctx = rheem::default_context();
     ctx.set_cache(None); // keep stage timings independent of the cache leg
     let config = ServiceConfig {

@@ -584,12 +584,11 @@ fn value_order_is_total() {
 #[test]
 fn movement_tree_serves_all_consumers() {
     use rheem_core::channel::kinds;
-    use rheem_core::movement::ConversionGraph;
     for case in 0u64..12 {
         let mut rng = SplitMix64(0x30BE ^ case);
         let card = rng.range_f64(1.0, 1e6);
         let ctx = rheem::default_context();
-        let graph = ConversionGraph::from_registry(ctx.registry());
+        let graph = ctx.registry().conversion_graph();
         let consumers = vec![
             vec![kinds::COLLECTION],
             vec![platform_spark::RDD, platform_spark::RDD_CACHED],
@@ -604,6 +603,7 @@ fn movement_tree_serves_all_consumers() {
                 ctx.profiles(),
                 ctx.cost_model(),
             )
+            .unwrap()
             .unwrap();
         let mut served: Vec<usize> = Vec::new();
         collect_deliveries(&plan.tree, &mut served);
