@@ -22,12 +22,13 @@
 //! always semantics-preserving: both paths are derived from the same spec
 //! and produce identical values in identical order.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::fused::{FusedPipeline, FusedStep};
-use crate::intern::{intern, intern_id};
-use crate::kernels::bucket_of_key;
+use crate::intern::intern_id;
+use crate::kernels::{bucket_of_key, bucket_of_str};
 use crate::udf::{
     CmpOp, FlatMapSpec, KeySpec, KeyUdf, MapSpec, PredSpec, ReduceSpec, ReduceUdf, Sarg,
 };
@@ -50,10 +51,12 @@ pub enum Column {
         dict: Vec<Arc<str>>,
         /// Per-row dictionary index.
         ids: Vec<u32>,
-        /// Global interner ids for `dict`, resolved once per column
-        /// allocation on first use. Bucket batches from [`partition_batch`]
-        /// share the source chunk's column `Arc`s, so the cache makes key
-        /// resolution per-chunk instead of per-bucket-contribution.
+        /// Global interner ids for `dict`. The tokenizer, the combiner and
+        /// the merge fill them as they build the column (they hold the ids
+        /// already); columns built from plain rows resolve them once per
+        /// column allocation on first use. Bucket batches from
+        /// [`partition_batch`] share the source chunk's column `Arc`s, so
+        /// either way no consumer goes back to the interner per bucket.
         gids: OnceLock<Vec<u32>>,
     },
     /// Row fallback: arbitrary (mixed-type, nested, or null) values.
@@ -89,9 +92,11 @@ impl Column {
     }
 }
 
-/// Build a dictionary column with an empty global-id cache.
-fn str_col(dict: Vec<Arc<str>>, ids: Vec<u32>) -> Column {
-    Column::Str { dict, ids, gids: OnceLock::new() }
+/// Build a dictionary column; `gids` are the dictionary's global interner
+/// ids when the builder already holds them (else they resolve on first use).
+fn str_col(dict: Vec<Arc<str>>, ids: Vec<u32>, gids: Option<Vec<u32>>) -> Column {
+    debug_assert!(gids.as_ref().is_none_or(|g| g.len() == dict.len()));
+    Column::Str { dict, ids, gids: gids.map(OnceLock::from).unwrap_or_default() }
 }
 
 /// The cached global interner ids for a dictionary column, resolving the
@@ -157,7 +162,7 @@ fn columnize<'a>(vals: impl Iterator<Item = &'a Value> + Clone, len: usize) -> C
                     _ => return Column::Row(vals.cloned().collect()),
                 }
             }
-            str_col(dict, ids)
+            str_col(dict, ids, None)
         }
         _ => Column::Row(vals.cloned().collect()),
     }
@@ -267,6 +272,21 @@ impl Batch {
         }
     }
 
+    /// [`Value::approx_bytes`] of row `i`, read off the columns without
+    /// materializing the row.
+    fn row_bytes(&self, i: usize) -> usize {
+        let cell = |c: &Column| match c {
+            Column::Int64(_) | Column::Float64(_) => 16,
+            Column::Bool(_) => 8,
+            Column::Str { dict, ids, .. } => 24 + dict[ids[i] as usize].len(),
+            Column::Row(v) => v[i].approx_bytes(),
+        };
+        match self.shape {
+            Shape::Scalar => cell(&self.cols[0]),
+            Shape::Tuple => 24 + self.cols.iter().map(|c| cell(c)).sum::<usize>(),
+        }
+    }
+
     /// Materialize the surviving rows back into row values, in order.
     pub fn to_values(&self) -> Vec<Value> {
         match &self.sel {
@@ -275,13 +295,19 @@ impl Batch {
         }
     }
 
-    /// Iterate surviving physical row indices in order.
+    /// Iterate surviving physical row indices in order: O(selected rows),
+    /// so a bucket batch cut from a large chunk costs only its survivors.
     fn selected(&self) -> impl Iterator<Item = usize> + '_ {
-        let sel = self.sel.as_deref();
-        (0..self.len).filter_map(move |i| match sel {
-            Some(s) => s.get(i).map(|&x| x as usize),
-            None => Some(i),
-        })
+        let (sel, all) = match &self.sel {
+            Some(s) => (s.as_slice(), 0..0),
+            None => (&[][..], 0..self.len),
+        };
+        sel.iter().map(|&i| i as usize).chain(all)
+    }
+
+    /// Physical index of the `pos`-th surviving row.
+    fn selected_at(&self, pos: usize) -> usize {
+        self.sel.as_ref().map_or(pos, |s| s[pos] as usize)
     }
 }
 
@@ -343,7 +369,13 @@ impl VectorKernel {
     /// Columnarize `input` and run every step over column slices. `None` on
     /// any runtime type mismatch (caller falls back to the row path).
     pub fn run_values(&self, input: &[Value]) -> Option<Batch> {
-        self.run_batch(Batch::from_values(input))
+        // A leading tokenizer reads the lines where they are: no line
+        // dictionary is built just to be taken apart again.
+        let (first, rest) = match self.steps.split_first() {
+            Some((VStep::Tokenize, rest)) => (tokenize_rows(input)?, rest),
+            _ => (Batch::from_values(input), self.steps.as_slice()),
+        };
+        rest.iter().try_fold(first, |b, s| apply(s, b))
     }
 
     /// Run every step over an already-columnar batch (e.g. one that arrived
@@ -356,6 +388,88 @@ impl VectorKernel {
         }
         Some(b)
     }
+}
+
+/// Whitespace tokenizer state: words become ids over an interner-backed
+/// dictionary in first-occurrence order. A word's content is hashed once
+/// per occurrence (the local map) and resolved through the interner once
+/// per distinct word, which also yields the global id the exchange merges
+/// by — after this, the word is an id.
+struct Tokenizer<'a> {
+    map: HashMap<&'a str, u32>,
+    dict: Vec<Arc<str>>,
+    gids: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl<'a> Tokenizer<'a> {
+    fn new() -> Self {
+        Self { map: HashMap::new(), dict: Vec::new(), gids: Vec::new(), ids: Vec::new() }
+    }
+
+    #[inline]
+    fn word(&mut self, w: &'a str) {
+        let id = match self.map.entry(w) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let (shared, gid) = intern_id(w);
+                self.dict.push(shared);
+                self.gids.push(gid);
+                *e.insert(self.dict.len() as u32 - 1)
+            }
+        };
+        self.ids.push(id);
+    }
+
+    /// Split `line` exactly as `str::split_whitespace` does. ASCII lines
+    /// scan bytes against `char::is_whitespace`'s ASCII members (U+0009 to
+    /// U+000D and the space; `u8::is_ascii_whitespace` lacks U+000B).
+    fn line(&mut self, line: &'a str) {
+        if !line.is_ascii() {
+            line.split_whitespace().for_each(|w| self.word(w));
+            return;
+        }
+        let mut start = None;
+        for (i, &c) in line.as_bytes().iter().enumerate() {
+            let ws = matches!(c, b'\t'..=b'\r' | b' ');
+            match (start, ws) {
+                (None, false) => start = Some(i),
+                (Some(s), true) => {
+                    self.word(&line[s..i]);
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            self.word(&line[s..]);
+        }
+    }
+
+    fn finish(self) -> Batch {
+        let len = self.ids.len();
+        Batch {
+            cols: vec![Arc::new(str_col(self.dict, self.ids, Some(self.gids)))],
+            shape: Shape::Scalar,
+            len,
+            sel: None,
+        }
+    }
+}
+
+/// Tokenize string rows straight into a dictionary column. `None` when the
+/// rows would not columnize as strings (a non-`Str` row, or no rows at all)
+/// — the cases [`Batch::from_values`] hands the tokenizer an untyped column.
+fn tokenize_rows(input: &[Value]) -> Option<Batch> {
+    if input.is_empty() {
+        return None;
+    }
+    let mut t = Tokenizer::new();
+    for v in input {
+        let Value::Str(line) = v else { return None };
+        t.line(line);
+    }
+    Some(t.finish())
 }
 
 /// Build the new selection vector for `keep` over the currently selected
@@ -525,38 +639,11 @@ fn apply(step: &VStep, b: Batch) -> Option<Batch> {
                 return None;
             }
             let Column::Str { dict, ids, .. } = b.cols[0].as_ref() else { return None };
-            // Tokenize each distinct line once, into word ids over an
-            // interner-backed output dictionary.
-            let mut out_dict: Vec<Arc<str>> = Vec::new();
-            let mut map: HashMap<Arc<str>, u32> = HashMap::new();
-            let mut line_tokens: Vec<Vec<u32>> = Vec::with_capacity(dict.len());
-            for line in dict {
-                let toks = line
-                    .split_whitespace()
-                    .map(|w| match map.get(w) {
-                        Some(&id) => id,
-                        None => {
-                            let a = intern(w);
-                            let id = out_dict.len() as u32;
-                            out_dict.push(Arc::clone(&a));
-                            map.insert(a, id);
-                            id
-                        }
-                    })
-                    .collect();
-                line_tokens.push(toks);
-            }
-            let mut out_ids = Vec::new();
+            let mut t = Tokenizer::new();
             for i in b.selected() {
-                out_ids.extend_from_slice(&line_tokens[ids[i] as usize]);
+                t.line(&dict[ids[i] as usize]);
             }
-            let len = out_ids.len();
-            Some(Batch {
-                cols: vec![Arc::new(str_col(out_dict, out_ids))],
-                shape: Shape::Scalar,
-                len,
-                sel: None,
-            })
+            Some(t.finish())
         }
         VStep::Project(fields) => {
             if b.shape != Shape::Tuple || fields.iter().any(|&i| i >= b.cols.len()) {
@@ -582,7 +669,7 @@ pub fn agg_vectorizable(key: &KeyUdf, agg: &ReduceUdf) -> bool {
 /// integer keys pay one `i64` hash per row. `None` for other key columns.
 fn key_slots(b: &Batch) -> Option<(Column, Vec<usize>, usize)> {
     match b.cols[0].as_ref() {
-        Column::Str { dict, ids, .. } => {
+        Column::Str { dict, ids, gids } => {
             let mut slot_of = vec![usize::MAX; dict.len()];
             let mut order: Vec<u32> = Vec::new();
             let mut slots = Vec::with_capacity(b.selected_len());
@@ -598,7 +685,9 @@ fn key_slots(b: &Batch) -> Option<(Column, Vec<usize>, usize)> {
                 order.iter().map(|&id| Arc::clone(&dict[id as usize])).collect();
             let n = out_dict.len();
             let ids_out: Vec<u32> = (0..n as u32).collect();
-            Some((str_col(out_dict, ids_out), slots, n))
+            // Known global ids travel with the dictionary entries they name.
+            let out_gids = gids.get().map(|g| order.iter().map(|&id| g[id as usize]).collect());
+            Some((str_col(out_dict, ids_out, out_gids), slots, n))
         }
         Column::Int64(keys) => {
             let mut slot: HashMap<i64, usize> = HashMap::new();
@@ -723,8 +812,11 @@ pub fn merge_batches(contribs: &[Batch]) -> Option<Batch> {
             _ => return None,
         }
     }
-    let mut slot_s: HashMap<u32, usize> = HashMap::new();
+    // Keyed by global interner id: process-internal, so the multiply-rotate
+    // hasher of the join table serves.
+    let mut slot_s: FastMap<u32, usize> = FastMap::default();
     let mut keys_s: Vec<Arc<str>> = Vec::new();
+    let mut gids_s: Vec<u32> = Vec::new();
     let mut slot_i: HashMap<i64, usize> = HashMap::new();
     let mut keys_i: Vec<i64> = Vec::new();
     let mut sums_i: Vec<i64> = Vec::new();
@@ -735,14 +827,16 @@ pub fn merge_batches(contribs: &[Batch]) -> Option<Batch> {
         let mut row_slots: Vec<usize> = Vec::with_capacity(cb.selected_len());
         match cb.cols[0].as_ref() {
             Column::Str { dict, ids, gids } => {
-                // Global ids come from the column's cache (resolved once per
-                // source chunk, shared by every bucket cut from it); rows
-                // then merge with no string hashing at all.
+                // Global ids come with the column (filled by the producer,
+                // or resolved once per source chunk and shared by every
+                // bucket cut from it); rows then merge with no string
+                // hashing at all.
                 let gids = dict_gids(dict, gids);
                 for i in cb.selected() {
                     let id = ids[i] as usize;
                     let s = *slot_s.entry(gids[id]).or_insert_with(|| {
                         keys_s.push(Arc::clone(&dict[id]));
+                        gids_s.push(gids[id]);
                         keys_s.len() - 1
                     });
                     row_slots.push(s);
@@ -785,7 +879,7 @@ pub fn merge_batches(contribs: &[Batch]) -> Option<Batch> {
     }
     let key_col = if str_keys {
         let n = keys_s.len();
-        str_col(keys_s, (0..n as u32).collect())
+        str_col(keys_s, (0..n as u32).collect(), Some(gids_s))
     } else {
         Column::Int64(keys_i)
     };
@@ -887,13 +981,11 @@ pub fn batch_bytes(b: &Batch) -> f64 {
     let stride = (n / 64).max(1);
     let mut sum = 0.0;
     let mut cnt = 0usize;
-    for (pos, i) in b.selected().enumerate() {
-        if pos % stride == 0 {
-            sum += b.row(i).approx_bytes() as f64;
-            cnt += 1;
-        }
+    for pos in (0..n).step_by(stride) {
+        sum += b.row_bytes(b.selected_at(pos)) as f64;
+        cnt += 1;
     }
-    (sum / cnt.max(1) as f64) * n as f64
+    (sum / cnt as f64) * n as f64
 }
 
 /// The key column a [`KeySpec`] projects out of a batch, when it is typed
@@ -939,8 +1031,7 @@ pub fn partition_batch(b: &Batch, key: &KeySpec, n: usize) -> Option<Vec<Batch>>
         }
         Column::Str { dict, ids, .. } => {
             // Hash once per distinct dictionary entry, then route by id.
-            let buckets: Vec<usize> =
-                dict.iter().map(|s| bucket_of_key(&Value::Str(Arc::clone(s)), n)).collect();
+            let buckets: Vec<usize> = dict.iter().map(|s| bucket_of_str(s, n)).collect();
             for i in b.selected() {
                 sels[buckets[ids[i] as usize]].push(i as u32);
             }
@@ -1125,8 +1216,9 @@ pub fn merge_sorted(parts: &[Batch], key: &KeySpec, n: usize) -> Option<Vec<Batc
                             .collect(),
                     ),
                     Column::Str { .. } => {
-                        let mut local: HashMap<u32, u32> = HashMap::new();
+                        let mut local: FastMap<u32, u32> = FastMap::default();
                         let mut dict: Vec<Arc<str>> = Vec::new();
+                        let mut out_gids: Vec<u32> = Vec::new();
                         let mut ids: Vec<u32> = Vec::with_capacity(rows.len());
                         for &(p, i) in rows {
                             let Column::Str { dict: sd, ids: si, .. } =
@@ -1138,11 +1230,12 @@ pub fn merge_sorted(parts: &[Batch], key: &KeySpec, n: usize) -> Option<Vec<Batc
                             let gid = gids[p as usize][c].expect("str gids")[entry];
                             let id = *local.entry(gid).or_insert_with(|| {
                                 dict.push(Arc::clone(&sd[entry]));
+                                out_gids.push(gid);
                                 dict.len() as u32 - 1
                             });
                             ids.push(id);
                         }
-                        str_col(dict, ids)
+                        str_col(dict, ids, Some(out_gids))
                     }
                     Column::Row(_) => Column::Row(
                         rows.iter()
@@ -1225,7 +1318,9 @@ impl std::hash::Hasher for JoinKeyHasher {
     }
 }
 
-type JoinKeyMap<V> = HashMap<JoinKey, V, std::hash::BuildHasherDefault<JoinKeyHasher>>;
+/// A map over process-internal keys (interner ids, typed join payloads).
+type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<JoinKeyHasher>>;
+type JoinKeyMap<V> = FastMap<JoinKey, V>;
 
 /// Per-row join keys for a batch's key column; string entries resolve to
 /// global interner ids once per distinct dictionary entry. `None` for
@@ -1459,6 +1554,139 @@ mod tests {
         let agg = ReduceUdf::pair_int_sum("sum");
         assert!(!agg_vectorizable(&key, &agg));
         assert!(run_reduce(&vk, &[], &key, &agg, false).is_none());
+    }
+
+    fn wordcount_chain() -> FusedPipeline {
+        FusedPipeline::from_ops(&[
+            LogicalOp::FlatMap(FlatMapUdf::split_whitespace("split")),
+            LogicalOp::Map(MapUdf::pair_with_int("pair", 1)),
+        ])
+        .unwrap()
+    }
+
+    /// The column's global ids when they are already filled (never resolves).
+    fn filled_gids(b: &Batch, col: usize) -> Option<&[u32]> {
+        match b.cols[col].as_ref() {
+            Column::Str { gids, .. } => gids.get().map(Vec::as_slice),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn row_fed_tokenizer_matches_split_whitespace() {
+        // Every whitespace class `char::is_whitespace` knows that a corpus
+        // can hold: ASCII incl. U+000B (which `split_ascii_whitespace`
+        // would keep inside a word), U+0085, U+00A0, U+2003 — plus
+        // non-whitespace controls and multi-byte letters as word content.
+        let pieces = [
+            "taro",
+            "ximi",
+            "x",
+            "\u{e9}t\u{e9}",
+            "\u{1f600}",
+            "\u{1c}",
+            " ",
+            "  ",
+            "\t",
+            "\n",
+            "\u{b}",
+            "\u{c}",
+            "\r",
+            "\u{85}",
+            "\u{a0}",
+            "\u{2003}",
+        ];
+        let p = FusedPipeline::from_ops(&[LogicalOp::FlatMap(FlatMapUdf::split_whitespace("s"))])
+            .unwrap();
+        let vk = VectorKernel::compile(&p).unwrap();
+        let mut rng = crate::kernels::SplitMix64(0xB47C4);
+        for round in 0..200 {
+            let mut lines: Vec<Value> = (0..rng.range_usize(12) + 1)
+                .map(|_| {
+                    let line: String = (0..rng.range_usize(10))
+                        .map(|_| pieces[rng.range_usize(pieces.len())])
+                        .collect();
+                    Value::from(line)
+                })
+                .collect();
+            // Duplicate and empty lines.
+            lines.push(lines[0].clone());
+            lines.push(Value::from(""));
+            let want: Vec<Value> = lines
+                .iter()
+                .flat_map(|l| l.as_str().unwrap().split_whitespace().map(Value::from))
+                .collect();
+            let got = vk.run_values(&lines).unwrap();
+            assert_eq!(got.to_values(), want, "round {round}: {lines:?}");
+            assert_eq!(got.to_values(), p.run(&lines, &BroadcastCtx::new()));
+            // The column is born with its global ids, and they are the
+            // interner's.
+            let Column::Str { dict, .. } = got.cols[0].as_ref() else { panic!("str column") };
+            let want_gids: Vec<u32> = dict.iter().map(|w| crate::intern::global_id(w)).collect();
+            assert_eq!(filled_gids(&got, 0), Some(want_gids.as_slice()));
+            // Same answer when the lines arrive as a dictionary column.
+            let via_batch = vk.run_batch(Batch::from_values(&lines)).unwrap();
+            assert_eq!(via_batch.to_values(), want);
+        }
+        // Rows that would not columnize as strings fall back to the row path.
+        assert!(vk.run_values(&[Value::from("a b"), Value::from(1)]).is_none());
+        assert!(vk.run_values(&[Value::Null]).is_none());
+        assert!(vk.run_values(&[]).is_none());
+    }
+
+    #[test]
+    fn global_ids_travel_from_tokenizer_to_merge() {
+        let vk = VectorKernel::compile(&wordcount_chain()).unwrap();
+        let agg = ReduceUdf::pair_int_sum("sum");
+        let partitions = [vec!["a b a c", "d e"], vec!["c c b", "f a"], vec!["", "g a e e"]];
+        let n = 4;
+        let mut buckets: Vec<Vec<Batch>> = vec![Vec::new(); n];
+        for lines in &partitions {
+            let lines: Vec<Value> = lines.iter().map(|&l| Value::from(l)).collect();
+            let tokens = vk.run_values(&lines).unwrap();
+            assert!(filled_gids(&tokens, 0).is_some(), "tokenize fills gids");
+            let combined = combine_batch(&tokens, &ReduceSpec::PairIntSum).unwrap();
+            assert!(filled_gids(&combined, 0).is_some(), "combine projects gids");
+            let cut = partition_batch(&combined, &KeySpec::Field(0), n).unwrap();
+            for (j, b) in cut.into_iter().enumerate() {
+                assert!(filled_gids(&b, 0).is_some(), "buckets share the filled column");
+                buckets[j].push(b);
+            }
+        }
+        for contribs in &buckets {
+            let merged = merge_batches(contribs).unwrap();
+            assert!(merged.is_empty() || filled_gids(&merged, 0).is_some());
+            let keyed: Vec<Value> = contribs.iter().flat_map(keyed_values).collect();
+            assert_eq!(merged.to_values(), crate::kernels::merge_by(&keyed, &agg));
+        }
+        // Columns built from plain rows still resolve lazily, to the same ids.
+        let rows = vec![Value::pair(Value::from("a"), Value::from(1))];
+        let plain = Batch::from_values(&rows);
+        assert!(filled_gids(&plain, 0).is_none());
+        let merged = merge_batches(&[plain]).unwrap();
+        assert_eq!(filled_gids(&merged, 0), Some(&[crate::intern::global_id("a")][..]));
+    }
+
+    #[test]
+    fn selection_walks_survivors_and_bytes_need_no_rows() {
+        let data: Vec<Value> = (0..1000)
+            .map(|i| Value::pair(Value::from(format!("k{}", i % 37)), Value::Int(i)))
+            .collect();
+        let b = Batch::from_values(&data);
+        assert_eq!(b.selected().collect::<Vec<_>>(), (0..1000).collect::<Vec<_>>());
+        for part in partition_batch(&b, &KeySpec::Field(0), 7).unwrap() {
+            let sel: Vec<usize> = part.selection().unwrap().iter().map(|&i| i as usize).collect();
+            assert_eq!(part.selected().collect::<Vec<_>>(), sel);
+            // The sampled estimate is the one materialized rows would give.
+            let rows = part.to_values();
+            let stride = (rows.len() / 64).max(1);
+            let sampled: Vec<f64> =
+                rows.iter().step_by(stride).map(|r| r.approx_bytes() as f64).collect();
+            let want = sampled.iter().sum::<f64>() / sampled.len() as f64 * rows.len() as f64;
+            assert_eq!(batch_bytes(&part).to_bits(), want.to_bits());
+        }
+        let scalars = Batch::from_values(&[Value::from("ab"), Value::Null, Value::from(1)]);
+        assert_eq!(batch_bytes(&scalars), (26 + 8 + 16) as f64);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan};
 use crate::platform::PlatformId;
 use crate::registry::Registry;
 use crate::udf::BroadcastCtx;
-use crate::value::Value;
 
 /// The driver pseudo-platform.
 pub const CONTROL: PlatformId = PlatformId("rheem.driver");
@@ -152,8 +151,8 @@ impl ExecutionOperator for DriverTextFileSource {
         let (bytes, store) = rheem_storage::stat(&path).map_err(RheemError::Io)?;
         ctx.add_virtual_ms(rheem_storage::default_costs(store).read_ms(bytes));
         ctx.timed_seq(self, 0, || {
-            let lines = rheem_storage::read_lines(&path).map_err(RheemError::Io)?;
-            let out: Vec<Value> = lines.into_iter().map(Value::from).collect();
+            let text = rheem_storage::read_text(&path).map_err(RheemError::Io)?;
+            let out = crate::partitioned::text_rows(&text, 0..text.line_count());
             let n = out.len() as u64;
             Ok((ChannelData::Collection(Arc::new(out)), n))
         })
@@ -243,6 +242,7 @@ pub fn is_control(kind: OpKind) -> bool {
 mod tests {
     use super::*;
     use crate::platform::Profiles;
+    use crate::value::Value;
 
     #[test]
     fn builtin_mappings_cover_control_and_io() {

@@ -360,6 +360,17 @@ pub fn bucket_of_key(k: &Value, n: usize) -> usize {
     (h.finish() as usize) % n.max(1)
 }
 
+/// [`bucket_of_key`] of `Value::Str(s)` without building the `Value`: the
+/// hasher sees the same discriminant byte and string bytes, so dictionary
+/// entries route bit-identically to the rows that carry them.
+pub fn bucket_of_str(s: &str, n: usize) -> usize {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write_u8(crate::value::STR_RANK);
+    s.hash(&mut h);
+    (h.finish() as usize) % n.max(1)
+}
+
 /// Hash-partition a dataset by key, appending directly into the caller's
 /// per-bucket buffers (the zero-copy shuffle kernel: engines route many
 /// input partitions into one shared set of pre-sized buckets without
@@ -536,6 +547,27 @@ mod tests {
         let data = ints(&(0..10_000).collect::<Vec<_>>());
         let s = sample(&data, SampleMethod::Bernoulli, SampleSize::Fraction(0.1), 7);
         assert!(s.len() > 700 && s.len() < 1300, "{}", s.len());
+    }
+
+    #[test]
+    fn bucket_of_str_routes_like_the_value_holding_it() {
+        let mut rng = SplitMix64(0x5EED);
+        let alphabet: Vec<char> =
+            "ab z\t\u{b}\u{85}\u{a0}\u{2003}\u{e9}\u{1f600}".chars().collect();
+        let mut strings = vec![String::new(), " ".into(), "taro".into()];
+        for _ in 0..500 {
+            let len = rng.range_usize(12);
+            strings.push((0..len).map(|_| alphabet[rng.range_usize(alphabet.len())]).collect());
+        }
+        for s in &strings {
+            for n in [0usize, 1, 2, 7, 55, 80, 4096] {
+                assert_eq!(
+                    bucket_of_str(s, n),
+                    bucket_of_key(&Value::from(s.as_str()), n),
+                    "{s:?}"
+                );
+            }
+        }
     }
 
     #[test]

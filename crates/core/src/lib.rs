@@ -53,6 +53,7 @@ pub mod monitor;
 pub mod movement;
 pub mod obs;
 pub mod optimizer;
+pub mod partitioned;
 pub mod plan;
 pub mod platform;
 pub mod pool;

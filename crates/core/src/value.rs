@@ -142,11 +142,16 @@ impl Value {
             Value::Bool(_) => 1,
             Value::Int(_) => 2,
             Value::Float(_) => 3,
-            Value::Str(_) => 4,
+            Value::Str(_) => STR_RANK,
             Value::Tuple(_) => 5,
         }
     }
 }
+
+/// [`Value::Str`]'s discriminant in hashing and cross-type ordering;
+/// [`crate::kernels::bucket_of_str`] feeds it to the hasher so a bare `&str`
+/// routes exactly like the `Value::Str` holding it.
+pub(crate) const STR_RANK: u8 = 4;
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {

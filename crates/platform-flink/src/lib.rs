@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_core::batch;
@@ -23,11 +23,14 @@ use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
 use rheem_core::fused::{self, Segment};
 use rheem_core::kernels;
 use rheem_core::mapping::{upstream_chain, Candidate, FnMapping};
+use rheem_core::partitioned::{
+    bucket_bytes, bucketize, exchange, flatten_parts, par_each, par_each_idx, partition_count,
+    pool_size, read_text_parts, reduce_exchange, shipped,
+};
 use rheem_core::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan, SampleSize};
-use rheem_core::platform::PlatformProfile;
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
-use rheem_core::udf::{BroadcastCtx, KeySpec, KeyUdf, ReduceUdf};
+use rheem_core::udf::{BroadcastCtx, KeyUdf};
 use rheem_core::value::{Dataset, Value};
 
 /// Flink's pipelined DataSet channel (consumed once).
@@ -42,195 +45,6 @@ impl FlinkPlatform {
     pub fn new() -> Self {
         Self
     }
-}
-
-fn partition_count(n: usize, max_partitions: u32) -> usize {
-    ((n / 8_192) + 1).min(max_partitions.max(1) as usize)
-}
-
-/// Worker-pool size for a stage: the profile's core count, capped by the
-/// shared worker pool's size.
-fn pool_size(profile: &rheem_core::platform::PlatformProfile) -> usize {
-    (profile.cores as usize).clamp(1, rheem_core::pool::size())
-}
-
-/// Run `f` over each partition on the process-wide shared pool
-/// ([`rheem_core::pool`]) — no per-call thread spawns. Indices keep the
-/// merge order-stable no matter which worker produced what.
-fn par_each<F>(parts: &[Dataset], workers: usize, f: F) -> Result<(Vec<Dataset>, Vec<f64>)>
-where
-    F: Fn(usize, &[Value]) -> Result<Vec<Value>> + Send + Sync,
-{
-    par_each_idx(parts.len(), workers, |i| f(i, &parts[i]).map(Arc::new))
-}
-
-/// The generic task runner behind [`par_each`], generic over the slot type
-/// so columnar stages can map [`batch::Part`] partitions without a row
-/// round-trip.
-fn par_each_idx<U, F>(n: usize, workers: usize, f: F) -> Result<(Vec<U>, Vec<f64>)>
-where
-    U: Send,
-    F: Fn(usize) -> Result<U> + Send + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    let next = &AtomicUsize::new(0);
-    let f = &f;
-    let batches: Mutex<Vec<Result<Vec<(usize, U, f64)>>>> = Mutex::new(Vec::with_capacity(workers));
-    rheem_core::pool::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut mine = Vec::new();
-                let mut failed = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    match f(i) {
-                        Ok(out) => {
-                            let ms = start.elapsed().as_secs_f64() * 1000.0;
-                            mine.push((i, out, ms));
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let batch = match failed {
-                    Some(e) => Err(e),
-                    None => Ok(mine),
-                };
-                batches.lock().unwrap().push(batch);
-            });
-        }
-    });
-    let mut out_parts: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let mut times = vec![0.0; n];
-    for batch in batches.into_inner().unwrap() {
-        for (i, d, ms) in batch? {
-            out_parts[i] = Some(d);
-            times[i] = ms;
-        }
-    }
-    // Every slot is written exactly once: the queue hands out each index to
-    // one worker, and an error short-circuits above.
-    Ok((out_parts.into_iter().map(|o| o.expect("slot filled")).collect(), times))
-}
-
-fn exchange(parts: &[Dataset], key: &KeyUdf, n: usize) -> (Vec<Dataset>, f64) {
-    let n = n.max(1);
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buckets: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(total / n + 1)).collect();
-    for p in parts {
-        kernels::hash_partition_into(p, key, &mut buckets);
-    }
-    let bytes: f64 = buckets.iter().map(|b| dataset_bytes(b)).sum();
-    (buckets.into_iter().map(Arc::new).collect(), bytes * 0.9)
-}
-
-fn flatten_parts(parts: &[Dataset]) -> Vec<Value> {
-    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        out.extend(p.iter().cloned());
-    }
-    out
-}
-
-/// Hash-partition every batch into `n` per-destination contribution lists
-/// (the columnar exchange; see the spark simulacrum for the routing
-/// argument). `None` when any key column is untyped.
-fn bucketize(bs: &[&batch::Batch], key: &KeySpec, n: usize) -> Option<Vec<Vec<batch::Batch>>> {
-    let mut buckets: Vec<Vec<batch::Batch>> = (0..n.max(1)).map(|_| Vec::new()).collect();
-    for b in bs {
-        let pb = batch::partition_batch(b, key, n)?;
-        for (j, x) in pb.into_iter().enumerate() {
-            buckets[j].push(x);
-        }
-    }
-    Some(buckets)
-}
-
-fn bucket_bytes(buckets: &[Vec<batch::Batch>]) -> f64 {
-    buckets.iter().flatten().map(batch::batch_bytes).sum::<f64>() * 0.9
-}
-
-fn shipped(buckets: &[Vec<batch::Batch>]) -> (u64, u64) {
-    let mut batches = 0u64;
-    let mut rows = 0u64;
-    for b in buckets.iter().flatten() {
-        let l = b.selected_len() as u64;
-        if l > 0 {
-            batches += 1;
-        }
-        rows += l;
-    }
-    (batches, rows)
-}
-
-/// Reduce-side exchange shared by `ReduceBy` and the fused terminal
-/// aggregation: columnar `(key, sum)` batches hash-partition on their key
-/// column and merge through slot arrays when every partial stayed columnar;
-/// otherwise the partials travel as carried-key pairs through the row
-/// exchange. Both paths route identically (results and partition counts are
-/// byte-identical). Returns merged partitions and exchange + reduce-side
-/// virtual ms.
-fn reduce_exchange(
-    ctx: &mut ExecCtx<'_>,
-    profile: &PlatformProfile,
-    workers: usize,
-    combined: &[batch::Part],
-    agg: &ReduceUdf,
-    batched: bool,
-) -> Result<(Vec<batch::Part>, f64)> {
-    let n = combined.len();
-    if batched {
-        if let Some(bs) = batch::all_batches(combined) {
-            if let Some(buckets) = bucketize(&bs, &KeySpec::Field(0), n) {
-                let bytes = bucket_bytes(&buckets);
-                let (sb, srows) = shipped(&buckets);
-                ctx.report_exchange(sb, srows);
-                let fell = AtomicUsize::new(0);
-                let fell_rows = AtomicUsize::new(0);
-                let (out, t2) = par_each_idx(buckets.len(), workers, |j| {
-                    let contribs = &buckets[j];
-                    if let Some(m) = batch::merge_batches(contribs) {
-                        return Ok(batch::Part::Cols(m));
-                    }
-                    fell.fetch_add(1, Ordering::Relaxed);
-                    let mut rows = Vec::new();
-                    for b in contribs {
-                        rows.extend(batch::keyed_values(b));
-                    }
-                    fell_rows.fetch_add(rows.len(), Ordering::Relaxed);
-                    Ok(batch::Part::Rows(Arc::new(kernels::merge_by(&rows, agg))))
-                })?;
-                if fell.into_inner() > 0 {
-                    ctx.report_exchange_fallback(
-                        fell_rows.into_inner() as u64,
-                        Fallback::TypeMismatch,
-                    );
-                }
-                return Ok((out, profile.net_ms(bytes) + profile.parallel_ms(&t2)));
-            }
-        }
-    }
-    let keyed: Vec<Dataset> = combined
-        .iter()
-        .map(|p| match p {
-            batch::Part::Rows(d) => Arc::clone(d),
-            batch::Part::Cols(b) => Arc::new(batch::keyed_values(b)),
-        })
-        .collect();
-    let carry = KeyUdf::field(0);
-    let (ex, bytes) = exchange(&keyed, &carry, n);
-    if batched {
-        let rows: u64 = ex.iter().map(|d| d.len() as u64).sum();
-        ctx.report_exchange_fallback(rows, Fallback::RowInput);
-    }
-    let (out, t2) = par_each(&ex, workers, |_i, d| Ok(kernels::merge_by(d, agg)))?;
-    Ok((batch::into_row_parts(out), profile.net_ms(bytes) + profile.parallel_ms(&t2)))
 }
 
 /// Per-quantum cycle costs on Flink: cheaper narrow operators than Spark
@@ -552,8 +366,15 @@ impl ExecutionOperator for FlinkOperator {
                     if rb > 0 {
                         ctx.report_row_fallback(steps * rb as u32);
                     }
-                    let (out, vms) =
-                        reduce_exchange(ctx, &profile, workers, &combined, agg, batched)?;
+                    let (out, vms) = reduce_exchange(
+                        ctx,
+                        &profile,
+                        workers,
+                        &combined,
+                        agg,
+                        batched,
+                        |_, _, _| {},
+                    )?;
                     parts = out;
                     virtual_ms += profile.parallel_ms(&t1) + vms;
                     real_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -647,8 +468,15 @@ impl ExecutionOperator for FlinkOperator {
                         }
                         Ok(batch::Part::Rows(Arc::new(kernels::combine_by(&part.rows(), key, agg))))
                     })?;
-                    let (out, vms) =
-                        reduce_exchange(ctx, &profile, workers, &combined, agg, batched)?;
+                    let (out, vms) = reduce_exchange(
+                        ctx,
+                        &profile,
+                        workers,
+                        &combined,
+                        agg,
+                        batched,
+                        |_, _, _| {},
+                    )?;
                     parts = out;
                     virtual_ms += profile.parallel_ms(&t1) + vms;
                     real_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -774,9 +602,10 @@ impl ExecutionOperator for FlinkOperator {
                             if let (Some(lbs), Some(rbs)) =
                                 (batch::all_batches(&parts), batch::all_batches(&right))
                             {
-                                if let (Some(lb), Some(rb)) =
-                                    (bucketize(&lbs, lks, n), bucketize(&rbs, rks, n))
-                                {
+                                if let (Some(lb), Some(rb)) = (
+                                    bucketize(&lbs, lks, n, workers)?,
+                                    bucketize(&rbs, rks, n, workers)?,
+                                ) {
                                     columnar = Some((lb, rb, lks.clone(), rks.clone()));
                                 }
                             }
@@ -882,21 +711,9 @@ impl ExecutionOperator for FlinkOperator {
                 }
                 LogicalOp::TextFileSource { path } => {
                     let start = Instant::now();
-                    let (bytes, store) = rheem_storage::stat(path).map_err(RheemError::Io)?;
-                    let lines = rheem_storage::read_partitioned(
-                        path,
-                        partition_count((bytes / 40).max(1) as usize, profile.partitions),
-                    )
-                    .map_err(RheemError::Io)?;
-                    parts = lines
-                        .into_iter()
-                        .map(|ls| {
-                            batch::Part::Rows(Arc::new(
-                                ls.into_iter().map(Value::from).collect::<Vec<_>>(),
-                            ))
-                        })
-                        .collect();
-                    virtual_ms += rheem_storage::default_costs(store).read_ms(bytes)
+                    let (lines, read_ms) = read_text_parts(path, profile.partitions, workers)?;
+                    parts = batch::into_row_parts(lines);
+                    virtual_ms += read_ms
                         + profile.task_overhead_ms * parts.len() as f64
                             / profile.cores.max(1) as f64;
                     real_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -1114,23 +931,14 @@ impl ExecutionOperator for FlinkReadTextFile {
         ctx.transfer_gate(ids::FLINK, self.name())?;
         let path = inputs[0].as_file()?.clone();
         let profile = ctx.profile(ids::FLINK);
-        let (bytes, store) = rheem_storage::stat(&path).map_err(RheemError::Io)?;
-        let lines = rheem_storage::read_partitioned(
-            &path,
-            partition_count((bytes / 40).max(1) as usize, profile.partitions),
-        )
-        .map_err(RheemError::Io)?;
-        let parts: Vec<Dataset> = lines
-            .into_iter()
-            .map(|ls| Arc::new(ls.into_iter().map(Value::from).collect::<Vec<_>>()))
-            .collect();
+        let (parts, read_ms) = read_text_parts(&path, profile.partitions, pool_size(profile))?;
         let out_card: u64 = parts.iter().map(|p| p.len() as u64).sum();
         ctx.record(OpMetrics {
             name: "FlinkReadTextFile".into(),
             platform: ids::FLINK,
             in_card: 0,
             out_card,
-            virtual_ms: rheem_storage::default_costs(store).read_ms(bytes),
+            virtual_ms: read_ms,
             real_ms: 0.0,
         });
         Ok(ChannelData::Partitions(Arc::new(parts)))

@@ -12,7 +12,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_core::batch;
@@ -24,11 +24,14 @@ use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
 use rheem_core::fused::{self, Segment};
 use rheem_core::kernels;
 use rheem_core::mapping::{upstream_chain, Candidate, FnMapping};
+use rheem_core::partitioned::{
+    bucket_bytes, bucketize, flatten_parts, par_each, par_each_idx, read_text_parts,
+    reduce_exchange, shipped,
+};
 use rheem_core::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan};
-use rheem_core::platform::PlatformProfile;
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
-use rheem_core::udf::{BroadcastCtx, KeySpec, KeyUdf, ReduceUdf};
+use rheem_core::udf::{BroadcastCtx, KeyUdf};
 use rheem_core::value::{Dataset, Value};
 
 /// The RDD channel: Spark's native dataset, consumed exactly once.
@@ -47,115 +50,9 @@ impl SparkPlatform {
     }
 }
 
-/// Decide how many partitions a dataset of `n` quanta gets (HDFS-block-like
-/// splitting, capped by the configured parallelism).
-pub fn partition_count(n: usize, max_partitions: u32) -> usize {
-    ((n / 8_192) + 1).min(max_partitions.max(1) as usize)
-}
-
-/// How many worker threads a stage gets: the profile's core count, capped by
-/// the shared worker pool's size (so measured per-partition times stay
-/// honest).
-pub fn pool_size(profile: &rheem_core::platform::PlatformProfile) -> usize {
-    (profile.cores as usize).clamp(1, rheem_core::pool::size())
-}
-
-/// Run `f` over each partition with a default-sized worker pool; returns the
-/// output partitions and the measured per-partition times (ms).
-pub fn par_map_partitions<F>(parts: &[Dataset], f: F) -> Result<(Vec<Dataset>, Vec<f64>)>
-where
-    F: Fn(usize, &[Value]) -> Result<Vec<Value>> + Send + Sync,
-{
-    par_map_partitions_pooled(parts, rheem_core::pool::size(), f)
-}
-
-/// [`par_map_partitions`] with an explicit worker count (the operator derives
-/// it from the platform profile via [`pool_size`]).
-pub fn par_map_partitions_pooled<F>(
-    parts: &[Dataset],
-    workers: usize,
-    f: F,
-) -> Result<(Vec<Dataset>, Vec<f64>)>
-where
-    F: Fn(usize, &[Value]) -> Result<Vec<Value>> + Send + Sync,
-{
-    par_map_each(parts.len(), workers, |i| f(i, &parts[i]).map(Arc::new))
-}
-
-/// The generic task-wave runner behind [`par_map_partitions_pooled`]: run
-/// `f(i)` for every index on the process-wide shared pool
-/// ([`rheem_core::pool`]) — no per-call thread spawns — where workers pull
-/// indices off a shared queue and hand back `(index, output, ms)` batches;
-/// indices keep the merge order-stable no matter which worker produced what.
-/// Generic over the slot type so columnar stages can map
-/// [`batch::Part`] partitions without a row round-trip.
-pub fn par_map_each<U, F>(n: usize, workers: usize, f: F) -> Result<(Vec<U>, Vec<f64>)>
-where
-    U: Send,
-    F: Fn(usize) -> Result<U> + Send + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    let next = &AtomicUsize::new(0);
-    let f = &f;
-    let batches: Mutex<Vec<Result<Vec<(usize, U, f64)>>>> = Mutex::new(Vec::with_capacity(workers));
-    rheem_core::pool::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut mine = Vec::new();
-                let mut failed = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    match f(i) {
-                        Ok(out) => {
-                            let ms = start.elapsed().as_secs_f64() * 1000.0;
-                            mine.push((i, out, ms));
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let batch = match failed {
-                    Some(e) => Err(e),
-                    None => Ok(mine),
-                };
-                batches.lock().unwrap().push(batch);
-            });
-        }
-    });
-    let mut out_parts: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let mut times = vec![0.0; n];
-    for batch in batches.into_inner().unwrap() {
-        for (i, d, ms) in batch? {
-            out_parts[i] = Some(d);
-            times[i] = ms;
-        }
-    }
-    // Every slot is written exactly once: the queue hands out each index to
-    // one worker, and an error short-circuits above.
-    Ok((out_parts.into_iter().map(|o| o.expect("slot filled")).collect(), times))
-}
-
-/// Hash-exchange: redistribute partitions by key into `n` output partitions
-/// (the shuffle). Every record is routed straight into a shared, pre-sized
-/// destination bucket — no per-partition partials re-appended. Returns the
-/// exchanged partitions and the bytes moved across the (virtual) network.
-pub fn shuffle(parts: &[Dataset], key: &KeyUdf, n: usize) -> (Vec<Dataset>, f64) {
-    let n = n.max(1);
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut buckets: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(total / n + 1)).collect();
-    for p in parts {
-        kernels::hash_partition_into(p, key, &mut buckets);
-    }
-    let bytes: f64 = buckets.iter().map(|b| dataset_bytes(b)).sum();
-    // Roughly (1 - 1/nodes) of shuffled bytes cross machine boundaries.
-    (buckets.into_iter().map(Arc::new).collect(), bytes * 0.9)
-}
+// The partitioned core's names, under the ones Spark's users know them by
+// (`shuffle` is its hash exchange).
+pub use rheem_core::partitioned::{exchange as shuffle, partition_count, pool_size};
 
 /// Report a shuffle to the job trace (bytes moved, destination partitions).
 fn shuffle_event(ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize) {
@@ -167,128 +64,6 @@ fn shuffle_event(ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize)
             ("partitions".to_string(), partitions.into()),
         ]
     });
-}
-
-fn flatten_parts(parts: &[Dataset]) -> Vec<Value> {
-    let total = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p.iter().cloned());
-    }
-    out
-}
-
-/// Hash-partition every batch into `n` per-destination contribution lists —
-/// the columnar exchange. Bucket `j` collects each input batch's selection
-/// onto destination `j`, in input order, which is exactly the record order
-/// the row shuffle would produce (same `bucket_of` routing, same stable
-/// append). `None` when any key column is untyped (callers take the row
-/// shuffle instead).
-fn bucketize(bs: &[&batch::Batch], key: &KeySpec, n: usize) -> Option<Vec<Vec<batch::Batch>>> {
-    let mut buckets: Vec<Vec<batch::Batch>> = (0..n.max(1)).map(|_| Vec::new()).collect();
-    for b in bs {
-        let pb = batch::partition_batch(b, key, n)?;
-        for (j, x) in pb.into_iter().enumerate() {
-            buckets[j].push(x);
-        }
-    }
-    Some(buckets)
-}
-
-/// Wire size of an exchange's bucketed contributions (≈90 % cross machines,
-/// like [`shuffle`]).
-fn bucket_bytes(buckets: &[Vec<batch::Batch>]) -> f64 {
-    buckets.iter().flatten().map(batch::batch_bytes).sum::<f64>() * 0.9
-}
-
-/// Count/row totals of the batches a columnar exchange actually ships
-/// (empty selections stay local).
-fn shipped(buckets: &[Vec<batch::Batch>]) -> (u64, u64) {
-    let mut batches = 0u64;
-    let mut rows = 0u64;
-    for b in buckets.iter().flatten() {
-        let l = b.selected_len() as u64;
-        if l > 0 {
-            batches += 1;
-        }
-        rows += l;
-    }
-    (batches, rows)
-}
-
-/// The reduce-side exchange shared by `ReduceBy` and the fused terminal
-/// aggregation: ship map-side partials to their destination partition and
-/// merge per key. When every partial stayed columnar, the `(key, sum)`
-/// batches hash-partition on their key column and merge through slot
-/// arrays — no row materialization anywhere on the path; otherwise (or in
-/// row mode) the partials travel as carried-key pairs through the row
-/// shuffle. Both paths route identically, so results and partition counts
-/// are byte-identical. Returns the merged partitions and the virtual ms of
-/// the exchange + reduce side.
-fn reduce_exchange(
-    ctx: &mut ExecCtx<'_>,
-    profile: &PlatformProfile,
-    workers: usize,
-    combined: &[batch::Part],
-    agg: &ReduceUdf,
-    op: &str,
-    batched: bool,
-) -> Result<(Vec<batch::Part>, f64)> {
-    let n = combined.len();
-    if batched {
-        if let Some(bs) = batch::all_batches(combined) {
-            if let Some(buckets) = bucketize(&bs, &KeySpec::Field(0), n) {
-                let bytes = bucket_bytes(&buckets);
-                shuffle_event(ctx, op, bytes, n);
-                let (sb, srows) = shipped(&buckets);
-                ctx.report_exchange(sb, srows);
-                let fell = AtomicUsize::new(0);
-                let fell_rows = AtomicUsize::new(0);
-                let (out, t2) = par_map_each(buckets.len(), workers, |j| {
-                    let contribs = &buckets[j];
-                    if let Some(m) = batch::merge_batches(contribs) {
-                        return Ok(batch::Part::Cols(m));
-                    }
-                    // Per-bucket row fallback: routing matched the row
-                    // shuffle, so merging this bucket's keyed rows
-                    // reproduces the row result exactly.
-                    fell.fetch_add(1, Ordering::Relaxed);
-                    let mut rows = Vec::new();
-                    for b in contribs {
-                        rows.extend(batch::keyed_values(b));
-                    }
-                    fell_rows.fetch_add(rows.len(), Ordering::Relaxed);
-                    Ok(batch::Part::Rows(Arc::new(kernels::merge_by(&rows, agg))))
-                })?;
-                if fell.into_inner() > 0 {
-                    ctx.report_exchange_fallback(
-                        fell_rows.into_inner() as u64,
-                        Fallback::TypeMismatch,
-                    );
-                }
-                return Ok((out, profile.net_ms(bytes) + profile.parallel_ms(&t2)));
-            }
-        }
-    }
-    // Row exchange: partials travel as (key, acc) pairs; the merge groups by
-    // the carried key, never re-extracting from accumulators.
-    let keyed: Vec<Dataset> = combined
-        .iter()
-        .map(|p| match p {
-            batch::Part::Rows(d) => Arc::clone(d),
-            batch::Part::Cols(b) => Arc::new(batch::keyed_values(b)),
-        })
-        .collect();
-    let carry = KeyUdf::field(0);
-    let (exchanged, bytes) = shuffle(&keyed, &carry, n);
-    shuffle_event(ctx, op, bytes, n);
-    if batched {
-        let rows: u64 = exchanged.iter().map(|d| d.len() as u64).sum();
-        ctx.report_exchange_fallback(rows, Fallback::RowInput);
-    }
-    let (out, t2) =
-        par_map_partitions_pooled(&exchanged, workers, |_i, d| Ok(kernels::merge_by(d, agg)))?;
-    Ok((batch::into_row_parts(out), profile.net_ms(bytes) + profile.parallel_ms(&t2)))
 }
 
 /// A Spark execution operator: one logical operator or a fused narrow chain
@@ -566,7 +341,7 @@ impl ExecutionOperator for SparkOperator {
                     let vrows = AtomicUsize::new(0);
                     let vparts = AtomicUsize::new(0);
                     let rparts = AtomicUsize::new(0);
-                    let (combined, t1) = par_map_each(parts.len(), workers, |i| {
+                    let (combined, t1) = par_each_idx(parts.len(), workers, |i| {
                         let part = &parts[i];
                         if let (Some(k), Some(spec)) = (vk.as_ref(), spec.as_ref()) {
                             let run = match part {
@@ -610,8 +385,8 @@ impl ExecutionOperator for SparkOperator {
                         workers,
                         &combined,
                         agg,
-                        "FusedReduceBy",
                         batched,
+                        |ctx, bytes, n| shuffle_event(ctx, "FusedReduceBy", bytes, n),
                     )?;
                     parts = out;
                     virtual_ms += profile.parallel_ms(&t1) + vms;
@@ -622,7 +397,7 @@ impl ExecutionOperator for SparkOperator {
                 let vrows = AtomicUsize::new(0);
                 let vparts = AtomicUsize::new(0);
                 let rparts = AtomicUsize::new(0);
-                let (out, times) = par_map_each(parts.len(), workers, |i| {
+                let (out, times) = par_each_idx(parts.len(), workers, |i| {
                     let part = &parts[i];
                     if let Some(k) = vk.as_ref() {
                         // Columnar inputs run the kernel over the shipped
@@ -670,7 +445,7 @@ impl ExecutionOperator for SparkOperator {
                     let want = size.resolve(total);
                     let base_seed = s.unwrap_or(seed) ^ iteration.wrapping_mul(0x9E37_79B9);
                     let rows = batch::rows_of(&parts);
-                    let (out, times) = par_map_partitions_pooled(&rows, workers, |i, data| {
+                    let (out, times) = par_each(&rows, workers, |i, data| {
                         let share =
                             if total == 0 { 0 } else { (want * data.len()).div_ceil(total.max(1)) };
                         Ok(kernels::sample(
@@ -697,7 +472,7 @@ impl ExecutionOperator for SparkOperator {
                     // and keep their (key, sum) batch for the exchange.
                     let vec_ok = batched && batch::agg_vectorizable(key, agg);
                     let spec = agg.spec.clone();
-                    let (combined, t1) = par_map_each(parts.len(), workers, |i| {
+                    let (combined, t1) = par_each_idx(parts.len(), workers, |i| {
                         let part = &parts[i];
                         if vec_ok {
                             if let (Some(b), Some(spec)) = (part.as_batch(), spec.as_ref()) {
@@ -709,7 +484,13 @@ impl ExecutionOperator for SparkOperator {
                         Ok(batch::Part::Rows(Arc::new(kernels::combine_by(&part.rows(), key, agg))))
                     })?;
                     let (out, vms) = reduce_exchange(
-                        ctx, &profile, workers, &combined, agg, "ReduceBy", batched,
+                        ctx,
+                        &profile,
+                        workers,
+                        &combined,
+                        agg,
+                        batched,
+                        |ctx, bytes, n| shuffle_event(ctx, "ReduceBy", bytes, n),
                     )?;
                     parts = out;
                     virtual_ms += profile.parallel_ms(&t1) + vms;
@@ -725,9 +506,8 @@ impl ExecutionOperator for SparkOperator {
                     }
                     let (exchanged, bytes) = shuffle(&rows, key, n);
                     shuffle_event(ctx, "GroupBy", bytes, n);
-                    let (out, t) = par_map_partitions_pooled(&exchanged, workers, |_i, d| {
-                        Ok(kernels::group_by(d, key))
-                    })?;
+                    let (out, t) =
+                        par_each(&exchanged, workers, |_i, d| Ok(kernels::group_by(d, key)))?;
                     parts = batch::into_row_parts(out);
                     virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
                     real_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -742,9 +522,7 @@ impl ExecutionOperator for SparkOperator {
                     }
                     let (exchanged, bytes) = shuffle(&rows, &KeyUdf::identity(), n);
                     shuffle_event(ctx, "Distinct", bytes, n);
-                    let (out, t) = par_map_partitions_pooled(&exchanged, workers, |_i, d| {
-                        Ok(kernels::distinct(d))
-                    })?;
+                    let (out, t) = par_each(&exchanged, workers, |_i, d| Ok(kernels::distinct(d)))?;
                     parts = batch::into_row_parts(out);
                     virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
                     real_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -762,7 +540,7 @@ impl ExecutionOperator for SparkOperator {
                         if let (Some(ks), Some(bs)) =
                             (key.spec.as_ref(), batch::all_batches(&parts))
                         {
-                            let (sorted, t) = par_map_each(bs.len(), workers, |i| {
+                            let (sorted, t) = par_each_idx(bs.len(), workers, |i| {
                                 Ok(batch::sort_batch(bs[i], ks))
                             })?;
                             if let Some(sorted) = sorted.into_iter().collect::<Option<Vec<_>>>() {
@@ -797,9 +575,8 @@ impl ExecutionOperator for SparkOperator {
                             };
                             ctx.report_exchange_fallback(total, why);
                         }
-                        let (sorted, t) = par_map_partitions_pooled(&rows, workers, |_i, d| {
-                            Ok(kernels::sort_by(d, key))
-                        })?;
+                        let (sorted, t) =
+                            par_each(&rows, workers, |_i, d| Ok(kernels::sort_by(d, key)))?;
                         let mut all = flatten_parts(&sorted);
                         all = kernels::sort_by(&all, key);
                         let bytes = dataset_bytes(&all) * 0.9;
@@ -824,9 +601,8 @@ impl ExecutionOperator for SparkOperator {
                 LogicalOp::Reduce(agg) => {
                     let start = Instant::now();
                     let rows = batch::rows_of(&parts);
-                    let (partials, t) = par_map_partitions_pooled(&rows, workers, |_i, d| {
-                        Ok(kernels::reduce(d, agg))
-                    })?;
+                    let (partials, t) =
+                        par_each(&rows, workers, |_i, d| Ok(kernels::reduce(d, agg)))?;
                     let all = flatten_parts(&partials);
                     parts = vec![batch::Part::Rows(Arc::new(kernels::reduce(&all, agg)))];
                     virtual_ms += profile.parallel_ms(&t) + profile.task_overhead_ms;
@@ -848,9 +624,10 @@ impl ExecutionOperator for SparkOperator {
                             if let (Some(lbs), Some(rbs)) =
                                 (batch::all_batches(&parts), batch::all_batches(&right))
                             {
-                                if let (Some(lb), Some(rb)) =
-                                    (bucketize(&lbs, lks, n), bucketize(&rbs, rks, n))
-                                {
+                                if let (Some(lb), Some(rb)) = (
+                                    bucketize(&lbs, lks, n, workers)?,
+                                    bucketize(&rbs, rks, n, workers)?,
+                                ) {
                                     columnar = Some((lb, rb, lks.clone(), rks.clone()));
                                 }
                             }
@@ -862,7 +639,7 @@ impl ExecutionOperator for SparkOperator {
                         let (sl, rl) = shipped(&lb);
                         let (sr, rr) = shipped(&rb);
                         ctx.report_exchange(sl + sr, rl + rr);
-                        let (out, t) = par_map_each(lb.len(), workers, |j| {
+                        let (out, t) = par_each_idx(lb.len(), workers, |j| {
                             match batch::join_buckets(&lb[j], &rb[j], &lks, &rks) {
                                 Some(rows) => Ok(batch::Part::Rows(Arc::new(rows))),
                                 None => {
@@ -901,7 +678,7 @@ impl ExecutionOperator for SparkOperator {
                         let (le, b1) = shuffle(&lrows, left_key, n);
                         let (re, b2) = shuffle(&rrows, right_key, n);
                         shuffle_event(ctx, "Join", b1 + b2, n);
-                        let (out, t) = par_map_partitions_pooled(&le, workers, |i, d| {
+                        let (out, t) = par_each(&le, workers, |i, d| {
                             Ok(kernels::hash_join(d, &re[i], left_key, right_key))
                         })?;
                         parts = batch::into_row_parts(out);
@@ -915,7 +692,7 @@ impl ExecutionOperator for SparkOperator {
                     let right_all = Arc::new(flatten_parts(&right));
                     let bytes = dataset_bytes(&right_all) * parts.len() as f64 * 0.9;
                     let rows = batch::rows_of(&parts);
-                    let (out, t) = par_map_partitions_pooled(&rows, workers, |_i, d| {
+                    let (out, t) = par_each(&rows, workers, |_i, d| {
                         Ok(match op {
                             LogicalOp::Cartesian => kernels::cartesian(d, &right_all),
                             LogicalOp::InequalityJoin { conds } => {
@@ -958,21 +735,8 @@ impl ExecutionOperator for SparkOperator {
                 }
                 LogicalOp::TextFileSource { path } => {
                     let start = Instant::now();
-                    let (bytes, store) = rheem_storage::stat(path).map_err(RheemError::Io)?;
-                    let lines = rheem_storage::read_partitioned(
-                        path,
-                        partition_count((bytes / 40).max(1) as usize, profile.partitions),
-                    )
-                    .map_err(RheemError::Io)?;
-                    parts = lines
-                        .into_iter()
-                        .map(|ls| {
-                            batch::Part::Rows(Arc::new(
-                                ls.into_iter().map(Value::from).collect::<Vec<_>>(),
-                            ))
-                        })
-                        .collect();
-                    let read_ms = rheem_storage::default_costs(store).read_ms(bytes);
+                    let (lines, read_ms) = read_text_parts(path, profile.partitions, workers)?;
+                    parts = batch::into_row_parts(lines);
                     virtual_ms += read_ms
                         + profile.task_overhead_ms * parts.len() as f64
                             / profile.cores.max(1) as f64;
@@ -1350,18 +1114,8 @@ impl ExecutionOperator for SparkReadTextFile {
         ctx.transfer_gate(ids::SPARK, self.name())?;
         let path = inputs[0].as_file()?.clone();
         let profile = ctx.profile(ids::SPARK);
-        let (bytes, store) = rheem_storage::stat(&path).map_err(RheemError::Io)?;
-        let lines = rheem_storage::read_partitioned(
-            &path,
-            partition_count((bytes / 40).max(1) as usize, profile.partitions),
-        )
-        .map_err(RheemError::Io)?;
-        let parts: Vec<Dataset> = lines
-            .into_iter()
-            .map(|ls| Arc::new(ls.into_iter().map(Value::from).collect::<Vec<_>>()))
-            .collect();
+        let (parts, read_ms) = read_text_parts(&path, profile.partitions, pool_size(profile))?;
         let out_card: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let read_ms = rheem_storage::default_costs(store).read_ms(bytes);
         ctx.record(OpMetrics {
             name: "SparkReadTextFile".into(),
             platform: ids::SPARK,

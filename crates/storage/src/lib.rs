@@ -202,12 +202,102 @@ pub fn write_lines<S: AsRef<str>>(
     Ok(bytes)
 }
 
-/// Split a text file into `n` byte-range partitions aligned to line breaks,
-/// the way HDFS splits drive task parallelism. Returns the lines per
-/// partition.
-pub fn read_partitioned(path: &Path, n: usize) -> io::Result<Vec<Vec<String>>> {
-    let lines = read_lines(path)?;
-    Ok(partition_lines(lines, n))
+/// A text file read once: its content, validated as UTF-8 in one pass, and
+/// the byte offset of every line. Lines are exactly what
+/// [`BufRead::lines`] yields for the same bytes (`\n` or `\r\n`
+/// terminated, a last line without terminator counts, a lone trailing
+/// `\r` stays), but they are borrowed slices: callers build their own row
+/// representation straight from them, one allocation per line.
+pub struct TextFile {
+    text: String,
+    /// Where each line starts, then `text.len()`: line `i` is
+    /// `text[starts[i]..starts[i + 1]]` minus its terminator. `usize`
+    /// offsets, so files past 4 GiB index correctly.
+    starts: Vec<usize>,
+    store: StoreKind,
+}
+
+impl TextFile {
+    fn new(text: String, store: StoreKind) -> Self {
+        let mut starts = Vec::with_capacity(text.len() / 32 + 2);
+        starts.push(0);
+        starts.extend(text.match_indices('\n').map(|(at, _)| at + 1));
+        if starts.last() != Some(&text.len()) {
+            starts.push(text.len());
+        }
+        Self { text, starts, store }
+    }
+
+    /// Bytes read (the file's length).
+    pub fn bytes(&self) -> u64 {
+        self.text.len() as u64
+    }
+
+    /// Which store the path addressed.
+    pub fn store(&self) -> StoreKind {
+        self.store
+    }
+
+    /// Number of lines.
+    pub fn line_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The lines `range` covers, in order, terminators stripped.
+    pub fn lines(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
+        self.starts[range.start..=range.end].windows(2).map(|w| {
+            let line = &self.text[w[0]..w[1]];
+            match line.strip_suffix('\n') {
+                Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                None => line,
+            }
+        })
+    }
+}
+
+/// Read exactly the `expected` bytes a file reported when it was opened. A
+/// file that shrank since then is an error, not a short buffer: every
+/// offset derived from the reported length would point past the content.
+fn read_expected(r: impl Read, expected: u64) -> io::Result<Vec<u8>> {
+    let len = usize::try_from(expected)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "file exceeds address space"))?;
+    let mut buf = Vec::with_capacity(len);
+    r.take(expected).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("file shrank while being read: {} of {len} bytes", buf.len()),
+        ));
+    }
+    Ok(buf)
+}
+
+/// Read a whole text file once — one open, one length query on the open
+/// handle, one read, one UTF-8 validation, one newline scan.
+pub fn read_text(path: &Path) -> io::Result<TextFile> {
+    let r = resolve(path);
+    let f = fs::File::open(&r.real)?;
+    let len = f.metadata()?.len();
+    let text = String::from_utf8(read_expected(f, len)?).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    Ok(TextFile::new(text, r.store))
+}
+
+/// The `n` contiguous index ranges [`partition_lines`] deals `total` lines
+/// into (the first `total % n` ranges hold one more).
+pub fn partition_ranges(total: usize, n: usize) -> Vec<std::ops::Range<usize>> {
+    let n = n.max(1);
+    let (base, extra) = (total / n, total % n);
+    let mut start = 0;
+    (0..n)
+        .map(|i| {
+            let end = start + base + usize::from(i < extra);
+            let r = start..end;
+            start = end;
+            r
+        })
+        .collect()
 }
 
 /// Deal a line vector into `n` contiguous chunks of near-equal size.
@@ -339,6 +429,71 @@ mod tests {
         // degenerate cases
         assert_eq!(partition_lines(vec![], 4).len(), 4);
         assert_eq!(partition_lines(vec!["a".into()], 0).len(), 1);
+    }
+
+    #[test]
+    fn partition_ranges_match_partition_lines() {
+        for total in [0usize, 1, 2, 7, 10, 64] {
+            for n in [0usize, 1, 3, 4, 9] {
+                let lines: Vec<String> = (0..total).map(|i| i.to_string()).collect();
+                let want: Vec<Vec<String>> = partition_lines(lines.clone(), n);
+                let got: Vec<Vec<String>> =
+                    partition_ranges(total, n).into_iter().map(|r| lines[r].to_vec()).collect();
+                assert_eq!(got, want, "total={total} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_text_matches_bufread_lines() {
+        let dir = sandbox();
+        let cases: [&[u8]; 10] = [
+            b"",
+            b"\n",
+            b"a",
+            b"a\n",
+            b"a\nb",
+            b"a\r\nb\r\n",
+            b"a\r",
+            b"\n\n x \n\n",
+            b"\r\n\r\r\n",
+            "h\u{e9}llo w\u{f6}rld\n\u{2003}\n".as_bytes(),
+        ];
+        for (i, bytes) in cases.iter().enumerate() {
+            let p = dir.join(format!("parity_{i}.txt"));
+            fs::write(&p, bytes).unwrap();
+            let want: Vec<String> = bytes.lines().collect::<io::Result<_>>().unwrap();
+            let text = read_text(&p).unwrap();
+            assert_eq!(text.bytes(), bytes.len() as u64);
+            assert_eq!(text.store(), StoreKind::Local);
+            assert_eq!(text.line_count(), want.len(), "case {i}");
+            let got: Vec<&str> = text.lines(0..text.line_count()).collect();
+            assert_eq!(got, want, "case {i}");
+            // Any sub-range yields the same lines `partition_lines` deals,
+            // including more partitions than lines.
+            for n in [1, 2, 5] {
+                let parts = partition_lines(want.clone(), n);
+                for (r, part) in partition_ranges(want.len(), n).into_iter().zip(&parts) {
+                    assert_eq!(&text.lines(r).collect::<Vec<_>>(), part, "case {i} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_text_rejects_invalid_utf8_and_short_reads() {
+        let dir = sandbox();
+        let p = dir.join("bad_utf8.txt");
+        fs::write(&p, b"ok\n\xff\xfe\n").unwrap();
+        let err = read_text(&p).err().expect("invalid UTF-8 must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(read_lines(&p).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // A file that reported 10 bytes but delivers 3 shrank under the
+        // reader: a typed error, never a slice past the content.
+        let err = read_expected(&b"abc"[..], 10).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(read_expected(&b"abcdef"[..], 4).unwrap(), b"abcd");
+        assert!(read_text(&dir.join("missing.txt")).is_err());
     }
 
     #[test]

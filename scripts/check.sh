@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints on the core crate, the tier-1 suite and the
+# Repo gate: formatting, lints on the whole workspace, the tier-1 suite and the
 # whole workspace's tests.
 # Run from the repo root: ./scripts/check.sh
 set -eu
@@ -7,8 +7,8 @@ set -eu
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy -p rheem-core (deny warnings)"
-cargo clippy -p rheem-core --all-targets -- -D warnings
+echo "== cargo clippy --workspace (deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: build + full test suite (adaptive scheduler)"
 cargo build --release

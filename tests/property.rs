@@ -682,12 +682,12 @@ fn fair_share_respects_weight_ratios_with_stage_granularity() {
         let mut jobs = Vec::new();
         let mut submitted = vec![0.0f64; tenants];
         let mut max_job = 0.0f64;
-        for t in 0..tenants {
+        for (t, sub) in submitted.iter_mut().enumerate() {
             for _ in 0..6 {
                 let stages: Vec<f64> =
                     (0..1 + rng.range_usize(4)).map(|_| 1.0 + rng.next_f64() * 9.0).collect();
                 let total: f64 = stages.iter().sum();
-                submitted[t] += total;
+                *sub += total;
                 max_job = max_job.max(total);
                 jobs.push(SimJob { tenant: t, arrival_ms: 0.0, stages });
             }
@@ -703,12 +703,11 @@ fn fair_share_respects_weight_ratios_with_stage_granularity() {
         assert_eq!(outcome.makespan_ms, replay.makespan_ms);
 
         // Conservation: each tenant is served exactly the work it submitted.
-        for t in 0..tenants {
+        for (t, sub) in submitted.iter().enumerate() {
             assert!(
-                (outcome.served_ms[t] - submitted[t]).abs() < 1e-6,
-                "case {case}: tenant {t} served {} of submitted {}",
+                (outcome.served_ms[t] - sub).abs() < 1e-6,
+                "case {case}: tenant {t} served {} of submitted {sub}",
                 outcome.served_ms[t],
-                submitted[t]
             );
         }
         let last = outcome.completion_ms.iter().cloned().fold(0.0f64, f64::max);

@@ -426,11 +426,13 @@ fn short_job_is_not_starved_behind_long_critical_path() {
 /// per job, so concurrency cannot re-deal the fault schedule.
 #[test]
 fn chaos_outcomes_reproduce_under_concurrent_load() {
+    /// Per tenant, per job: the sink and the retry count, or the error.
+    type Outcomes = Vec<Vec<Result<(Vec<Value>, u32)>>>;
     const TENANTS: usize = 3;
     const JOBS: usize = 3;
     for &chaos_seed in &CHAOS_SEEDS {
         // Isolated baselines: outcome + per-job retry count.
-        let mut baseline: Vec<Vec<Result<(Vec<Value>, u32)>>> = Vec::new();
+        let mut baseline: Outcomes = Vec::new();
         for t in 0..TENANTS {
             let mut per_tenant = Vec::new();
             for j in 0..JOBS {
@@ -450,7 +452,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
             (0..TENANTS).map(|t| TenantSpec::new(&tenant_name(t))).collect();
         let service = JobService::new(ctx, ServiceConfig::default(), tenants).unwrap();
 
-        let outcomes: Vec<Vec<Result<(Vec<Value>, u32)>>> = std::thread::scope(|s| {
+        let outcomes: Outcomes = std::thread::scope(|s| {
             let handles: Vec<_> = (0..TENANTS)
                 .map(|t| {
                     let service = &service;
