@@ -280,7 +280,7 @@ fn main() {
         let row_m = harness::bench("shuffle_wordcount/row", ITERS, || {
             let combined: Vec<Arc<Vec<Value>>> =
                 rparts.iter().map(|p| Arc::new(kernels::combine_by(p, &key, &agg))).collect();
-            let (ex, _) = platform_spark::shuffle(&combined, &key, n);
+            let (ex, _) = rheem_core::partitioned::exchange(&combined, &key, n);
             row_out = ex.iter().map(|p| kernels::merge_by(p, &agg)).collect();
         });
         let mut batch_out: Vec<Vec<Value>> = Vec::new();
@@ -333,8 +333,8 @@ fn main() {
 
         let mut row_out: Vec<Vec<Value>> = Vec::new();
         let row_m = harness::bench("join/row", ITERS, || {
-            let (le, _) = platform_spark::shuffle(&lr, &key, n);
-            let (re, _) = platform_spark::shuffle(&rr, &key, n);
+            let (le, _) = rheem_core::partitioned::exchange(&lr, &key, n);
+            let (re, _) = rheem_core::partitioned::exchange(&rr, &key, n);
             row_out =
                 le.iter().zip(&re).map(|(l, r)| kernels::hash_join(l, r, &key, &key)).collect();
         });

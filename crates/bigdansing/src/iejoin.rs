@@ -237,7 +237,7 @@ impl ExecutionOperator for SparkIEJoinOperator {
             + profile.net_ms(shuffle_bytes)
             + profile.task_overhead_ms * profile.partitions as f64 / profile.cores.max(1) as f64;
         let out_card = out.len() as u64;
-        let n = platform_spark::partition_count(out.len(), profile.partitions);
+        let n = rheem_core::partitioned::partition_count(out.len(), profile.partitions);
         let chunk = out.len().div_ceil(n).max(1);
         let parts: Vec<rheem_core::value::Dataset> =
             out.chunks(chunk).map(|c| std::sync::Arc::new(c.to_vec())).collect();

@@ -97,6 +97,20 @@ pub fn fusable(op: &LogicalOp) -> bool {
     )
 }
 
+/// Display name of an engine's operator over `ops`: `SparkMap` for a single
+/// operator, `SparkChain3` for a narrow chain; a chain ending in a wide
+/// operator names its tail (`SparkChain3∘ReduceBy`) so monitor logs still
+/// show what the stage aggregates into.
+pub fn chain_name(label: &str, ops: &[LogicalOp]) -> String {
+    match ops {
+        [single] => format!("{label}{:?}", single.kind()),
+        [head @ .., last] if !fusable(last) => {
+            format!("{label}Chain{}\u{2218}{:?}", head.len(), last.kind())
+        }
+        _ => format!("{label}Chain{}", ops.len()),
+    }
+}
+
 /// Interior *cut points* of an operator chain: every proper prefix length
 /// `l` (`1 ≤ l < ops.len()`) such that `ops[..l]` is entirely fusable. At a
 /// cut point the chain's intermediate value is exactly the output of the

@@ -391,6 +391,56 @@ pub fn hash_partition(data: &[Value], key: &KeyUdf, n: usize) -> Vec<Vec<Value>>
     parts
 }
 
+/// Damped power-iteration PageRank over `(src, dst)` edges: every engine's
+/// result (the distributed simulacra charge their exchanges on top, the
+/// graph platforms are tested against it). Vertices come out in
+/// first-occurrence order.
+pub fn page_rank_edges(
+    edges: impl IntoIterator<Item = (i64, i64)>,
+    iterations: u32,
+    damping: f64,
+) -> Vec<(i64, f64)> {
+    use std::collections::HashSet;
+    let mut out_deg: HashMap<i64, f64> = HashMap::new();
+    let mut incoming: HashMap<i64, Vec<i64>> = HashMap::new();
+    let mut vertices: Vec<i64> = Vec::new();
+    let mut seen = HashSet::new();
+    for (s, d) in edges {
+        *out_deg.entry(s).or_default() += 1.0;
+        incoming.entry(d).or_default().push(s);
+        for v in [s, d] {
+            if seen.insert(v) {
+                vertices.push(v);
+            }
+        }
+    }
+    let n = vertices.len().max(1) as f64;
+    let mut rank: HashMap<i64, f64> = vertices.iter().map(|&v| (v, 1.0 / n)).collect();
+    for _ in 0..iterations {
+        let mut next = HashMap::with_capacity(rank.len());
+        for &v in &vertices {
+            let sum: f64 = incoming
+                .get(&v)
+                .map(|srcs| srcs.iter().map(|s| rank[s] / out_deg[s]).sum())
+                .unwrap_or(0.0);
+            next.insert(v, (1.0 - damping) / n + damping * sum);
+        }
+        rank = next;
+    }
+    vertices.iter().map(|&v| (v, rank[&v])).collect()
+}
+
+/// [`page_rank_edges`] over `(src, dst)` integer pair quanta, as
+/// `(vertex, rank)` pairs.
+pub fn page_rank(edges: &[Value], iterations: u32, damping: f64) -> Vec<Value> {
+    let edges =
+        edges.iter().map(|e| (e.field(0).as_int().unwrap_or(0), e.field(1).as_int().unwrap_or(0)));
+    page_rank_edges(edges, iterations, damping)
+        .into_iter()
+        .map(|(v, r)| Value::pair(Value::from(v), Value::from(r)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,5 +638,27 @@ mod tests {
                 assert_eq!(home, here, "key {k} split across partitions");
             }
         }
+    }
+
+    #[test]
+    fn pagerank_sums_to_one() {
+        let edges: Vec<Value> = [(0, 1), (1, 2), (2, 0), (0, 2)]
+            .iter()
+            .map(|&(s, d)| Value::pair(Value::from(s as i64), Value::from(d as i64)))
+            .collect();
+        let ranks = page_rank(&edges, 20, 0.85);
+        let total: f64 = ranks.iter().map(|r| r.field(1).as_f64().unwrap()).sum();
+        assert!((total - 1.0).abs() < 1e-6, "{total}");
+        // vertex 2 has two in-links, should outrank vertex 1
+        let rank_of = |v: i64| {
+            ranks
+                .iter()
+                .find(|r| r.field(0).as_int() == Some(v))
+                .unwrap()
+                .field(1)
+                .as_f64()
+                .unwrap()
+        };
+        assert!(rank_of(2) > rank_of(1));
     }
 }

@@ -1,9 +1,20 @@
-//! What the partitioned engine simulacra (spark, flink) share: the indexed
-//! task runner on the shared pool, the row and columnar hash exchanges, the
-//! reduce-side exchange of two-phase aggregation and the partitioned text
-//! source. The engines differ in overheads, chaining and iteration support
-//! (their profiles and `execute` bodies), not in how rows find their
-//! partition — so that is written once, here.
+//! The partitioned engine, written once. The distributed simulacra (spark,
+//! flink) differ in *cost structure* — per-stage overheads, chaining,
+//! iteration and broadcast charges — not in dataflow semantics, so each is
+//! an [`Engine`] table of constants (plus two optional trace hooks) over the
+//! one chain operator ([`Chain`]) and the three driver/file bridges
+//! ([`Collect`], [`FromCollection`], [`ReadTextFile`]). This module also
+//! owns what they run on: the indexed task runner on the shared pool, the
+//! row and columnar hash exchanges, the reduce-side exchange of two-phase
+//! aggregation, the partitioned text source, the chain-costing walk
+//! ([`chain_cost`], shared with the single-partition javastreams engine)
+//! and the one `ChannelData → Vec<Part>` landing.
+
+mod bridge;
+mod chain;
+
+pub use bridge::{Collect, FromCollection, ReadTextFile};
+pub use chain::Chain;
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,12 +22,269 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::batch::{self, Batch, Part};
+use crate::channel::{ChannelData, ChannelKind};
+use crate::cost::{linear_cpu, CostModel};
 use crate::error::{Result, RheemError};
 use crate::exec::{dataset_bytes, ExecCtx, Fallback};
+use crate::fused::{self, Segment};
 use crate::kernels;
-use crate::platform::PlatformProfile;
+use crate::mapping::Candidate;
+use crate::plan::{LogicalOp, OpKind, OperatorId, RheemPlan};
+use crate::platform::{PlatformId, PlatformProfile};
 use crate::udf::{KeySpec, KeyUdf, ReduceUdf};
 use crate::value::{Dataset, Value};
+
+/// What distinguishes one partitioned engine from another: the rows of
+/// DESIGN.md's substitution table, as constants. Everything else — operator
+/// semantics, exchanges, landings, hand-offs — is shared code.
+pub struct Engine {
+    /// Operator-name prefix (`SparkChain3∘ReduceBy`, `FlinkCollect`).
+    pub label: &'static str,
+    /// The platform the operators report, gate faults on and take their
+    /// profile from.
+    pub platform: PlatformId,
+    /// Channel kinds a stage accepts on every input slot, in preference order.
+    pub accepts: &'static [ChannelKind],
+    /// Channel kind a stage produces.
+    pub output: ChannelKind,
+    /// Cost-model constants of a stage (job submission δ, per-kind α).
+    pub costs: ChainCosts,
+    /// PageRank: share of the edge bytes exchanged per iteration (full
+    /// contribution shuffle vs. delta iterations shipping changed state).
+    pub pagerank_iter_share: f64,
+    /// Fixed ms of shipping a stage's broadcast variables, on top of the
+    /// network time.
+    pub broadcast_ms: f64,
+    /// `Count`: how many `task_overhead_ms` the driver round trip costs.
+    pub count_tasks: f64,
+    /// [`Collect`] / [`FromCollection`]: submission δ (cycles) and fixed ms.
+    pub bridge_delta: f64,
+    /// See [`Engine::bridge_delta`].
+    pub bridge_ms: f64,
+    /// [`FromCollection`]'s name after the engine's API (`sc.parallelize`,
+    /// `env.fromCollection`); lower-cased, its cost-model token.
+    pub from_collection: &'static str,
+    /// [`ReadTextFile`]: α and δ (cycles).
+    pub read_alpha: f64,
+    /// See [`Engine::read_alpha`].
+    pub read_delta: f64,
+    /// [`ReadTextFile`]: fixed task count (`None`: one task per input split,
+    /// [`partition_count`] of the cardinality).
+    pub read_tasks: Option<u32>,
+    /// Trace hook: a hash exchange moved `bytes` to `partitions`
+    /// destinations on behalf of `op` (spark's `spark.shuffle`).
+    pub on_exchange: Option<fn(ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize)>,
+    /// Trace hook: a stage landed its input (flink's `flink.vertex`).
+    pub on_stage:
+        Option<fn(ctx: &mut ExecCtx<'_>, workers: usize, partitions: usize, in_card: u64)>,
+}
+
+impl Engine {
+    /// The mapping candidate that runs the plan operators `covers` (one, or
+    /// a chain in dataflow order) as a single [`Chain`] on this engine.
+    pub fn candidate(&'static self, plan: &RheemPlan, covers: Vec<OperatorId>) -> Candidate {
+        let ops = covers.iter().map(|&id| plan.node(id).op.clone()).collect();
+        Candidate { covers, exec: Arc::new(Chain::new(self, ops)) }
+    }
+
+    fn exchanged(&self, ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize) {
+        if let Some(hook) = self.on_exchange {
+            hook(ctx, op, bytes, partitions);
+        }
+    }
+}
+
+/// The constants of the chain-costing walk ([`chain_cost`]).
+pub struct ChainCosts {
+    /// Cost-model platform token (`spark.map.alpha`).
+    pub token: &'static str,
+    /// Submission δ (cycles) the chain's first segment pays.
+    pub stage_delta: f64,
+    /// α of a fused narrow run (× 0.55 when it vectorizes).
+    pub fused_alpha: f64,
+    /// Default α per operator kind.
+    pub alpha: fn(OpKind) -> f64,
+    /// PageRank work per input edge, in quanta.
+    pub pagerank_size: f64,
+}
+
+/// Whether an operator is *wide*: it needs an exchange on a partitioned
+/// engine.
+fn is_wide(kind: OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::SortBy
+            | OpKind::Distinct
+            | OpKind::GroupBy
+            | OpKind::ReduceBy
+            | OpKind::Join
+            | OpKind::Cartesian
+            | OpKind::InequalityJoin
+            | OpKind::PageRank
+            | OpKind::Reduce
+            | OpKind::Count
+    )
+}
+
+/// Operator kinds a partitioned engine implements (everything javastreams
+/// has, plus the parallel text source; loops stay with the driver).
+pub fn supported(kind: OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::Map
+            | OpKind::FlatMap
+            | OpKind::Filter
+            | OpKind::Project
+            | OpKind::SargFilter
+            | OpKind::Sample
+            | OpKind::SortBy
+            | OpKind::Distinct
+            | OpKind::Count
+            | OpKind::GroupBy
+            | OpKind::Reduce
+            | OpKind::ReduceBy
+            | OpKind::Union
+            | OpKind::Join
+            | OpKind::Cartesian
+            | OpKind::InequalityJoin
+            | OpKind::PageRank
+            | OpKind::TextFileSource
+    )
+}
+
+/// Cost one operator chain: walk its segments, charging the submission δ to
+/// the first, one per-tuple term to each fused run (its UDF weight is the
+/// summed step cost) and the kind's α to each standalone operator, while
+/// propagating a rough cardinality. Returns the CPU cycles and the bytes the
+/// chain's wide operators exchange. Keys off the plan only — never the
+/// `RHEEM_BATCH` runtime switch — so plan choice is mode-independent.
+pub fn chain_cost(
+    costs: &ChainCosts,
+    ops: &[LogicalOp],
+    in_cards: &[f64],
+    avg_bytes: f64,
+    model: &CostModel,
+) -> (f64, f64) {
+    let mut cycles = 0.0;
+    let mut net_bytes = 0.0;
+    let mut card: f64 = in_cards.iter().sum();
+    let mut after_fused = false;
+    let mut after_vectorized = false;
+    for (si, seg) in fused::segment_chain(ops).into_iter().enumerate() {
+        let delta = if si == 0 { costs.stage_delta } else { 0.0 };
+        let op = match seg {
+            Segment::Fused { pipeline, .. } if pipeline.len() > 1 => {
+                // Recognized chains run on typed column slices.
+                let vectorized = pipeline.vectorizable();
+                let alpha = costs.fused_alpha * if vectorized { 0.55 } else { 1.0 };
+                let udf = pipeline.cost_hint() * 50.0;
+                cycles += linear_cpu(model, costs.token, "fused", card, udf, alpha, delta);
+                card *= pipeline.selectivity();
+                after_fused = true;
+                after_vectorized = vectorized;
+                continue;
+            }
+            Segment::Fused { start, .. } => &ops[start],
+            Segment::Single { op, .. } => op,
+        };
+        let kind = op.kind();
+        let size = match kind {
+            OpKind::Cartesian | OpKind::InequalityJoin => {
+                in_cards.iter().product::<f64>().max(card)
+            }
+            OpKind::SortBy => card * card.max(2.0).log2(),
+            OpKind::PageRank => card * costs.pagerank_size,
+            _ => card,
+        };
+        let mut alpha = (costs.alpha)(kind);
+        // A ReduceBy fed by the preceding fused segment runs its map-side
+        // combine inside the pipeline pass (fused terminal aggregation): no
+        // materialized narrow output, no input re-scan — and a
+        // dictionary-keyed vectorized combine skips per-row hashing.
+        if let (true, LogicalOp::ReduceBy { key, agg }) = (after_fused, op) {
+            let vec_agg = after_vectorized && batch::agg_vectorizable(key, agg);
+            alpha *= if vec_agg { 0.6 } else { 0.75 };
+        }
+        after_fused = false;
+        after_vectorized = false;
+        let udf = op.udf_cost_hint() * 50.0;
+        cycles += linear_cpu(model, costs.token, kind.token(), size, udf, alpha, delta);
+        if is_wide(kind) {
+            net_bytes += card * avg_bytes * 0.9;
+        }
+        card *= match kind {
+            OpKind::Filter | OpKind::SargFilter => 0.5,
+            OpKind::FlatMap => 4.0,
+            OpKind::ReduceBy | OpKind::GroupBy | OpKind::Distinct => 0.5,
+            OpKind::Count | OpKind::Reduce => 0.0,
+            _ => 1.0,
+        };
+    }
+    (cycles, net_bytes)
+}
+
+/// Deal `data` into `n` contiguous chunks (at least one partition, possibly
+/// empty).
+fn split_contiguous(data: &[Value], n: usize) -> Vec<Dataset> {
+    let chunk = data.len().div_ceil(n.max(1)).max(1);
+    let mut parts: Vec<Dataset> = data.chunks(chunk).map(|c| Arc::new(c.to_vec())).collect();
+    if parts.is_empty() {
+        parts.push(Arc::new(Vec::new()));
+    }
+    parts
+}
+
+/// Partition a driver-side dataset the way a stage input of its size is
+/// split ([`partition_count`]); a single partition shares the incoming `Arc`.
+fn partition_dataset(data: &Dataset, max_partitions: u32) -> Vec<Dataset> {
+    match partition_count(data.len(), max_partitions) {
+        1 => vec![Arc::clone(data)],
+        n => split_contiguous(data, n),
+    }
+}
+
+/// The one landing of a stage input as row partitions: partitioned layouts
+/// land 1:1 (columnar partitions materialize — the right side of Cartesian /
+/// InequalityJoin has no columnar kernel), collection layouts are split by
+/// size. A layout that cannot hold rows (file, opaque, none) is a plan
+/// defect, not a transient failure: a typed, non-retried error names the
+/// operator, the slot and what arrived.
+fn input_partitions(
+    op: &str,
+    inputs: &[ChannelData],
+    slot: usize,
+    max_partitions: u32,
+) -> Result<Vec<Dataset>> {
+    match inputs.get(slot).unwrap_or(&ChannelData::None) {
+        ChannelData::Partitions(p) => Ok(p.as_ref().clone()),
+        ChannelData::BatchParts(bs) if !bs.is_empty() => {
+            Ok(bs.iter().map(|b| Arc::new(b.to_values())).collect())
+        }
+        input @ (ChannelData::Collection(_)
+        | ChannelData::Batches(_)
+        | ChannelData::BatchParts(_)) => Ok(partition_dataset(&input.flatten()?, max_partitions)),
+        other => Err(RheemError::Unsupported(format!(
+            "{op}: input slot {slot} cannot land a {other:?} channel as partitions"
+        ))),
+    }
+}
+
+/// Stage input as engine parts: columnar partitions arrive 1:1 through the
+/// exchange (`BatchParts`, no row round-trip); everything else takes the row
+/// route of [`input_partitions`].
+fn input_parts(
+    op: &str,
+    inputs: &[ChannelData],
+    slot: usize,
+    max_partitions: u32,
+) -> Result<Vec<Part>> {
+    match inputs.get(slot) {
+        Some(ChannelData::BatchParts(bs)) if !bs.is_empty() => {
+            Ok(bs.iter().map(|b| Part::Cols(b.clone())).collect())
+        }
+        _ => Ok(batch::into_row_parts(input_partitions(op, inputs, slot, max_partitions)?)),
+    }
+}
 
 /// Decide how many partitions a dataset of `n` quanta gets (HDFS-block-like
 /// splitting, capped by the configured parallelism).
@@ -178,18 +446,19 @@ pub fn shipped(buckets: &[Vec<Batch>]) -> (u64, u64) {
 /// arrays — no row materialization anywhere on the path; otherwise (or in
 /// row mode) the partials travel as carried-key pairs through the row
 /// exchange. Both paths route identically, so results and partition counts
-/// are byte-identical. `on_exchange` sees the bytes moved and the
-/// destination count once they are known (an engine's trace hook). Returns
-/// the merged partitions and the virtual ms of the exchange + reduce side.
-pub fn reduce_exchange(
+/// are byte-identical. The engine's exchange hook sees the bytes moved and
+/// the destination count, under `op`, once they are known. Returns the
+/// merged partitions and the virtual ms of the exchange + reduce side.
+fn reduce_exchange(
+    engine: &Engine,
+    op: &str,
     ctx: &mut ExecCtx<'_>,
     profile: &PlatformProfile,
-    workers: usize,
     combined: &[Part],
     agg: &ReduceUdf,
     batched: bool,
-    on_exchange: impl FnOnce(&mut ExecCtx<'_>, f64, usize),
 ) -> Result<(Vec<Part>, f64)> {
+    let workers = pool_size(profile);
     let n = combined.len();
     let columnar = match batch::all_batches(combined) {
         Some(bs) if batched => bucketize(&bs, &KeySpec::Field(0), n, workers)?,
@@ -197,7 +466,7 @@ pub fn reduce_exchange(
     };
     if let Some(buckets) = columnar {
         let bytes = bucket_bytes(&buckets);
-        on_exchange(ctx, bytes, n);
+        engine.exchanged(ctx, op, bytes, n);
         let (sb, srows) = shipped(&buckets);
         ctx.report_exchange(sb, srows);
         let fell = AtomicUsize::new(0);
@@ -233,7 +502,7 @@ pub fn reduce_exchange(
         })
         .collect();
     let (exchanged, bytes) = exchange(&keyed, &KeyUdf::field(0), n);
-    on_exchange(ctx, bytes, n);
+    engine.exchanged(ctx, op, bytes, n);
     if batched {
         let rows: u64 = exchanged.iter().map(|d| d.len() as u64).sum();
         ctx.report_exchange_fallback(rows, Fallback::RowInput);
@@ -271,6 +540,262 @@ pub fn read_text_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecutionOperator;
+    use crate::platform::Profiles;
+    use crate::udf::BroadcastCtx;
+
+    fn flat_alpha(_: OpKind) -> f64 {
+        100.0
+    }
+
+    fn exchange_hook(ctx: &mut ExecCtx<'_>, op: &str, _bytes: f64, _partitions: usize) {
+        let op = op.to_string();
+        ctx.trace_event("a.exchange", || vec![("op".to_string(), op.into())]);
+    }
+
+    fn stage_hook(ctx: &mut ExecCtx<'_>, _workers: usize, partitions: usize, _in_card: u64) {
+        ctx.trace_event("b.stage", || vec![("partitions".to_string(), partitions.into())]);
+    }
+
+    const KIND_A: ChannelKind = ChannelKind("standin.a");
+    const KIND_B: ChannelKind = ChannelKind("standin.b");
+
+    /// Two stand-in engines that differ in every constant and in which hook
+    /// they carry, as spark and flink do.
+    static A: Engine = Engine {
+        label: "A",
+        platform: PlatformId("standin.a"),
+        accepts: &[KIND_A],
+        output: KIND_A,
+        costs: ChainCosts {
+            token: "standin.a",
+            stage_delta: 20_000.0,
+            fused_alpha: 200.0,
+            alpha: flat_alpha,
+            pagerank_size: 12.0,
+        },
+        pagerank_iter_share: 0.5,
+        broadcast_ms: 1.0,
+        count_tasks: 2.0,
+        bridge_delta: 10_000.0,
+        bridge_ms: 0.5,
+        from_collection: "Parallelize",
+        read_alpha: 260.0,
+        read_delta: 15_000.0,
+        read_tasks: None,
+        on_exchange: Some(exchange_hook),
+        on_stage: None,
+    };
+    static B: Engine = Engine {
+        label: "B",
+        platform: PlatformId("standin.b"),
+        accepts: &[KIND_B],
+        output: KIND_B,
+        costs: ChainCosts {
+            token: "standin.b",
+            stage_delta: 12_000.0,
+            fused_alpha: 170.0,
+            alpha: flat_alpha,
+            pagerank_size: 11.0,
+        },
+        pagerank_iter_share: 0.25,
+        broadcast_ms: 0.5,
+        count_tasks: 1.0,
+        bridge_delta: 8_000.0,
+        bridge_ms: 0.4,
+        from_collection: "FromCollection",
+        read_alpha: 230.0,
+        read_delta: 12_000.0,
+        read_tasks: Some(8),
+        on_exchange: None,
+        on_stage: Some(stage_hook),
+    };
+
+    fn pairs(range: std::ops::Range<i64>, keys: i64) -> Vec<Value> {
+        range.map(|i| Value::pair(Value::from(i % keys), Value::from(i))).collect()
+    }
+
+    /// Run `op` alone on `engine`, columnar kernels on or off.
+    fn run_in(
+        engine: &'static Engine,
+        op: LogicalOp,
+        inputs: &[ChannelData],
+        batched: bool,
+    ) -> Result<Vec<Value>> {
+        let profiles = Profiles::paper_testbed();
+        let mut ctx = ExecCtx::new(&profiles, 0);
+        ctx.set_batch(batched);
+        let out = Chain::new(engine, vec![op]).execute(&mut ctx, inputs, &BroadcastCtx::new())?;
+        Ok(out.flatten()?.as_ref().clone())
+    }
+
+    fn run(engine: &'static Engine, op: LogicalOp, inputs: &[ChannelData]) -> Result<Vec<Value>> {
+        run_in(engine, op, inputs, true)
+    }
+
+    /// Every layout a channel can carry `rows` in, plus every empty layout.
+    fn layouts(rows: &[Value]) -> Vec<(&'static str, ChannelData, Vec<Value>)> {
+        let chunks: Vec<Dataset> = rows.chunks(7).map(|c| Arc::new(c.to_vec())).collect();
+        let batches: Vec<Batch> = chunks.iter().map(|c| Batch::from_values(c)).collect();
+        let full = |name, data| (name, data, rows.to_vec());
+        let empty = |name, data| (name, data, Vec::new());
+        vec![
+            full("Collection", ChannelData::Collection(Arc::new(rows.to_vec()))),
+            full("Partitions", ChannelData::Partitions(Arc::new(chunks))),
+            full("Batches", ChannelData::Batches(Arc::new(batches.clone()))),
+            full("BatchParts", ChannelData::BatchParts(Arc::new(batches))),
+            empty("empty Collection", ChannelData::Collection(Arc::new(Vec::new()))),
+            empty("no Partitions", ChannelData::Partitions(Arc::new(Vec::new()))),
+            empty("one empty Partition", ChannelData::Partitions(Arc::new(vec![Arc::default()]))),
+            empty("empty Batches", ChannelData::Batches(Arc::new(Vec::new()))),
+            empty("empty BatchParts", ChannelData::BatchParts(Arc::new(Vec::new()))),
+        ]
+    }
+
+    /// Layouts that cannot hold rows.
+    fn rowless() -> Vec<(&'static str, ChannelData)> {
+        vec![
+            ("File", ChannelData::File(Arc::new("hdfs://nowhere/part-0.txt".into()))),
+            ("Opaque", ChannelData::Opaque { kind: KIND_A, payload: Arc::new(7u8) }),
+            ("None", ChannelData::None),
+        ]
+    }
+
+    /// The landing is total: on slot 0, and on slot 1 of every binary
+    /// operator, each layout gives the single-partition kernels' answer (as
+    /// a multiset — partitioning reorders) or the typed, non-transient error.
+    #[test]
+    fn landing_acceptance_matrix() {
+        type Reference = fn(&[Value], &[Value]) -> Vec<Value>;
+        let key = KeyUdf::field(0);
+        let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
+        let ops: [(LogicalOp, Reference); 3] = [
+            (LogicalOp::Union, |l, r| [l, r].concat()),
+            (join, |l, r| kernels::hash_join(l, r, &KeyUdf::field(0), &KeyUdf::field(0))),
+            (LogicalOp::Cartesian, kernels::cartesian),
+        ];
+        let sorted = |mut v: Vec<Value>| {
+            v.sort();
+            v
+        };
+        let here = pairs(0..40, 5);
+        let there = pairs(100..125, 5);
+        let plain = |rows: &[Value]| ChannelData::Collection(Arc::new(rows.to_vec()));
+        for engine in [&A, &B] {
+            for (op, reference) in &ops {
+                let name = fused::chain_name(engine.label, std::slice::from_ref(op));
+                for (batched, (layout, data, rows)) in [true, false]
+                    .into_iter()
+                    .flat_map(|b| layouts(&there).into_iter().map(move |l| (b, l)))
+                {
+                    let at = format!("{name} {layout} batched={batched}");
+                    let inputs = [data.clone(), plain(&here)];
+                    let got = run_in(engine, op.clone(), &inputs, batched).unwrap();
+                    assert_eq!(sorted(got), sorted(reference(&rows, &here)), "slot 0 of {at}");
+                    let inputs = [plain(&here), data];
+                    let got = run_in(engine, op.clone(), &inputs, batched).unwrap();
+                    assert_eq!(sorted(got), sorted(reference(&here, &rows)), "slot 1 of {at}");
+                }
+                for (layout, data) in rowless() {
+                    for slot in 0..2 {
+                        let mut inputs = [plain(&here), plain(&here)];
+                        inputs[slot] = data.clone();
+                        let err = run(engine, op.clone(), &inputs).unwrap_err();
+                        assert!(!err.is_transient(), "{name} slot {slot} {layout}: {err}");
+                        let RheemError::Unsupported(msg) = &err else {
+                            panic!("{name} slot {slot} {layout}: {err}")
+                        };
+                        for part in [name.as_str(), &format!("slot {slot}"), layout] {
+                            assert!(msg.contains(part), "{msg:?} names no {part:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What no engine constant may change: join cardinality, a global sort
+    /// order across partitions, the driver round trip, PageRank mass.
+    #[test]
+    fn engines_agree_on_operator_semantics() {
+        let profiles = Profiles::paper_testbed();
+        let key = KeyUdf::field(0);
+        let parts = |rows: &[Value], chunk| {
+            let chunks: Vec<Dataset> = rows.chunks(chunk).map(|c| Arc::new(c.to_vec())).collect();
+            ChannelData::Partitions(Arc::new(chunks))
+        };
+        for engine in [&A, &B] {
+            let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
+            let inputs = [parts(&pairs(0..50, 5), 9), parts(&pairs(100..120, 5), 6)];
+            // 50 left rows × 4 matches each
+            assert_eq!(run(engine, join, &inputs).unwrap().len(), 200);
+
+            let reversed: Vec<Value> = (0..500i64).rev().map(Value::from).collect();
+            let sort = LogicalOp::SortBy(KeyUdf::identity());
+            let sorted = run(engine, sort, &[parts(&reversed, 77)]).unwrap();
+            assert_eq!(sorted.len(), 500);
+            assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+
+            let mut ctx = ExecCtx::new(&profiles, 0);
+            let bc = BroadcastCtx::new();
+            let rows: Vec<Value> = (0..1000i64).map(Value::from).collect();
+            let coll = ChannelData::Collection(Arc::new(rows.clone()));
+            let native = FromCollection::new(engine).execute(&mut ctx, &[coll], &bc).unwrap();
+            assert_eq!(native.cardinality(), Some(1000));
+            let back = Collect::new(engine).execute(&mut ctx, &[native], &bc).unwrap();
+            assert_eq!(back.flatten().unwrap().as_ref(), &rows);
+
+            let edges: Vec<Value> = (0..100i64)
+                .map(|i| Value::pair(Value::from(i % 10), Value::from((i + 1) % 10)))
+                .collect();
+            let page_rank = LogicalOp::PageRank { iterations: 5, damping: 0.85 };
+            let ranks = run(engine, page_rank, &[parts(&edges, 30)]).unwrap();
+            assert_eq!(ranks.len(), 10);
+            let total: f64 = ranks.iter().map(|r| r.field(1).as_f64().unwrap()).sum();
+            assert!((total - 1.0).abs() < 1e-6);
+        }
+    }
+
+    /// Each engine reports through its own hook and only there.
+    #[test]
+    fn hooks_fire_per_exchange_and_per_stage() {
+        let profiles = Profiles::paper_testbed();
+        let events = |engine: &'static Engine, op: LogicalOp| {
+            let mut ctx = ExecCtx::new(&profiles, 0);
+            ctx.set_tracing(true);
+            let input = ChannelData::Collection(Arc::new(pairs(0..30, 3)));
+            Chain::new(engine, vec![op]).execute(&mut ctx, &[input], &BroadcastCtx::new()).unwrap();
+            ctx.take_events().into_iter().map(|e| e.name).collect::<Vec<_>>()
+        };
+        assert_eq!(events(&A, LogicalOp::Distinct), ["a.exchange"]);
+        assert_eq!(events(&B, LogicalOp::Distinct), ["b.stage"]);
+        // A global sort is a range re-split, not a hash exchange.
+        assert!(events(&A, LogicalOp::SortBy(KeyUdf::identity())).is_empty());
+    }
+
+    #[test]
+    fn exchange_preserves_all_records() {
+        let parts: Vec<Dataset> =
+            (0..4).map(|p| Arc::new(pairs(p * 100..(p + 1) * 100, 7))).collect();
+        let (exchanged, bytes) = exchange(&parts, &KeyUdf::field(0), 4);
+        assert_eq!(exchanged.iter().map(|p| p.len()).sum::<usize>(), 400);
+        assert!(bytes > 0.0);
+        // same key never splits across partitions
+        for key in 0..7i64 {
+            let holders = exchanged
+                .iter()
+                .filter(|p| p.iter().any(|v| v.field(0).as_int() == Some(key)))
+                .count();
+            assert_eq!(holders, 1, "key {key}");
+        }
+    }
+
+    #[test]
+    fn partition_count_scales() {
+        assert_eq!(partition_count(100, 80), 1);
+        assert!(partition_count(1_000_000, 80) > 1);
+        assert!(partition_count(100_000_000, 80) <= 80);
+    }
 
     #[test]
     fn runner_keeps_index_order_and_surfaces_errors() {

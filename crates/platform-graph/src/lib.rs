@@ -35,36 +35,9 @@ pub fn parse_edges(data: &[Value]) -> Vec<(i64, i64)> {
 }
 
 /// Reference single-threaded PageRank (the JGraph implementation; also the
-/// ground truth the engines are tested against).
+/// ground truth the engines are tested against): the shared power iteration.
 pub fn pagerank_reference(edges: &[(i64, i64)], iterations: u32, damping: f64) -> Vec<(i64, f64)> {
-    use std::collections::{HashMap, HashSet};
-    let mut out_deg: HashMap<i64, f64> = HashMap::new();
-    let mut incoming: HashMap<i64, Vec<i64>> = HashMap::new();
-    let mut vertices: Vec<i64> = Vec::new();
-    let mut seen = HashSet::new();
-    for &(s, d) in edges {
-        *out_deg.entry(s).or_default() += 1.0;
-        incoming.entry(d).or_default().push(s);
-        for v in [s, d] {
-            if seen.insert(v) {
-                vertices.push(v);
-            }
-        }
-    }
-    let n = vertices.len().max(1) as f64;
-    let mut rank: HashMap<i64, f64> = vertices.iter().map(|&v| (v, 1.0 / n)).collect();
-    for _ in 0..iterations {
-        let mut next = HashMap::with_capacity(rank.len());
-        for &v in &vertices {
-            let sum: f64 = incoming
-                .get(&v)
-                .map(|srcs| srcs.iter().map(|s| rank[s] / out_deg[s]).sum())
-                .unwrap_or(0.0);
-            next.insert(v, (1.0 - damping) / n + damping * sum);
-        }
-        rank = next;
-    }
-    vertices.iter().map(|&v| (v, rank[&v])).collect()
+    rheem_core::kernels::page_rank_edges(edges.iter().copied(), iterations, damping)
 }
 
 fn ranks_to_values(ranks: Vec<(i64, f64)>) -> Vec<Value> {

@@ -12,12 +12,13 @@ use std::sync::Arc;
 
 use rheem_core::batch;
 use rheem_core::channel::{kinds, ChannelData, ChannelKind};
-use rheem_core::cost::{linear_cpu, CostModel, Load};
+use rheem_core::cost::{CostModel, Load};
 use rheem_core::error::{Result, RheemError};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
 use rheem_core::fused::{self, Segment};
 use rheem_core::kernels;
 use rheem_core::mapping::{upstream_chain, Candidate, FnMapping};
+use rheem_core::partitioned::{chain_cost, supported, ChainCosts};
 use rheem_core::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan};
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
@@ -46,15 +47,7 @@ pub struct JavaOperator {
 impl JavaOperator {
     /// Wrap a chain of logical operators.
     pub fn new(ops: Vec<LogicalOp>) -> Self {
-        let name = match ops.as_slice() {
-            [single] => format!("Java{:?}", single.kind()),
-            // A chain ending in a wide operator names its tail so monitor
-            // logs still show what the stage aggregates into.
-            [head @ .., last] if !fused::fusable(last) => {
-                format!("JavaChain{}\u{2218}{:?}", head.len(), last.kind())
-            }
-            _ => format!("JavaChain{}", ops.len()),
-        };
+        let name = fused::chain_name("Java", &ops);
         Self { ops, name }
     }
 
@@ -102,7 +95,9 @@ impl JavaOperator {
                 let b = inputs.get(1).copied().unwrap_or(&[]);
                 kernels::ineq_join_nested(a, b, conds)
             }
-            LogicalOp::PageRank { iterations, damping } => page_rank(a, *iterations, *damping),
+            LogicalOp::PageRank { iterations, damping } => {
+                kernels::page_rank(a, *iterations, *damping)
+            }
             other => {
                 return Err(RheemError::Unsupported(format!(
                     "JavaStreams cannot execute {:?}",
@@ -111,40 +106,6 @@ impl JavaOperator {
             }
         })
     }
-}
-
-/// Single-threaded PageRank over `(src, dst)` integer edge pairs — also the
-/// kernel the JGraph library analogue reuses.
-pub fn page_rank(edges: &[Value], iterations: u32, damping: f64) -> Vec<Value> {
-    use std::collections::HashMap;
-    let mut out_deg: HashMap<i64, f64> = HashMap::new();
-    let mut incoming: HashMap<i64, Vec<i64>> = HashMap::new();
-    let mut vertices: Vec<i64> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for e in edges {
-        let (s, d) = (e.field(0).as_int().unwrap_or(0), e.field(1).as_int().unwrap_or(0));
-        *out_deg.entry(s).or_default() += 1.0;
-        incoming.entry(d).or_default().push(s);
-        for v in [s, d] {
-            if seen.insert(v) {
-                vertices.push(v);
-            }
-        }
-    }
-    let n = vertices.len().max(1) as f64;
-    let mut rank: HashMap<i64, f64> = vertices.iter().map(|&v| (v, 1.0 / n)).collect();
-    for _ in 0..iterations {
-        let mut next: HashMap<i64, f64> = HashMap::with_capacity(rank.len());
-        for &v in &vertices {
-            let sum: f64 = incoming
-                .get(&v)
-                .map(|srcs| srcs.iter().map(|s| rank[s] / out_deg[s]).sum())
-                .unwrap_or(0.0);
-            next.insert(v, (1.0 - damping) / n + damping * sum);
-        }
-        rank = next;
-    }
-    vertices.iter().map(|&v| Value::pair(Value::from(v), Value::from(rank[&v]))).collect()
 }
 
 /// Default CPU cost (abstract cycles per input quantum) per operator kind on
@@ -171,6 +132,16 @@ fn default_alpha(kind: OpKind) -> f64 {
     }
 }
 
+/// The chain-costing constants of a single-threaded in-process engine: a
+/// small setup δ, no task framework per record.
+const COSTS: ChainCosts = ChainCosts {
+    token: "java.streams",
+    stage_delta: 2_000.0,
+    fused_alpha: 150.0,
+    alpha: default_alpha,
+    pagerank_size: 10.0,
+};
+
 impl ExecutionOperator for JavaOperator {
     fn name(&self) -> &str {
         &self.name
@@ -188,97 +159,9 @@ impl ExecutionOperator for JavaOperator {
         kinds::COLLECTION
     }
 
-    fn load(&self, in_cards: &[f64], _avg_bytes: f64, model: &CostModel) -> Load {
-        let c_in: f64 = in_cards.iter().sum();
-        let mut cycles = 0.0;
-        let mut card = c_in;
-        let mut first = true;
-        let mut after_fused = false;
-        let mut after_vectorized = false;
-        for seg in fused::segment_chain(&self.ops) {
-            match seg {
-                // A fused run pays its setup δ once and one per-tuple term
-                // whose UDF weight is the whole chain's: that is what fusing
-                // buys (no per-operator scheduling/materialization).
-                Segment::Fused { pipeline, .. } if pipeline.len() > 1 => {
-                    let delta = if first { 2_000.0 } else { 0.0 };
-                    // Statically vectorizable chains run on typed column
-                    // slices instead of the row interpreter. The discount
-                    // keys off the *plan* only — never the RHEEM_BATCH
-                    // runtime switch — so plan choice is mode-independent.
-                    let alpha = if pipeline.vectorizable() { 150.0 * 0.55 } else { 150.0 };
-                    cycles += linear_cpu(
-                        model,
-                        "java.streams",
-                        "fused",
-                        card,
-                        pipeline.cost_hint() * 50.0,
-                        alpha,
-                        delta,
-                    );
-                    card *= pipeline.selectivity();
-                    after_fused = true;
-                    after_vectorized = pipeline.vectorizable();
-                    first = false;
-                    continue;
-                }
-                seg => {
-                    let op = match &seg {
-                        Segment::Single { op, .. } => *op,
-                        Segment::Fused { start, .. } => &self.ops[*start],
-                    };
-                    let kind = op.kind();
-                    let size = if matches!(kind, OpKind::Cartesian | OpKind::InequalityJoin) {
-                        in_cards.iter().product::<f64>().max(card)
-                    } else if kind == OpKind::SortBy {
-                        card * card.max(2.0).log2()
-                    } else if kind == OpKind::PageRank {
-                        card * 10.0
-                    } else {
-                        card
-                    };
-                    let delta = if first { 2_000.0 } else { 0.0 };
-                    // A ReduceBy fed by the preceding fused segment streams
-                    // its input straight out of the pipeline (fused terminal
-                    // aggregation): no materialized-input scan, no
-                    // first-occurrence clone — cheaper per tuple than the
-                    // standalone kernel.
-                    let alpha = if after_fused && kind == OpKind::ReduceBy {
-                        // A recognized sum-by-key terminal after a vectorized
-                        // chain additionally skips per-row hashing (dictionary
-                        // ids index the accumulator array directly).
-                        let vec_agg = after_vectorized
-                            && matches!(
-                                op,
-                                LogicalOp::ReduceBy { key, agg } if batch::agg_vectorizable(key, agg)
-                            );
-                        default_alpha(kind) * if vec_agg { 0.6 } else { 0.75 }
-                    } else {
-                        default_alpha(kind)
-                    };
-                    cycles += linear_cpu(
-                        model,
-                        "java.streams",
-                        kind.token(),
-                        size,
-                        op.udf_cost_hint() * 50.0,
-                        alpha,
-                        delta,
-                    );
-                    // rough per-op cardinality propagation inside the chain
-                    card *= match kind {
-                        OpKind::Filter | OpKind::SargFilter => 0.5,
-                        OpKind::FlatMap => 4.0,
-                        OpKind::ReduceBy | OpKind::GroupBy | OpKind::Distinct => 0.5,
-                        OpKind::Count | OpKind::Reduce => 0.0,
-                        _ => 1.0,
-                    };
-                }
-            }
-            after_fused = false;
-            after_vectorized = false;
-            first = false;
-        }
+    fn load(&self, in_cards: &[f64], avg_bytes: f64, model: &CostModel) -> Load {
+        // One partition: the chain's wide operators exchange nothing.
+        let (cycles, _net) = chain_cost(&COSTS, &self.ops, in_cards, avg_bytes, model);
         Load::cpu(cycles)
     }
 
@@ -422,30 +305,6 @@ impl ExecutionOperator for JavaOperator {
     }
 }
 
-/// Operator kinds JavaStreams implements.
-pub fn supported(kind: OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::Map
-            | OpKind::FlatMap
-            | OpKind::Filter
-            | OpKind::Project
-            | OpKind::SargFilter
-            | OpKind::Sample
-            | OpKind::SortBy
-            | OpKind::Distinct
-            | OpKind::Count
-            | OpKind::GroupBy
-            | OpKind::Reduce
-            | OpKind::ReduceBy
-            | OpKind::Union
-            | OpKind::Join
-            | OpKind::Cartesian
-            | OpKind::InequalityJoin
-            | OpKind::PageRank
-    )
-}
-
 impl Platform for JavaStreamsPlatform {
     fn id(&self) -> PlatformId {
         ids::JAVA_STREAMS
@@ -454,7 +313,10 @@ impl Platform for JavaStreamsPlatform {
     fn register(&self, registry: &mut Registry) {
         // 1-to-1 mappings for every supported operator.
         registry.add_mapping(Arc::new(FnMapping(|_plan: &RheemPlan, node: &OperatorNode| {
-            if !supported(node.op.kind()) {
+            // Everything the partitioned engines run, minus their parallel
+            // text source.
+            let kind = node.op.kind();
+            if !supported(kind) || kind.is_source() {
                 return vec![];
             }
             vec![Candidate::single(
@@ -574,28 +436,6 @@ mod tests {
         let result = ctx().execute(&plan).unwrap();
         let w = result.sink(sink).unwrap();
         assert_eq!(w[0].as_int(), Some(30)); // 3 iterations × 10
-    }
-
-    #[test]
-    fn pagerank_sums_to_one() {
-        let edges: Vec<Value> = [(0, 1), (1, 2), (2, 0), (0, 2)]
-            .iter()
-            .map(|&(s, d)| Value::pair(Value::from(s as i64), Value::from(d as i64)))
-            .collect();
-        let ranks = page_rank(&edges, 20, 0.85);
-        let total: f64 = ranks.iter().map(|r| r.field(1).as_f64().unwrap()).sum();
-        assert!((total - 1.0).abs() < 1e-6, "{total}");
-        // vertex 2 has two in-links, should outrank vertex 1
-        let rank_of = |v: i64| {
-            ranks
-                .iter()
-                .find(|r| r.field(0).as_int() == Some(v))
-                .unwrap()
-                .field(1)
-                .as_f64()
-                .unwrap()
-        };
-        assert!(rank_of(2) > rank_of(1));
     }
 
     #[test]

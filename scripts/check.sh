@@ -59,3 +59,6 @@ echo "== observability bench gate (recorder+SLO overhead < 5%; live scrape leg)"
 cargo run --release -q -p rheem-bench --bin obs_bench
 
 echo "== all checks passed"
+
+echo "== non-test rust lines per crate (report, not a gate)"
+./scripts/loc.sh

@@ -90,18 +90,93 @@ fn all_platforms_agree_on_wordcount_result() {
     }
 }
 
-/// The inequality self-join of the tax cleaning task reads its right-hand
-/// input from a projected, columnar stage output: both distributed engines
-/// must land that as rows.
+/// Landing acceptance over the real engines: whatever layout arrives on
+/// slot 0 or on slot 1 of a binary operator, spark and flink give the
+/// javastreams answer (as a multiset — partitioning reorders) or the typed,
+/// non-transient error. The `BatchParts` row on slot 1 of the inequality
+/// join is the tax cleaning task's self-join reading a projected, columnar
+/// stage output.
 #[test]
-fn distributed_engines_land_a_columnar_right_join_input() {
-    let rows = rheem_datagen::generate_tax(200, 0.1, 3);
-    let expected = rheem_datagen::tax::count_violations_bruteforce(&rows);
-    for forced in [ids::SPARK, ids::FLINK] {
-        let mut ctx = rheem::default_context();
-        ctx.forced_platform = Some(forced);
-        let fixes = rheem::bigdansing::detect_violations(&ctx, rows.clone()).unwrap();
-        assert_eq!(fixes.len(), expected, "forced on {forced:?}");
+fn distributed_engines_land_every_channel_layout() {
+    use rheem_core::batch::Batch;
+    use rheem_core::channel::ChannelData;
+    use rheem_core::exec::{ExecCtx, ExecutionOperator};
+    use rheem_core::partitioned::Chain;
+    use rheem_core::plan::IneqCond;
+    use std::sync::Arc;
+
+    let profiles = rheem_core::platform::Profiles::paper_testbed();
+    let run = |exec: &dyn ExecutionOperator, inputs: &[ChannelData], batched: bool| {
+        let mut ctx = ExecCtx::new(&profiles, 0);
+        ctx.set_batch(batched);
+        let out = exec.execute(&mut ctx, inputs, &BroadcastCtx::new())?;
+        let mut rows = out.flatten()?.as_ref().clone();
+        rows.sort();
+        Ok::<_, RheemError>(rows)
+    };
+    let pairs = |range: std::ops::Range<i64>| -> Vec<Value> {
+        range.map(|i| Value::pair(Value::from(i % 5), Value::from(i))).collect()
+    };
+    let (here, there) = (pairs(0..40), pairs(100..125));
+    let plain = |rows: &[Value]| ChannelData::Collection(Arc::new(rows.to_vec()));
+    let chunks: Vec<Dataset> = there.chunks(7).map(|c| Arc::new(c.to_vec())).collect();
+    let batches: Vec<Batch> = chunks.iter().map(|c| Batch::from_values(c)).collect();
+    let layouts = [
+        ("Collection", plain(&there), true),
+        ("Partitions", ChannelData::Partitions(Arc::new(chunks)), true),
+        ("Batches", ChannelData::Batches(Arc::new(batches.clone())), true),
+        ("BatchParts", ChannelData::BatchParts(Arc::new(batches)), true),
+        ("empty Collection", plain(&[]), false),
+        ("no Partitions", ChannelData::Partitions(Arc::default()), false),
+        ("one empty Partition", ChannelData::Partitions(Arc::new(vec![Arc::default()])), false),
+        ("empty Batches", ChannelData::Batches(Arc::default()), false),
+        ("empty BatchParts", ChannelData::BatchParts(Arc::default()), false),
+    ];
+    let rowless = [
+        ("File", ChannelData::File(Arc::new("hdfs://tests/xplat/nowhere.txt".into()))),
+        ("Opaque", ChannelData::Opaque { kind: platform_spark::RDD, payload: Arc::new(7u8) }),
+        ("None", ChannelData::None),
+    ];
+    let key = KeyUdf::field(0);
+    let ops = [
+        LogicalOp::Union,
+        LogicalOp::Join { left_key: key.clone(), right_key: key },
+        LogicalOp::Cartesian,
+        LogicalOp::InequalityJoin {
+            conds: vec![IneqCond { left_field: 1, op: CmpOp::Lt, right_field: 1 }],
+        },
+    ];
+    for engine in [&platform_spark::SPARK, &platform_flink::FLINK] {
+        for op in &ops {
+            let java = platform_javastreams::JavaOperator::new(vec![op.clone()]);
+            let chain = Chain::new(engine, vec![op.clone()]);
+            for (batched, (layout, data, full)) in
+                [true, false].into_iter().flat_map(|b| layouts.iter().map(move |l| (b, l)))
+            {
+                let rows: &[Value] = if *full { &there } else { &[] };
+                for slot in 0..2 {
+                    let at = format!("{} slot {slot} {layout} batched={batched}", chain.name());
+                    let mut inputs = [plain(&here), plain(&here)];
+                    let mut reference = inputs.clone();
+                    inputs[slot] = data.clone();
+                    reference[slot] = plain(rows);
+                    let want = run(&java, &reference, batched).unwrap();
+                    assert_eq!(run(&chain, &inputs, batched).unwrap(), want, "{at}");
+                }
+            }
+            for (layout, data) in &rowless {
+                for slot in 0..2 {
+                    let mut inputs = [plain(&here), plain(&here)];
+                    inputs[slot] = data.clone();
+                    let err = run(&chain, &inputs, true).unwrap_err();
+                    assert!(!err.is_transient(), "{err}");
+                    let RheemError::Unsupported(msg) = &err else { panic!("{err}") };
+                    for part in [chain.name(), &format!("slot {slot}"), layout] {
+                        assert!(msg.contains(part), "{msg:?} names no {part:?}");
+                    }
+                }
+            }
+        }
     }
 }
 

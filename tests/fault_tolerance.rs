@@ -195,3 +195,83 @@ fn independent_branches_overlap_in_virtual_time() {
         total
     );
 }
+
+/// A map that declares an engine's native channel but hands over a payload
+/// that cannot hold rows — a deterministic defect, not a lost executor.
+struct Mislabelled {
+    engine: &'static rheem_core::partitioned::Engine,
+    payload: ChannelData,
+}
+
+impl ExecutionOperator for Mislabelled {
+    fn name(&self) -> &str {
+        "Mislabelled"
+    }
+    fn platform(&self) -> PlatformId {
+        self.engine.platform
+    }
+    fn accepted_inputs(&self, _slot: usize) -> Vec<ChannelKind> {
+        self.engine.accepts.to_vec()
+    }
+    fn output_kind(&self) -> ChannelKind {
+        self.engine.output
+    }
+    fn load(&self, _in: &[f64], _b: f64, _m: &CostModel) -> Load {
+        Load::default()
+    }
+    fn execute(
+        &self,
+        _ctx: &mut ExecCtx<'_>,
+        _inputs: &[ChannelData],
+        _bc: &BroadcastCtx,
+    ) -> rheem_core::error::Result<ChannelData> {
+        Ok(self.payload.clone())
+    }
+}
+
+/// A stage input of the wrong layout fails the job at once with the typed
+/// error: no retry is spent on it, no backoff charged, and the platform is
+/// not blacklisted for a failure that would repeat anywhere.
+#[test]
+fn wrong_channel_layout_is_not_retried() {
+    let payloads = [
+        ChannelData::File(Arc::new("hdfs://tests/fault/nowhere.txt".into())),
+        ChannelData::Opaque { kind: kinds::NONE, payload: Arc::new(0u8) },
+        ChannelData::None,
+    ];
+    for engine in [&platform_spark::SPARK, &platform_flink::FLINK] {
+        for payload in &payloads {
+            let mut ctx = rheem::default_context();
+            ctx.config_mut().retry_budget = 2;
+            let bad = Arc::new(Mislabelled { engine, payload: payload.clone() });
+            ctx.registry_mut().add_mapping(Arc::new(FnMapping(
+                move |_p: &rheem_core::plan::RheemPlan, n: &rheem_core::plan::OperatorNode| match &n
+                    .op
+                {
+                    LogicalOp::Map(u) if &*u.name == "mislabel" => vec![Candidate::single(
+                        n.id,
+                        Arc::clone(&bad) as Arc<dyn ExecutionOperator>,
+                    )],
+                    _ => vec![],
+                },
+            )));
+            let mut b = PlanBuilder::new();
+            b.collection((0..100i64).map(Value::from).collect::<Vec<_>>())
+                .map(MapUdf::new("mislabel", |v| v.clone()))
+                .with_target_platform(engine.platform)
+                .distinct()
+                .with_target_platform(engine.platform)
+                .collect();
+            let plan = b.build().unwrap();
+            let err = match ctx.execute(&plan) {
+                Err(e) => e,
+                Ok(_) => panic!("{payload:?} must not land on {}", engine.label),
+            };
+            let RheemError::Unsupported(msg) = &err else { panic!("{err}") };
+            assert!(msg.contains(&format!("{}Distinct", engine.label)), "{msg}");
+            assert!(msg.contains("slot 0"), "{msg}");
+            assert_eq!(ctx.monitor().retries(), 0);
+            assert!(ctx.monitor().fault_records().is_empty(), "no RetryRec was replayed");
+        }
+    }
+}

@@ -312,7 +312,7 @@ fn columnar_reduce_exchange_matches_row_exchange() {
             .iter()
             .map(|c| Arc::new(kernels::combine_by(c, &KeyUdf::field(0), &agg)))
             .collect();
-        let (ex, _) = platform_spark::shuffle(&combined, &KeyUdf::field(0), n);
+        let (ex, _) = rheem_core::partitioned::exchange(&combined, &KeyUdf::field(0), n);
         let row_out: Vec<Vec<Value>> = ex.iter().map(|p| kernels::merge_by(p, &agg)).collect();
         // Columnar path: slot-array combine, batch partition, slot merge.
         let spec = agg.spec.clone().expect("pair_int_sum is spec'd");
@@ -403,8 +403,8 @@ fn join_buckets_matches_row_hash_join() {
             right.chunks(right.len().div_ceil(n).max(1)).map(|c| Arc::new(c.to_vec())).collect();
         let key = KeyUdf::field(0);
         // Row reference: hash exchange both sides, per-partition hash join.
-        let (le, _) = platform_spark::shuffle(&lchunks, &key, n);
-        let (re, _) = platform_spark::shuffle(&rchunks, &key, n);
+        let (le, _) = rheem_core::partitioned::exchange(&lchunks, &key, n);
+        let (re, _) = rheem_core::partitioned::exchange(&rchunks, &key, n);
         let row_out: Vec<Vec<Value>> =
             le.iter().zip(&re).map(|(l, r)| kernels::hash_join(l, r, &key, &key)).collect();
         // Columnar path: partition each input batch, join per bucket.
@@ -500,7 +500,7 @@ fn shuffle_reduce_matches_sequential() {
             .iter()
             .map(|c| Arc::new(kernels::reduce_by(c, &KeyUdf::field(0), &sum_udf())))
             .collect();
-        let (exchanged, _) = platform_spark::shuffle(&combined, &KeyUdf::field(0), parts);
+        let (exchanged, _) = rheem_core::partitioned::exchange(&combined, &KeyUdf::field(0), parts);
         let mut dist: Vec<Value> = exchanged
             .iter()
             .flat_map(|p| kernels::reduce_by(p, &KeyUdf::field(0), &sum_udf()))
