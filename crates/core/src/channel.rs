@@ -116,16 +116,6 @@ impl ChannelData {
         }
     }
 
-    /// Borrow as partitions; errors for other layouts.
-    pub fn as_partitions(&self) -> Result<&Arc<Vec<Dataset>>> {
-        match self {
-            ChannelData::Partitions(p) => Ok(p),
-            other => {
-                Err(RheemError::Execution(format!("expected partitioned channel, found {other:?}")))
-            }
-        }
-    }
-
     /// Borrow as a file path; errors for other layouts.
     pub fn as_file(&self) -> Result<&PathBuf> {
         match self {
@@ -302,7 +292,6 @@ mod tests {
     #[test]
     fn accessors_reject_wrong_layout() {
         let c = ChannelData::Collection(Arc::new(vec![]));
-        assert!(c.as_partitions().is_err());
         assert!(c.as_file().is_err());
         assert!(c.as_collection().is_ok());
         assert!(ChannelData::None.flatten().is_err());

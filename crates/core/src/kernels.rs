@@ -4,6 +4,7 @@
 //! relational subset. Keeping them here means every engine computes
 //! *identical results* and differs only in execution strategy and cost.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::plan::{IneqCond, SampleMethod, SampleSize};
@@ -207,46 +208,78 @@ pub fn reduce(data: &[Value], agg: &ReduceUdf) -> Vec<Value> {
     vec![acc]
 }
 
-/// Hash equi-join; emits `(left, right)` pairs, left-major order.
+/// Test builds log every table built (`TABLES_BUILT`, below the tests'
+/// cut); other builds do nothing here.
+#[cfg(not(test))]
+fn table_built(_: &KeyUdf) {}
+
+/// The entry of a row whose key is not in a [`JoinKeys`] table.
+pub const NO_ENTRY: u32 = u32::MAX;
+
+/// The one table of a hash join: distinct keys, numbered densely in
+/// first-occurrence order. Keys stay borrowed from the rows that carry them;
+/// the std SipHash guards user-supplied keys.
+pub type JoinKeys<'a> = HashMap<Cow<'a, Value>, u32>;
+
+/// Number the distinct keys of `rows` (callers pass a join's smaller side);
+/// also returns each row's entry.
+pub fn join_keys<'a>(
+    rows: impl Iterator<Item = &'a Value>,
+    key: &KeyUdf,
+) -> (JoinKeys<'a>, Vec<u32>) {
+    table_built(key);
+    let mut keys = JoinKeys::with_capacity(rows.size_hint().0);
+    let entries = rows
+        .map(|v| {
+            let next = u32::try_from(keys.len()).expect("fewer than 2^32 join keys");
+            *keys.entry(key.extract(v)).or_insert(next)
+        })
+        .collect();
+    (keys, entries)
+}
+
+/// The entry of each of `rows` in `keys`, or [`NO_ENTRY`].
+pub fn join_entries(keys: &JoinKeys<'_>, rows: &[Value], key: &KeyUdf) -> Vec<u32> {
+    rows.iter().map(|v| keys.get(&*key.extract(v)).copied().unwrap_or(NO_ENTRY)).collect()
+}
+
+/// Group row index `j` under `entries[j]`: per entry of a table of `keys`,
+/// its rows in input order (a [`NO_ENTRY`] row is in no group).
+pub fn join_matches(entries: &[u32], keys: usize) -> Vec<Vec<u32>> {
+    let mut matches = vec![Vec::new(); keys];
+    for (j, &e) in entries.iter().enumerate() {
+        if let Some(rows) = matches.get_mut(e as usize) {
+            rows.push(u32::try_from(j).expect("fewer than 2^32 rows to a join side"));
+        }
+    }
+    matches
+}
+
+/// Hash equi-join; emits `(left, right)` pairs, left-major order, the right
+/// matches of a left row in right input order. Each row's key is extracted
+/// and hashed once: the smaller side's distinct keys make the table, both
+/// sides map to its entries, and the output is sized before it is written.
 pub fn hash_join(
     left: &[Value],
     right: &[Value],
     left_key: &KeyUdf,
     right_key: &KeyUdf,
 ) -> Vec<Value> {
-    // Build on the smaller side.
+    let (keys, le, re);
     if right.len() <= left.len() {
-        let mut table: HashMap<Value, Vec<&Value>> = HashMap::with_capacity(right.len());
-        for r in right {
-            table.entry(right_key.call(r)).or_default().push(r);
-        }
-        let mut out = Vec::new();
-        for l in left {
-            if let Some(matches) = table.get(&left_key.call(l)) {
-                for r in matches {
-                    out.push(Value::pair(l.clone(), (*r).clone()));
-                }
-            }
-        }
-        out
+        (keys, re) = join_keys(right.iter(), right_key);
+        le = join_entries(&keys, left, left_key);
     } else {
-        let mut table: HashMap<Value, Vec<&Value>> = HashMap::with_capacity(left.len());
-        for l in left {
-            table.entry(left_key.call(l)).or_default().push(l);
-        }
-        let mut out: Vec<(usize, Value)> = Vec::new();
-        let index: HashMap<*const Value, usize> =
-            left.iter().enumerate().map(|(i, v)| (v as *const Value, i)).collect();
-        for r in right {
-            if let Some(matches) = table.get(&right_key.call(r)) {
-                for l in matches {
-                    out.push((index[&(*l as *const Value)], Value::pair((*l).clone(), r.clone())));
-                }
-            }
-        }
-        out.sort_by_key(|(i, _)| *i);
-        out.into_iter().map(|(_, v)| v).collect()
+        (keys, le) = join_keys(left.iter(), left_key);
+        re = join_entries(&keys, right, right_key);
     }
+    let matches = join_matches(&re, keys.len());
+    let of = |e: u32| matches.get(e as usize).map_or(&[][..], Vec::as_slice);
+    let mut out = Vec::with_capacity(le.iter().map(|&e| of(e).len()).sum());
+    for (l, &e) in left.iter().zip(&le) {
+        out.extend(of(e).iter().map(|&j| Value::pair(l.clone(), right[j as usize].clone())));
+    }
+    out
 }
 
 /// Cartesian product; emits `(left, right)` pairs, left-major order.
@@ -344,10 +377,10 @@ impl SplitMix64 {
 }
 
 /// Stable bucket index of one quantum under a key extractor (the shuffle's
-/// routing function).
+/// routing function); a recognized key is hashed where it sits, not cloned.
 #[inline]
 pub fn bucket_of(v: &Value, key: &KeyUdf, n: usize) -> usize {
-    bucket_of_key(&key.call(v), n)
+    bucket_of_key(&key.extract(v), n)
 }
 
 /// Bucket for an already-extracted key value. Columnar exchanges route
@@ -439,6 +472,63 @@ pub fn page_rank(edges: &[Value], iterations: u32, damping: f64) -> Vec<Value> {
         .into_iter()
         .map(|(v, r)| Value::pair(Value::from(v), Value::from(r)))
         .collect()
+}
+
+/// Test hook: the key extractor (by address) of every [`JoinKeys`] table
+/// built in this process, in build order. A test finds its own joins by the
+/// extractors it owns, whatever other tests build meanwhile.
+#[cfg(test)]
+pub(crate) static TABLES_BUILT: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
+
+#[cfg(test)]
+fn table_built(key: &KeyUdf) {
+    TABLES_BUILT.lock().unwrap().push(key as *const KeyUdf as usize);
+}
+
+/// The hash join as it was before the one-table kernel: an owned-key table
+/// of row references per call, a pointer index and a sort when the left side
+/// is the smaller. The reference [`hash_join`] and the partitioned engines'
+/// routed join are tested against.
+#[cfg(test)]
+pub(crate) fn hash_join_reference(
+    left: &[Value],
+    right: &[Value],
+    left_key: &KeyUdf,
+    right_key: &KeyUdf,
+) -> Vec<Value> {
+    // Build on the smaller side.
+    if right.len() <= left.len() {
+        let mut table: HashMap<Value, Vec<&Value>> = HashMap::with_capacity(right.len());
+        for r in right {
+            table.entry(right_key.call(r)).or_default().push(r);
+        }
+        let mut out = Vec::new();
+        for l in left {
+            if let Some(matches) = table.get(&left_key.call(l)) {
+                for r in matches {
+                    out.push(Value::pair(l.clone(), (*r).clone()));
+                }
+            }
+        }
+        out
+    } else {
+        let mut table: HashMap<Value, Vec<&Value>> = HashMap::with_capacity(left.len());
+        for l in left {
+            table.entry(left_key.call(l)).or_default().push(l);
+        }
+        let mut out: Vec<(usize, Value)> = Vec::new();
+        let index: HashMap<*const Value, usize> =
+            left.iter().enumerate().map(|(i, v)| (v as *const Value, i)).collect();
+        for r in right {
+            if let Some(matches) = table.get(&right_key.call(r)) {
+                for l in matches {
+                    out.push((index[&(*l as *const Value)], Value::pair((*l).clone(), r.clone())));
+                }
+            }
+        }
+        out.sort_by_key(|(i, _)| *i);
+        out.into_iter().map(|(_, v)| v).collect()
+    }
 }
 
 #[cfg(test)]
@@ -545,6 +635,62 @@ mod tests {
         j1.sort();
         j2.sort();
         assert_eq!(j1, j2);
+    }
+
+    /// Rows for the join property test: tuples keyed (with heavy duplication)
+    /// by ints, floats, strings, bools, `Null` and nested tuples, tuples too
+    /// short to have the key field, and rows that are not tuples at all.
+    fn join_rows(rng: &mut SplitMix64, n: usize) -> Vec<Value> {
+        (0..n)
+            .map(|i| {
+                let k = rng.range_usize(6) as i64;
+                let key = match rng.range_usize(8) {
+                    0 => Value::from(k),
+                    1 => Value::from(k as f64),
+                    2 => Value::from(format!("k{k}")),
+                    3 => Value::from(k % 2 == 0),
+                    4 => Value::Null,
+                    5 => Value::pair(Value::from(k), Value::from("x")),
+                    6 => return Value::tuple(vec![]),
+                    _ => return Value::from(k),
+                };
+                Value::pair(key, Value::from(i))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_join_matches_the_reference_join() {
+        let mut rng = SplitMix64(0x10_1e5);
+        // An opaque closure key: no spec, so its keys are owned.
+        let parity = KeyUdf::new("parity", |v| Value::from(v.field(1).as_int().unwrap_or(-1) % 2));
+        let keys = [
+            (KeyUdf::field(0), KeyUdf::field(0)),
+            (KeyUdf::identity(), KeyUdf::identity()),
+            (KeyUdf::field(0), KeyUdf::identity()),
+            (parity.clone(), KeyUdf::field(0)),
+            (parity.clone(), parity),
+        ];
+        // Either side empty, left smaller than right, right smaller than left.
+        for (nl, nr) in [(0, 0), (0, 9), (9, 0), (1, 1), (7, 40), (40, 7), (60, 60), (300, 25)] {
+            for _ in 0..6 {
+                let (left, right) = (join_rows(&mut rng, nl), join_rows(&mut rng, nr));
+                for (lk, rk) in &keys {
+                    let got = hash_join(&left, &right, lk, rk);
+                    let want = hash_join_reference(&left, &right, lk, rk);
+                    assert_eq!(got, want, "{nl}x{nr} on {lk:?}/{rk:?}");
+                }
+            }
+        }
+        // Key types that never match (`1`, `"1"`, `true`) pair nothing.
+        let left = vec![Value::pair(Value::from(1), Value::Null)];
+        let right = vec![
+            Value::pair(Value::from("1"), Value::Null),
+            Value::pair(Value::from(true), Value::Null),
+        ];
+        let k = KeyUdf::field(0);
+        assert!(hash_join(&left, &right, &k, &k).is_empty());
+        assert!(hash_join(&right, &left, &k, &k).is_empty());
     }
 
     #[test]

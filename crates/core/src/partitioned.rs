@@ -27,7 +27,7 @@ use crate::cost::{linear_cpu, CostModel};
 use crate::error::{Result, RheemError};
 use crate::exec::{dataset_bytes, ExecCtx, Fallback};
 use crate::fused::{self, Segment};
-use crate::kernels;
+use crate::kernels::{self, NO_ENTRY};
 use crate::mapping::Candidate;
 use crate::plan::{LogicalOp, OpKind, OperatorId, RheemPlan};
 use crate::platform::{PlatformId, PlatformProfile};
@@ -243,19 +243,32 @@ fn partition_dataset(data: &Dataset, max_partitions: u32) -> Vec<Dataset> {
     }
 }
 
+/// Input `slot` of an operator (a missing slot reads as no channel).
+pub fn input(inputs: &[ChannelData], slot: usize) -> &ChannelData {
+    inputs.get(slot).unwrap_or(&ChannelData::None)
+}
+
+/// The error for an input whose layout cannot give `op` the `want`ed data: a
+/// plan defect, not a transient failure, so it is typed, names the operator,
+/// the slot and what arrived, and is never retried.
+pub fn wrong_layout(op: &str, slot: usize, found: &ChannelData, want: &str) -> RheemError {
+    RheemError::Unsupported(format!(
+        "{op}: input slot {slot} cannot land a {found:?} channel as {want}"
+    ))
+}
+
 /// The one landing of a stage input as row partitions: partitioned layouts
 /// land 1:1 (columnar partitions materialize — the right side of Cartesian /
 /// InequalityJoin has no columnar kernel), collection layouts are split by
-/// size. A layout that cannot hold rows (file, opaque, none) is a plan
-/// defect, not a transient failure: a typed, non-retried error names the
-/// operator, the slot and what arrived.
+/// size. A layout that cannot hold rows (file, opaque, none) is a
+/// [`wrong_layout`].
 fn input_partitions(
     op: &str,
     inputs: &[ChannelData],
     slot: usize,
     max_partitions: u32,
 ) -> Result<Vec<Dataset>> {
-    match inputs.get(slot).unwrap_or(&ChannelData::None) {
+    match input(inputs, slot) {
         ChannelData::Partitions(p) => Ok(p.as_ref().clone()),
         ChannelData::BatchParts(bs) if !bs.is_empty() => {
             Ok(bs.iter().map(|b| Arc::new(b.to_values())).collect())
@@ -263,9 +276,7 @@ fn input_partitions(
         input @ (ChannelData::Collection(_)
         | ChannelData::Batches(_)
         | ChannelData::BatchParts(_)) => Ok(partition_dataset(&input.flatten()?, max_partitions)),
-        other => Err(RheemError::Unsupported(format!(
-            "{op}: input slot {slot} cannot land a {other:?} channel as partitions"
-        ))),
+        other => Err(wrong_layout(op, slot, other, "partitions")),
     }
 }
 
@@ -383,6 +394,124 @@ pub fn exchange(parts: &[Dataset], key: &KeyUdf, n: usize) -> (Vec<Dataset>, f64
     let bytes: f64 = buckets.iter().map(|b| dataset_bytes(b)).sum();
     // Roughly (1 - 1/nodes) of shuffled bytes cross machine boundaries.
     (buckets.into_iter().map(Arc::new).collect(), bytes * 0.9)
+}
+
+/// One row's place in a routed join: its [`kernels::JoinKeys`] entry and the bucket
+/// [`exchange`] would send it to.
+type Route = (u32, u32);
+
+/// What [`exchange`] would ship of one side: per bucket the [`dataset_bytes`]
+/// of its rows (sampled at the positions they would hold there), ≈90 % of it
+/// crossing machines — read off the rows where they sit.
+fn routed_bytes(parts: &[Dataset], routes: &[Vec<Route>], n: usize) -> f64 {
+    let mut len = vec![0usize; n];
+    for &(_, b) in routes.iter().flatten() {
+        len[b as usize] += 1;
+    }
+    let (mut until, mut sampled, mut total) = (vec![0usize; n], vec![0usize; n], vec![0usize; n]);
+    for (part, routes) in parts.iter().zip(routes) {
+        for (v, &(_, b)) in part.iter().zip(routes) {
+            let j = b as usize;
+            if until[j] == 0 {
+                until[j] = (len[j] / 64).max(1);
+                total[j] += v.approx_bytes();
+                sampled[j] += 1;
+            }
+            until[j] -= 1;
+        }
+    }
+    let avg = |j: usize| if len[j] == 0 { 16.0 } else { total[j] as f64 / sampled[j] as f64 };
+    (0..n).map(|j| avg(j) * len[j] as f64).sum::<f64>() * 0.9
+}
+
+/// The row join of a partitioned engine: partition for partition and row for
+/// row what [`exchange`]-ing both sides into `n` buckets and hash-joining
+/// bucket by bucket emits, without copying or re-hashing a row. One
+/// [`kernels::JoinKeys`] table over the smaller side holds each distinct
+/// key's bucket; the larger side's partitions look their rows up on the pool
+/// (a row without a match is hashed only to be counted); the left rows with
+/// an entry hand one handle each to their bucket, and every bucket writes
+/// its partition in source order. Returns the partitions, the bytes the
+/// exchange would have shipped and the `n` buckets' task times (the table's
+/// and the routing's share spread evenly over them).
+pub fn routed_join(
+    left: &[Dataset],
+    right: &[Dataset],
+    left_key: &KeyUdf,
+    right_key: &KeyUdf,
+    n: usize,
+    workers: usize,
+) -> Result<(Vec<Dataset>, f64, Vec<f64>)> {
+    let n = n.max(1);
+    let started = Instant::now();
+    let rows = |parts: &[Dataset]| parts.iter().map(|p| p.len()).sum::<usize>();
+    let build_right = rows(right) <= rows(left);
+    let (small, small_key, large, large_key) = if build_right {
+        (right, right_key, left, left_key)
+    } else {
+        (left, left_key, right, right_key)
+    };
+    let (keys, entries) = kernels::join_keys(small.iter().flat_map(|p| p.iter()), small_key);
+    let mut bucket = vec![0u32; keys.len()];
+    for (k, &e) in &keys {
+        bucket[e as usize] = kernels::bucket_of_key(k, n) as u32;
+    }
+    let mut entries = entries.into_iter();
+    let small_routes: Vec<Vec<Route>> = small
+        .iter()
+        .map(|p| entries.by_ref().take(p.len()).map(|e| (e, bucket[e as usize])).collect())
+        .collect();
+    let (large_routes, _) = par_each_idx(large.len(), workers, |i| {
+        let route = |v| {
+            let k = large_key.extract(v);
+            match keys.get(&*k) {
+                Some(&e) => (e, bucket[e as usize]),
+                None => (NO_ENTRY, kernels::bucket_of_key(&k, n) as u32),
+            }
+        };
+        Ok(large[i].iter().map(route).collect::<Vec<Route>>())
+    })?;
+    let (lroutes, rroutes) =
+        if build_right { (large_routes, small_routes) } else { (small_routes, large_routes) };
+    let rflat: Vec<&Value> = right.iter().flat_map(|p| p.iter()).collect();
+    let rentries: Vec<u32> = rroutes.iter().flatten().map(|r| r.0).collect();
+    let matches = kernels::join_matches(&rentries, keys.len());
+    // Deal each left row that has an entry to its bucket, as a handle beside
+    // the entry; bucket j then owns column j and moves the handles into its
+    // pairs, which are allocated in the order the partition lists them.
+    let (dealt, _) = par_each_idx(left.len(), workers, |i| {
+        let mut to: Vec<Vec<(Value, u32)>> =
+            (0..n).map(|_| Vec::with_capacity(left[i].len() / n + 1)).collect();
+        for (l, &(e, b)) in left[i].iter().zip(&lroutes[i]) {
+            if e != NO_ENTRY {
+                to[b as usize].push((l.clone(), e));
+            }
+        }
+        Ok(to)
+    })?;
+    let mut columns: Vec<Vec<Vec<(Value, u32)>>> = (0..n).map(|_| Vec::new()).collect();
+    for to in dealt {
+        for (j, rows) in to.into_iter().enumerate() {
+            columns[j].push(rows);
+        }
+    }
+    let columns: Vec<Mutex<_>> = columns.into_iter().map(Mutex::new).collect();
+    let table_ms = started.elapsed().as_secs_f64() * 1000.0;
+    let (out, mut times) = par_each_idx(n, workers, |j| {
+        let column = std::mem::take(&mut *columns[j].lock().expect("one task per bucket"));
+        let pairs = column.iter().flatten().map(|(_, e)| matches[*e as usize].len()).sum();
+        let mut out = Vec::with_capacity(pairs);
+        for (l, e) in column.into_iter().flatten() {
+            if let Some((&last, rest)) = matches[e as usize].split_last() {
+                out.extend(rest.iter().map(|&r| Value::pair(l.clone(), rflat[r as usize].clone())));
+                out.push(Value::pair(l, rflat[last as usize].clone()));
+            }
+        }
+        Ok(Arc::new(out))
+    })?;
+    let bytes = routed_bytes(left, &lroutes, n) + routed_bytes(right, &rroutes, n);
+    times.iter_mut().for_each(|t| *t += table_ms / n as f64);
+    Ok((out, bytes, times))
 }
 
 /// Concatenate row partitions in order.
@@ -548,9 +677,15 @@ mod tests {
         100.0
     }
 
-    fn exchange_hook(ctx: &mut ExecCtx<'_>, op: &str, _bytes: f64, _partitions: usize) {
+    fn exchange_hook(ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize) {
         let op = op.to_string();
-        ctx.trace_event("a.exchange", || vec![("op".to_string(), op.into())]);
+        ctx.trace_event("a.exchange", || {
+            vec![
+                ("op".to_string(), op.into()),
+                ("bytes".to_string(), bytes.into()),
+                ("partitions".to_string(), partitions.into()),
+            ]
+        });
     }
 
     fn stage_hook(ctx: &mut ExecCtx<'_>, _workers: usize, partitions: usize, _in_card: u64) {
@@ -787,6 +922,144 @@ mod tests {
                 .filter(|p| p.iter().any(|v| v.field(0).as_int() == Some(key)))
                 .count();
             assert_eq!(holders, 1, "key {key}");
+        }
+    }
+
+    /// One side of a join: `(key, payload)` rows over `keys` distinct string
+    /// keys starting at `first`, a `skew` share of them on one key, payloads
+    /// of varying size (so the sampled byte figure depends on which rows sit
+    /// at the sampled positions of each bucket).
+    fn side(
+        rng: &mut kernels::SplitMix64,
+        n: usize,
+        first: usize,
+        keys: usize,
+        skew: f64,
+    ) -> Vec<Value> {
+        (0..n)
+            .map(|i| {
+                let k = if rng.chance(skew) { first } else { first + rng.range_usize(keys) };
+                let pad = "x".repeat(rng.range_usize(40));
+                Value::pair(Value::from(format!("k{k:04}")), Value::from(format!("{i}{pad}")))
+            })
+            .collect()
+    }
+
+    /// What the row join arm ran before it routed: exchange both sides, then
+    /// the reference hash join bucket by bucket.
+    fn exchanged_join(
+        left: &[Dataset],
+        right: &[Dataset],
+        lk: &KeyUdf,
+        rk: &KeyUdf,
+        n: usize,
+    ) -> (Vec<Vec<Value>>, f64) {
+        let (le, b1) = exchange(left, lk, n);
+        let (re, b2) = exchange(right, rk, n);
+        let out = le.iter().zip(&re).map(|(l, r)| kernels::hash_join_reference(l, r, lk, rk));
+        (out.collect(), b1 + b2)
+    }
+
+    /// The routed join is the exchanged join: same partitions in the same
+    /// order, the same shipped bytes to the bit, `n` task times — from one
+    /// table per join.
+    #[test]
+    fn routed_join_is_exchange_then_bucket_join() {
+        let mut rng = kernels::SplitMix64(0x20_301b);
+        // (left rows, right rows, right's first key, skew): dimension-shaped,
+        // skewed, nothing matches, right larger than left, an empty side.
+        let shapes = [
+            (900, 60, 0, 0.0),
+            (900, 60, 0, 0.8),
+            (500, 80, 500, 0.0),
+            (70, 1200, 0, 0.3),
+            (0, 40, 0, 0.0),
+            (300, 0, 0, 0.0),
+        ];
+        let opaque = KeyUdf::new("first", |v| v.field(0).clone());
+        for (nl, nr, first, skew) in shapes {
+            let left = side(&mut rng, nl, 0, 64, skew);
+            let right = side(&mut rng, nr, first, 64, skew);
+            for n in [1usize, 2, 7, 49, 80] {
+                for (lparts, rparts) in [(n, 1), (n.div_ceil(2), n)] {
+                    let (l, r) =
+                        (split_contiguous(&left, lparts), split_contiguous(&right, rparts));
+                    for (lk, rk) in
+                        [(KeyUdf::field(0), KeyUdf::field(0)), (opaque.clone(), KeyUdf::field(0))]
+                    {
+                        let at = format!("{nl}x{nr} skew {skew} n={n} {lparts}/{rparts} on {lk:?}");
+                        let built = kernels::TABLES_BUILT.lock().unwrap().len();
+                        let (got, bytes, times) = routed_join(&l, &r, &lk, &rk, n, 2).unwrap();
+                        let tables = kernels::TABLES_BUILT.lock().unwrap()[built..]
+                            .iter()
+                            .filter(|&&k| {
+                                [&lk, &rk].iter().any(|own| *own as *const KeyUdf as usize == k)
+                            })
+                            .count();
+                        assert_eq!(tables, 1, "{at}: one table per join");
+                        let (want, want_bytes) = exchanged_join(&l, &r, &lk, &rk, n);
+                        let got: Vec<Vec<Value>> = got.iter().map(|p| p.as_ref().clone()).collect();
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(
+                            bytes.to_bits(),
+                            want_bytes.to_bits(),
+                            "{at}: {bytes} vs {want_bytes}"
+                        );
+                        assert_eq!(times.len(), n, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the join arm tells the clock, the exchange hook and the batch
+    /// statistics is what the exchange told them — also when only one slot
+    /// arrives columnar, so the arm takes the row path in batch mode.
+    #[test]
+    fn join_arm_reports_what_the_exchange_reported() {
+        let profiles = Profiles::paper_testbed();
+        let mut rng = kernels::SplitMix64(0x20_301c);
+        let (left, right) = (side(&mut rng, 700, 0, 32, 0.2), side(&mut rng, 90, 0, 32, 0.2));
+        let key = KeyUdf::field(0);
+        let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
+        let (l, r) = (split_contiguous(&left, 7), split_contiguous(&right, 3));
+        let (want, want_bytes) = exchanged_join(&l, &r, &key, &key, 7);
+        let columnar: Vec<Batch> = r.iter().map(|p| Batch::from_values(p)).collect();
+        let right_layouts = [
+            (ChannelData::Partitions(Arc::new(r.clone())), Some(Fallback::RowInput)),
+            (ChannelData::BatchParts(Arc::new(columnar)), Some(Fallback::RowInput)),
+        ];
+        for (batched, (right, why)) in [true, false]
+            .into_iter()
+            .flat_map(|b| right_layouts.iter().cloned().map(move |l| (b, l)))
+        {
+            let mut ctx = ExecCtx::new(&profiles, 0);
+            ctx.set_batch(batched);
+            ctx.set_tracing(true);
+            let inputs = [ChannelData::Partitions(Arc::new(l.clone())), right];
+            let out = Chain::new(&A, vec![join.clone()])
+                .execute(&mut ctx, &inputs, &BroadcastCtx::new())
+                .unwrap();
+            let ChannelData::Partitions(got) = out else { panic!("row partitions expected") };
+            let got: Vec<Vec<Value>> = got.iter().map(|p| p.as_ref().clone()).collect();
+            assert_eq!(got, want);
+            let events = ctx.take_events();
+            assert_eq!(events.len(), 1);
+            let attrs: Vec<String> =
+                events[0].attrs.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+            let bytes = crate::trace::AttrValue::from(want_bytes);
+            assert_eq!(
+                attrs,
+                [
+                    "op=Str(\"Join\")".to_string(),
+                    format!("bytes={bytes:?}"),
+                    "partitions=Int(7)".to_string()
+                ]
+            );
+            let stats = ctx.take_vec_stats();
+            assert_eq!(stats.exch_row_rows, if batched { 790 } else { 0 });
+            assert_eq!(stats.fallback, why.filter(|_| batched));
+            assert_eq!((stats.exch_batches, stats.exch_rows), (0, 0));
         }
     }
 

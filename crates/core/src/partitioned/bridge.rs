@@ -2,8 +2,11 @@
 //! channel to and from the driver's collection, and a text file into it.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use super::{partition_count, partition_dataset, pool_size, read_text_parts, Engine};
+use super::{
+    input, partition_count, partition_dataset, pool_size, read_text_parts, wrong_layout, Engine,
+};
 use crate::channel::{kinds, ChannelData, ChannelKind};
 use crate::cost::{linear_cpu, CostModel, Load};
 use crate::error::Result;
@@ -11,7 +14,8 @@ use crate::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
 use crate::platform::PlatformId;
 use crate::udf::BroadcastCtx;
 
-/// Record one run of the bridge `name`: a transfer, so no host time.
+/// Record one run of the bridge `name`: `ms` on the virtual clock, and the
+/// host time since `started` (a bridge copies or reads every row it moves).
 fn record(
     ctx: &mut ExecCtx<'_>,
     engine: &Engine,
@@ -19,6 +23,7 @@ fn record(
     in_card: u64,
     out_card: u64,
     ms: f64,
+    started: Instant,
 ) {
     ctx.record(OpMetrics {
         name: name.to_string(),
@@ -26,7 +31,7 @@ fn record(
         in_card,
         out_card,
         virtual_ms: ms,
-        real_ms: 0.0,
+        real_ms: started.elapsed().as_secs_f64() * 1000.0,
     });
 }
 
@@ -75,10 +80,12 @@ impl ExecutionOperator for Collect {
     ) -> Result<ChannelData> {
         let e = self.engine;
         ctx.transfer_gate(e.platform, &self.name)?;
-        let data = inputs[0].flatten()?;
+        let started = Instant::now();
+        let rows = input(inputs, 0);
+        let data = rows.flatten().map_err(|_| wrong_layout(&self.name, 0, rows, "rows"))?;
         let net = ctx.profile(e.platform).net_ms(dataset_bytes(&data) * 0.9);
         let card = data.len() as u64;
-        record(ctx, e, &self.name, card, card, net + e.bridge_ms);
+        record(ctx, e, &self.name, card, card, net + e.bridge_ms, started);
         Ok(ChannelData::Collection(data))
     }
 }
@@ -132,23 +139,25 @@ impl ExecutionOperator for FromCollection {
     ) -> Result<ChannelData> {
         let e = self.engine;
         ctx.transfer_gate(e.platform, &self.name)?;
+        let started = Instant::now();
         let profile = ctx.profile(e.platform);
         // Already-partitioned handoffs pass through by Arc — no flatten +
         // re-chunk round trip through a fresh Vec.
-        let (parts, card, bytes) = match &inputs[0] {
+        let (parts, card, bytes) = match input(inputs, 0) {
             ChannelData::Partitions(p) => {
                 let card: usize = p.iter().map(|d| d.len()).sum();
                 let bytes: f64 = p.iter().map(|d| dataset_bytes(d)).sum();
                 (Arc::clone(p), card, bytes)
             }
             other => {
-                let data = other.flatten()?;
+                let data =
+                    other.flatten().map_err(|_| wrong_layout(&self.name, 0, other, "rows"))?;
                 let parts = partition_dataset(&data, profile.partitions);
                 (Arc::new(parts), data.len(), dataset_bytes(&data))
             }
         };
         let net = profile.net_ms(bytes * 0.9);
-        record(ctx, e, &self.name, card as u64, card as u64, net + e.bridge_ms);
+        record(ctx, e, &self.name, card as u64, card as u64, net + e.bridge_ms, started);
         Ok(ChannelData::Partitions(parts))
     }
 }
@@ -199,11 +208,13 @@ impl ExecutionOperator for ReadTextFile {
     ) -> Result<ChannelData> {
         let e = self.engine;
         ctx.transfer_gate(e.platform, &self.name)?;
+        let started = Instant::now();
         let profile = ctx.profile(e.platform);
-        let (parts, read_ms) =
-            read_text_parts(inputs[0].as_file()?, profile.partitions, pool_size(profile))?;
+        let file = input(inputs, 0);
+        let path = file.as_file().map_err(|_| wrong_layout(&self.name, 0, file, "a file"))?;
+        let (parts, read_ms) = read_text_parts(path, profile.partitions, pool_size(profile))?;
         let out_card: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        record(ctx, e, &self.name, 0, out_card, read_ms);
+        record(ctx, e, &self.name, 0, out_card, read_ms, started);
         Ok(ChannelData::Partitions(Arc::new(parts)))
     }
 }

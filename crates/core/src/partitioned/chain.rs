@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use super::{
     bucket_bytes, bucketize, chain_cost, exchange, flatten_parts, input_partitions, input_parts,
-    par_each, par_each_idx, partition_count, pool_size, read_text_parts, reduce_exchange, shipped,
-    split_contiguous, Engine,
+    par_each, par_each_idx, partition_count, pool_size, read_text_parts, reduce_exchange,
+    routed_join, shipped, split_contiguous, Engine,
 };
 use crate::batch::{self, Batch, Part, VectorKernel};
 use crate::channel::{ChannelData, ChannelKind};
@@ -427,14 +427,11 @@ impl ExecutionOperator for Chain {
                             };
                             ctx.report_exchange_fallback(total, why);
                         }
-                        let (le, b1) = exchange(&lrows, left_key, n);
-                        let (re, b2) = exchange(&rrows, right_key, n);
-                        engine.exchanged(ctx, "Join", b1 + b2, n);
-                        let (out, t) = par_each(&le, workers, |i, d| {
-                            Ok(kernels::hash_join(d, &re[i], left_key, right_key))
-                        })?;
+                        let (out, bytes, t) =
+                            routed_join(&lrows, &rrows, left_key, right_key, n, workers)?;
+                        engine.exchanged(ctx, "Join", bytes, n);
                         parts = batch::into_row_parts(out);
-                        virtual_ms += profile.net_ms(b1 + b2) + profile.parallel_ms(&t);
+                        virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
                     }
                 }
                 LogicalOp::Cartesian | LogicalOp::InequalityJoin { .. } => {

@@ -6,6 +6,7 @@
 //! description that lets relational platforms push the predicate into an
 //! index scan.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -569,6 +570,18 @@ impl KeyUdf {
     #[inline]
     pub fn call(&self, v: &Value) -> Value {
         (self.f)(v)
+    }
+
+    /// [`call`](Self::call) without the clone where the key is a recognized
+    /// projection: the key is borrowed from the quantum, and owned only when
+    /// an opaque closure computes it.
+    #[inline]
+    pub fn extract<'a>(&self, v: &'a Value) -> Cow<'a, Value> {
+        match self.spec {
+            Some(KeySpec::Field(i)) => Cow::Borrowed(v.field(i)),
+            Some(KeySpec::Identity) => Cow::Borrowed(v),
+            None => Cow::Owned(self.call(v)),
+        }
     }
 }
 

@@ -25,7 +25,7 @@ use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
 use rheem_core::fused;
 use rheem_core::mapping::{upstream_chain, FnMapping};
 use rheem_core::partitioned::{
-    partition_count, supported, ChainCosts, Collect, Engine, FromCollection, ReadTextFile,
+    self, partition_count, supported, ChainCosts, Collect, Engine, FromCollection, ReadTextFile,
 };
 use rheem_core::plan::{OpKind, OperatorNode, RheemPlan};
 use rheem_core::platform::{ids, Platform, PlatformId};
@@ -151,19 +151,20 @@ impl ExecutionOperator for SparkCache {
         ctx.transfer_gate(ids::SPARK, self.name())?;
         // Columnar stage outputs cache as-is (zero-copy Arc bump): consumers
         // get the same 1:1 batch partitions the uncached channel carries.
-        let (out, bytes) = match &inputs[0] {
+        let rdd = partitioned::input(inputs, 0);
+        let (out, bytes) = match rdd {
             ChannelData::BatchParts(bs) => {
                 let bytes: f64 = bs.iter().map(batch::batch_bytes).sum();
                 (ChannelData::BatchParts(Arc::clone(bs)), bytes)
             }
-            _ => {
-                let parts = inputs[0].as_partitions()?.clone();
+            ChannelData::Partitions(parts) => {
                 let bytes: f64 = parts.iter().map(|p| dataset_bytes(p)).sum();
-                (ChannelData::Partitions(parts), bytes)
+                (ChannelData::Partitions(Arc::clone(parts)), bytes)
             }
+            other => return Err(partitioned::wrong_layout(self.name(), 0, other, "partitions")),
         };
         ctx.check_mem(ids::SPARK, bytes)?;
-        let card = inputs[0].cardinality().unwrap_or(0) as u64;
+        let card = rdd.cardinality().unwrap_or(0) as u64;
         ctx.record(OpMetrics {
             name: "SparkCache".into(),
             platform: ids::SPARK,

@@ -42,7 +42,7 @@ cargo run --release -q -p rheem-bench --bin sched_bench
 echo "== result-cache bench gate (warm rerun >= 2x; structural sharing >= 2x; spill replay >= 2x)"
 cargo run --release -q -p rheem-bench --bin cache_bench
 
-echo "== columnar batch bench gate (>= 1.5x on wordcount, scan, shuffle exchange, join)"
+echo "== columnar batch bench gate (>= 1.5x on wordcount, scan, shuffle exchange; join reported)"
 cargo run --release -q -p rheem-bench --bin batch_bench
 
 echo "== multi-tenant service stress suite (2-core and 8-core pool shapes)"

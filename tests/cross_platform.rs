@@ -180,6 +180,39 @@ fn distributed_engines_land_every_channel_layout() {
     }
 }
 
+/// The `join_400k` plan shape (string-keyed fact ⋈ dimension from driver
+/// collections, collected) at a scale that still spans several partitions:
+/// the sink arrives in the order the engine's exchange-then-join produced —
+/// bucket by bucket, left-major inside each (both engines cut this input
+/// into the same five partitions). The hash was taken on the commit before
+/// the join routed rows instead of moving them.
+#[test]
+fn partitioned_row_join_keeps_the_engine_order() {
+    let mut rng = rheem_core::kernels::SplitMix64(400);
+    let key = |i: usize| Value::from(format!("k{i:06}"));
+    let dim: Vec<Value> =
+        (0..313).map(|i| Value::pair(key(i), Value::from(rng.range_usize(1000)))).collect();
+    let fact: Vec<Value> =
+        (0..40_000).map(|i| Value::pair(key(rng.range_usize(313)), Value::from(i))).collect();
+    let mut b = PlanBuilder::new();
+    let d = b.collection(dim);
+    let sink = b.collection(fact).join(&d, KeyUdf::field(0), KeyUdf::field(0)).collect();
+    let plan = b.build().unwrap();
+    for forced in [ids::SPARK, ids::FLINK] {
+        let mut ctx = rheem::default_context();
+        ctx.forced_platform = Some(forced);
+        let result = ctx.execute(&plan).unwrap();
+        let rows = result.sink(sink).unwrap();
+        assert_eq!(rows.len(), 40_000);
+        // FNV-1a over the rendered rows, in sink order.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in rows.iter().flat_map(|v| format!("{v}\n").into_bytes()) {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(hash, 0x7e26_d52c_9b3d_5a08, "{forced:?}: sink order hash {hash:#018x}");
+    }
+}
+
 #[test]
 fn forced_platform_is_respected() {
     for forced in [ids::JAVA_STREAMS, ids::SPARK, ids::FLINK] {

@@ -10,7 +10,7 @@ use rheem_core::channel::{kinds, ChannelData, ChannelKind};
 use rheem_core::cost::{CostModel, Load};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
 use rheem_core::mapping::{Candidate, FnMapping};
-use rheem_core::plan::{LogicalOp, OpKind, PlanBuilder};
+use rheem_core::plan::{DataQuanta, LogicalOp, OpKind, PlanBuilder};
 use rheem_core::udf::BroadcastCtx;
 
 /// A map operator whose first `fail_times` executions die with a transient
@@ -196,10 +196,12 @@ fn independent_branches_overlap_in_virtual_time() {
     );
 }
 
-/// A map that declares an engine's native channel but hands over a payload
-/// that cannot hold rows — a deterministic defect, not a lost executor.
+/// A map that declares one channel kind but hands over a payload of another
+/// layout — a deterministic defect, not a lost executor.
 struct Mislabelled {
-    engine: &'static rheem_core::partitioned::Engine,
+    platform: PlatformId,
+    accepts: Vec<ChannelKind>,
+    output: ChannelKind,
     payload: ChannelData,
 }
 
@@ -208,13 +210,13 @@ impl ExecutionOperator for Mislabelled {
         "Mislabelled"
     }
     fn platform(&self) -> PlatformId {
-        self.engine.platform
+        self.platform
     }
     fn accepted_inputs(&self, _slot: usize) -> Vec<ChannelKind> {
-        self.engine.accepts.to_vec()
+        self.accepts.clone()
     }
     fn output_kind(&self) -> ChannelKind {
-        self.engine.output
+        self.output
     }
     fn load(&self, _in: &[f64], _b: f64, _m: &CostModel) -> Load {
         Load::default()
@@ -229,49 +231,113 @@ impl ExecutionOperator for Mislabelled {
     }
 }
 
-/// A stage input of the wrong layout fails the job at once with the typed
-/// error: no retry is spent on it, no backoff charged, and the platform is
-/// not blacklisted for a failure that would repeat anywhere.
+/// Run `collection → map("mislabel") → rest`, with the map executed by
+/// `bad`: the job must fail at once with the typed error naming `operator`
+/// and its slot 0 — no retry spent, no backoff charged, no platform
+/// blacklisted for a failure that would repeat anywhere.
+fn assert_layout_defect_is_not_retried(
+    bad: Mislabelled,
+    operator: &str,
+    rest: impl Fn(DataQuanta),
+) {
+    let at = format!("{:?} handed to {operator}", bad.payload);
+    let platform = bad.platform;
+    let mut ctx = rheem::default_context();
+    ctx.config_mut().retry_budget = 2;
+    let bad = Arc::new(bad);
+    ctx.registry_mut().add_mapping(Arc::new(FnMapping(
+        move |_p: &rheem_core::plan::RheemPlan, n: &rheem_core::plan::OperatorNode| match &n.op {
+            LogicalOp::Map(u) if &*u.name == "mislabel" => {
+                vec![Candidate::single(n.id, Arc::clone(&bad) as Arc<dyn ExecutionOperator>)]
+            }
+            _ => vec![],
+        },
+    )));
+    let mut b = PlanBuilder::new();
+    let rows = b.collection((0..100i64).map(Value::from).collect::<Vec<_>>());
+    rest(rows.map(MapUdf::new("mislabel", |v| v.clone())).with_target_platform(platform));
+    let plan = b.build().unwrap();
+    let err = match ctx.execute(&plan) {
+        Err(e) => e,
+        Ok(_) => panic!("{at}: must not run\n{}", ctx.explain(&plan).unwrap()),
+    };
+    let RheemError::Unsupported(msg) = &err else { panic!("{at}: {err}") };
+    assert!(msg.contains(operator) && msg.contains("slot 0"), "{at}: {msg}");
+    assert_eq!(ctx.monitor().retries(), 0, "{at}");
+    assert!(ctx.monitor().fault_records().is_empty(), "{at}: no RetryRec was replayed");
+}
+
+/// A stage or bridge input of the wrong layout is a plan defect: the chain
+/// operator's landing, the three bridges of each partitioned engine and
+/// spark's cache all reject it with the typed, never-retried error.
 #[test]
 fn wrong_channel_layout_is_not_retried() {
-    let payloads = [
+    let rowless = [
         ChannelData::File(Arc::new("hdfs://tests/fault/nowhere.txt".into())),
         ChannelData::Opaque { kind: kinds::NONE, payload: Arc::new(0u8) },
         ChannelData::None,
     ];
+    let fileless = [
+        ChannelData::Collection(Arc::new(vec![Value::from(1)])),
+        ChannelData::Opaque { kind: kinds::NONE, payload: Arc::new(0u8) },
+        ChannelData::None,
+    ];
     for engine in [&platform_spark::SPARK, &platform_flink::FLINK] {
-        for payload in &payloads {
-            let mut ctx = rheem::default_context();
-            ctx.config_mut().retry_budget = 2;
-            let bad = Arc::new(Mislabelled { engine, payload: payload.clone() });
-            ctx.registry_mut().add_mapping(Arc::new(FnMapping(
-                move |_p: &rheem_core::plan::RheemPlan, n: &rheem_core::plan::OperatorNode| match &n
-                    .op
-                {
-                    LogicalOp::Map(u) if &*u.name == "mislabel" => vec![Candidate::single(
-                        n.id,
-                        Arc::clone(&bad) as Arc<dyn ExecutionOperator>,
-                    )],
-                    _ => vec![],
+        let on_engine = |payload: &ChannelData| Mislabelled {
+            platform: engine.platform,
+            accepts: engine.accepts.to_vec(),
+            output: engine.output,
+            payload: payload.clone(),
+        };
+        // Off every registered platform, so the real map is no candidate.
+        let on_driver = |output: ChannelKind, payload: &ChannelData| Mislabelled {
+            platform: PlatformId("tests.mislabelling"),
+            accepts: vec![kinds::COLLECTION],
+            output,
+            payload: payload.clone(),
+        };
+        let label = engine.label;
+        let distinct = |q: DataQuanta| {
+            q.distinct().with_target_platform(engine.platform).collect();
+        };
+        for payload in &rowless {
+            assert_layout_defect_is_not_retried(
+                on_engine(payload),
+                &format!("{label}Distinct"),
+                distinct,
+            );
+            assert_layout_defect_is_not_retried(
+                on_engine(payload),
+                &format!("{label}Collect"),
+                |q| {
+                    q.collect();
                 },
-            )));
-            let mut b = PlanBuilder::new();
-            b.collection((0..100i64).map(Value::from).collect::<Vec<_>>())
-                .map(MapUdf::new("mislabel", |v| v.clone()))
-                .with_target_platform(engine.platform)
-                .distinct()
-                .with_target_platform(engine.platform)
-                .collect();
-            let plan = b.build().unwrap();
-            let err = match ctx.execute(&plan) {
-                Err(e) => e,
-                Ok(_) => panic!("{payload:?} must not land on {}", engine.label),
-            };
-            let RheemError::Unsupported(msg) = &err else { panic!("{err}") };
-            assert!(msg.contains(&format!("{}Distinct", engine.label)), "{msg}");
-            assert!(msg.contains("slot 0"), "{msg}");
-            assert_eq!(ctx.monitor().retries(), 0);
-            assert!(ctx.monitor().fault_records().is_empty(), "no RetryRec was replayed");
+            );
+            assert_layout_defect_is_not_retried(
+                on_driver(kinds::COLLECTION, payload),
+                &format!("{label}{}", engine.from_collection),
+                distinct,
+            );
         }
+        for payload in &fileless {
+            assert_layout_defect_is_not_retried(
+                on_driver(kinds::HDFS_FILE, payload),
+                &format!("{label}ReadTextFile"),
+                distinct,
+            );
+        }
+    }
+    // Two consumers make spark cache the mislabelled RDD.
+    for payload in &rowless {
+        let bad = Mislabelled {
+            platform: ids::SPARK,
+            accepts: vec![platform_spark::RDD],
+            output: platform_spark::RDD,
+            payload: payload.clone(),
+        };
+        assert_layout_defect_is_not_retried(bad, "SparkCache", |q| {
+            let twice = q.distinct().with_target_platform(ids::SPARK);
+            twice.union(&q.count().with_target_platform(ids::SPARK)).collect();
+        });
     }
 }

@@ -239,7 +239,10 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
             cadence_ms: 0.0, // sweep on every completion
             starvation_lag_ms: 200.0,
             straggler_factor: 4.0,
-            straggler_min_ms: 60.0,
+            // Between the starved tenant's solo 4 000-row stage (≈60 virtual
+            // ms, scaled host time: at 60 a slow host flagged it 1 run in 6)
+            // and the injected 100 000-row straggler (≈1 500).
+            straggler_min_ms: 300.0,
             ..Default::default()
         },
         ..Default::default()
