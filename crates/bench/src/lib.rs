@@ -133,8 +133,8 @@ pub fn scale() -> f64 {
 /// Build the WordCount plan over a text file (Table 1's text-mining task).
 ///
 /// Built from the spec'd UDF constructors, so the whole tokenize → pair →
-/// sum-by-key chain compiles to vector kernels under `RHEEM_BATCH=on`
-/// (identical row-mode semantics; see `rheem_core::batch`).
+/// sum-by-key chain compiles to vector kernels when batch execution is on
+/// (the default; identical row-mode semantics, see `rheem_core::batch`).
 pub fn wordcount_plan(path: impl Into<PathBuf>) -> Result<(RheemPlan, OperatorId)> {
     let mut b = PlanBuilder::new();
     let sink = b

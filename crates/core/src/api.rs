@@ -116,9 +116,8 @@ pub struct RheemContext {
     monitor: Monitor,
     metrics: MetricsRegistry,
     cache: Option<Arc<ResultCache>>,
-    /// Always-on flight recorder ([`crate::obs`]); `None` only after an
-    /// explicit [`RheemContext::set_recorder`] ablation.
-    recorder: Option<Arc<crate::obs::FlightRecorder>>,
+    /// Always-on flight recorder ([`crate::obs`]).
+    recorder: Arc<crate::obs::FlightRecorder>,
     /// Force every mappable operator onto one platform (platform-
     /// independence experiments; `None` = free choice).
     pub forced_platform: Option<PlatformId>,
@@ -135,11 +134,6 @@ impl RheemContext {
     pub fn new() -> Self {
         let mut registry = Registry::new();
         register_builtins(&mut registry);
-        let recorder = Some(Arc::new(crate::obs::FlightRecorder::default()));
-        let cache = ResultCache::from_env();
-        if let (Some(c), Some(r)) = (&cache, &recorder) {
-            c.set_recorder(Some(Arc::clone(r)));
-        }
         Self {
             registry,
             profiles: Profiles::paper_testbed(),
@@ -147,8 +141,8 @@ impl RheemContext {
             config: ExecConfig::default(),
             monitor: Monitor::new(),
             metrics: MetricsRegistry::new(),
-            cache,
-            recorder,
+            cache: None,
+            recorder: Arc::new(crate::obs::FlightRecorder::default()),
             forced_platform: None,
         }
     }
@@ -168,17 +162,16 @@ impl RheemContext {
     }
 
     /// Enable or disable columnar batch execution (builder style; see
-    /// [`crate::batch`]). Overrides the `RHEEM_BATCH` environment setting —
-    /// tests use this to A/B the vectorized and row interpreters without
-    /// env races. Plan choice is unaffected: the cost model's vectorization
-    /// discount depends only on static chain vectorizability.
+    /// [`crate::batch`]) — how tests A/B the vectorized and row
+    /// interpreters. Plan choice is unaffected: the cost model's
+    /// vectorization discount depends only on static chain vectorizability.
     pub fn with_batch(mut self, on: bool) -> Self {
         self.config.batch = on;
         self
     }
 
     /// Enable the cross-job result cache with a byte budget (builder
-    /// style). Overrides the `RHEEM_CACHE` environment setting.
+    /// style); a new context has none.
     pub fn with_cache(mut self, budget_bytes: u64) -> Self {
         self.set_cache(Some(Arc::new(ResultCache::new(budget_bytes))));
         self
@@ -201,24 +194,14 @@ impl RheemContext {
     /// recorder follows the cache handle.
     pub fn set_cache(&mut self, cache: Option<Arc<ResultCache>>) {
         if let Some(c) = &cache {
-            c.set_recorder(self.recorder.clone());
+            c.set_recorder(Arc::clone(&self.recorder));
         }
         self.cache = cache;
     }
 
-    /// The context's flight recorder ([`crate::obs`]), unless ablated.
-    pub fn recorder(&self) -> Option<&Arc<crate::obs::FlightRecorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// Replace or disable (`None`) the flight recorder — the ablation knob
-    /// the observability bench uses to measure recorder overhead. The
-    /// attached cache's recorder hook follows.
-    pub fn set_recorder(&mut self, recorder: Option<Arc<crate::obs::FlightRecorder>>) {
-        if let Some(c) = &self.cache {
-            c.set_recorder(recorder.clone());
-        }
-        self.recorder = recorder;
+    /// The context's flight recorder ([`crate::obs`]).
+    pub fn recorder(&self) -> &Arc<crate::obs::FlightRecorder> {
+        &self.recorder
     }
 
     /// Register a platform.
@@ -333,7 +316,7 @@ impl RheemContext {
         config.cache_ns = scope.cache_ns;
         config.cache_shared_read = scope.cache_shared_read;
         config.stage_gate = scope.stage_gate.clone();
-        config.recorder = self.recorder.clone();
+        config.recorder = Some(Arc::clone(&self.recorder));
         config.job = scope.job;
         let job_monitor = Monitor::new();
         let outcome = match run_progressive(
@@ -447,7 +430,7 @@ impl RheemContext {
         let cache_before = self.cache.as_ref().map(|c| c.stats());
         let mut config = config.clone();
         if config.recorder.is_none() {
-            config.recorder = self.recorder.clone();
+            config.recorder = Some(Arc::clone(&self.recorder));
         }
         let outcome = run_progressive(
             plan,

@@ -33,9 +33,11 @@
 //! bytes: interned strings and shared column allocations are sized once,
 //! not once per reference.
 //!
-//! The cache is off unless `RHEEM_CACHE=on` (budget: `RHEEM_CACHE_MB`,
-//! default 256; disk tier: `RHEEM_CACHE_DISK_MB`, default off); entries are
-//! evicted least-recently-used under the byte budgets.
+//! A context has no cache until one is attached
+//! ([`crate::api::RheemContext::with_cache`] /
+//! [`crate::api::RheemContext::set_cache`], with a disk tier via
+//! [`ResultCache::with_disk`]); entries are evicted least-recently-used
+//! under the byte budgets.
 
 pub mod spill;
 
@@ -616,9 +618,6 @@ impl Inner {
     }
 }
 
-/// Default byte budget (256 MB), overridable via `RHEEM_CACHE_MB`.
-pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
-
 /// Shared, size-budgeted cross-job cache of reusable intermediate results,
 /// keyed by subplan [`Fingerprint`]. Thread-safe; share one handle across
 /// contexts via [`crate::api::RheemContext::with_shared_cache`].
@@ -652,11 +651,10 @@ impl ResultCache {
         }
     }
 
-    /// Attach (or detach, with `None`) a flight recorder. Hit, insert,
-    /// eviction, spill and promotion events are recorded outside the cache
-    /// lock.
-    pub fn set_recorder(&self, recorder: Option<Arc<FlightRecorder>>) {
-        *self.recorder.lock().unwrap() = recorder;
+    /// Attach a flight recorder. Hit, insert, eviction, spill and promotion
+    /// events are recorded outside the cache lock.
+    pub fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
+        *self.recorder.lock().unwrap() = Some(recorder);
     }
 
     fn rec(&self) -> Option<Arc<FlightRecorder>> {
@@ -672,28 +670,6 @@ impl ResultCache {
                 r.record(*kind, None, None, None, *bytes as f64, &format!("fp:{vfp:016x}"));
             }
         }
-    }
-
-    /// Build from the environment: `Some` iff `RHEEM_CACHE` is `on`/`1`/
-    /// `true` (case-insensitive), with the memory budget from
-    /// `RHEEM_CACHE_MB` and the spill-tier budget from
-    /// `RHEEM_CACHE_DISK_MB` (unset or 0: spilling off).
-    pub fn from_env() -> Option<Arc<ResultCache>> {
-        let v = std::env::var("RHEEM_CACHE").ok()?;
-        if !matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true") {
-            return None;
-        }
-        let budget = std::env::var("RHEEM_CACHE_MB")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(|mb| mb << 20)
-            .unwrap_or(DEFAULT_BUDGET_BYTES);
-        let disk = std::env::var("RHEEM_CACHE_DISK_MB")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(|mb| mb << 20)
-            .unwrap_or(0);
-        Some(Arc::new(ResultCache::with_disk(budget, disk)))
     }
 
     /// The configured memory byte budget.

@@ -199,8 +199,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Enable or disable columnar batch execution for this context (the
-    /// executor forwards [`crate::executor::ExecConfig::batch`], i.e. the
-    /// `RHEEM_BATCH` switch). Defaults to on.
+    /// executor forwards [`crate::executor::ExecConfig::batch`]). Defaults
+    /// to on.
     pub fn set_batch(&mut self, on: bool) {
         self.batch = on;
     }

@@ -73,15 +73,15 @@ pub struct ExecConfig {
     /// concurrent dispatch when the pool has more than one worker, the
     /// in-line walk otherwise (on a single CPU, cross-thread stage handoffs
     /// only add context-switch overhead). Both modes produce byte-identical
-    /// results, traces and virtual times; the env var `RHEEM_SCHED`
-    /// (`conc` / `seq`) pins the default for A/B matrices.
+    /// results, traces and virtual times (`tests/differential.rs` forces
+    /// both per case).
     pub concurrent: Option<bool>,
     /// Columnar batch execution ([`crate::batch`]): fused chains whose steps
     /// carry spec descriptors run as vectorized kernels over typed column
     /// slices; everything else falls back to the row interpreter. Both modes
     /// produce byte-identical results, traces and virtual-time structure.
-    /// Defaults to on; the env var `RHEEM_BATCH` (`on` / `off`) pins it for
-    /// A/B matrices.
+    /// Defaults to on; [`crate::api::RheemContext::with_batch`] selects the
+    /// row interpreter.
     pub batch: bool,
     /// Tenant this job runs on behalf of (multi-tenant
     /// [`crate::service::JobService`]); stamps the job trace span so
@@ -139,13 +139,8 @@ impl Default for ExecConfig {
             chaos_seed: None,
             fault_plan: None,
             tracing: true,
-            concurrent: std::env::var("RHEEM_SCHED")
-                .ok()
-                .map(|v| !matches!(v.as_str(), "seq" | "sequential" | "off" | "0")),
-            batch: !matches!(
-                std::env::var("RHEEM_BATCH").ok().as_deref(),
-                Some("off" | "0" | "row" | "false")
-            ),
+            concurrent: None,
+            batch: true,
             tenant: None,
             cache_ns: crate::cache::Namespace::SHARED,
             cache_shared_read: true,

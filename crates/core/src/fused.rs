@@ -176,7 +176,8 @@ impl FusedPipeline {
     /// Whether every step carries a recognized spec, i.e. the chain compiles
     /// to a [`crate::batch::VectorKernel`]. Static property of the plan —
     /// used by platform cost models for the vectorization discount, so it
-    /// must not depend on the runtime `RHEEM_BATCH` switch.
+    /// must not depend on the runtime [`crate::executor::ExecConfig::batch`]
+    /// switch.
     pub fn vectorizable(&self) -> bool {
         crate::batch::VectorKernel::compile(self).is_some()
     }

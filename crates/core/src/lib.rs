@@ -81,8 +81,7 @@ pub mod prelude {
     };
     pub use crate::platform::{ids, Platform, PlatformId};
     pub use crate::service::{
-        simulate_fair_share, FairShare, JobHandle, JobService, ServiceConfig, SimJob, SimOutcome,
-        StageGate, TenantSpec,
+        FairShare, JobHandle, JobService, ServiceConfig, StageGate, TenantSpec,
     };
     pub use crate::trace::{JobTrace, OpProfile, Span, SpanKind};
     pub use crate::udf::{

@@ -3,10 +3,11 @@
 //!
 //! Routes: `/metrics` (Prometheus text exposition), `/healthz`, `/jobs`,
 //! `/tenants` (JSON), and `/flight?n=K` (flight-recorder dump of the most
-//! recent K events). Anything else is 404. The server is opt-in via
+//! recent K events). Anything else is 404; a malformed request, or one whose
+//! head exceeds 8 KiB, is 400. The server is opt-in via
 //! [`crate::service::JobService::serve`] or the `RHEEM_OBS_ADDR` env var.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,6 +36,8 @@ pub trait ObsSource: Send + Sync + 'static {
 const DEFAULT_FLIGHT_N: usize = 256;
 /// Per-connection socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Cap on a request's line plus headers; a longer head is answered 400.
+const MAX_HEAD_BYTES: u64 = 8 << 10;
 
 /// Route `path` (with optional query string) against `source`. Returns
 /// `(status_line_suffix, content_type, body)`. Pure so tests can exercise
@@ -71,29 +74,41 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-fn handle_conn(source: &dyn ObsSource, stream: TcpStream) {
+/// Read the request line, then drain headers up to the blank line so
+/// well-behaved clients don't see a reset while still writing. At most
+/// [`MAX_HEAD_BYTES`] are read: `Ok(None)` when the head is longer. A read
+/// error on the request line is returned; one while draining headers only
+/// ends the drain.
+fn read_head(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
+    let mut request_line = String::new();
+    reader.read_line(&mut request_line)?;
+    let mut cut = !request_line.ends_with('\n');
+    let mut line = String::new();
+    while !cut {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(n) if n > 0 && line != "\r\n" && line != "\n" => cut = !line.ends_with('\n'),
+            _ => break,
+        }
+    }
+    if cut && reader.get_ref().limit() == 0 {
+        return Ok(None);
+    }
+    Ok(Some(request_line))
+}
+
+fn handle_conn(source: &dyn ObsSource, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers until the blank line so well-behaved clients don't see
-    // a reset while still writing.
-    let mut header = String::new();
-    while reader.read_line(&mut header).is_ok() {
-        if header == "\r\n" || header == "\n" || header.is_empty() {
-            break;
-        }
-        header.clear();
-    }
+    let Ok(head) = read_head(&stream) else { return };
+    // An over-cap head parses as an empty request line: 400.
+    let request_line = head.unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let (status, ctype, body) = match (parts.next(), parts.next()) {
         (Some("GET"), Some(path)) => handle_request(source, path),
         _ => (400, "text/plain; version=0.0.4", String::from("malformed request\n")),
     };
-    let mut stream = reader.into_inner();
     let _ = write!(
         stream,
         "HTTP/1.0 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -211,5 +226,20 @@ mod tests {
         assert!(body.contains("x 1"));
         drop(srv); // joins the accept thread; port is released
         assert!(crate::obs::scrape(&addr.to_string(), "/metrics").is_err());
+    }
+
+    #[test]
+    fn oversized_request_head_is_rejected_without_waiting() {
+        let srv = ObsServer::bind("127.0.0.1:0", Arc::new(Stub)).unwrap();
+        let mut client = TcpStream::connect(srv.addr()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        // Twice the cap with no newline, and the socket stays open.
+        client.write_all(&[b'a'; 2 * MAX_HEAD_BYTES as usize]).unwrap();
+        let mut reply = [0u8; 64];
+        let n = client.read(&mut reply).expect("a reply within 1 s");
+        let reply = String::from_utf8_lossy(&reply[..n]);
+        assert!(reply.starts_with("HTTP/1.0 400 "), "{reply:?}");
+        let body = crate::obs::scrape(&srv.addr().to_string(), "/healthz").unwrap();
+        assert!(body.contains("ok"));
     }
 }

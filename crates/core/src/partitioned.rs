@@ -157,7 +157,7 @@ pub fn supported(kind: OpKind) -> bool {
 /// summed step cost) and the kind's α to each standalone operator, while
 /// propagating a rough cardinality. Returns the CPU cycles and the bytes the
 /// chain's wide operators exchange. Keys off the plan only — never the
-/// `RHEEM_BATCH` runtime switch — so plan choice is mode-independent.
+/// runtime batch switch — so plan choice is mode-independent.
 pub fn chain_cost(
     costs: &ChainCosts,
     ops: &[LogicalOp],

@@ -24,7 +24,7 @@
 //!   attribute on its trace's job span, and tenant-labelled counters and
 //!   gauges in the context's Prometheus snapshot.
 //! - **Observability**: job lifecycle events feed the context's
-//!   [`FlightRecorder`], per-tenant SLO phase histograms
+//!   [`crate::obs::FlightRecorder`], per-tenant SLO phase histograms
 //!   ([`crate::obs::slo`]) decompose every job into queue / admission /
 //!   exec / commit, a [`Watchdog`] sweeps for starvation, stragglers and
 //!   cache thrash on a virtual-time cadence, and [`JobService::serve`] (or
@@ -35,11 +35,6 @@
 //! because the executor's commit-in-order design makes results and traces
 //! independent of *when* stages physically execute — the gate and the
 //! runner pool only reorder wall-clock work, never virtual-time accounting.
-//!
-//! [`simulate_fair_share`] is the same scheduling policy run as a
-//! discrete-event simulation over virtual stage durations; the property
-//! suite asserts the fair-share invariant on it and `service_bench` uses it
-//! for deterministic throughput gates on single-CPU hosts.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -53,8 +48,8 @@ use crate::cache::Namespace;
 use crate::error::{Result, RheemError};
 use crate::kernels::SplitMix64;
 use crate::obs::{
-    self, EventKind, FlightRecorder, JobPhases, ObsServer, ObsSource, TenantState, Watchdog,
-    WatchdogConfig, WatchdogSnapshot,
+    self, EventKind, JobPhases, ObsServer, ObsSource, TenantState, Watchdog, WatchdogConfig,
+    WatchdogSnapshot,
 };
 use crate::plan::RheemPlan;
 
@@ -310,121 +305,6 @@ impl fmt::Debug for TenantGate {
 }
 
 // ---------------------------------------------------------------------------
-// Virtual-time schedule simulator
-// ---------------------------------------------------------------------------
-
-/// One job for [`simulate_fair_share`]: a chain of virtual stage durations
-/// belonging to a tenant, arriving at a virtual instant.
-#[derive(Clone, Debug)]
-pub struct SimJob {
-    /// Tenant index (into the weight vector).
-    pub tenant: usize,
-    /// Virtual arrival time, ms.
-    pub arrival_ms: f64,
-    /// Virtual duration of each stage, in chain order.
-    pub stages: Vec<f64>,
-}
-
-/// Outcome of a simulated schedule.
-#[derive(Clone, Debug)]
-pub struct SimOutcome {
-    /// Per-job completion instant (virtual ms).
-    pub completion_ms: Vec<f64>,
-    /// Per-tenant completed virtual service time (raw, not normalized).
-    pub served_ms: Vec<f64>,
-    /// Latest completion instant.
-    pub makespan_ms: f64,
-}
-
-/// Discrete-event simulation of the service's fair-share policy: `lanes`
-/// stage slots, stage-jobs granted by [`FairShare`] (FIFO within a
-/// tenant), stages of one job strictly chained. Deterministic — wall time
-/// never enters — so benchmarks can gate on its throughput and latency
-/// figures on any host, and the property suite can assert the fair-share
-/// invariant for arbitrary seeded arrival sequences.
-pub fn simulate_fair_share(
-    jobs: &[SimJob],
-    weights: &[f64],
-    lanes: usize,
-    seed: u64,
-) -> SimOutcome {
-    let lanes = lanes.max(1);
-    let n = jobs.len();
-    let nt = weights.len();
-    let mut fair = FairShare::new(seed);
-    for (i, w) in weights.iter().enumerate() {
-        fair.add_tenant(&format!("tenant{i}"), *w);
-    }
-    let mut completion = vec![0.0f64; n];
-    let mut served = vec![0.0f64; nt];
-    let mut next_stage = vec![0usize; n];
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); nt];
-    let mut busy: Vec<(f64, usize)> = Vec::new(); // (finish instant, job)
-    let mut arrivals: Vec<usize> = (0..n).collect();
-    arrivals.sort_by(|&a, &b| jobs[a].arrival_ms.total_cmp(&jobs[b].arrival_ms).then(a.cmp(&b)));
-    let mut ai = 0usize;
-    let mut done = 0usize;
-    let mut now = 0.0f64;
-    const EPS: f64 = 1e-9;
-
-    while done < n {
-        // Admit arrivals due now.
-        while ai < n && jobs[arrivals[ai]].arrival_ms <= now + EPS {
-            let j = arrivals[ai];
-            ai += 1;
-            if jobs[j].stages.is_empty() {
-                completion[j] = jobs[j].arrival_ms;
-                done += 1;
-                continue;
-            }
-            let t = jobs[j].tenant;
-            let was_idle = queues[t].is_empty() && !busy.iter().any(|&(_, b)| jobs[b].tenant == t);
-            if was_idle {
-                let backlogged: Vec<usize> = (0..nt).filter(|&o| !queues[o].is_empty()).collect();
-                fair.activate(t, &backlogged);
-            }
-            queues[t].push_back(j);
-        }
-        // Grant free lanes by fair share.
-        while busy.len() < lanes {
-            let ready: Vec<usize> = (0..nt).filter(|&t| !queues[t].is_empty()).collect();
-            let Some(t) = fair.pick(&ready) else { break };
-            let j = queues[t].pop_front().expect("picked tenant is backlogged");
-            let dur = jobs[j].stages[next_stage[j]];
-            fair.charge(t, dur);
-            busy.push((now + dur, j));
-        }
-        // Advance to the next event.
-        let next_busy = busy.iter().map(|&(f, _)| f).fold(f64::INFINITY, f64::min);
-        let next_arrival = if ai < n { jobs[arrivals[ai]].arrival_ms } else { f64::INFINITY };
-        let next = next_busy.min(next_arrival);
-        if !next.is_finite() {
-            break; // all remaining jobs are empty-stage arrivals (handled above)
-        }
-        now = now.max(next);
-        // Complete stages due now, in deterministic (finish, job) order.
-        let mut finished: Vec<(f64, usize)> =
-            busy.iter().copied().filter(|&(f, _)| f <= now + EPS).collect();
-        finished.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        busy.retain(|&(f, _)| f > now + EPS);
-        for (f, j) in finished {
-            let t = jobs[j].tenant;
-            served[t] += jobs[j].stages[next_stage[j]];
-            next_stage[j] += 1;
-            if next_stage[j] == jobs[j].stages.len() {
-                completion[j] = f;
-                done += 1;
-            } else {
-                // The tenant stayed backlogged (this job was in service).
-                queues[t].push_back(j);
-            }
-        }
-    }
-    let makespan_ms = completion.iter().copied().fold(0.0, f64::max);
-    SimOutcome { completion_ms: completion, served_ms: served, makespan_ms }
-}
-
-// ---------------------------------------------------------------------------
 // The job service
 // ---------------------------------------------------------------------------
 
@@ -566,8 +446,6 @@ struct SvcInner {
     gate: Option<Arc<StageGate>>,
     state: Mutex<SvcState>,
     work: Condvar,
-    /// The context's flight recorder (`None` when recording is disabled).
-    recorder: Option<Arc<FlightRecorder>>,
     watchdog: Watchdog,
 }
 
@@ -583,7 +461,7 @@ impl SvcInner {
         }
     }
 
-    /// Record a job-lifecycle event; no-op when recording is disabled.
+    /// Record a job-lifecycle event on the context's flight recorder.
     fn record(
         &self,
         kind: EventKind,
@@ -592,9 +470,7 @@ impl SvcInner {
         value: f64,
         detail: &str,
     ) {
-        if let Some(r) = &self.recorder {
-            r.record(kind, tenant, job, None, value, detail);
-        }
+        self.ctx.recorder().record(kind, tenant, job, None, value, detail);
     }
 
     /// Scheduler state for a watchdog sweep. Caller holds the state lock.
@@ -652,7 +528,7 @@ impl SvcInner {
                 st.in_flight[tenant] -= 1;
                 st.total_in_flight -= 1;
                 st.completions.push((job.id, tenant));
-                let due = self.recorder.is_some() && self.watchdog.on_served(cost);
+                let due = self.watchdog.on_served(cost);
                 let snap = due.then(|| self.watchdog_snapshot(&st));
                 (st.in_flight[tenant], st.fair.vtime(tenant), snap)
             };
@@ -685,8 +561,8 @@ impl SvcInner {
             // (which the executor threads also feed) and must never hold up
             // submissions. The completion event above is already visible,
             // so straggler analysis for this job happens in this sweep.
-            if let (Some(snap), Some(rec)) = (&sweep, &self.recorder) {
-                self.watchdog.sweep(snap, rec, metrics);
+            if let Some(snap) = &sweep {
+                self.watchdog.sweep(snap, self.ctx.recorder(), metrics);
             }
             let _ = job.tx.send(result);
         }
@@ -772,10 +648,7 @@ impl ObsSource for SvcInner {
     }
 
     fn flight_json(&self, n: usize) -> String {
-        match &self.recorder {
-            Some(r) => r.dump_json(Some(n)),
-            None => String::from("{\"recorded\":0,\"dropped\":0,\"events\":[]}"),
-        }
+        self.ctx.recorder().dump_json(Some(n))
     }
 }
 
@@ -821,7 +694,6 @@ impl JobService {
             Arc::new(StageGate::new(slots, gate_fair))
         });
         let n = tenants.len();
-        let recorder = ctx.recorder().cloned();
         let inner = Arc::new(SvcInner {
             ctx,
             tenants,
@@ -836,7 +708,6 @@ impl JobService {
                 completions: Vec::new(),
             }),
             work: Condvar::new(),
-            recorder,
             watchdog: Watchdog::new(config.watchdog),
         });
         let mut handles = Vec::with_capacity(runners);
@@ -1081,79 +952,5 @@ mod tests {
         p.release(2.0);
         assert_eq!(gate.grant_log(), vec![0, 0]);
         assert!((gate.served_vtime(0) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simulator_single_lane_serializes_with_fair_interleave() {
-        // Two tenants, one job each of two 10ms stages, both arrive at 0.
-        let jobs = vec![
-            SimJob { tenant: 0, arrival_ms: 0.0, stages: vec![10.0, 10.0] },
-            SimJob { tenant: 1, arrival_ms: 0.0, stages: vec![10.0, 10.0] },
-        ];
-        let out = simulate_fair_share(&jobs, &[1.0, 1.0], 1, 7);
-        assert!((out.makespan_ms - 40.0).abs() < 1e-9, "one lane: work serializes");
-        assert!((out.served_ms[0] - 20.0).abs() < 1e-9);
-        assert!((out.served_ms[1] - 20.0).abs() < 1e-9);
-        // Fair share interleaves the stage-jobs, so both finish in the last
-        // two slots (30/40), not one tenant hogging 10/20.
-        let mut done = out.completion_ms.clone();
-        done.sort_by(f64::total_cmp);
-        assert!((done[0] - 30.0).abs() < 1e-9);
-        assert!((done[1] - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simulator_short_job_not_starved_behind_long_one() {
-        // A long job (10 x 50ms) is in service; a 1-stage 5ms job arrives.
-        let jobs = vec![
-            SimJob { tenant: 0, arrival_ms: 0.0, stages: vec![50.0; 10] },
-            SimJob { tenant: 1, arrival_ms: 60.0, stages: vec![5.0] },
-        ];
-        let out = simulate_fair_share(&jobs, &[1.0, 1.0], 1, 0xC0FFEE);
-        // The short job waits at most for the in-flight stage to finish
-        // (fair share grants the newly-backlogged tenant next), so it
-        // completes by 105ms — not after the long job's 500ms.
-        assert!(
-            out.completion_ms[1] <= 105.0 + 1e-9,
-            "short job finished at {} — starved",
-            out.completion_ms[1]
-        );
-        assert!((out.makespan_ms - 505.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simulator_more_lanes_shrink_makespan_deterministically() {
-        let mut rng = SplitMix64(99);
-        let jobs: Vec<SimJob> = (0..24)
-            .map(|i| SimJob {
-                tenant: i % 4,
-                arrival_ms: (i as f64) * 3.0,
-                stages: (0..1 + (rng.next_u64() % 4) as usize)
-                    .map(|_| 5.0 + rng.next_f64() * 20.0)
-                    .collect(),
-            })
-            .collect();
-        let serial = simulate_fair_share(&jobs, &[1.0; 4], 1, 5);
-        let wide = simulate_fair_share(&jobs, &[1.0; 4], 8, 5);
-        assert!(wide.makespan_ms < serial.makespan_ms, "extra lanes must help");
-        // Replays are bit-identical.
-        let replay = simulate_fair_share(&jobs, &[1.0; 4], 8, 5);
-        assert_eq!(wide.completion_ms, replay.completion_ms);
-        assert_eq!(wide.served_ms, replay.served_ms);
-        // Served virtual time is schedule-invariant (total stage work).
-        for t in 0..4 {
-            assert!((wide.served_ms[t] - serial.served_ms[t]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn simulator_handles_empty_stage_jobs() {
-        let jobs = vec![
-            SimJob { tenant: 0, arrival_ms: 2.0, stages: vec![] },
-            SimJob { tenant: 0, arrival_ms: 0.0, stages: vec![4.0] },
-        ];
-        let out = simulate_fair_share(&jobs, &[1.0], 2, 1);
-        assert!((out.completion_ms[0] - 2.0).abs() < 1e-9);
-        assert!((out.completion_ms[1] - 4.0).abs() < 1e-9);
     }
 }

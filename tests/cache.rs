@@ -24,15 +24,7 @@ use rheem_core::udf::FlatMapUdf;
 /// Fixed chaos-seed matrix (mirrors `tests/differential.rs` and CI).
 const CHAOS_SEEDS: [u64; 3] = [0xC0FFEE, 42, 7];
 
-/// A context with the cache explicitly OFF, regardless of `RHEEM_CACHE` in
-/// the environment (CI runs this suite under both legs of the matrix).
-fn ctx_without_cache() -> RheemContext {
-    let mut ctx = rheem::default_context();
-    ctx.set_cache(None);
-    ctx
-}
-
-/// A context sharing `cache`, regardless of the environment.
+/// A context sharing `cache`.
 fn ctx_with(cache: &Arc<ResultCache>) -> RheemContext {
     rheem::default_context().with_shared_cache(Arc::clone(cache))
 }
@@ -119,7 +111,7 @@ fn source_rewrite_invalidates_by_mtime() {
     let (new, _) = run(&ctx, &plan, sink).unwrap();
     assert_eq!(cache.stats().hits, before.hits, "stale fingerprint must not hit");
     assert_ne!(new, old, "rerun must reflect the rewritten file");
-    let (fresh, _) = run(&ctx_without_cache(), &wordcount(&path).0, sink).unwrap();
+    let (fresh, _) = run(&rheem::default_context(), &wordcount(&path).0, sink).unwrap();
     assert_eq!(new, fresh, "post-rewrite answer must match an uncached run");
 }
 
@@ -228,7 +220,7 @@ fn gen_case(case: u64) -> (RheemPlan, OperatorId) {
 fn results_identical_with_cache_on_and_off() {
     for case in 0u64..8 {
         let (plan, sink) = gen_case(case);
-        let (reference, _) = run(&ctx_without_cache(), &plan, sink).unwrap();
+        let (reference, _) = run(&rheem::default_context(), &plan, sink).unwrap();
         let cache = Arc::new(ResultCache::new(64 << 20));
         let ctx = ctx_with(&cache);
         let (cold, _) = run(&ctx, &plan, sink).unwrap();
@@ -254,7 +246,7 @@ fn chaos_with_cache_never_produces_wrong_answers() {
     for &chaos_seed in &CHAOS_SEEDS {
         for case in 0u64..5 {
             let (plan, sink) = gen_case(case);
-            let (baseline, _) = run(&ctx_without_cache(), &plan, sink).unwrap();
+            let (baseline, _) = run(&rheem::default_context(), &plan, sink).unwrap();
             let cache = Arc::new(ResultCache::new(64 << 20));
             let mut ctx = ctx_with(&cache);
             ctx.config_mut().chaos_seed = Some(chaos_seed);
@@ -321,7 +313,7 @@ fn structurally_shared_prefix_hits_across_different_jobs() {
     };
 
     let (b_plan, b_sink) = job_b();
-    let (reference, _) = run(&ctx_without_cache(), &b_plan, b_sink).unwrap();
+    let (reference, _) = run(&rheem::default_context(), &b_plan, b_sink).unwrap();
 
     let cache = Arc::new(ResultCache::new(64 << 20));
     let ctx = ctx_with(&cache);
@@ -420,26 +412,39 @@ fn interned_strings_are_accounted_once() {
 
 /// The cache must stay invisible across the execution-mode matrix: for the
 /// fixed seeds, cache-{off,cold,warm} × batch-{on,off} runs are all
-/// byte-identical, and warm batch replays keep the columnar path engaged.
+/// byte-identical, both in a memory-only cache and in a two-tier cache whose
+/// memory budget is half the case's published bytes — there the cold leg
+/// must spill and the warm leg must promote from disk.
 #[test]
 fn results_identical_across_cache_and_batch_matrix() {
     for &seed in &CHAOS_SEEDS {
         let (plan, sink) = gen_case(seed);
         let mut reference: Option<Vec<Value>> = None;
         for batch in [false, true] {
-            let mut off = ctx_without_cache();
+            let mut off = rheem::default_context();
             off.config_mut().batch = batch;
             let (base, _) = run(&off, &plan, sink).unwrap();
-            let cache = Arc::new(ResultCache::new(64 << 20));
-            let mut ctx = ctx_with(&cache);
-            ctx.config_mut().batch = batch;
-            let (cold, _) = run(&ctx, &plan, sink).unwrap();
-            let (warm, _) = run(&ctx, &plan, sink).unwrap();
-            assert!(cache.stats().hits >= 1, "seed {seed:#x} batch={batch}: warm leg never hit");
             let r = reference.get_or_insert_with(|| base.clone());
             assert_eq!(&base, r, "seed {seed:#x} batch={batch}: cache-off diverged");
-            assert_eq!(&cold, r, "seed {seed:#x} batch={batch}: cold cached run diverged");
-            assert_eq!(&warm, r, "seed {seed:#x} batch={batch}: warm cached run diverged");
+            let cold_and_warm = |cache: &Arc<ResultCache>, shape: &str| {
+                let mut ctx = ctx_with(cache);
+                ctx.config_mut().batch = batch;
+                let (cold, _) = run(&ctx, &plan, sink).unwrap();
+                let st = cache.stats();
+                let published = st.bytes + st.spilled_bytes;
+                let (warm, _) = run(&ctx, &plan, sink).unwrap();
+                let what = format!("seed {seed:#x} batch={batch} {shape}");
+                assert!(cache.stats().hits >= 1, "{what}: warm leg never hit");
+                assert_eq!(&cold, r, "{what}: cold cached run diverged");
+                assert_eq!(&warm, r, "{what}: warm cached run diverged");
+                published
+            };
+            let published = cold_and_warm(&Arc::new(ResultCache::new(64 << 20)), "memory");
+            let spill = Arc::new(ResultCache::with_disk(published / 2, 64 << 20));
+            cold_and_warm(&spill, "spill");
+            let st = spill.stats();
+            assert!(st.spills > 0, "seed {seed:#x} batch={batch}: nothing spilled: {st:?}");
+            assert!(st.promotions > 0, "seed {seed:#x} batch={batch}: nothing promoted: {st:?}");
         }
     }
 }
@@ -475,7 +480,7 @@ fn cached_replay_feeds_vectorized_downstream_chain() {
     };
 
     let (b_plan, b_sink) = job_b();
-    let (reference, _) = run(&ctx_without_cache(), &b_plan, b_sink).unwrap();
+    let (reference, _) = run(&rheem::default_context(), &b_plan, b_sink).unwrap();
 
     let cache = Arc::new(ResultCache::new(64 << 20));
     let ctx = ctx_with(&cache).with_batch(true);
@@ -551,7 +556,7 @@ fn register_tie_mapping(ctx: &mut RheemContext, tag: &'static str) {
 /// Regression test for the `total_cmp` + choice-vector tie-break.
 #[test]
 fn cost_ties_break_deterministically_over_100_runs() {
-    let mut ctx = ctx_without_cache();
+    let mut ctx = rheem::default_context();
     register_tie_mapping(&mut ctx, "TieMapA");
     register_tie_mapping(&mut ctx, "TieMapB");
 
@@ -600,7 +605,7 @@ fn cost_ties_break_deterministically_over_100_runs() {
 /// a fixed place in the order instead of poisoning comparisons.
 #[test]
 fn nan_costs_do_not_panic_and_stay_deterministic() {
-    let ctx = ctx_without_cache();
+    let ctx = rheem::default_context();
     let mut b = PlanBuilder::new();
     let sink = b
         .collection((0..32).map(|i| Value::from(i as i64)).collect::<Vec<_>>())

@@ -5,7 +5,9 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use platform_postgres::PostgresPlatform;
 use rheem::prelude::*;
+use rheem_core::builtin::CONTROL;
 use rheem_core::channel::{kinds, ChannelData, ChannelKind};
 use rheem_core::cost::{CostModel, Load};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
@@ -194,6 +196,44 @@ fn independent_branches_overlap_in_virtual_time() {
         result.metrics.virtual_ms,
         total
     );
+
+    // The polystore Q5 and the multi-sink batch of lake tasks at a tiny
+    // TPC-H scale: their independent branches overlap, so the makespan is
+    // strictly below the serial sum of stage times, and it is a property of
+    // the plan — both scheduler modes compose it to the same bits. Scaled
+    // host time is zeroed (`cpu_scale = 0`) so the virtual clock is purely
+    // modelled and two runs compare bit for bit; progressive re-optimization
+    // is off because a replan splits the job into phases that run one after
+    // the other, which is not what the scheduler is tested on here.
+    let data = rheem_datagen::tpch::generate(0.01, 7);
+    let placement = rheem::dataciv::place(&data, "fault_tolerance_overlap").unwrap();
+    let (q5, _) = rheem::dataciv::build_q5_plan(&placement, "ASIA", 1995).unwrap();
+    let (lake_tasks, _) = rheem::dataciv::build_task_batch(&placement).unwrap();
+    for (name, plan) in [("q5", &q5), ("task_batch", &lake_tasks)] {
+        let makespans: Vec<u64> = [true, false]
+            .into_iter()
+            .map(|concurrent| {
+                let mut ctx = rheem::default_context();
+                ctx.register_platform(&PostgresPlatform::new(Arc::clone(&placement.db)));
+                for p in [ids::JAVA_STREAMS, ids::SPARK, ids::FLINK, ids::POSTGRES, CONTROL] {
+                    ctx.profiles_mut().get_mut(p).cpu_scale = 0.0;
+                }
+                ctx.config_mut().concurrent = Some(concurrent);
+                ctx.config_mut().progressive = false;
+                let result = ctx.execute(plan).unwrap();
+                let trace = result.trace.expect("tracing is on by default");
+                let serial: f64 =
+                    trace.runs.iter().filter(|r| !r.superseded).map(|r| r.virtual_ms).sum();
+                let makespan = result.metrics.virtual_ms;
+                assert!(
+                    makespan < serial,
+                    "{name} (concurrent={concurrent}): makespan {makespan} not below serial {serial}"
+                );
+                makespan.to_bits()
+            })
+            .collect();
+        assert_eq!(makespans[0], makespans[1], "{name}: scheduler modes disagree on virtual_ms");
+    }
 }
 
 /// A map that declares one channel kind but hands over a payload of another

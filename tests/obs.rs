@@ -84,6 +84,15 @@ fn straggler_plan() -> RheemPlan {
     b.build().unwrap()
 }
 
+/// Largest stage virtual ms of one isolated run of `plan`. Stage virtual ms
+/// are partly scaled host time, so they move with the host and the build
+/// profile; the e2e test sizes its straggler threshold from these.
+fn max_stage_ms(plan: &RheemPlan) -> f64 {
+    let result = rheem::default_context().execute(plan).unwrap();
+    let trace = result.trace.expect("tracing is on by default");
+    trace.runs.iter().map(|r| r.virtual_ms).fold(0.0, f64::max)
+}
+
 // ---- 1. flight-recorder properties ---------------------------------------
 
 #[test]
@@ -231,18 +240,21 @@ fn prometheus_exposition_invariants_hold_after_multi_tenant_run() {
 #[test]
 fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
     let _serial = one_at_a_time();
-    let mut ctx = rheem::default_context();
-    ctx.set_cache(None); // keep stage timings independent of the cache leg
+    // The threshold sits at the geometric mean of the starved tenant's solo
+    // 4 000-row job and the injected 100 000-row straggler, measured on this
+    // host and build. No constant fits both builds: the two read ≈60 and
+    // ≈1 500 virtual ms in a debug build, ≈6 and ≈130 in a release build.
+    let solo_ms = max_stage_ms(&sized_plan(4_000, 0));
+    let straggler_ms = max_stage_ms(&straggler_plan());
+    assert!(straggler_ms > 4.0 * solo_ms, "straggler {straggler_ms} vs solo {solo_ms}");
+    let ctx = rheem::default_context();
     let config = ServiceConfig {
         runners: 1, // serialize so the heavy backlog actually queues
         watchdog: WatchdogConfig {
             cadence_ms: 0.0, // sweep on every completion
             starvation_lag_ms: 200.0,
             straggler_factor: 4.0,
-            // Between the starved tenant's solo 4 000-row stage (≈60 virtual
-            // ms, scaled host time: at 60 a slow host flagged it 1 run in 6)
-            // and the injected 100 000-row straggler (≈1 500).
-            straggler_min_ms: 300.0,
+            straggler_min_ms: (solo_ms * straggler_ms).sqrt(),
             ..Default::default()
         },
         ..Default::default()
@@ -327,7 +339,8 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
     assert_eq!(
         m.counter("rheem_watchdog_straggler_total{tenant=\"heavy\"}"),
         1,
-        "exactly the injected straggler stage is flagged:\n{prom}"
+        "exactly the injected straggler stage is flagged (solo {solo_ms} ms, straggler \
+         {straggler_ms} ms):\n{prom}"
     );
     assert_eq!(m.counter("rheem_watchdog_straggler_total{tenant=\"starved\"}"), 0);
     assert!(m.counter("rheem_watchdog_sweeps_total") >= 1);

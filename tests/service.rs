@@ -30,14 +30,6 @@ use rheem_core::kernels::SplitMix64;
 /// Fixed chaos-seed matrix (mirrors `tests/differential.rs` and CI).
 const CHAOS_SEEDS: [u64; 3] = [0xC0FFEE, 42, 7];
 
-/// A service context: general-purpose platforms, cache explicitly off so
-/// results do not depend on the `RHEEM_CACHE` leg of the CI matrix.
-fn ctx_without_cache() -> RheemContext {
-    let mut ctx = rheem::default_context();
-    ctx.set_cache(None);
-    ctx
-}
-
 // ---- seeded job generator ------------------------------------------------
 
 /// Deterministic per-(tenant, job) plan: map/filter chain over int pairs,
@@ -108,7 +100,7 @@ fn concurrent_jobs_match_isolated_runs_byte_for_byte() {
         let mut per_tenant = Vec::new();
         for j in 0..JOBS {
             let (plan, sink) = gen_job(t, j);
-            let result = ctx_without_cache().execute(&plan).unwrap();
+            let result = rheem::default_context().execute(&plan).unwrap();
             per_tenant.push(result.sink(sink).unwrap().to_vec());
         }
         baselines.push(per_tenant);
@@ -116,7 +108,8 @@ fn concurrent_jobs_match_isolated_runs_byte_for_byte() {
 
     let tenants: Vec<TenantSpec> =
         (0..TENANTS).map(|t| TenantSpec::new(&tenant_name(t)).with_max_in_flight(JOBS)).collect();
-    let service = JobService::new(ctx_without_cache(), ServiceConfig::default(), tenants).unwrap();
+    let service =
+        JobService::new(rheem::default_context(), ServiceConfig::default(), tenants).unwrap();
 
     let outputs: Vec<Vec<Vec<Value>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..TENANTS)
@@ -192,7 +185,7 @@ fn admission_control_rejects_typed_at_caps() {
     ];
     let config =
         ServiceConfig { max_in_flight: 3, runners: 1, gate: false, ..ServiceConfig::default() };
-    let service = JobService::new(ctx_without_cache(), config, tenants).unwrap();
+    let service = JobService::new(rheem::default_context(), config, tenants).unwrap();
 
     // Unknown tenant: rejected before any capacity is consumed.
     let (plan, _) = trivial_plan();
@@ -399,7 +392,7 @@ fn short_job_is_not_starved_behind_long_critical_path() {
     let config = ServiceConfig { runners: 2, ..ServiceConfig::default() };
     // The deep reduce chain compounds cardinality mis-estimates; keep the
     // job long rather than replanned by disabling progressive reopt here.
-    let mut ctx = ctx_without_cache();
+    let mut ctx = rheem::default_context();
     ctx.config_mut().progressive = false;
     let service = JobService::new(ctx, config, tenants).unwrap();
 
@@ -437,7 +430,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
             let mut per_tenant = Vec::new();
             for j in 0..JOBS {
                 let (plan, sink) = gen_job(t, j);
-                let mut ctx = ctx_without_cache();
+                let mut ctx = rheem::default_context();
                 ctx.config_mut().chaos_seed = Some(chaos_seed);
                 per_tenant.push(
                     ctx.execute(&plan).map(|r| (r.sink(sink).unwrap().to_vec(), r.metrics.retries)),
@@ -446,7 +439,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
             baseline.push(per_tenant);
         }
 
-        let mut ctx = ctx_without_cache();
+        let mut ctx = rheem::default_context();
         ctx.config_mut().chaos_seed = Some(chaos_seed);
         let tenants: Vec<TenantSpec> =
             (0..TENANTS).map(|t| TenantSpec::new(&tenant_name(t))).collect();
@@ -520,7 +513,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
 fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
     const THREADS: usize = 4;
     const JOBS: usize = 3;
-    let mut ctx = ctx_without_cache();
+    let mut ctx = rheem::default_context();
     ctx.config_mut().chaos_seed = Some(0xC0FFEE);
     let ctx = Arc::new(ctx);
 
