@@ -26,10 +26,13 @@
 //!
 //! Storage is two-tiered. The memory budget bounds *resident* bytes; under
 //! pressure cold entries are demoted to a disk [`spill`] tier (bounded by
-//! its own byte budget) instead of dropped, and promoted back on their next
-//! hit. [`CachedSource`] prices a disk-tier replay at the slower
+//! its own byte budget) instead of dropped. A lookup is a *probe*: on a
+//! spilled entry it returns the entry's size and cardinality but no payload
+//! and does no I/O, and [`CachedSource`] prices the replay at the slower
 //! [`rheem_storage::spill_costs`] rate so enumeration still weighs the
-//! spilled read against recomputation honestly. Entry sizes are *unique*
+//! spilled read against recomputation honestly. Only the spilled entries
+//! the chosen plan replays are then read back ([`ResultCache::fetch_in`],
+//! outside the cache lock) and promoted to memory. Entry sizes are *unique*
 //! bytes: interned strings and shared column allocations are sized once,
 //! not once per reference.
 //!
@@ -51,7 +54,7 @@ use crate::batch::{Batch, Column};
 use crate::builtin::CONTROL;
 use crate::channel::{kinds, ChannelData, ChannelKind};
 use crate::cost::Load;
-use crate::error::Result;
+use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, ExecutionOperator, OpMetrics};
 use crate::execplan::ExecPlan;
 use crate::obs::{EventKind, FlightRecorder};
@@ -429,18 +432,23 @@ pub fn batches_unique_bytes(batches: &[Batch]) -> u64 {
 pub enum Tier {
     /// Resident in memory: replay is priced at the local store rate.
     Memory,
-    /// Read back from the disk spill tier (and promoted): replay is priced
-    /// at the slower [`rheem_storage::spill_costs`] rate.
+    /// On the disk spill tier: replay is priced at the slower
+    /// [`rheem_storage::spill_costs`] rate and the payload is read back by
+    /// [`ResultCache::fetch_in`].
     Disk,
 }
 
 /// A successful cache lookup.
 #[derive(Clone)]
 pub struct CacheHit {
-    /// The cached result (shared, never copied for memory hits).
-    pub payload: CachedPayload,
+    /// The cached result (shared, never copied) for memory hits; `None` for
+    /// a probe of a spilled entry, whose payload stays on disk until
+    /// [`ResultCache::fetch_in`].
+    pub payload: Option<CachedPayload>,
     /// Its accounted byte size.
     pub bytes: u64,
+    /// Its number of quanta.
+    pub card: u64,
     /// The tier the entry was served from.
     pub tier: Tier,
 }
@@ -478,6 +486,7 @@ enum Stored {
 struct Entry {
     stored: Stored,
     bytes: u64,
+    card: u64,
     last_used: u64,
 }
 
@@ -576,6 +585,18 @@ impl Inner {
                 true
             }
             Err(_) => false,
+        }
+    }
+
+    /// Count a lookup's hit or miss, globally and against its namespace.
+    fn count(&mut self, ns: u64, hit: bool) {
+        let st = self.ns.entry(ns).or_default();
+        if hit {
+            self.hits += 1;
+            st.hits += 1;
+        } else {
+            self.misses += 1;
+            st.misses += 1;
         }
     }
 
@@ -711,76 +732,28 @@ impl ResultCache {
         self.lookup_in(Namespace::SHARED, fp)
     }
 
-    /// Namespace-scoped lookup: only entries published into `ns` are
+    /// Namespace-scoped probe: only entries published into `ns` are
     /// visible. The hit/miss is counted both globally and against `ns`.
-    /// A hit on a spilled entry reads it back, promotes it to memory
-    /// (re-running budget enforcement, so some other cold entry may spill)
-    /// and reports [`Tier::Disk`] so the caller prices the replay at the
-    /// disk rate. An unreadable spill file degrades to a miss.
+    /// It holds the cache lock only to read the entry and does no I/O: a
+    /// memory hit carries its shared payload, a hit on a spilled entry only
+    /// its size, cardinality and [`Tier::Disk`] — enough for the caller to
+    /// price the replay at the disk rate. [`Self::fetch_in`] reads the
+    /// payload of a spilled entry the caller decides to replay.
     pub fn lookup_in(&self, ns: Namespace, fp: Fingerprint) -> Option<CacheHit> {
-        enum Found {
-            Miss,
-            Mem(CachedPayload, u64),
-            Disk(spill::SpillSlot, u64),
-        }
-        let mut events: Vec<(EventKind, u64, u64)> = Vec::new();
         let hit = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut guard = self.inner.lock().unwrap();
+            let inner = &mut *guard;
             inner.clock += 1;
-            let clock = inner.clock;
-            let found = match inner.map.get_mut(&(ns.0, fp.0)) {
-                Some(e) => {
-                    e.last_used = clock;
-                    match &e.stored {
-                        Stored::Mem(p) => Found::Mem(p.clone(), e.bytes),
-                        Stored::Disk(slot) => Found::Disk(*slot, e.bytes),
-                    }
-                }
-                None => Found::Miss,
-            };
-            match found {
-                Found::Mem(payload, bytes) => {
-                    inner.hits += 1;
-                    inner.ns.entry(ns.0).or_default().hits += 1;
-                    Some(CacheHit { payload, bytes, tier: Tier::Memory })
-                }
-                Found::Disk(slot, bytes) => match inner.spill.as_ref().map(|sp| sp.read(slot)) {
-                    Some(Ok(payload)) => {
-                        if let Some(sp) = &inner.spill {
-                            sp.remove(slot);
-                        }
-                        let e = inner.map.get_mut(&(ns.0, fp.0)).expect("entry exists");
-                        e.stored = Stored::Mem(payload.clone());
-                        inner.disk_bytes -= bytes;
-                        inner.bytes += bytes;
-                        inner.promotions += 1;
-                        inner.hits += 1;
-                        {
-                            let st = inner.ns.entry(ns.0).or_default();
-                            st.spilled_bytes -= bytes;
-                            st.promotions += 1;
-                            st.hits += 1;
-                        }
-                        events.push((EventKind::CachePromoted, fp.0, bytes));
-                        inner.enforce(self.budget, self.disk_budget, &mut events);
-                        Some(CacheHit { payload, bytes, tier: Tier::Disk })
-                    }
-                    _ => {
-                        // The spill file is gone or corrupt: the entry is
-                        // unrecoverable. Drop it and count a miss.
-                        let freed = inner.evict((ns.0, fp.0));
-                        events.push((EventKind::CacheEvicted, fp.0, freed));
-                        inner.misses += 1;
-                        inner.ns.entry(ns.0).or_default().misses += 1;
-                        None
-                    }
-                },
-                Found::Miss => {
-                    inner.misses += 1;
-                    inner.ns.entry(ns.0).or_default().misses += 1;
-                    None
-                }
-            }
+            let hit = inner.map.get_mut(&(ns.0, fp.0)).map(|e| {
+                e.last_used = inner.clock;
+                let (payload, tier) = match &e.stored {
+                    Stored::Mem(p) => (Some(p.clone()), Tier::Memory),
+                    Stored::Disk(_) => (None, Tier::Disk),
+                };
+                CacheHit { payload, bytes: e.bytes, card: e.card, tier }
+            });
+            inner.count(ns.0, hit.is_some());
+            hit
         };
         if let Some(h) = &hit {
             if let Some(r) = self.rec() {
@@ -794,8 +767,67 @@ impl ResultCache {
                 );
             }
         }
-        self.record_events(&events);
         hit
+    }
+
+    /// The payload of an entry a probe ([`Self::lookup_in`]) found. A
+    /// resident entry is returned as is. A spilled one is read back with
+    /// the cache lock released, then promoted to memory (re-running budget
+    /// enforcement, so some other cold entry may spill) — unless a
+    /// concurrent fetch promoted it meanwhile, whose payload is returned
+    /// instead. `None` when the entry is gone, or when its spill file is
+    /// missing or corrupt: then the entry is evicted and a miss counted, so
+    /// the next probe misses too.
+    pub fn fetch_in(&self, ns: Namespace, fp: Fingerprint) -> Option<CachedPayload> {
+        let key = (ns.0, fp.0);
+        loop {
+            let (slot, path) = {
+                let inner = self.inner.lock().expect("cache lock poisoned");
+                match inner.map.get(&key)?.stored {
+                    Stored::Mem(ref p) => return Some(p.clone()),
+                    Stored::Disk(slot) => (slot, inner.spill.as_ref()?.path_of(slot)),
+                }
+            };
+            let read = spill::read(&path);
+            let mut events: Vec<(EventKind, u64, u64)> = Vec::new();
+            let fetched = {
+                let mut inner = self.inner.lock().expect("cache lock poisoned");
+                match (inner.map.get(&key).map(|e| &e.stored), read) {
+                    (Some(Stored::Mem(p)), _) => Some(p.clone()),
+                    // Promoted and spilled again since: its old file is gone.
+                    (Some(&Stored::Disk(now)), Err(_)) if now != slot => continue,
+                    (Some(&Stored::Disk(now)), Ok(payload)) => {
+                        // Promote: the freshest entry in LRU order.
+                        if let Some(sp) = &inner.spill {
+                            sp.remove(now);
+                        }
+                        inner.clock += 1;
+                        let clock = inner.clock;
+                        let e = inner.map.get_mut(&key).expect("promoted entry exists");
+                        (e.stored, e.last_used) = (Stored::Mem(payload.clone()), clock);
+                        let bytes = e.bytes;
+                        inner.disk_bytes -= bytes;
+                        inner.bytes += bytes;
+                        inner.promotions += 1;
+                        let st = inner.ns.entry(ns.0).or_default();
+                        st.spilled_bytes -= bytes;
+                        st.promotions += 1;
+                        events.push((EventKind::CachePromoted, fp.0, bytes));
+                        inner.enforce(self.budget, self.disk_budget, &mut events);
+                        Some(payload)
+                    }
+                    (None, _) => None,
+                    (Some(_), _) => {
+                        let freed = inner.evict(key);
+                        events.push((EventKind::CacheEvicted, fp.0, freed));
+                        inner.count(ns.0, false);
+                        None
+                    }
+                }
+            };
+            self.record_events(&events);
+            return fetched;
+        }
     }
 
     /// Publish a result into the shared namespace. See [`Self::insert_in`].
@@ -830,6 +862,7 @@ impl ResultCache {
         if bytes > self.budget {
             return;
         }
+        let card = payload.len() as u64;
         let mut events: Vec<(EventKind, u64, u64)> = Vec::new();
         {
             let mut inner = self.inner.lock().unwrap();
@@ -845,7 +878,7 @@ impl ResultCache {
             }
             inner.map.insert(
                 (ns.0, fp.0),
-                Entry { stored: Stored::Mem(payload), bytes, last_used: clock },
+                Entry { stored: Stored::Mem(payload), bytes, card, last_used: clock },
             );
             inner.bytes += bytes;
             inner.inserts += 1;
@@ -951,7 +984,9 @@ impl fmt::Debug for ResultCache {
 /// `rheem.driver.cachedsource` key, so measured replays calibrate it like
 /// any other operator.
 pub struct CachedSource {
-    payload: CachedPayload,
+    /// `None` while it prices a probe of a spilled entry; the optimizer
+    /// fetches the payload of every one its chosen plan replays.
+    payload: Option<CachedPayload>,
     bytes: u64,
     card: u64,
     read_ms: f64,
@@ -966,7 +1001,6 @@ impl CachedSource {
     /// Wrap a cache hit for operator-level replay, priced at the tier the
     /// hit was served from.
     pub fn new(hit: CacheHit, fp: Fingerprint) -> Self {
-        let card = hit.payload.len() as u64;
         let local = default_costs(StoreKind::Local);
         let costs = match hit.tier {
             Tier::Memory => local,
@@ -977,7 +1011,7 @@ impl CachedSource {
         Self {
             payload: hit.payload,
             bytes: hit.bytes,
-            card,
+            card: hit.card,
             read_ms,
             disk_factor,
             tier: hit.tier,
@@ -1035,6 +1069,9 @@ impl ExecutionOperator for CachedSource {
         _inputs: &[ChannelData],
         _bc: &BroadcastCtx,
     ) -> Result<ChannelData> {
+        let payload = self.payload.as_ref().ok_or_else(|| {
+            RheemError::Optimizer(format!("cache entry {} was probed but never fetched", self.fp))
+        })?;
         ctx.trace_event("cache.hit", || {
             vec![
                 ("fingerprint".to_string(), self.fp.to_string().into()),
@@ -1063,7 +1100,7 @@ impl ExecutionOperator for CachedSource {
             virtual_ms: self.read_ms,
             real_ms: 0.0,
         });
-        Ok(self.payload.to_channel())
+        Ok(payload.to_channel())
     }
 }
 
@@ -1089,7 +1126,8 @@ mod tests {
         assert!(cache.lookup(fp(1)).is_none());
         cache.insert(fp(1), dataset(10));
         let hit = cache.lookup(fp(1)).expect("hit");
-        assert_eq!(hit.payload.len(), 10);
+        assert_eq!(hit.payload.map(|p| p.len()), Some(10));
+        assert_eq!(hit.card, 10);
         assert_eq!(hit.tier, Tier::Memory);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.entries), (1, 1, 1, 1));
@@ -1173,16 +1211,197 @@ mod tests {
         assert_eq!(s.spills, 3);
         assert_eq!(s.spilled_entries, 3);
         assert_eq!(s.entries, 5, "every insert still reachable");
-        // A spilled entry still hits; the hit reports the disk tier and
-        // promotes the entry back to memory.
+        // A spilled entry still hits. The probe reports the disk tier, the
+        // entry's size and cardinality, and leaves both tiers and the spill
+        // file as they were.
+        let path = spill_path(&cache, fp(0));
+        let file = std::fs::read(&path).unwrap();
         let hit = cache.lookup(fp(0)).expect("spilled entry reachable");
-        assert_eq!(hit.tier, Tier::Disk);
-        assert_eq!(hit.payload.len(), 100);
+        assert_eq!((hit.tier, hit.card, hit.bytes), (Tier::Disk, 100, one));
+        assert!(hit.payload.is_none(), "a probe reads no payload");
+        let after_probe = cache.stats();
+        assert_eq!(after_probe.hits, 1);
+        assert_eq!(
+            (after_probe.spills, after_probe.promotions, after_probe.spilled_entries),
+            (s.spills, s.promotions, s.spilled_entries)
+        );
+        assert_eq!(after_probe.spilled_bytes, s.spilled_bytes);
+        assert_eq!(std::fs::read(&path).unwrap(), file, "the probe touched the spill file");
+        // Fetching promotes it exactly once, within the memory budget.
+        let payload = cache.fetch_in(Namespace::SHARED, fp(0)).expect("fetched");
+        assert_eq!(payload.rows(), dataset(100));
         let s2 = cache.stats();
         assert_eq!(s2.promotions, 1);
         assert!(s2.bytes <= cache.budget_bytes(), "promotion re-enforces the budget");
-        // The promoted entry is now a memory hit.
-        assert_eq!(cache.lookup(fp(0)).unwrap().tier, Tier::Memory);
+        assert!(!path.exists(), "a promoted entry's spill file is removed");
+        // The promoted entry is now a memory hit, and fetching it again
+        // promotes nothing.
+        assert!(cache.fetch_in(Namespace::SHARED, fp(0)).is_some());
+        assert_eq!(cache.stats().promotions, 1);
+        let again = cache.lookup(fp(0)).unwrap();
+        assert_eq!((again.tier, again.payload.is_some()), (Tier::Memory, true));
+    }
+
+    /// The spill file of a spilled shared-namespace entry.
+    fn spill_path(cache: &ResultCache, key: Fingerprint) -> std::path::PathBuf {
+        let inner = cache.inner.lock().unwrap();
+        let Stored::Disk(slot) = inner.map[&(0, key.0)].stored else { panic!("not spilled") };
+        inner.spill.as_ref().unwrap().path_of(slot)
+    }
+
+    /// A two-tier cache in which `fp(0)` holds `rows` on the disk tier.
+    fn spilled(rows: Dataset) -> ResultCache {
+        let one = rows_unique_bytes(&rows);
+        let cache = ResultCache::with_disk(one + one / 2, 10 * one);
+        cache.insert(fp(0), Arc::clone(&rows));
+        cache.insert(fp(1), rows);
+        assert_eq!(cache.lookup(fp(0)).map(|h| h.tier), Some(Tier::Disk));
+        cache
+    }
+
+    /// A failed fetch evicts the entry and counts a miss; the cache stays
+    /// usable (no poisoned lock) for the next insert and lookup.
+    fn assert_fetch_fails_cleanly(cache: &ResultCache, what: &str) {
+        let before = cache.stats();
+        assert!(cache.fetch_in(Namespace::SHARED, fp(0)).is_none(), "{what}: fetched");
+        let after = cache.stats();
+        assert_eq!(after.evictions, before.evictions + 1, "{what}: entry not evicted");
+        assert_eq!(after.misses, before.misses + 1, "{what}: miss not counted");
+        assert_eq!(after.spilled_entries, before.spilled_entries - 1, "{what}");
+        assert!(cache.lookup(fp(0)).is_none(), "{what}: the next probe must miss");
+        cache.insert(fp(2), dataset(3));
+        assert_eq!(cache.lookup(fp(2)).map(|h| h.tier), Some(Tier::Memory), "{what}");
+    }
+
+    #[test]
+    fn fetch_of_a_removed_spill_file_evicts_the_entry() {
+        let cache = spilled(dataset(100));
+        std::fs::remove_file(spill_path(&cache, fp(0))).unwrap();
+        assert_fetch_fails_cleanly(&cache, "removed file");
+    }
+
+    #[test]
+    fn corrupt_length_prefixes_degrade_to_a_miss() {
+        for (at, len) in spill::tests::LENGTH_PREFIXES {
+            let cache = spilled(spill::tests::word_rows());
+            let path = spill_path(&cache, fp(0));
+            let mut bad = std::fs::read(&path).unwrap();
+            bad[at..at + len].fill(0xFF);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(spill::read(&path).is_err());
+            assert_fetch_fails_cleanly(&cache, &format!("prefix at {at}"));
+        }
+    }
+
+    /// A probe prices a spilled entry exactly as a read of it would: the
+    /// replay charge and the load are the same bits with or without the
+    /// payload in hand.
+    #[test]
+    fn a_probe_prices_like_a_read() {
+        let cache = spilled(dataset(1000));
+        let probe = cache.lookup(fp(0)).unwrap();
+        let read = CacheHit {
+            payload: Some(spill::read(&spill_path(&cache, fp(0))).unwrap()),
+            ..probe.clone()
+        };
+        let (probed, fetched) = (CachedSource::new(probe, fp(0)), CachedSource::new(read, fp(0)));
+        assert_eq!(probed.read_ms().to_bits(), fetched.read_ms().to_bits());
+        let model = crate::cost::CostModel::new();
+        let (lp, lf) = (probed.load(&[], 0.0, &model), fetched.load(&[], 0.0, &model));
+        assert_eq!(
+            [lp.cpu_cycles, lp.disk_bytes, lp.mem_bytes].map(f64::to_bits),
+            [lf.cpu_cycles, lf.disk_bytes, lf.mem_bytes].map(f64::to_bits)
+        );
+        // Executing an unfetched probe is a typed error, not a panic.
+        let profiles = crate::platform::Profiles::bare();
+        let mut ctx = ExecCtx::new(&profiles, 0);
+        assert!(probed.execute(&mut ctx, &[], &BroadcastCtx::new()).is_err());
+    }
+
+    /// An expensive java.streams row map: enough of a platform to run
+    /// source -> map -> map -> collect inside this crate.
+    struct RowMap(MapUdf);
+
+    impl ExecutionOperator for RowMap {
+        fn name(&self) -> &str {
+            "RowMap"
+        }
+        fn platform(&self) -> PlatformId {
+            crate::platform::ids::JAVA_STREAMS
+        }
+        fn accepted_inputs(&self, _slot: usize) -> Vec<ChannelKind> {
+            vec![kinds::COLLECTION]
+        }
+        fn output_kind(&self) -> ChannelKind {
+            kinds::COLLECTION
+        }
+        fn load(&self, in_cards: &[f64], _bytes: f64, _model: &crate::cost::CostModel) -> Load {
+            Load::cpu(1e6 * in_cards.iter().sum::<f64>())
+        }
+        fn execute(
+            &self,
+            _ctx: &mut ExecCtx<'_>,
+            inputs: &[ChannelData],
+            bc: &BroadcastCtx,
+        ) -> Result<ChannelData> {
+            let rows = inputs[0].flatten()?;
+            Ok(ChannelData::Collection(Arc::new(rows.iter().map(|v| self.0.call(v, bc)).collect())))
+        }
+    }
+
+    /// Losing the spill files of the entries a warm plan would replay,
+    /// between their probe and their fetch, re-plans the job to
+    /// recomputation instead of failing it.
+    #[test]
+    fn an_unreadable_chosen_entry_re_plans_to_recomputation() {
+        use crate::mapping::{Candidate, FnMapping};
+        let mut ctx = crate::api::RheemContext::new();
+        ctx.registry_mut().add_mapping(Arc::new(FnMapping(
+            |_: &RheemPlan, node: &OperatorNode| match &node.op {
+                LogicalOp::Map(u) => vec![Candidate::single(node.id, Arc::new(RowMap(u.clone())))],
+                _ => vec![],
+            },
+        )));
+        let mut b = PlanBuilder::new();
+        let sink = b
+            .collection((0..500i64).map(Value::from).collect::<Vec<_>>())
+            .map(MapUdf::new("inc", |v| Value::from(v.as_int().unwrap_or(0) + 1)))
+            .map(MapUdf::new("dbl", |v| Value::from(v.as_int().unwrap_or(0) * 2)))
+            .collect();
+        let plan = b.build().unwrap();
+        let one = rows_unique_bytes(&dataset(500));
+        let cache = Arc::new(ResultCache::with_disk(one + one / 2, 100 * one));
+        let ctx = ctx.with_shared_cache(Arc::clone(&cache));
+        let cold = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+        assert_eq!(cache.stats().inserts, 3, "the source and both maps publish");
+
+        // Push every entry to disk, then lose their spill files: the
+        // probes still hit, every fetch fails.
+        cache.insert(fp(u64::MAX), dataset(500));
+        let lost: Vec<Fingerprint> = {
+            let inner = cache.inner.lock().unwrap();
+            inner
+                .map
+                .iter()
+                .filter(|(_, e)| matches!(e.stored, Stored::Disk(_)))
+                .map(|(k, _)| fp(k.1))
+                .collect()
+        };
+        assert_eq!(lost.len(), 3);
+        for key in lost {
+            std::fs::remove_file(spill_path(&cache, key)).unwrap();
+        }
+        let before = cache.stats();
+        let opt = ctx.optimize(&plan).unwrap();
+        let after = cache.stats();
+        assert!(after.hits > before.hits, "the warm job must probe the spilled entries");
+        assert!(after.evictions > before.evictions, "the chosen replay was never fetched");
+        assert!(
+            plan.operators().iter().all(|n| opt.candidate_of(n.id).exec.name() != "CachedSource"),
+            "nothing readable is left to replay"
+        );
+        let warm = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+        assert_eq!(warm, cold, "re-planned job changed the answer");
     }
 
     #[test]
@@ -1208,7 +1427,7 @@ mod tests {
         let ch = ChannelData::Batches(Arc::new(vec![Batch::from_values(&vals)]));
         cache.insert_channel_in(Namespace::SHARED, fp(9), &ch);
         let hit = cache.lookup(fp(9)).unwrap();
-        assert!(matches!(hit.payload, CachedPayload::Batches(_)), "columnar stays columnar");
+        assert!(matches!(hit.payload, Some(CachedPayload::Batches(_))), "columnar stays columnar");
         let src = CachedSource::new(hit, fp(9));
         let profiles = Profiles::bare();
         let mut ctx = ExecCtx::new(&profiles, 0);
@@ -1222,11 +1441,16 @@ mod tests {
         let rows = dataset(1000);
         let bytes = rows_unique_bytes(&rows);
         let mem = CachedSource::new(
-            CacheHit { payload: CachedPayload::Rows(Arc::clone(&rows)), bytes, tier: Tier::Memory },
+            CacheHit {
+                payload: Some(CachedPayload::Rows(Arc::clone(&rows))),
+                bytes,
+                card: 1000,
+                tier: Tier::Memory,
+            },
             fp(1),
         );
         let disk = CachedSource::new(
-            CacheHit { payload: CachedPayload::Rows(rows), bytes, tier: Tier::Disk },
+            CacheHit { payload: None, bytes, card: 1000, tier: Tier::Disk },
             fp(1),
         );
         assert!(disk.read_ms() > mem.read_ms(), "spilled replay priced at the slower store");

@@ -4,9 +4,11 @@
 //! entries evicted under memory pressure are demoted here — serialized to a
 //! per-cache spill directory on the local filesystem — instead of dropped,
 //! so the reuse horizon is bounded by the (much larger) disk budget. A
-//! lookup that lands on a spilled entry reads it back, promotes it to
-//! memory, and reports [`super::Tier::Disk`] so [`super::CachedSource`]
-//! prices the replay at the slower [`rheem_storage::spill_costs`] rate.
+//! lookup that lands on a spilled entry is a probe: it touches no file and
+//! reports [`super::Tier::Disk`] so [`super::CachedSource`] prices the
+//! replay at the slower [`rheem_storage::spill_costs`] rate. Only an entry
+//! the chosen plan replays is [`read`] back — outside the cache lock — and
+//! promoted to memory ([`super::ResultCache::fetch_in`]).
 //!
 //! The codec is a small self-contained binary format (no serde — the crate
 //! has no serialization dependency): a tag byte per value variant with
@@ -15,12 +17,14 @@
 //! [`Batch::from_values`] and the replay stays columnar through the disk
 //! tier. Duplicate strings are re-interned on read, so a promoted dataset
 //! regains the shared allocations its accounted byte size was computed
-//! from.
+//! from. Every length prefix is bounded by the bytes left in the file, so
+//! a corrupt file is an [`io::ErrorKind::InvalidData`] error, never a huge
+//! allocation.
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::io::{self, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,7 +73,8 @@ impl SpillStore {
         Self { dir, seq: 0, created: false }
     }
 
-    fn path_of(&self, slot: SpillSlot) -> PathBuf {
+    /// The file a slot's payload is spilled to.
+    pub fn path_of(&self, slot: SpillSlot) -> PathBuf {
         self.dir.join(format!("{:016x}.spill", slot.0))
     }
 
@@ -108,51 +113,6 @@ impl SpillStore {
         Ok(slot)
     }
 
-    /// Read a spilled payload back. Strings are re-interned (duplicates
-    /// share one allocation) and columnar payloads are rebuilt batch by
-    /// batch, preserving their layout through the disk round trip.
-    pub fn read(&self, slot: SpillSlot) -> io::Result<CachedPayload> {
-        let mut r = BufReader::new(fs::File::open(self.path_of(slot))?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad spill magic"));
-        }
-        let kind = read_u8(&mut r)?;
-        let mut interner: HashMap<Box<str>, Arc<str>> = HashMap::new();
-        match kind {
-            KIND_ROWS => {
-                let n = read_u64(&mut r)? as usize;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(read_value(&mut r, &mut interner)?);
-                }
-                Ok(CachedPayload::Rows(Arc::new(rows)))
-            }
-            KIND_BATCHES => {
-                let nb = read_u64(&mut r)? as usize;
-                let mut lens = Vec::with_capacity(nb);
-                for _ in 0..nb {
-                    lens.push(read_u64(&mut r)? as usize);
-                }
-                let mut batches = Vec::with_capacity(nb);
-                let mut buf = Vec::new();
-                for len in lens {
-                    buf.clear();
-                    buf.reserve(len);
-                    for _ in 0..len {
-                        buf.push(read_value(&mut r, &mut interner)?);
-                    }
-                    batches.push(Batch::from_values(&buf));
-                }
-                Ok(CachedPayload::Batches(Arc::new(batches)))
-            }
-            other => {
-                Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad spill kind {other}")))
-            }
-        }
-    }
-
     /// Delete a spill file (entry evicted or promoted back to memory).
     pub fn remove(&self, slot: SpillSlot) {
         let _ = fs::remove_file(self.path_of(slot));
@@ -177,6 +137,63 @@ impl Drop for SpillStore {
     fn drop(&mut self) {
         self.clear();
     }
+}
+
+/// Read a spilled payload back from its file ([`SpillStore::path_of`]).
+/// Strings are re-interned (duplicates share one allocation) and columnar
+/// payloads are rebuilt batch by batch, preserving their layout through the
+/// disk round trip.
+pub fn read(path: &Path) -> io::Result<CachedPayload> {
+    let file = fs::read(path)?;
+    let mut r = file.as_slice();
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(invalid("bad spill magic".into()));
+    }
+    let kind = read_u8(&mut r)?;
+    let mut interner: HashMap<&str, Arc<str>> = HashMap::new();
+    match kind {
+        KIND_ROWS => {
+            let n = read_u64(&mut r)?;
+            let mut rows = Vec::with_capacity(fits(r, n, 1)?);
+            for _ in 0..n {
+                rows.push(read_value(&mut r, &mut interner)?);
+            }
+            Ok(CachedPayload::Rows(Arc::new(rows)))
+        }
+        KIND_BATCHES => {
+            let nb = read_u64(&mut r)?;
+            let nb = fits(r, nb, 8)?;
+            let mut lens = Vec::with_capacity(nb);
+            for _ in 0..nb {
+                lens.push(read_u64(&mut r)?);
+            }
+            let mut batches = Vec::with_capacity(nb);
+            let mut buf = Vec::new();
+            for len in lens {
+                buf.clear();
+                buf.reserve(fits(r, len, 1)?);
+                for _ in 0..len {
+                    buf.push(read_value(&mut r, &mut interner)?);
+                }
+                batches.push(Batch::from_values(&buf));
+            }
+            Ok(CachedPayload::Batches(Arc::new(batches)))
+        }
+        other => Err(invalid(format!("bad spill kind {other}"))),
+    }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// `n` items of at least `unit` bytes each, when they fit in what is left
+/// of the file; a corrupt length prefix is `InvalidData`, not an allocation.
+fn fits(left: &[u8], n: u64, unit: u64) -> io::Result<usize> {
+    let fit = n.checked_mul(unit).is_some_and(|need| need <= left.len() as u64);
+    fit.then_some(n as usize).ok_or_else(|| invalid(format!("spill length {n} overruns the file")))
 }
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
@@ -234,7 +251,10 @@ fn write_value(w: &mut impl Write, v: &Value) -> io::Result<()> {
     }
 }
 
-fn read_value(r: &mut impl Read, interner: &mut HashMap<Box<str>, Arc<str>>) -> io::Result<Value> {
+fn read_value<'a>(
+    r: &mut &'a [u8],
+    interner: &mut HashMap<&'a str, Arc<str>>,
+) -> io::Result<Value> {
     match read_u8(r)? {
         TAG_NULL => Ok(Value::Null),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
@@ -250,35 +270,30 @@ fn read_value(r: &mut impl Read, interner: &mut HashMap<Box<str>, Arc<str>>) -> 
             Ok(Value::Float(f64::from_bits(u64::from_le_bytes(b))))
         }
         TAG_STR => {
-            let len = read_u32(r)? as usize;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
-            let s = String::from_utf8(buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if let Some(a) = interner.get(s.as_str()) {
-                return Ok(Value::Str(Arc::clone(a)));
-            }
-            let a: Arc<str> = Arc::from(s.as_str());
-            interner.insert(s.into_boxed_str(), Arc::clone(&a));
-            Ok(Value::Str(a))
+            let len = read_u32(r)?;
+            let left: &'a [u8] = r;
+            let (bytes, rest) = left.split_at(fits(left, len.into(), 1)?);
+            *r = rest;
+            let s = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
+            Ok(Value::Str(Arc::clone(interner.entry(s).or_insert_with(|| Arc::from(s)))))
         }
         TAG_TUPLE => {
-            let n = read_u32(r)? as usize;
-            let mut parts = Vec::with_capacity(n);
+            let n = read_u32(r)?;
+            let mut parts = Vec::with_capacity(fits(r, n.into(), 1)?);
             for _ in 0..n {
                 parts.push(read_value(r, interner)?);
             }
             Ok(Value::Tuple(parts.into()))
         }
-        other => Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad value tag {other}"))),
+        other => Err(invalid(format!("bad value tag {other}"))),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
-    fn word_rows() -> Arc<Vec<Value>> {
+    pub(crate) fn word_rows() -> Arc<Vec<Value>> {
         let hello: Arc<str> = Arc::from("hello");
         Arc::new(
             (0..10)
@@ -293,7 +308,7 @@ mod tests {
         let mut store = SpillStore::new();
         let rows = word_rows();
         let slot = store.write(&CachedPayload::Rows(Arc::clone(&rows))).unwrap();
-        let back = store.read(slot).unwrap();
+        let back = read(&store.path_of(slot)).unwrap();
         let CachedPayload::Rows(out) = back else { panic!("rows expected") };
         assert_eq!(*out, *rows);
         // Duplicate strings share one allocation after the round trip.
@@ -309,7 +324,7 @@ mod tests {
         let b2 = Batch::from_values(&[Value::from(3)]);
         let payload = CachedPayload::Batches(Arc::new(vec![b1, b2]));
         let slot = store.write(&payload).unwrap();
-        let CachedPayload::Batches(out) = store.read(slot).unwrap() else {
+        let CachedPayload::Batches(out) = read(&store.path_of(slot)).unwrap() else {
             panic!("batches expected")
         };
         assert_eq!(out.len(), 2, "per-batch boundaries preserved");
@@ -324,8 +339,36 @@ mod tests {
         let dir = store.dir.clone();
         assert!(dir.exists());
         store.remove(slot);
-        assert!(store.read(slot).is_err());
+        assert!(read(&store.path_of(slot)).is_err());
         drop(store);
         assert!(!dir.exists(), "spill dir removed on drop");
+    }
+
+    /// Byte offsets of the row count, the first tuple's arity and its first
+    /// string's length in a [`word_rows`] spill file.
+    pub(crate) const LENGTH_PREFIXES: [(usize, usize); 3] = [(5, 8), (14, 4), (19, 4)];
+
+    #[test]
+    fn corrupt_length_prefixes_are_errors_not_allocations() {
+        let mut store = SpillStore::new();
+        let slot = store.write(&CachedPayload::Rows(word_rows())).unwrap();
+        let path = store.path_of(slot);
+        let good = fs::read(&path).unwrap();
+        assert_eq!((good[13], good[18]), (TAG_TUPLE, TAG_STR), "prefix offsets moved");
+        for (at, len) in LENGTH_PREFIXES {
+            let mut bad = good.clone();
+            bad[at..at + len].fill(0xFF);
+            fs::write(&path, &bad).unwrap();
+            let err = read(&path).err().expect("a corrupt length must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix at {at}");
+        }
+        // A batch count that overruns the file is rejected the same way.
+        let batches = CachedPayload::Batches(Arc::new(vec![Batch::from_values(&word_rows())]));
+        let slot = store.write(&batches).unwrap();
+        let path = store.path_of(slot);
+        let mut bad = fs::read(&path).unwrap();
+        bad[5..13].fill(0xFF);
+        fs::write(&path, &bad).unwrap();
+        assert_eq!(read(&path).err().map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
     }
 }

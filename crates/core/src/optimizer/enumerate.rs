@@ -21,6 +21,7 @@ use std::collections::HashMap;
 
 use super::{OptimizedPlan, Optimizer};
 use crate::builtin::CONTROL;
+use crate::cache::{CacheHit, CachedSource, Fingerprint, Namespace, Tier};
 use crate::cardinality::Estimates;
 use crate::cost::Interval;
 use crate::error::{Result, RheemError};
@@ -102,6 +103,17 @@ struct Inflated {
     pay_at: Vec<Vec<OperatorId>>,
     /// `core.handoff.alpha`: cycles per quantum of an external edge.
     handoff_alpha: f64,
+    /// `CachedSource` candidates priced from a probe of a spilled entry,
+    /// whose payload is fetched only if the chosen plan replays them.
+    disk_probes: Vec<DiskProbe>,
+}
+
+/// A `CachedSource` candidate whose cache entry is on the disk tier.
+struct DiskProbe {
+    cand: usize,
+    ns: Namespace,
+    fp: Fingerprint,
+    hit: CacheHit,
 }
 
 #[derive(Clone)]
@@ -111,11 +123,14 @@ struct Partial {
     mask: u32,
 }
 
+/// `unreadable` lists fingerprints whose spilled entry failed to read back
+/// in an earlier round of this enumeration: they are not probed again.
 fn build_inflated(
     opt: &Optimizer<'_>,
     plan: &RheemPlan,
     estimates: Estimates,
     graph: &ConversionGraph,
+    unreadable: &[Fingerprint],
 ) -> Result<Inflated> {
     let n = plan.len();
     let topo = plan.topological_order()?;
@@ -161,7 +176,9 @@ fn build_inflated(
     // candidate, so reuse is *chosen*, never forced: the replay cost (cache
     // read + conversion out of the collection channel) competes against
     // recomputation. Skipped under a forced platform — a driver-side replay
-    // would bypass the pin.
+    // would bypass the pin. A spilled entry is priced from its probe alone;
+    // only the ones the chosen plan replays are read (`fetch_chosen`).
+    let mut disk_probes = Vec::new();
     if let Some(cache) = opt.cache.as_ref().filter(|_| opt.forced_platform.is_none()) {
         // Overridden fingerprints pin progressive-replan boundaries to
         // their original identities, so a re-planned remainder still hits
@@ -169,19 +186,19 @@ fn build_inflated(
         let fps = crate::cache::plan_fingerprints_with(plan, &opt.fp_overrides);
         for node in plan.operators() {
             let i = node.id.index();
-            let Some(fp) = fps[i] else { continue };
+            let Some(fp) = fps[i].filter(|fp| !unreadable.contains(fp)) else { continue };
             // An in-memory collection source replays for free already.
             if matches!(node.op, crate::plan::LogicalOp::CollectionSource { .. }) {
                 continue;
             }
             // Namespace-scoped: the tenant's own entries first, the shared
             // namespace (public datasets) only when the scope opts in.
-            let hit = cache.lookup_in(opt.cache_ns, fp).or_else(|| {
+            let hit = cache.lookup_in(opt.cache_ns, fp).map(|h| (opt.cache_ns, h)).or_else(|| {
                 (opt.cache_shared_read && !opt.cache_ns.is_shared())
-                    .then(|| cache.lookup(fp))
+                    .then(|| cache.lookup(fp).map(|h| (Namespace::SHARED, h)))
                     .flatten()
             });
-            let Some(hit) = hit else { continue };
+            let Some((ns, hit)) = hit else { continue };
             // Transitive input closure of the hit operator (fingerprintable
             // ops only, so no loop edges and no cycles).
             let mut covered = vec![false; n];
@@ -212,7 +229,10 @@ fn build_inflated(
                 topo.iter().copied().filter(|o| covered[o.index()]).collect();
             debug_assert!(plan.node(covers[0]).inputs.is_empty());
             debug_assert_eq!(*covers.last().unwrap(), node.id);
-            let exec = std::sync::Arc::new(crate::cache::CachedSource::new(hit, fp));
+            if hit.tier == Tier::Disk {
+                disk_probes.push(DiskProbe { cand: cands.len(), ns, fp, hit: hit.clone() });
+            }
+            let exec = std::sync::Arc::new(CachedSource::new(hit, fp));
             by_head[covers[0].index()].push(cands.len());
             cands.push(Candidate { covers, exec });
         }
@@ -352,6 +372,7 @@ fn build_inflated(
         // per-quantum handoff cost that makes operator fusion (chains)
         // strictly cheaper than equivalent sequences of single operators.
         handoff_alpha: opt.model.get("core.handoff.alpha", 25.0),
+        disk_probes,
     })
 }
 
@@ -504,16 +525,39 @@ pub(super) fn enumerate(
 pub(super) fn enumerate_with(
     opt: &Optimizer<'_>,
     plan: &RheemPlan,
-    estimates: Estimates,
+    mut estimates: Estimates,
     prune: bool,
 ) -> Result<OptimizedPlan> {
     let graph = opt.registry.conversion_graph();
-    let inf = build_inflated(opt, plan, estimates, graph)?;
-    let mut settlements = Settlements::new(opt, &inf, graph);
-    let (best, mut stats) = search(plan, &inf, prune, |partial, p| settlements.settle(partial, p))?;
-    stats.movement_settlements = settlements.settled;
-    stats.movement_solves = settlements.solved;
-    Ok(assemble(inf, best, stats))
+    // Each round that fails to read a chosen spilled entry re-plans without
+    // it, so there are at most as many rounds as probed fingerprints.
+    let mut unreadable = Vec::new();
+    loop {
+        let mut inf = build_inflated(opt, plan, estimates, graph, &unreadable)?;
+        let mut settlements = Settlements::new(opt, &inf, graph);
+        let (best, mut stats) =
+            search(plan, &inf, prune, |partial, p| settlements.settle(partial, p))?;
+        stats.movement_settlements = settlements.settled;
+        stats.movement_solves = settlements.solved;
+        let Some(fp) = fetch_chosen(opt, &mut inf, &best) else {
+            return Ok(assemble(inf, best, stats));
+        };
+        unreadable.push(fp);
+        estimates = inf.estimates;
+    }
+}
+
+/// Read back the spilled entries the winning plan replays — only those —
+/// and hand their `CachedSource`s the payload, priced as probed. Returns
+/// the fingerprint of an entry that could not be read (the cache evicted it).
+fn fetch_chosen(opt: &Optimizer<'_>, inf: &mut Inflated, best: &Partial) -> Option<Fingerprint> {
+    let cache = opt.cache.as_ref()?;
+    for probe in inf.disk_probes.iter().filter(|d| best.choice.contains(&(d.cand as u32))) {
+        let Some(payload) = cache.fetch_in(probe.ns, probe.fp) else { return Some(probe.fp) };
+        let hit = CacheHit { payload: Some(payload), ..probe.hit.clone() };
+        inf.cands[probe.cand].exec = std::sync::Arc::new(CachedSource::new(hit, probe.fp));
+    }
+    None
 }
 
 /// Grow partials along the topological order, charging each producer's
@@ -741,7 +785,7 @@ mod tests {
         prune: bool,
     ) -> Result<OptimizedPlan> {
         let graph = opt.registry.conversion_graph();
-        let inf = build_inflated(opt, plan, estimates, graph)?;
+        let inf = build_inflated(opt, plan, estimates, graph, &[])?;
         let mut calls = 0;
         let (best, mut stats) = search(plan, &inf, prune, |partial, p| {
             calls += 1;
@@ -1048,7 +1092,7 @@ mod tests {
         let opt = Optimizer::new(ctx.registry(), ctx.profiles(), ctx.cost_model());
         let graph = ctx.registry().conversion_graph();
         let estimates = Estimator::new().estimate(&plan).unwrap();
-        let inf = build_inflated(&opt, &plan, estimates, graph).unwrap();
+        let inf = build_inflated(&opt, &plan, estimates, graph, &[]).unwrap();
         let pick = |op: OperatorId, platform: PlatformId| -> u32 {
             let ci = inf.by_head[op.index()]
                 .iter()

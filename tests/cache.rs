@@ -379,6 +379,62 @@ fn spilled_entries_replay_and_promote_within_memory_budget() {
     assert!(st.promotions >= 1, "disk hit must promote to memory: {st:?}");
 }
 
+/// A warm job over a two-tier cache probes every spilled entry its plan
+/// could replay (source, split, pair and ReduceBy of a WordCount) but reads
+/// back only the one it does replay: one promotion. The replay point is the
+/// one a cache that fits the session chooses, and once promoted the entry
+/// prices exactly as it does there.
+#[test]
+fn warm_job_promotes_only_the_entry_it_replays() {
+    let jobs: Vec<(RheemPlan, OperatorId)> = (0..3u64)
+        .map(|i| {
+            let path = std::path::PathBuf::from(format!("hdfs://tests/cache/promote_{i}.txt"));
+            rheem_datagen::text::write_corpus(&path, 64, 20 + i).unwrap();
+            wordcount(&path)
+        })
+        .collect();
+    let (plan, sink) = &jobs[0];
+    let reduce = plan.node(*sink).inputs[0];
+    let (reference, _) = run(&rheem::default_context(), plan, *sink).unwrap();
+
+    // Memory holds what one job publishes, so the session spills job 0's.
+    let fit = Arc::new(ResultCache::new(64 << 20));
+    let fit_ctx = ctx_with(&fit);
+    run(&fit_ctx, plan, *sink).unwrap();
+    let spill = Arc::new(ResultCache::with_disk(fit.stats().bytes, 64 << 20));
+    let spill_ctx = ctx_with(&spill);
+    for (p, s) in &jobs {
+        run(&fit_ctx, p, *s).unwrap();
+        run(&spill_ctx, p, *s).unwrap();
+    }
+    assert_eq!(fit.stats().spills, 0);
+
+    let before = spill.stats();
+    assert!(before.spilled_entries >= 4, "job 0's entries must be on disk: {before:?}");
+    let warm = spill_ctx.optimize(plan).unwrap();
+    let after = spill.stats();
+    assert!(after.hits - before.hits >= 2, "the warm job must probe several entries: {after:?}");
+    assert_eq!(after.promotions - before.promotions, 1, "only the replayed entry is read back");
+    assert!(
+        after.bytes <= spill.budget_bytes() && after.spilled_bytes <= spill.disk_budget_bytes()
+    );
+
+    let replay = |o: &rheem_core::optimizer::OptimizedPlan| {
+        let c = o.candidate_of(reduce);
+        (c.exec.name().to_string(), c.covers.clone())
+    };
+    let fit_warm = fit_ctx.optimize(plan).unwrap();
+    assert_eq!(replay(&warm).0, "CachedSource");
+    assert_eq!(replay(&warm), replay(&fit_warm), "the spill tier moved the replay point");
+    assert!(warm.est_ms > fit_warm.est_ms, "a disk replay is priced above a memory one");
+    let promoted = spill_ctx.optimize(plan).unwrap();
+    assert_eq!(promoted.est_ms.to_bits(), fit_warm.est_ms.to_bits());
+    assert_eq!(spill.stats().promotions, after.promotions, "a resident entry is not read again");
+
+    let (out, _) = run(&spill_ctx, plan, *sink).unwrap();
+    assert_eq!(out, reference, "disk-tier replay changed the answer");
+}
+
 // ---- unique-bytes accounting (PR 10) ------------------------------------
 
 /// `dataset_bytes` prices every row as if it owned its payload; cache

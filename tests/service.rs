@@ -10,7 +10,9 @@
 //!    the typed [`RheemError::Rejected`], deterministically.
 //! 3. **Cache quotas**: a tenant's resident cache bytes never exceed its
 //!    quota (polled through the `rheem_cache_*{tenant=...}` gauges), and a
-//!    quota-thrashing tenant cannot evict a quoted neighbour's entries.
+//!    quota-thrashing tenant cannot evict a quoted neighbour's entries. A
+//!    shared two-tier cache serves concurrent warm reruns from its disk tier
+//!    with every answer intact and both tiers within budget.
 //! 4. **No starvation**: a 1-stage job submitted behind a long
 //!    critical-path job of another tenant completes while the long job is
 //!    still running.
@@ -339,6 +341,89 @@ fn cache_quotas_hold_and_do_not_cross_namespaces() {
     let nh = service.submit("neighbour", nplan).unwrap();
     assert_eq!(nh.wait().unwrap().sink(nsink).unwrap().to_vec(), nout);
     assert!(cache.stats_of(neighbour_ns).hits > hits_before, "warm rerun must hit");
+}
+
+/// Four tenants share one two-tier cache whose memory holds about a third
+/// of what they publish. Each submits a cold job and, once all four have
+/// published, three warm reruns of it at once: probes, spill-file reads
+/// outside the cache lock, promotions and the spills they force all race. Every answer is the
+/// isolated run's, both tiers end within budget, and the cache lock is
+/// never poisoned.
+#[test]
+fn disk_tier_serves_concurrent_warm_reruns() {
+    const TENANTS: usize = 4;
+    const WARM: usize = 3;
+    let paths: Vec<std::path::PathBuf> = (0..TENANTS)
+        .map(|t| {
+            let path = std::path::PathBuf::from(format!("hdfs://tests/service/disk{t}.txt"));
+            rheem_datagen::text::write_corpus(&path, 96, 40 + t as u64).unwrap();
+            path
+        })
+        .collect();
+    // Isolated answers, and what each job publishes into a cache it fits.
+    let (baselines, published): (Vec<Vec<Value>>, Vec<u64>) = paths
+        .iter()
+        .map(|path| {
+            let (plan, sink) = corpus_plan(path);
+            let cache = Arc::new(ResultCache::new(64 << 20));
+            let ctx = rheem::default_context().with_shared_cache(Arc::clone(&cache));
+            let out = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+            (out, cache.stats().bytes)
+        })
+        .unzip();
+    let published: u64 = published.iter().sum();
+
+    let cache = Arc::new(ResultCache::with_disk(published / 3, 64 << 20));
+    let mut ctx = rheem::default_context();
+    ctx.set_cache(Some(Arc::clone(&cache)));
+    let tenants: Vec<TenantSpec> =
+        (0..TENANTS).map(|t| TenantSpec::new(&tenant_name(t)).with_max_in_flight(WARM)).collect();
+    let service = JobService::new(ctx, ServiceConfig::default(), tenants).unwrap();
+    // Warm reruns start once every cold job has published, so the entries
+    // of the tenants that finished first are on disk by then.
+    let cold_done = std::sync::Barrier::new(TENANTS);
+    let outputs: Vec<Vec<Vec<Value>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = paths
+            .iter()
+            .enumerate()
+            .map(|(t, path)| {
+                let (service, cold_done) = (&service, &cold_done);
+                s.spawn(move || {
+                    let name = tenant_name(t);
+                    let (plan, sink) = corpus_plan(path);
+                    let cold = service.submit(&name, plan).unwrap();
+                    let mut out = vec![cold.wait().unwrap().sink(sink).unwrap().to_vec()];
+                    cold_done.wait();
+                    let warm: Vec<(JobHandle, OperatorId)> = (0..WARM)
+                        .map(|_| {
+                            let (plan, sink) = corpus_plan(path);
+                            (service.submit(&name, plan).unwrap(), sink)
+                        })
+                        .collect();
+                    for (h, sink) in warm {
+                        out.push(h.wait().unwrap().sink(sink).unwrap().to_vec());
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (t, runs) in outputs.iter().enumerate() {
+        for (i, out) in runs.iter().enumerate() {
+            assert_eq!(out, &baselines[t], "tenant {t} run {i}: the shared disk tier changed it");
+        }
+    }
+    // `stats` takes the cache lock: a poisoned lock panics here.
+    let st = cache.stats();
+    assert!(st.spills > 0, "the memory tier never overflowed: {st:?}");
+    assert!(st.promotions > 0, "no warm rerun read the disk tier: {st:?}");
+    assert!(st.bytes <= cache.budget_bytes(), "memory tier over budget: {st:?}");
+    assert!(st.spilled_bytes <= cache.disk_budget_bytes(), "disk tier over budget: {st:?}");
+    let probe = rheem_core::cache::Fingerprint(0xD15C);
+    cache.insert(probe, Arc::new(vec![Value::from(1i64)]));
+    assert!(cache.lookup(probe).is_some(), "the cache must stay usable");
 }
 
 // ---- 4. no starvation ------------------------------------------------------
