@@ -7,7 +7,8 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::plan::{IneqCond, SampleMethod, SampleSize};
+use crate::error::{Result, RheemError};
+use crate::plan::{IneqCond, LogicalOp, SampleMethod, SampleSize};
 use crate::udf::{BroadcastCtx, FlatMapUdf, KeyUdf, MapUdf, PredicateUdf, ReduceUdf};
 use crate::value::Value;
 
@@ -472,6 +473,48 @@ pub fn page_rank(edges: &[Value], iterations: u32, damping: f64) -> Vec<Value> {
         .into_iter()
         .map(|(v, r)| Value::pair(Value::from(v), Value::from(r)))
         .collect()
+}
+
+/// The single-partition interpreter: one logical operator over whole inputs
+/// (slot 1 feeds the binary operators; a missing slot reads as empty). A
+/// sample draws from its own seed, else the job's `seed`, varied per loop
+/// `iteration`. What java.streams runs for every standalone operator and
+/// postgres for every post-scan one.
+pub fn apply(
+    op: &LogicalOp,
+    inputs: &[&[Value]],
+    bc: &BroadcastCtx,
+    seed: u64,
+    iteration: u64,
+) -> Result<Vec<Value>> {
+    let a = inputs.first().copied().unwrap_or(&[]);
+    let b = inputs.get(1).copied().unwrap_or(&[]);
+    Ok(match op {
+        LogicalOp::Map(udf) => map(a, udf, bc),
+        LogicalOp::FlatMap(udf) => flat_map(a, udf, bc),
+        LogicalOp::Filter(pred) | LogicalOp::SargFilter { pred, .. } => filter(a, pred, bc),
+        LogicalOp::Project { fields } => project(a, fields),
+        LogicalOp::Sample { method, size, seed: s } => {
+            sample(a, *method, *size, s.unwrap_or(seed) ^ iteration.wrapping_mul(0x9E37_79B9))
+        }
+        LogicalOp::SortBy(key) => sort_by(a, key),
+        LogicalOp::Distinct => distinct(a),
+        LogicalOp::Count => vec![Value::from(a.len())],
+        LogicalOp::GroupBy(key) => group_by(a, key),
+        LogicalOp::Reduce(agg) => reduce(a, agg),
+        LogicalOp::ReduceBy { key, agg } => reduce_by(a, key, agg),
+        LogicalOp::Union => [a, b].concat(),
+        LogicalOp::Join { left_key, right_key } => hash_join(a, b, left_key, right_key),
+        LogicalOp::Cartesian => cartesian(a, b),
+        LogicalOp::InequalityJoin { conds } => ineq_join_nested(a, b, conds),
+        LogicalOp::PageRank { iterations, damping } => page_rank(a, *iterations, *damping),
+        other => {
+            return Err(RheemError::Unsupported(format!(
+                "no single-partition kernel runs {:?}",
+                other.kind()
+            )))
+        }
+    })
 }
 
 /// Test hook: the key extractor (by address) of every [`JoinKeys`] table

@@ -1,14 +1,14 @@
-//! The partitioned engine, written once. The distributed simulacra (spark,
-//! flink) differ in *cost structure* — per-stage overheads, chaining,
-//! iteration and broadcast charges — not in dataflow semantics, so each is
-//! an [`Engine`] table of constants (plus two optional trace hooks) over the
-//! one chain operator ([`Chain`]) and the three driver/file bridges
+//! The partitioned engine, written once. The dataflow engines (java.streams,
+//! spark, flink) differ in *cost structure* — parallelism, per-stage
+//! overheads, chaining, iteration and broadcast charges — not in dataflow
+//! semantics, so each is an [`Engine`] table of constants (plus optional
+//! trace hooks) over the one chain operator ([`Chain`]), its mappings
+//! ([`Engine::add_mappings`]) and the three driver/file bridges
 //! ([`Collect`], [`FromCollection`], [`ReadTextFile`]). This module also
 //! owns what they run on: the indexed task runner on the shared pool, the
 //! row and columnar hash exchanges, the reduce-side exchange of two-phase
 //! aggregation, the partitioned text source, the chain-costing walk
-//! ([`chain_cost`], shared with the single-partition javastreams engine)
-//! and the one `ChannelData → Vec<Part>` landing.
+//! ([`chain_cost`]) and the one `ChannelData → Vec<Part>` landing.
 
 mod bridge;
 mod chain;
@@ -28,13 +28,14 @@ use crate::error::{Result, RheemError};
 use crate::exec::{dataset_bytes, ExecCtx, Fallback};
 use crate::fused::{self, Segment};
 use crate::kernels::{self, NO_ENTRY};
-use crate::mapping::Candidate;
-use crate::plan::{LogicalOp, OpKind, OperatorId, RheemPlan};
+use crate::mapping::{upstream_chain, Candidate, FnMapping};
+use crate::plan::{LogicalOp, OpKind, OperatorId, OperatorNode, RheemPlan};
 use crate::platform::{PlatformId, PlatformProfile};
+use crate::registry::Registry;
 use crate::udf::{KeySpec, KeyUdf, ReduceUdf};
 use crate::value::{Dataset, Value};
 
-/// What distinguishes one partitioned engine from another: the rows of
+/// What distinguishes one dataflow engine from another: the rows of
 /// DESIGN.md's substitution table, as constants. Everything else — operator
 /// semantics, exchanges, landings, hand-offs — is shared code.
 pub struct Engine {
@@ -47,6 +48,13 @@ pub struct Engine {
     pub accepts: &'static [ChannelKind],
     /// Channel kind a stage produces.
     pub output: ChannelKind,
+    /// One partition, no exchange (java.streams): every slot lands as one
+    /// row partition, standalone operators run [`kernels::apply`], a fused
+    /// terminal ReduceBy aggregates in one pass, broadcasts and `load` carry
+    /// no network term, the output is the driver's collection, and there is
+    /// no parallel text source. The constants below that only a
+    /// partitioned engine reads are 0 on such a row.
+    pub single_partition: bool,
     /// Cost-model constants of a stage (job submission δ, per-kind α).
     pub costs: ChainCosts,
     /// PageRank: share of the edge bytes exchanged per iteration (full
@@ -77,6 +85,9 @@ pub struct Engine {
     /// Trace hook: a stage landed its input (flink's `flink.vertex`).
     pub on_stage:
         Option<fn(ctx: &mut ExecCtx<'_>, workers: usize, partitions: usize, in_card: u64)>,
+    /// Trace hook: a fused run of `steps > 1` narrow operators is about to
+    /// run, feeding a terminal ReduceBy or not (java's `java.fused`).
+    pub on_fused: Option<fn(ctx: &mut ExecCtx<'_>, steps: usize, terminal_agg: bool)>,
 }
 
 impl Engine {
@@ -85,6 +96,43 @@ impl Engine {
     pub fn candidate(&'static self, plan: &RheemPlan, covers: Vec<OperatorId>) -> Candidate {
         let ops = covers.iter().map(|&id| plan.node(id).op.clone()).collect();
         Candidate { covers, exec: Arc::new(Chain::new(self, ops)) }
+    }
+
+    /// Register the engine's three mappings: 1-to-1 for every [`supported`]
+    /// operator (sources only on a partitioned engine), narrow-chain fusion
+    /// (stage pipelining: one pass, no intermediate collections), and
+    /// narrow-chain fusion *into* a terminal ReduceBy, whose survivors
+    /// stream straight into the hash accumulator (fused terminal
+    /// aggregation).
+    pub fn add_mappings(&'static self, registry: &mut Registry) {
+        registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
+            let kind = node.op.kind();
+            if !supported(kind) || (self.single_partition && kind.is_source()) {
+                return vec![];
+            }
+            vec![self.candidate(plan, vec![node.id])]
+        })));
+        registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
+            let fusable = |n: &OperatorNode| fused::fusable(&n.op);
+            if !fusable(node) {
+                return vec![];
+            }
+            let chain = upstream_chain(plan, node, fusable);
+            if chain.len() < 2 {
+                return vec![];
+            }
+            vec![self.candidate(plan, chain)]
+        })));
+        registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
+            if node.op.kind() != OpKind::ReduceBy {
+                return vec![];
+            }
+            let chain = upstream_chain(plan, node, |n| fused::fusable(&n.op) || n.id == node.id);
+            if chain.len() < 2 {
+                return vec![];
+            }
+            vec![self.candidate(plan, chain)]
+        })));
     }
 
     fn exchanged(&self, ctx: &mut ExecCtx<'_>, op: &str, bytes: f64, partitions: usize) {
@@ -126,8 +174,8 @@ fn is_wide(kind: OpKind) -> bool {
     )
 }
 
-/// Operator kinds a partitioned engine implements (everything javastreams
-/// has, plus the parallel text source; loops stay with the driver).
+/// Operator kinds a dataflow engine implements (the parallel text source
+/// only when partitioned; loops stay with the driver).
 pub fn supported(kind: OpKind) -> bool {
     matches!(
         kind,
@@ -257,6 +305,13 @@ pub fn wrong_layout(op: &str, slot: usize, found: &ChannelData, want: &str) -> R
     ))
 }
 
+/// Input `slot` as one row dataset (collection and partitioned layouts
+/// flatten, in order); a layout that cannot hold rows is a [`wrong_layout`].
+pub fn input_rows(op: &str, inputs: &[ChannelData], slot: usize) -> Result<Dataset> {
+    let found = input(inputs, slot);
+    found.flatten().map_err(|_| wrong_layout(op, slot, found, "rows"))
+}
+
 /// The one landing of a stage input as row partitions: partitioned layouts
 /// land 1:1 (columnar partitions materialize — the right side of Cartesian /
 /// InequalityJoin has no columnar kernel), collection layouts are split by
@@ -318,6 +373,7 @@ type WorkerRun<U> = Result<Vec<(usize, U, f64)>>;
 /// shared pool ([`crate::pool`]) — no per-call thread spawns — where workers
 /// pull indices off a shared queue. Returns the outputs in index order, no
 /// matter which worker produced what, and the measured per-index times (ms).
+/// With one worker or at most one index, `f` runs on the calling thread.
 /// Generic over the slot type so columnar stages can map [`Part`]
 /// partitions without a row round-trip.
 pub fn par_each_idx<U, F>(n: usize, workers: usize, f: F) -> Result<(Vec<U>, Vec<f64>)>
@@ -326,6 +382,18 @@ where
     F: Fn(usize) -> Result<U> + Send + Sync,
 {
     let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        // Nothing to parallelise: run on the calling thread, no pool round
+        // trip.
+        let mut out = Vec::with_capacity(n);
+        let mut times = Vec::with_capacity(n);
+        for i in 0..n {
+            let start = Instant::now();
+            out.push(f(i)?);
+            times.push(start.elapsed().as_secs_f64() * 1000.0);
+        }
+        return Ok((out, times));
+    }
     let next = &AtomicUsize::new(0);
     let f = &f;
     let runs: Mutex<Vec<WorkerRun<U>>> = Mutex::new(Vec::with_capacity(workers));
@@ -692,16 +760,28 @@ mod tests {
         ctx.trace_event("b.stage", || vec![("partitions".to_string(), partitions.into())]);
     }
 
+    fn fused_hook(ctx: &mut ExecCtx<'_>, steps: usize, terminal_agg: bool) {
+        ctx.trace_event("c.fused", || {
+            vec![
+                ("steps".to_string(), steps.into()),
+                ("terminal_agg".to_string(), i64::from(terminal_agg).into()),
+            ]
+        });
+    }
+
     const KIND_A: ChannelKind = ChannelKind("standin.a");
     const KIND_B: ChannelKind = ChannelKind("standin.b");
+    const KIND_C: ChannelKind = ChannelKind("standin.c");
 
-    /// Two stand-in engines that differ in every constant and in which hook
-    /// they carry, as spark and flink do.
+    /// Three stand-in engines that differ in every constant and in which
+    /// hook they carry, as spark, flink and java.streams do; `C` is the
+    /// single-partition one.
     static A: Engine = Engine {
         label: "A",
         platform: PlatformId("standin.a"),
         accepts: &[KIND_A],
         output: KIND_A,
+        single_partition: false,
         costs: ChainCosts {
             token: "standin.a",
             stage_delta: 20_000.0,
@@ -720,12 +800,14 @@ mod tests {
         read_tasks: None,
         on_exchange: Some(exchange_hook),
         on_stage: None,
+        on_fused: None,
     };
     static B: Engine = Engine {
         label: "B",
         platform: PlatformId("standin.b"),
         accepts: &[KIND_B],
         output: KIND_B,
+        single_partition: false,
         costs: ChainCosts {
             token: "standin.b",
             stage_delta: 12_000.0,
@@ -744,6 +826,33 @@ mod tests {
         read_tasks: Some(8),
         on_exchange: None,
         on_stage: Some(stage_hook),
+        on_fused: None,
+    };
+    static C: Engine = Engine {
+        label: "C",
+        platform: PlatformId("standin.c"),
+        accepts: &[KIND_C],
+        output: KIND_C,
+        single_partition: true,
+        costs: ChainCosts {
+            token: "standin.c",
+            stage_delta: 2_000.0,
+            fused_alpha: 150.0,
+            alpha: flat_alpha,
+            pagerank_size: 10.0,
+        },
+        pagerank_iter_share: 0.0,
+        broadcast_ms: 0.0,
+        count_tasks: 0.0,
+        bridge_delta: 0.0,
+        bridge_ms: 0.0,
+        from_collection: "",
+        read_alpha: 0.0,
+        read_delta: 0.0,
+        read_tasks: None,
+        on_exchange: None,
+        on_stage: None,
+        on_fused: Some(fused_hook),
     };
 
     fn pairs(range: std::ops::Range<i64>, keys: i64) -> Vec<Value> {
@@ -816,7 +925,7 @@ mod tests {
         let here = pairs(0..40, 5);
         let there = pairs(100..125, 5);
         let plain = |rows: &[Value]| ChannelData::Collection(Arc::new(rows.to_vec()));
-        for engine in [&A, &B] {
+        for engine in [&A, &B, &C] {
             for (op, reference) in &ops {
                 let name = fused::chain_name(engine.label, std::slice::from_ref(op));
                 for (batched, (layout, data, rows)) in [true, false]
@@ -859,7 +968,7 @@ mod tests {
             let chunks: Vec<Dataset> = rows.chunks(chunk).map(|c| Arc::new(c.to_vec())).collect();
             ChannelData::Partitions(Arc::new(chunks))
         };
-        for engine in [&A, &B] {
+        for engine in [&A, &B, &C] {
             let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
             let inputs = [parts(&pairs(0..50, 5), 9), parts(&pairs(100..120, 5), 6)];
             // 50 left rows × 4 matches each
@@ -895,17 +1004,67 @@ mod tests {
     #[test]
     fn hooks_fire_per_exchange_and_per_stage() {
         let profiles = Profiles::paper_testbed();
-        let events = |engine: &'static Engine, op: LogicalOp| {
+        let events = |engine: &'static Engine, ops: &[LogicalOp]| {
             let mut ctx = ExecCtx::new(&profiles, 0);
             ctx.set_tracing(true);
             let input = ChannelData::Collection(Arc::new(pairs(0..30, 3)));
-            Chain::new(engine, vec![op]).execute(&mut ctx, &[input], &BroadcastCtx::new()).unwrap();
-            ctx.take_events().into_iter().map(|e| e.name).collect::<Vec<_>>()
+            let chain = Chain::new(engine, ops.to_vec());
+            chain.execute(&mut ctx, &[input], &BroadcastCtx::new()).unwrap();
+            ctx.take_events()
         };
-        assert_eq!(events(&A, LogicalOp::Distinct), ["a.exchange"]);
-        assert_eq!(events(&B, LogicalOp::Distinct), ["b.stage"]);
+        let names = |engine, ops: &[LogicalOp]| -> Vec<String> {
+            events(engine, ops).into_iter().map(|e| e.name).collect()
+        };
+        let fused = |ops: &[LogicalOp]| -> Vec<String> {
+            events(&C, ops).iter().map(|e| format!("{} {:?}", e.name, e.attrs)).collect()
+        };
+        let distinct = [LogicalOp::Distinct];
+        assert_eq!(names(&A, &distinct), ["a.exchange"]);
+        assert_eq!(names(&B, &distinct), ["b.stage"]);
+        assert!(names(&C, &distinct).is_empty());
         // A global sort is a range re-split, not a hash exchange.
-        assert!(events(&A, LogicalOp::SortBy(KeyUdf::identity())).is_empty());
+        assert!(names(&A, &[LogicalOp::SortBy(KeyUdf::identity())]).is_empty());
+        // A fused run: A exchanges its partials, B lands one stage, and C
+        // reports the run itself (two steps, streaming into the aggregation).
+        let id = || LogicalOp::Map(crate::udf::MapUdf::new("id", |v| v.clone()));
+        let agg = crate::udf::ReduceUdf::new("first", |a, _| a.clone());
+        let into_agg = [id(), id(), LogicalOp::ReduceBy { key: KeyUdf::field(0), agg }];
+        assert_eq!(names(&A, &into_agg), ["a.exchange"]);
+        assert_eq!(names(&B, &into_agg), ["b.stage"]);
+        assert_eq!(fused(&into_agg), ["c.fused [(\"steps\", Int(2)), (\"terminal_agg\", Int(1))]"]);
+        assert_eq!(
+            fused(&into_agg[..2]),
+            ["c.fused [(\"steps\", Int(2)), (\"terminal_agg\", Int(0))]"]
+        );
+    }
+
+    /// The single-partition engine hands its one partition over as the
+    /// driver's collection (the columns of a vectorized last run, batched)
+    /// and prices no exchanged bytes.
+    #[test]
+    fn single_partition_engine_hands_over_a_collection() {
+        let profiles = Profiles::paper_testbed();
+        let rows: Vec<Value> = (0..50i64).map(Value::from).collect();
+        let input = ChannelData::Partitions(Arc::new(split_contiguous(&rows, 3)));
+        let narrow = [
+            LogicalOp::Map(crate::udf::MapUdf::pair_with_int("pair", 1)),
+            LogicalOp::Map(crate::udf::MapUdf::field_add_int("inc", 1, 1)),
+        ];
+        for (ops, batched, want) in [
+            (&[LogicalOp::Distinct][..], true, "Collection"),
+            (&narrow[..], false, "Collection"),
+            (&narrow[..], true, "Batches"),
+        ] {
+            let mut ctx = ExecCtx::new(&profiles, 0);
+            ctx.set_batch(batched);
+            let chain = Chain::new(&C, ops.to_vec());
+            let out = chain
+                .execute(&mut ctx, std::slice::from_ref(&input), &BroadcastCtx::new())
+                .unwrap();
+            assert!(format!("{out:?}").starts_with(want), "{ops:?} batched={batched}: {out:?}");
+            let load = chain.load(&[50.0], 8.0, &CostModel::default());
+            assert_eq!((load.net_bytes, load.tasks), (0.0, 1));
+        }
     }
 
     #[test]
@@ -1070,21 +1229,43 @@ mod tests {
         assert!(partition_count(100_000_000, 80) <= 80);
     }
 
+    /// Index order and the first error hold on the pool and on the inline
+    /// path, which a single index or a single worker takes on the calling
+    /// thread.
     #[test]
     fn runner_keeps_index_order_and_surfaces_errors() {
-        let (out, times) = par_each_idx(37, 4, |i| Ok(i * i)).unwrap();
-        assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(times.len(), 37);
+        let caller = std::thread::current().id();
+        for (n, workers) in [(37, 4), (1, 4), (5, 1)] {
+            let (out, times) = par_each_idx(n, workers, |i| {
+                let inline = std::thread::current().id() == caller;
+                Ok((i * i, inline))
+            })
+            .unwrap();
+            let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(times.len(), n);
+            if n == 1 || workers == 1 {
+                assert!(out.iter().all(|&(_, inline)| inline), "n={n} workers={workers}");
+            }
+        }
         let (none, _) = par_each_idx(0, 4, Ok).unwrap();
         assert!(none.is_empty());
-        let err = par_each_idx(8, 2, |i| {
-            if i == 5 {
-                Err(RheemError::Execution("boom".into()))
-            } else {
-                Ok(i)
+        for (n, workers, fails) in [(8, 2, 5), (1, 4, 0), (5, 1, 3)] {
+            let ran = AtomicUsize::new(0);
+            let err = par_each_idx(n, workers, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == fails {
+                    Err(RheemError::Execution("boom".into()))
+                } else {
+                    Ok(i)
+                }
+            });
+            assert!(matches!(err, Err(RheemError::Execution(m)) if m == "boom"));
+            if workers == 1 {
+                // Inline, the first error stops the walk.
+                assert_eq!(ran.into_inner(), fails + 1);
             }
-        });
-        assert!(matches!(err, Err(RheemError::Execution(m)) if m == "boom"));
+        }
     }
 
     #[test]

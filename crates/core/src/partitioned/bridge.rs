@@ -5,7 +5,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::{
-    input, partition_count, partition_dataset, pool_size, read_text_parts, wrong_layout, Engine,
+    input, input_rows, partition_count, partition_dataset, pool_size, read_text_parts,
+    wrong_layout, Engine,
 };
 use crate::channel::{kinds, ChannelData, ChannelKind};
 use crate::cost::{linear_cpu, CostModel, Load};
@@ -81,8 +82,7 @@ impl ExecutionOperator for Collect {
         let e = self.engine;
         ctx.transfer_gate(e.platform, &self.name)?;
         let started = Instant::now();
-        let rows = input(inputs, 0);
-        let data = rows.flatten().map_err(|_| wrong_layout(&self.name, 0, rows, "rows"))?;
+        let data = input_rows(&self.name, inputs, 0)?;
         let net = ctx.profile(e.platform).net_ms(dataset_bytes(&data) * 0.9);
         let card = data.len() as u64;
         record(ctx, e, &self.name, card, card, net + e.bridge_ms, started);
@@ -149,9 +149,8 @@ impl ExecutionOperator for FromCollection {
                 let bytes: f64 = p.iter().map(|d| dataset_bytes(d)).sum();
                 (Arc::clone(p), card, bytes)
             }
-            other => {
-                let data =
-                    other.flatten().map_err(|_| wrong_layout(&self.name, 0, other, "rows"))?;
+            _ => {
+                let data = input_rows(&self.name, inputs, 0)?;
                 let parts = partition_dataset(&data, profile.partitions);
                 (Arc::new(parts), data.len(), dataset_bytes(&data))
             }

@@ -4,7 +4,9 @@
 //! partitioned datasets (pool workers pull partitions off a shared queue);
 //! the measured per-partition times are composed into *virtual cluster time*
 //! via the platform profile's task-wave model, and exchanges and broadcasts
-//! add network-transfer terms.
+//! add network-transfer terms. A single-partition engine runs the same
+//! segment loop over one partition, with no exchange and no network term
+//! (see [`Engine::single_partition`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -12,8 +14,8 @@ use std::time::Instant;
 
 use super::{
     bucket_bytes, bucketize, chain_cost, exchange, flatten_parts, input_partitions, input_parts,
-    par_each, par_each_idx, partition_count, pool_size, read_text_parts, reduce_exchange,
-    routed_join, shipped, split_contiguous, Engine,
+    input_rows, par_each, par_each_idx, partition_count, pool_size, read_text_parts,
+    reduce_exchange, routed_join, shipped, split_contiguous, Engine,
 };
 use crate::batch::{self, Batch, Part, VectorKernel};
 use crate::channel::{ChannelData, ChannelKind};
@@ -27,7 +29,7 @@ use crate::platform::PlatformId;
 use crate::udf::{BroadcastCtx, KeyUdf};
 use crate::value::{Dataset, Value};
 
-/// A partitioned engine's execution operator over a chain of logical
+/// A dataflow engine's execution operator over a chain of logical
 /// operators (narrow runs fuse; wide operators run between them).
 pub struct Chain {
     engine: &'static Engine,
@@ -119,6 +121,9 @@ impl ExecutionOperator for Chain {
     fn load(&self, in_cards: &[f64], avg_bytes: f64, model: &CostModel) -> Load {
         let (cpu_cycles, net_bytes) =
             chain_cost(&self.engine.costs, &self.ops, in_cards, avg_bytes, model);
+        if self.engine.single_partition {
+            return Load::cpu(cpu_cycles);
+        }
         let c_in: f64 = in_cards.iter().sum();
         Load {
             cpu_cycles,
@@ -142,10 +147,15 @@ impl ExecutionOperator for Chain {
         let seed = ctx.seed;
         let iteration = ctx.iteration;
         let batched = ctx.batch();
-        let land = |slot| input_parts(&self.name, inputs, slot, profile.partitions);
+        let land = |slot| {
+            if engine.single_partition {
+                return Ok(vec![Part::Rows(input_rows(&self.name, inputs, slot)?)]);
+            }
+            input_parts(&self.name, inputs, slot, profile.partitions)
+        };
 
         // Broadcast variables ship once per executor node (~10 nodes).
-        if !bc.is_empty() {
+        if !engine.single_partition && !bc.is_empty() {
             let bytes: f64 = bc.total_quanta() as f64 * 24.0;
             ctx.add_virtual_ms(profile.net_ms(bytes * 10.0) + engine.broadcast_ms);
         }
@@ -170,6 +180,13 @@ impl ExecutionOperator for Chain {
                 // ---- narrow transformations: the whole fused run traverses
                 // each partition exactly once (pipelining made literal) ----
                 Segment::Fused { pipeline, .. } => {
+                    if let (Some(hook), true) = (engine.on_fused, pipeline.len() > 1) {
+                        let terminal = matches!(
+                            segs.get(si),
+                            Some(Segment::Single { op: LogicalOp::ReduceBy { .. }, .. })
+                        );
+                        hook(ctx, pipeline.len(), terminal);
+                    }
                     let vk = if batched { VectorKernel::compile(pipeline) } else { None };
                     let tally = VecTally::default();
                     // Fused terminal aggregation: a chain feeding a ReduceBy
@@ -186,9 +203,20 @@ impl ExecutionOperator for Chain {
                         let vk = vk.filter(|_| batch::agg_vectorizable(key, agg));
                         let (combined, t1) = par_each_idx(parts.len(), workers, |i| {
                             let part = &parts[i];
+                            // One partition aggregates in one pass: its
+                            // output is the result, not partials to exchange.
+                            let once = engine.single_partition;
                             if let (Some(k), Some(spec)) = (vk.as_ref(), agg.spec.as_ref()) {
-                                let run = run_kernel(k, part);
-                                if let Some(cb) = run.and_then(|b| batch::combine_batch(&b, spec)) {
+                                if once {
+                                    let rows = part.rows();
+                                    if let Some(out) = batch::run_reduce(k, &rows, key, agg, false)
+                                    {
+                                        tally.vectorized(part.len());
+                                        return Ok(Part::Rows(Arc::new(out)));
+                                    }
+                                } else if let Some(cb) =
+                                    run_kernel(k, part).and_then(|b| batch::combine_batch(&b, spec))
+                                {
                                     tally.vectorized(part.len());
                                     return Ok(Part::Cols(cb));
                                 }
@@ -196,9 +224,16 @@ impl ExecutionOperator for Chain {
                             }
                             let mut state = kernels::ReduceByState::new(key, agg);
                             pipeline.run_each(&part.rows(), bc, |v| state.feed_owned(v));
-                            Ok(Part::Rows(Arc::new(state.finish_keyed())))
+                            let out = if once { state.finish() } else { state.finish_keyed() };
+                            Ok(Part::Rows(Arc::new(out)))
                         })?;
                         tally.report(ctx, pipeline.len() as u32 + 1, vk.is_some(), parts.len());
+                        if engine.single_partition {
+                            parts = combined;
+                            virtual_ms += profile.parallel_ms(&t1);
+                            real_ms += t1.iter().sum::<f64>();
+                            continue;
+                        }
                         let (out, vms) = reduce_exchange(
                             engine,
                             "FusedReduceBy",
@@ -232,6 +267,23 @@ impl ExecutionOperator for Chain {
                 }
                 Segment::Single { op, .. } => *op,
             };
+            if engine.single_partition {
+                // The chain's first segment reads every slot; a later one
+                // reads what the chain computed so far.
+                let mut rows = batch::rows_of(&parts);
+                if si == 1 {
+                    for slot in 1..inputs.len() {
+                        rows.push(input_rows(&self.name, inputs, slot)?);
+                    }
+                }
+                let borrowed: Vec<&[Value]> = rows.iter().map(|d| d.as_slice()).collect();
+                let out = kernels::apply(op, &borrowed, bc, seed, iteration)?;
+                let ms = start.elapsed().as_secs_f64() * 1000.0;
+                parts = vec![Part::Rows(Arc::new(out))];
+                virtual_ms += profile.parallel_ms(&[ms]);
+                real_ms += ms;
+                continue;
+            }
             match op {
                 LogicalOp::Sample { method, size, seed: s } => {
                     let total: usize = parts.iter().map(|p| p.len()).sum();
@@ -493,6 +545,14 @@ impl ExecutionOperator for Chain {
             virtual_ms,
             real_ms,
         });
+        if engine.single_partition {
+            // The one partition hands over as the driver's collection, or as
+            // the columns of a vectorized last segment.
+            return Ok(match parts.pop() {
+                Some(Part::Cols(b)) => ChannelData::Batches(Arc::new(vec![b])),
+                part => ChannelData::Collection(part.map(|p| p.rows()).unwrap_or_default()),
+            });
+        }
         // Ship columns across the stage boundary when every partition stayed
         // columnar: the consumer maps them 1:1 back onto engine parts, so
         // partition counts (and hence trace structure) match the row mode.

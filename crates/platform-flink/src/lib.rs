@@ -38,6 +38,7 @@ pub static FLINK: Engine = Engine {
     platform: ids::FLINK,
     accepts: &[DATASET],
     output: DATASET,
+    single_partition: false,
     costs: ChainCosts {
         token: "flink",
         stage_delta: 12_000.0,
@@ -56,6 +57,7 @@ pub static FLINK: Engine = Engine {
     read_tasks: Some(8),
     on_exchange: None,
     on_stage: Some(vertex_event),
+    on_fused: None,
 };
 
 /// The Flink platform.

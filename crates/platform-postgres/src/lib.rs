@@ -8,6 +8,13 @@
 //! "loading data into Postgres is already ≈3× slower than it takes Rheem to
 //! complete the entire task" (Fig. 2(d)); exporting rows via a cursor is
 //! the conversion that lets other platforms take over (Fig. 10(a)).
+//!
+//! Post-scan operators run the shared single-partition interpreter
+//! ([`rheem_core::kernels::apply`]) over the relation's rows; what stays here
+//! is the store, the scans, the relational cost model and clock (4-way
+//! parallel query over scaled host time), and the relation landing, which
+//! rejects any other layout with the typed, never-retried
+//! [`rheem_core::partitioned::wrong_layout`].
 
 #![warn(missing_docs)]
 
@@ -25,6 +32,7 @@ use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
 use rheem_core::fused::{FusedPipeline, FusedStep};
 use rheem_core::kernels;
 use rheem_core::mapping::{Candidate, FnMapping};
+use rheem_core::partitioned;
 use rheem_core::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan};
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
@@ -378,51 +386,12 @@ impl ExecutionOperator for PgOperator {
                 (rows, positions.len() as u64, fetch_ms)
             }
             PgOp::Logical(op) => {
-                let a = inputs
-                    .first()
-                    .map(relation_rows)
-                    .transpose()?
-                    .unwrap_or_else(|| Arc::new(Vec::new()));
-                let b = inputs.get(1).map(relation_rows).transpose()?;
-                let in_card = a.len() as u64 + b.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                let out = match op {
-                    LogicalOp::Map(udf) => kernels::map(&a, udf, bc),
-                    LogicalOp::FlatMap(udf) => kernels::flat_map(&a, udf, bc),
-                    LogicalOp::Filter(p) => kernels::filter(&a, p, bc),
-                    LogicalOp::SargFilter { pred, .. } => kernels::filter(&a, pred, bc),
-                    LogicalOp::Project { fields } => kernels::project(&a, fields),
-                    LogicalOp::SortBy(k) => kernels::sort_by(&a, k),
-                    LogicalOp::Distinct => kernels::distinct(&a),
-                    LogicalOp::Count => vec![Value::from(a.len())],
-                    LogicalOp::GroupBy(k) => kernels::group_by(&a, k),
-                    LogicalOp::Reduce(agg) => kernels::reduce(&a, agg),
-                    LogicalOp::ReduceBy { key, agg } => kernels::reduce_by(&a, key, agg),
-                    LogicalOp::Union => {
-                        let mut out = a.to_vec();
-                        if let Some(b) = &b {
-                            out.extend(b.iter().cloned());
-                        }
-                        out
-                    }
-                    LogicalOp::Join { left_key, right_key } => {
-                        let rb: &[Value] = b.as_ref().map(|d| d.as_slice()).unwrap_or(&[]);
-                        kernels::hash_join(&a, rb, left_key, right_key)
-                    }
-                    LogicalOp::Cartesian => {
-                        let rb: &[Value] = b.as_ref().map(|d| d.as_slice()).unwrap_or(&[]);
-                        kernels::cartesian(&a, rb)
-                    }
-                    LogicalOp::InequalityJoin { conds } => {
-                        let rb: &[Value] = b.as_ref().map(|d| d.as_slice()).unwrap_or(&[]);
-                        kernels::ineq_join_nested(&a, rb, conds)
-                    }
-                    other => {
-                        return Err(RheemError::Unsupported(format!(
-                            "Postgres cannot execute {:?}",
-                            other.kind()
-                        )))
-                    }
-                };
+                let rows = (0..inputs.len())
+                    .map(|slot| relation_rows(&self.name, inputs, slot))
+                    .collect::<Result<Vec<_>>>()?;
+                let in_card = rows.iter().map(|d| d.len() as u64).sum();
+                let borrowed: Vec<&[Value]> = rows.iter().map(|d| d.as_slice()).collect();
+                let out = kernels::apply(op, &borrowed, bc, ctx.seed, ctx.iteration)?;
                 (out, in_card, 0.0)
             }
         };
@@ -458,9 +427,13 @@ impl ExecutionOperator for PgOperator {
     }
 }
 
-/// Extract rows from a relation channel.
-pub fn relation_rows(c: &ChannelData) -> Result<Dataset> {
-    let rel = c.as_opaque::<Relation>()?;
+/// The rows of the relation on input `slot` of `op`. Any other layout is a
+/// plan defect: the typed, never-retried [`partitioned::wrong_layout`].
+pub fn relation_rows(op: &str, inputs: &[ChannelData], slot: usize) -> Result<Dataset> {
+    let found = partitioned::input(inputs, slot);
+    let rel = found
+        .as_opaque::<Relation>()
+        .map_err(|_| partitioned::wrong_layout(op, slot, found, "a relation"))?;
     Ok(Arc::clone(&rel.rows))
 }
 
@@ -496,7 +469,7 @@ impl ExecutionOperator for PgExport {
         _bc: &BroadcastCtx,
     ) -> Result<ChannelData> {
         ctx.transfer_gate(ids::POSTGRES, self.name())?;
-        let rows = relation_rows(&inputs[0])?;
+        let rows = relation_rows(self.name(), inputs, 0)?;
         let profile = ctx.profile(ids::POSTGRES);
         let virtual_ms = profile.net_ms(dataset_bytes(&rows))
             + rows.len() as f64 * 350.0 / profile.cycles_per_ms

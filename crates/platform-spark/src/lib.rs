@@ -9,8 +9,9 @@
 //! Spark has: the `spark.shuffle` trace event, its channels — `spark.rdd`
 //! (consumed once — Spark recomputes lineage otherwise) and
 //! `spark.rdd.cached` (reusable, the `Cache` operator of Fig. 3(b)) — the
-//! cache/uncache/save-as-text-file conversions, and its chaining rules
-//! (narrow chains pipeline into a stage; a ReduceBy may end one).
+//! cache/uncache/save-as-text-file conversions. Its chaining rules (narrow
+//! chains pipeline into a stage; a ReduceBy may end one) are the engine's
+//! shared mappings ([`Engine::add_mappings`]).
 
 #![warn(missing_docs)]
 
@@ -22,12 +23,10 @@ use rheem_core::channel::{kinds, ChannelData, ChannelDescriptor, ChannelKind};
 use rheem_core::cost::{linear_cpu, CostModel, Load};
 use rheem_core::error::{Result, RheemError};
 use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
-use rheem_core::fused;
-use rheem_core::mapping::{upstream_chain, FnMapping};
 use rheem_core::partitioned::{
-    self, partition_count, supported, ChainCosts, Collect, Engine, FromCollection, ReadTextFile,
+    self, partition_count, ChainCosts, Collect, Engine, FromCollection, ReadTextFile,
 };
-use rheem_core::plan::{OpKind, OperatorNode, RheemPlan};
+use rheem_core::plan::OpKind;
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
 use rheem_core::udf::BroadcastCtx;
@@ -44,6 +43,7 @@ pub static SPARK: Engine = Engine {
     platform: ids::SPARK,
     accepts: &[RDD, RDD_CACHED],
     output: RDD,
+    single_partition: false,
     costs: ChainCosts {
         token: "spark",
         stage_delta: 20_000.0,
@@ -62,6 +62,7 @@ pub static SPARK: Engine = Engine {
     read_tasks: None,
     on_exchange: Some(shuffle_event),
     on_stage: None,
+    on_fused: None,
 };
 
 /// The Spark platform.
@@ -298,39 +299,7 @@ impl Platform for SparkPlatform {
         registry.add_conversion(kinds::HDFS_FILE, RDD, Arc::new(ReadTextFile::new(&SPARK)));
         registry.add_conversion(kinds::LOCAL_FILE, RDD, Arc::new(ReadTextFile::new(&SPARK)));
 
-        // 1-to-1 mappings.
-        registry.add_mapping(Arc::new(FnMapping(|plan: &RheemPlan, node: &OperatorNode| {
-            if !supported(node.op.kind()) {
-                return vec![];
-            }
-            vec![SPARK.candidate(plan, vec![node.id])]
-        })));
-        // Narrow-chain fusion (stage pipelining).
-        registry.add_mapping(Arc::new(FnMapping(|plan: &RheemPlan, node: &OperatorNode| {
-            let fusable = |n: &OperatorNode| fused::fusable(&n.op);
-            if !fusable(node) {
-                return vec![];
-            }
-            let chain = upstream_chain(plan, node, fusable);
-            if chain.len() < 2 {
-                return vec![];
-            }
-            vec![SPARK.candidate(plan, chain)]
-        })));
-        // Narrow-chain fusion *into* a terminal ReduceBy: the chain runs
-        // inside the map-side combine, streaming survivors straight into the
-        // per-partition hash accumulator (fused terminal aggregation) — the
-        // narrow output is never materialized before the combine.
-        registry.add_mapping(Arc::new(FnMapping(|plan: &RheemPlan, node: &OperatorNode| {
-            if node.op.kind() != OpKind::ReduceBy {
-                return vec![];
-            }
-            let chain = upstream_chain(plan, node, |n| fused::fusable(&n.op) || n.id == node.id);
-            if chain.len() < 2 {
-                return vec![];
-            }
-            vec![SPARK.candidate(plan, chain)]
-        })));
+        SPARK.add_mappings(registry);
     }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints on the whole workspace, the whole workspace's
 # tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
-# the trace round trip and the service/obs suites under their deployment
-# shapes. Scheduler, batch and cache modes are forced in-process by
+# the trace round trip, the differential and cross-platform suites on a
+# one-worker pool, and the service/obs suites under their deployment shapes. Scheduler, batch and cache modes are forced in-process by
 # tests/differential.rs and tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
 set -eu
@@ -26,6 +26,9 @@ cargo run --release -q -p rheem-bench --bin trace_dump
 echo "== multi-tenant service stress suite (2-core and 8-core pool shapes)"
 RHEEM_POOL=2 cargo test -q --release --test service -- --test-threads=1
 RHEEM_POOL=8 cargo test -q --release --test service -- --test-threads=1
+
+echo "== one-worker pool: every runner call inline, the scheduler's sequential walk"
+RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform
 
 echo "== observability suite (recorder, exposition, watchdog over live TCP scrapes)"
 cargo test -q --release --test obs -- --test-threads=1

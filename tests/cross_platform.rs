@@ -32,6 +32,67 @@ fn corpus(lines: usize) -> Vec<Value> {
     rheem_datagen::generate_text(lines, 10, 5_000, 7).into_iter().map(Value::from).collect()
 }
 
+/// FNV-1a over the rendered rows, in order.
+fn fnv(rows: &[Value]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in rows.iter().flat_map(|v| format!("{v}\n").into_bytes()) {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The `join_400k` plan shape at 40 000 × 313: a string-keyed fact joined
+/// with a dimension, both from driver collections, collected.
+fn fact_dimension_join() -> (RheemPlan, rheem_core::plan::OperatorId) {
+    let mut rng = rheem_core::kernels::SplitMix64(400);
+    let key = |i: usize| Value::from(format!("k{i:06}"));
+    let dim: Vec<Value> =
+        (0..313).map(|i| Value::pair(key(i), Value::from(rng.range_usize(1000)))).collect();
+    let fact: Vec<Value> =
+        (0..40_000).map(|i| Value::pair(key(rng.range_usize(313)), Value::from(i))).collect();
+    let mut b = PlanBuilder::new();
+    let d = b.collection(dim);
+    let sink = b.collection(fact).join(&d, KeyUdf::field(0), KeyUdf::field(0)).collect();
+    (b.build().unwrap(), sink)
+}
+
+/// Listing 1's SGD shape over integers (exact arithmetic, 3 iterations), as
+/// `tests/explain.rs` traces it.
+fn integer_sgd_plan() -> (RheemPlan, rheem_core::plan::OperatorId) {
+    let mut b = PlanBuilder::new();
+    let points: Vec<Value> = (0..24i64)
+        .map(|i| {
+            let x = i % 5 - 2;
+            Value::pair(Value::from(x), Value::from(3 * x + 1))
+        })
+        .collect();
+    let points = b.collection(points);
+    let winit = b.collection(vec![Value::from(0i64)]);
+    let sink = winit
+        .repeat(3, |w| {
+            let grad = points
+                .map(MapUdf::with_ctx("gradient", |p, ctx| {
+                    let wv =
+                        ctx.get_or_empty("weights").first().and_then(Value::as_int).unwrap_or(0);
+                    let x = p.field(0).as_int().unwrap_or(0);
+                    let y = p.field(1).as_int().unwrap_or(0);
+                    Value::from(x * (x * wv - y))
+                }))
+                .broadcast("weights", w)
+                .reduce(ReduceUdf::new("gsum", |a, b| {
+                    Value::from(a.as_int().unwrap_or(0) + b.as_int().unwrap_or(0))
+                }));
+            w.map(MapUdf::with_ctx("update", |w, ctx| {
+                let g =
+                    ctx.get_or_empty("gradient_sum").first().and_then(Value::as_int).unwrap_or(0);
+                Value::from(w.as_int().unwrap_or(0) - g / 64)
+            }))
+            .broadcast("gradient_sum", &grad)
+        })
+        .collect();
+    (b.build().unwrap(), sink)
+}
+
 #[test]
 fn small_input_prefers_javastreams() {
     let ctx = rheem::default_context();
@@ -91,9 +152,9 @@ fn all_platforms_agree_on_wordcount_result() {
 }
 
 /// Landing acceptance over the real engines: whatever layout arrives on
-/// slot 0 or on slot 1 of a binary operator, spark and flink give the
-/// javastreams answer (as a multiset — partitioning reorders) or the typed,
-/// non-transient error. The `BatchParts` row on slot 1 of the inequality
+/// slot 0 or on slot 1 of a binary operator, java.streams, spark and flink
+/// give the single-partition interpreter's answer (as a multiset —
+/// partitioning reorders) or the typed, non-transient error. The `BatchParts` row on slot 1 of the inequality
 /// join is the tax cleaning task's self-join reading a projected, columnar
 /// stage output.
 #[test]
@@ -146,9 +207,10 @@ fn distributed_engines_land_every_channel_layout() {
             conds: vec![IneqCond { left_field: 1, op: CmpOp::Lt, right_field: 1 }],
         },
     ];
-    for engine in [&platform_spark::SPARK, &platform_flink::FLINK] {
+    let engines =
+        [&platform_javastreams::JAVA_STREAMS, &platform_spark::SPARK, &platform_flink::FLINK];
+    for engine in engines {
         for op in &ops {
-            let java = platform_javastreams::JavaOperator::new(vec![op.clone()]);
             let chain = Chain::new(engine, vec![op.clone()]);
             for (batched, (layout, data, full)) in
                 [true, false].into_iter().flat_map(|b| layouts.iter().map(move |l| (b, l)))
@@ -157,10 +219,12 @@ fn distributed_engines_land_every_channel_layout() {
                 for slot in 0..2 {
                     let at = format!("{} slot {slot} {layout} batched={batched}", chain.name());
                     let mut inputs = [plain(&here), plain(&here)];
-                    let mut reference = inputs.clone();
                     inputs[slot] = data.clone();
-                    reference[slot] = plain(rows);
-                    let want = run(&java, &reference, batched).unwrap();
+                    let mut sides: [&[Value]; 2] = [&here, &here];
+                    sides[slot] = rows;
+                    let bc = BroadcastCtx::new();
+                    let mut want = rheem_core::kernels::apply(op, &sides, &bc, 0, 0).unwrap();
+                    want.sort();
                     assert_eq!(run(&chain, &inputs, batched).unwrap(), want, "{at}");
                 }
             }
@@ -188,28 +252,38 @@ fn distributed_engines_land_every_channel_layout() {
 /// the join routed rows instead of moving them.
 #[test]
 fn partitioned_row_join_keeps_the_engine_order() {
-    let mut rng = rheem_core::kernels::SplitMix64(400);
-    let key = |i: usize| Value::from(format!("k{i:06}"));
-    let dim: Vec<Value> =
-        (0..313).map(|i| Value::pair(key(i), Value::from(rng.range_usize(1000)))).collect();
-    let fact: Vec<Value> =
-        (0..40_000).map(|i| Value::pair(key(rng.range_usize(313)), Value::from(i))).collect();
-    let mut b = PlanBuilder::new();
-    let d = b.collection(dim);
-    let sink = b.collection(fact).join(&d, KeyUdf::field(0), KeyUdf::field(0)).collect();
-    let plan = b.build().unwrap();
+    let (plan, sink) = fact_dimension_join();
     for forced in [ids::SPARK, ids::FLINK] {
         let mut ctx = rheem::default_context();
         ctx.forced_platform = Some(forced);
         let result = ctx.execute(&plan).unwrap();
         let rows = result.sink(sink).unwrap();
         assert_eq!(rows.len(), 40_000);
-        // FNV-1a over the rendered rows, in sink order.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in rows.iter().flat_map(|v| format!("{v}\n").into_bytes()) {
-            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let hash = fnv(rows);
         assert_eq!(hash, 0x7e26_d52c_9b3d_5a08, "{forced:?}: sink order hash {hash:#018x}");
+    }
+}
+
+/// java.streams' answers, in sink order, with columnar kernels on and off:
+/// WordCount (a fused chain into a terminal ReduceBy), the integer SGD loop
+/// (broadcasts, a global Reduce) and the 40 000 × 313 join. The hashes were
+/// taken on the commit before java.streams became an `Engine` row.
+#[test]
+fn forced_javastreams_answers_are_pinned() {
+    let cases = [
+        ("wordcount", wordcount_plan(corpus(300)), 0x1555_39de_dce9_f124),
+        ("sgd", integer_sgd_plan(), 0x0802_fe07_b4c3_14ad),
+        ("join", fact_dimension_join(), 0xda61_eba7_c126_10c2),
+    ];
+    for (name, (plan, sink), want) in cases {
+        for batch in [true, false] {
+            let mut ctx = rheem::default_context().with_batch(batch);
+            ctx.forced_platform = Some(ids::JAVA_STREAMS);
+            let result = ctx.execute(&plan).unwrap();
+            assert_eq!(result.metrics.platforms, vec![ids::JAVA_STREAMS], "{name}");
+            let hash = fnv(result.sink(sink).unwrap());
+            assert_eq!(hash, want, "{name} batch={batch}: sink order hash {hash:#018x}");
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use platform_postgres::PostgresPlatform;
+use platform_postgres::{PgDatabase, PostgresPlatform};
 use rheem::prelude::*;
 use rheem_core::builtin::CONTROL;
 use rheem_core::channel::{kinds, ChannelData, ChannelKind};
@@ -272,17 +272,22 @@ impl ExecutionOperator for Mislabelled {
 }
 
 /// Run `collection → map("mislabel") → rest`, with the map executed by
-/// `bad`: the job must fail at once with the typed error naming `operator`
-/// and its slot 0 — no retry spent, no backoff charged, no platform
+/// `bad` (postgres registered over an empty store when `bad` runs there):
+/// the job must fail at once with the typed error naming `operator`, its
+/// slot 0 and the layout — no retry spent, no backoff charged, no platform
 /// blacklisted for a failure that would repeat anywhere.
 fn assert_layout_defect_is_not_retried(
     bad: Mislabelled,
     operator: &str,
     rest: impl Fn(DataQuanta),
 ) {
-    let at = format!("{:?} handed to {operator}", bad.payload);
+    let layout = format!("{:?}", bad.payload);
+    let at = format!("{layout} handed to {operator}");
     let platform = bad.platform;
     let mut ctx = rheem::default_context();
+    if platform == ids::POSTGRES {
+        ctx.register_platform(&PostgresPlatform::new(Arc::new(PgDatabase::new())));
+    }
     ctx.config_mut().retry_budget = 2;
     let bad = Arc::new(bad);
     ctx.registry_mut().add_mapping(Arc::new(FnMapping(
@@ -302,14 +307,18 @@ fn assert_layout_defect_is_not_retried(
         Ok(_) => panic!("{at}: must not run\n{}", ctx.explain(&plan).unwrap()),
     };
     let RheemError::Unsupported(msg) = &err else { panic!("{at}: {err}") };
-    assert!(msg.contains(operator) && msg.contains("slot 0"), "{at}: {msg}");
+    assert!(!err.is_transient(), "{at}: {err}");
+    for part in [operator, "slot 0", &layout] {
+        assert!(msg.contains(part), "{at}: {msg:?} names no {part:?}");
+    }
     assert_eq!(ctx.monitor().retries(), 0, "{at}");
     assert!(ctx.monitor().fault_records().is_empty(), "{at}: no RetryRec was replayed");
 }
 
 /// A stage or bridge input of the wrong layout is a plan defect: the chain
-/// operator's landing, the three bridges of each partitioned engine and
-/// spark's cache all reject it with the typed, never-retried error.
+/// operator's landing on every dataflow engine, the three bridges of each
+/// partitioned engine, spark's cache and postgres' relation landing all
+/// reject it with the typed, never-retried error.
 #[test]
 fn wrong_channel_layout_is_not_retried() {
     let rowless = [
@@ -366,6 +375,38 @@ fn wrong_channel_layout_is_not_retried() {
                 distinct,
             );
         }
+    }
+    // java.streams lands the driver's collection as its one partition.
+    for payload in &rowless {
+        let bad = Mislabelled {
+            platform: ids::JAVA_STREAMS,
+            accepts: vec![kinds::COLLECTION],
+            output: kinds::COLLECTION,
+            payload: payload.clone(),
+        };
+        assert_layout_defect_is_not_retried(bad, "JavaDistinct", |q| {
+            q.distinct().with_target_platform(ids::JAVA_STREAMS).collect();
+        });
+    }
+    // Postgres lands relations: in its operators and in the export cursor.
+    let relationless = [
+        ChannelData::File(Arc::new("hdfs://tests/fault/nowhere.txt".into())),
+        ChannelData::None,
+        ChannelData::Opaque { kind: platform_postgres::RELATION, payload: Arc::new(0u8) },
+    ];
+    for payload in &relationless {
+        let on_postgres = || Mislabelled {
+            platform: ids::POSTGRES,
+            accepts: vec![platform_postgres::RELATION],
+            output: platform_postgres::RELATION,
+            payload: payload.clone(),
+        };
+        assert_layout_defect_is_not_retried(on_postgres(), "PgDistinct", |q| {
+            q.distinct().with_target_platform(ids::POSTGRES).collect();
+        });
+        assert_layout_defect_is_not_retried(on_postgres(), "PgExport", |q| {
+            q.collect();
+        });
     }
     // Two consumers make spark cache the mislabelled RDD.
     for payload in &rowless {
