@@ -75,8 +75,8 @@ impl JobResult {
 }
 
 /// Per-job tenancy scope for [`RheemContext::execute_scoped`]: who the job
-/// runs for, which cache namespace it reads/publishes, and which stage gate
-/// (if any) bounds its concurrent stage work. The default scope reproduces
+/// runs for, which cache namespace it reads/publishes, and which service job
+/// id its flight-recorder events carry. The default scope reproduces
 /// [`RheemContext::execute`]'s single-tenant behaviour except for the
 /// private per-job monitor.
 #[derive(Clone, Debug)]
@@ -87,8 +87,6 @@ pub struct JobScope {
     pub cache_ns: crate::cache::Namespace,
     /// Fall back to the shared namespace on a tenant-namespace miss.
     pub cache_shared_read: bool,
-    /// Fair-share stage gate to execute under, if any.
-    pub stage_gate: Option<crate::service::TenantGate>,
     /// Service job id stamped on flight-recorder events (lets the
     /// watchdog group stage commits per job).
     pub job: Option<u64>,
@@ -100,7 +98,6 @@ impl Default for JobScope {
             tenant: None,
             cache_ns: crate::cache::Namespace::SHARED,
             cache_shared_read: true,
-            stage_gate: None,
             job: None,
         }
     }
@@ -303,7 +300,7 @@ impl RheemContext {
 
     /// Execute a plan under a multi-tenant scope (see
     /// [`crate::service::JobService`]): tenant-scoped cache namespace,
-    /// optional stage gate, per-tenant metric labels, and — crucially for
+    /// per-tenant metric labels, and — crucially for
     /// concurrent submissions — a *private* monitor per job, merged into
     /// the context's monitor at completion. Without the private monitor,
     /// two concurrent jobs would cross-contaminate retry/replan deltas and
@@ -315,7 +312,6 @@ impl RheemContext {
         config.tenant = scope.tenant.clone();
         config.cache_ns = scope.cache_ns;
         config.cache_shared_read = scope.cache_shared_read;
-        config.stage_gate = scope.stage_gate.clone();
         config.recorder = Some(Arc::clone(&self.recorder));
         config.job = scope.job;
         let job_monitor = Monitor::new();

@@ -93,12 +93,6 @@ pub struct ExecConfig {
     /// `cache_ns` (public datasets); publishes never touch the shared
     /// namespace when `cache_ns` is tenant-scoped.
     pub cache_shared_read: bool,
-    /// Stage-execution gate: when set, every stage run first acquires a
-    /// fair-share slot on the submitting tenant's behalf and releases it —
-    /// charged with the run's virtual time — when the run closes. Bounds
-    /// concurrent stage work across tenants without touching results or
-    /// virtual-time accounting.
-    pub stage_gate: Option<crate::service::TenantGate>,
     /// Flight recorder fed stage dispatch/commit and retry events
     /// ([`crate::obs`]); injected by [`crate::api::RheemContext`], which
     /// owns one recorder per context by default.
@@ -144,7 +138,6 @@ impl Default for ExecConfig {
             tenant: None,
             cache_ns: crate::cache::Namespace::SHARED,
             cache_shared_read: true,
-            stage_gate: None,
             recorder: None,
             job: None,
         }
@@ -274,10 +267,6 @@ struct RunState {
     run_retries: u32,
     /// Open trace span of the current stage run, with its run ordinal.
     run_span: Option<(u32, u32)>,
-    /// Stage-gate slot held for the currently open stage run (sequential
-    /// walk only; the concurrent scheduler holds permits inside its stage
-    /// jobs). Released with the run's virtual cost on close.
-    gate_permit: Option<crate::service::GatePermit>,
     /// Parent span for new stage spans (phase span, or the innermost
     /// iteration span inside loops). `None` when tracing is off.
     span_parent: Option<u32>,
@@ -393,7 +382,6 @@ impl<'a> Executor<'a> {
             stage_attempts: HashMap::new(),
             run_retries: 0,
             run_span: None,
-            gate_permit: None,
             span_parent: self.trace.as_ref().map(|h| h.parent),
             active_loops: Vec::new(),
         };
@@ -612,18 +600,6 @@ impl<'a> Executor<'a> {
 
     fn run_node(&self, st: &mut RunState, nid: usize) -> Result<()> {
         let node = &self.eplan.nodes[nid];
-        // Multi-tenant stage gate: entering a new stage releases the slot
-        // held for the previous run (charged with its virtual time, via
-        // close_stage_run) and acquires a fresh one — release-before-acquire
-        // keeps slot holders actively executing, so the gate cannot
-        // deadlock. Virtual-time accounting is untouched: the gate only
-        // delays wall-clock execution.
-        if let Some(gate) = &self.config.stage_gate {
-            if st.open_stage != Some(node.stage) {
-                self.close_stage_run(st);
-                st.gate_permit = Some(gate.acquire());
-            }
-        }
         let (inputs, bc) = self.gather(nid, |i| st.values[i].clone())?;
         let mut failures = st.stage_attempts.get(&(node.stage, st.iteration)).copied().unwrap_or(0);
         let outcome = self.exec_node(nid, &inputs, &bc, st.iteration, &mut failures);
@@ -1257,25 +1233,7 @@ impl<'a> Executor<'a> {
                         scope.spawn(move || {
                             let run =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    // Stage-gate slot held only while the
-                                    // stage actually executes; charged with
-                                    // the stage's Ok-node virtual time on
-                                    // release (a panic releases at zero via
-                                    // the permit's Drop).
-                                    let permit =
-                                        self.config.stage_gate.as_ref().map(|g| g.acquire());
-                                    let sx = self.exec_stage(s, &snapshot, iteration);
-                                    if let Some(p) = permit {
-                                        let cost: f64 = sx
-                                            .nodes
-                                            .iter()
-                                            .filter_map(|(_, oc)| {
-                                                oc.result.as_ref().ok().map(|ex| ex.vdur)
-                                            })
-                                            .sum();
-                                        p.release(cost);
-                                    }
-                                    sx
+                                    self.exec_stage(s, &snapshot, iteration)
                                 }));
                             match run {
                                 Ok(sx) => {
@@ -1320,15 +1278,6 @@ impl<'a> Executor<'a> {
                         if ev.is_none() && v.is_some() {
                             *ev = v.clone();
                         }
-                    }
-                    // Never block in `rx.recv()` below while holding a
-                    // stage-gate slot an inline node acquired: a slot may
-                    // only be held by an actively executing thread
-                    // (deadlock-freedom invariant). Closing here is
-                    // record-identical — the run would close at the next
-                    // stage's commit anyway.
-                    if self.config.stage_gate.is_some() {
-                        self.close_stage_run(st);
                     }
                 }
                 exec_done.insert(s);
@@ -1377,11 +1326,6 @@ impl<'a> Executor<'a> {
 
     fn close_stage_run(&self, st: &mut RunState) {
         if let Some(stage) = st.open_stage.take() {
-            // Free the stage-gate slot held for this run, charging its
-            // virtual time so the fair share reflects actual consumption.
-            if let Some(permit) = st.gate_permit.take() {
-                permit.release(st.run_virtual_ms);
-            }
             let run_end = st.run_end.max(st.run_base);
             if let Some((p, lane)) = st.run_lane.take() {
                 if let Some(lanes) = st.lanes.get_mut(p) {

@@ -80,9 +80,7 @@ pub mod prelude {
         SampleSize,
     };
     pub use crate::platform::{ids, Platform, PlatformId};
-    pub use crate::service::{
-        FairShare, JobHandle, JobService, ServiceConfig, StageGate, TenantSpec,
-    };
+    pub use crate::service::{FairShare, JobHandle, JobService, ServiceConfig, TenantSpec};
     pub use crate::trace::{JobTrace, OpProfile, Span, SpanKind};
     pub use crate::udf::{
         BroadcastCtx, CmpOp, FlatMapUdf, KeyUdf, MapUdf, PredicateUdf, ReduceUdf, Sarg,

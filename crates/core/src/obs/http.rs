@@ -109,13 +109,15 @@ fn handle_conn(source: &dyn ObsSource, mut stream: TcpStream) {
         (Some("GET"), Some(path)) => handle_request(source, path),
         _ => (400, "text/plain; version=0.0.4", String::from("malformed request\n")),
     };
-    let _ = write!(
-        stream,
-        "HTTP/1.0 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // One write for head and body: `write!` on the bare stream would send
+    // each piece of the format string as its own segment, and a client's
+    // first read could end after "HTTP/1.0 ".
+    let reply = format!(
+        "HTTP/1.0 {status} {}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         status_text(status),
         body.len(),
     );
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(reply.as_bytes());
     let _ = stream.flush();
 }
 

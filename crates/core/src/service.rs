@@ -8,13 +8,14 @@
 //! - **Admission control**: a global in-flight cap plus per-tenant caps;
 //!   saturation surfaces as the typed [`RheemError::Rejected`] so clients
 //!   can distinguish back-pressure from execution failures.
-//! - **Fair-share scheduling**: ready jobs — and, through the optional
-//!   [`StageGate`], ready *stage-jobs* — are granted to tenants by weighted
-//!   virtual-time fair queueing ([`FairShare`]): the backlogged tenant with
-//!   the smallest served-virtual-time-over-weight goes first, with a seeded
-//!   deterministic tie-break. A tenant that was idle re-enters at the
-//!   backlogged minimum, so past idleness is not a claim on the future and
-//!   no backlogged tenant starves.
+//! - **Fair-share scheduling**: a free runner picks the next queued job by
+//!   weighted virtual-time fair queueing ([`FairShare`]): the backlogged
+//!   tenant with the smallest served-virtual-time-over-weight goes first,
+//!   with a seeded deterministic tie-break, and is charged the job's
+//!   virtual time. A tenant that was idle re-enters at the backlogged
+//!   minimum, so past idleness is not a claim on the future and no
+//!   backlogged tenant starves. This pick is the one place weights act: a
+//!   started job's stages go to the shared worker pool in FIFO order.
 //! - **Cache isolation**: every tenant publishes into its own
 //!   [`Namespace`] on the shared [`crate::cache::ResultCache`], bounded by
 //!   an optional byte quota; reads fall back to the shared namespace for
@@ -33,12 +34,13 @@
 //!
 //! Per-job results stay byte-identical to an isolated run of the same plan
 //! because the executor's commit-in-order design makes results and traces
-//! independent of *when* stages physically execute — the gate and the
-//! runner pool only reorder wall-clock work, never virtual-time accounting.
+//! independent of *when* stages physically execute — the runner pick only
+//! reorders wall-clock work, never virtual-time accounting. A job that
+//! panics fails with a typed [`RheemError::Execution`]; its runner lives on.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -93,16 +95,6 @@ impl FairShare {
         idx
     }
 
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether no tenant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
     /// The backlogged tenant to serve next: minimum normalized virtual
     /// time, seeded tie-break, then index. `None` when `ready` is empty.
     pub fn pick(&self, ready: &[usize]) -> Option<usize> {
@@ -142,165 +134,6 @@ impl FairShare {
     /// Configured weight of a tenant.
     pub fn weight(&self, tenant: usize) -> f64 {
         self.weights[tenant]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stage gate
-// ---------------------------------------------------------------------------
-
-/// Bounded stage-execution slots, granted to waiting tenants by
-/// [`FairShare`]. The executor acquires a slot before running each stage
-/// (on whichever thread executes it) and releases it — charged with the
-/// stage's virtual time — when the stage run closes, so *stage-jobs*, not
-/// whole jobs, are the unit of inter-tenant scheduling.
-///
-/// Deadlock-free by construction: a slot is only ever held by a thread
-/// actively executing a stage (never by one blocked on another slot —
-/// release always precedes the next acquire), so every held slot is
-/// eventually released, and the fair-share pick only chooses among tenants
-/// that have a waiting thread, so every grant is claimed.
-pub struct StageGate {
-    slots: usize,
-    inner: Mutex<GateInner>,
-    freed: Condvar,
-}
-
-struct GateInner {
-    fair: FairShare,
-    /// Waiting acquirers per tenant.
-    waiting: Vec<usize>,
-    in_use: usize,
-    /// Tenant per grant, in grant order (starvation assertions in tests).
-    grants: Vec<usize>,
-}
-
-impl StageGate {
-    /// A gate with `slots` concurrent stage executions over the tenants
-    /// already registered in `fair`.
-    pub fn new(slots: usize, fair: FairShare) -> Self {
-        let n = fair.len();
-        Self {
-            slots: slots.max(1),
-            inner: Mutex::new(GateInner {
-                fair,
-                waiting: vec![0; n],
-                in_use: 0,
-                grants: Vec::new(),
-            }),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Concurrent stage executions admitted.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Block until the fair share grants `tenant` a slot.
-    fn acquire_for(self: &Arc<Self>, tenant: usize) -> GatePermit {
-        let mut g = self.inner.lock().unwrap();
-        g.waiting[tenant] += 1;
-        loop {
-            if g.in_use < self.slots {
-                let ready: Vec<usize> =
-                    (0..g.waiting.len()).filter(|&t| g.waiting[t] > 0).collect();
-                if g.fair.pick(&ready) == Some(tenant) {
-                    g.waiting[tenant] -= 1;
-                    g.in_use += 1;
-                    g.grants.push(tenant);
-                    if g.in_use < self.slots {
-                        // Remaining capacity may now belong to a different
-                        // tenant's waiter: let them re-evaluate.
-                        self.freed.notify_all();
-                    }
-                    return GatePermit { gate: Arc::clone(self), tenant, released: false };
-                }
-            }
-            g = self.freed.wait(g).unwrap();
-        }
-    }
-
-    fn release_slot(&self, tenant: usize, cost: f64) {
-        let mut g = self.inner.lock().unwrap();
-        g.in_use -= 1;
-        g.fair.charge(tenant, cost);
-        drop(g);
-        self.freed.notify_all();
-    }
-
-    /// The grant log so far: one tenant index per granted slot, in order.
-    pub fn grant_log(&self) -> Vec<usize> {
-        self.inner.lock().unwrap().grants.clone()
-    }
-
-    /// A tenant's charged (normalized) virtual service time so far.
-    pub fn served_vtime(&self, tenant: usize) -> f64 {
-        self.inner.lock().unwrap().fair.vtime(tenant)
-    }
-}
-
-impl fmt::Debug for StageGate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.inner.lock().unwrap();
-        write!(f, "StageGate({}/{} slots in use, {} grants)", g.in_use, self.slots, g.grants.len())
-    }
-}
-
-/// A held stage slot. Release with the stage's virtual cost; dropping
-/// without an explicit release frees the slot at zero cost (error paths).
-pub struct GatePermit {
-    gate: Arc<StageGate>,
-    tenant: usize,
-    released: bool,
-}
-
-impl GatePermit {
-    /// Free the slot, charging `cost` virtual ms to the holder's tenant.
-    pub fn release(mut self, cost: f64) {
-        self.gate.release_slot(self.tenant, cost);
-        self.released = true;
-    }
-}
-
-impl Drop for GatePermit {
-    fn drop(&mut self) {
-        if !self.released {
-            self.gate.release_slot(self.tenant, 0.0);
-        }
-    }
-}
-
-impl fmt::Debug for GatePermit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "GatePermit(tenant={})", self.tenant)
-    }
-}
-
-/// A tenant's handle onto a shared [`StageGate`]; rides inside
-/// [`crate::executor::ExecConfig`] so the executor can acquire slots on the
-/// submitting tenant's behalf.
-#[derive(Clone)]
-pub struct TenantGate {
-    gate: Arc<StageGate>,
-    tenant: usize,
-}
-
-impl TenantGate {
-    /// Bind a tenant index to a gate.
-    pub fn new(gate: Arc<StageGate>, tenant: usize) -> Self {
-        Self { gate, tenant }
-    }
-
-    /// Acquire one stage slot for this tenant (blocking).
-    pub fn acquire(&self) -> GatePermit {
-        self.gate.acquire_for(self.tenant)
-    }
-}
-
-impl fmt::Debug for TenantGate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TenantGate(tenant={})", self.tenant)
     }
 }
 
@@ -375,14 +208,7 @@ pub struct ServiceConfig {
     pub max_in_flight: usize,
     /// Runner threads executing jobs.
     pub runners: usize,
-    /// Stage-gate slots (concurrent stage executions across all jobs).
-    /// `0` = auto: the shared worker pool's size. [`ServiceConfig::gate`]
-    /// must be true for the gate to exist at all.
-    pub stage_slots: usize,
-    /// Whether to interpose the [`StageGate`] (stage-job granularity fair
-    /// share). Without it fairness still applies at job pick granularity.
-    pub gate: bool,
-    /// Seed for the fair-share tie-breaks (job pick and stage gate).
+    /// Seed for the fair-share tie-breaks of the runners' job pick.
     pub seed: u64,
     /// Watchdog thresholds (starvation / straggler / cache-thrash sweeps).
     pub watchdog: WatchdogConfig,
@@ -390,14 +216,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self {
-            max_in_flight: 64,
-            runners: 4,
-            stage_slots: 0,
-            gate: true,
-            seed: 0xC0FFEE,
-            watchdog: WatchdogConfig::default(),
-        }
+        Self { max_in_flight: 64, runners: 4, seed: 0xC0FFEE, watchdog: WatchdogConfig::default() }
     }
 }
 
@@ -429,6 +248,9 @@ struct Queued {
     admission_ms: f64,
 }
 
+/// Completions kept in [`SvcState::recent`] (and reported by `/jobs`).
+const RECENT_COMPLETIONS: usize = 64;
+
 struct SvcState {
     queues: Vec<VecDeque<Queued>>,
     fair: FairShare,
@@ -436,17 +258,28 @@ struct SvcState {
     total_in_flight: usize,
     next_id: u64,
     shutdown: bool,
-    /// `(job id, tenant index)` in completion order.
-    completions: Vec<(u64, usize)>,
+    /// Jobs completed so far (successfully or not).
+    completed: u64,
+    /// `(job id, tenant index)` of the last [`RECENT_COMPLETIONS`] jobs, in
+    /// completion order.
+    recent: VecDeque<(u64, usize)>,
 }
 
 struct SvcInner {
     ctx: RheemContext,
     tenants: Vec<TenantSpec>,
-    gate: Option<Arc<StageGate>>,
     state: Mutex<SvcState>,
     work: Condvar,
     watchdog: Watchdog,
+}
+
+/// The message a panic was raised with, when it carries a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 impl SvcInner {
@@ -456,7 +289,6 @@ impl SvcInner {
             tenant: Some(spec.name.clone()),
             cache_ns: spec.namespace(),
             cache_shared_read: spec.share_cache,
-            stage_gate: self.gate.as_ref().map(|g| TenantGate::new(Arc::clone(g), tenant)),
             job: None,
         }
     }
@@ -515,7 +347,18 @@ impl SvcInner {
             self.record(EventKind::JobStarted, Some(&tname), Some(job.id), queue_ms, "");
             let mut scope = self.scope_for(tenant);
             scope.job = Some(job.id);
-            let result = self.ctx.execute_scoped(&job.plan, &scope);
+            // A panicking UDF must fail its job, not unwind the runner: a
+            // dead runner would leak the job's admission slot and strand
+            // every job queued behind it.
+            let result =
+                catch_unwind(AssertUnwindSafe(|| self.ctx.execute_scoped(&job.plan, &scope)))
+                    .unwrap_or_else(|p| {
+                        Err(RheemError::Execution(format!(
+                            "job {} panicked: {}",
+                            job.id,
+                            panic_message(&*p)
+                        )))
+                    });
             let commit_t0 = Instant::now();
             let exec_ms = result.as_ref().map(|r| r.metrics.virtual_ms).unwrap_or(0.0);
             // Charge the served job at its virtual cost so the next pick
@@ -527,7 +370,11 @@ impl SvcInner {
                 st.fair.charge(tenant, cost);
                 st.in_flight[tenant] -= 1;
                 st.total_in_flight -= 1;
-                st.completions.push((job.id, tenant));
+                st.completed += 1;
+                if st.recent.len() == RECENT_COMPLETIONS {
+                    st.recent.pop_front();
+                }
+                st.recent.push_back((job.id, tenant));
                 let due = self.watchdog.on_served(cost);
                 let snap = due.then(|| self.watchdog_snapshot(&st));
                 (st.in_flight[tenant], st.fair.vtime(tenant), snap)
@@ -589,12 +436,9 @@ impl ObsSource for SvcInner {
         let queued: usize = st.queues.iter().map(|q| q.len()).sum();
         let mut out = format!(
             "{{\"in_flight\":{},\"queued\":{},\"completed\":{},\"recent_completions\":[",
-            st.total_in_flight,
-            queued,
-            st.completions.len(),
+            st.total_in_flight, queued, st.completed,
         );
-        let tail = st.completions.len().saturating_sub(64);
-        for (i, (id, t)) in st.completions[tail..].iter().enumerate() {
+        for (i, (id, t)) in st.recent.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -675,11 +519,9 @@ impl JobService {
             }
         }
         let runners = config.runners.max(1);
-        let mut job_fair = FairShare::new(config.seed);
-        let mut gate_fair = FairShare::new(config.seed.wrapping_add(1));
+        let mut fair = FairShare::new(config.seed);
         for t in &tenants {
-            job_fair.add_tenant(&t.name, t.weight);
-            gate_fair.add_tenant(&t.name, t.weight);
+            fair.add_tenant(&t.name, t.weight);
         }
         if let Some(cache) = ctx.cache() {
             for t in &tenants {
@@ -688,24 +530,19 @@ impl JobService {
                 }
             }
         }
-        let gate = config.gate.then(|| {
-            let slots =
-                if config.stage_slots == 0 { crate::pool::size() } else { config.stage_slots };
-            Arc::new(StageGate::new(slots, gate_fair))
-        });
         let n = tenants.len();
         let inner = Arc::new(SvcInner {
             ctx,
             tenants,
-            gate,
             state: Mutex::new(SvcState {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
-                fair: job_fair,
+                fair,
                 in_flight: vec![0; n],
                 total_in_flight: 0,
                 next_id: 0,
                 shutdown: false,
-                completions: Vec::new(),
+                completed: 0,
+                recent: VecDeque::with_capacity(RECENT_COMPLETIONS),
             }),
             work: Condvar::new(),
             watchdog: Watchdog::new(config.watchdog),
@@ -815,15 +652,12 @@ impl JobService {
         &self.inner.ctx
     }
 
-    /// The stage gate, when enabled.
-    pub fn gate(&self) -> Option<&Arc<StageGate>> {
-        self.inner.gate.as_ref()
-    }
-
-    /// `(job id, tenant name)` in completion order so far.
+    /// `(job id, tenant name)` of the last 64 completed jobs, in completion
+    /// order. The service keeps no longer log; `/jobs` also reports the
+    /// total count.
     pub fn completions(&self) -> Vec<(u64, String)> {
         let st = self.inner.state.lock().unwrap();
-        st.completions.iter().map(|&(id, t)| (id, self.inner.tenants[t].name.clone())).collect()
+        st.recent.iter().map(|&(id, t)| (id, self.inner.tenants[t].name.clone())).collect()
     }
 
     /// Jobs admitted and not yet completed.
@@ -910,47 +744,5 @@ mod tests {
         }
         assert_eq!(grants[a], 50);
         assert_eq!(grants[b], 50);
-    }
-
-    #[test]
-    fn stage_gate_grants_are_fair_and_logged() {
-        let mut fair = FairShare::new(42);
-        fair.add_tenant("a", 1.0);
-        fair.add_tenant("b", 1.0);
-        let gate = Arc::new(StageGate::new(1, fair));
-        // Two threads per tenant, each acquiring/releasing 20 times.
-        std::thread::scope(|s| {
-            for tenant in 0..2 {
-                let gate = Arc::clone(&gate);
-                s.spawn(move || {
-                    for _ in 0..20 {
-                        let p = gate.acquire_for(tenant);
-                        p.release(1.0);
-                    }
-                });
-            }
-        });
-        let log = gate.grant_log();
-        assert_eq!(log.len(), 40);
-        assert_eq!(log.iter().filter(|&&t| t == 0).count(), 20);
-        // Equal weights + equal costs: no tenant ever falls more than one
-        // grant behind while both are backlogged, so the served virtual
-        // times end equal.
-        assert!((gate.served_vtime(0) - gate.served_vtime(1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gate_permit_drop_frees_slot() {
-        let mut fair = FairShare::new(1);
-        fair.add_tenant("only", 1.0);
-        let gate = Arc::new(StageGate::new(1, fair));
-        {
-            let _p = gate.acquire_for(0); // dropped without release()
-        }
-        // Slot must be free again or this would deadlock.
-        let p = gate.acquire_for(0);
-        p.release(2.0);
-        assert_eq!(gate.grant_log(), vec![0, 0]);
-        assert!((gate.served_vtime(0) - 2.0).abs() < 1e-9);
     }
 }

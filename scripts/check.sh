@@ -23,7 +23,8 @@ cargo test -q --manifest-path perf/Cargo.toml
 echo "== trace round-trip (native JSON + chrome export)"
 cargo run --release -q -p rheem-bench --bin trace_dump
 
-echo "== multi-tenant service stress suite (2-core and 8-core pool shapes)"
+echo "== multi-tenant service stress suite (1-, 2- and 8-worker pool shapes)"
+RHEEM_POOL=1 cargo test -q --release --test service -- --test-threads=1
 RHEEM_POOL=2 cargo test -q --release --test service -- --test-threads=1
 RHEEM_POOL=8 cargo test -q --release --test service -- --test-threads=1
 

@@ -838,7 +838,7 @@ fn run_specs_service(
 }
 
 /// The job service must be invisible per job: a seeded batch of random
-/// plans submitted concurrently (4 runners, fair-share gate active) returns
+/// plans submitted concurrently (4 runners, fair-share job pick) returns
 /// exactly the outputs and span-tree structures of strictly sequential
 /// submission — under both scheduler modes and with batch execution on and
 /// off.

@@ -620,10 +620,11 @@ fn collect_deliveries(node: &rheem_core::movement::ConvNode, out: &mut Vec<usize
     }
 }
 
-/// Fair-share invariant at the granularity the gate actually schedules —
-/// one stage-job per grant: with every tenant continuously backlogged, the
-/// weighted virtual times of all tenants stay within one grant's normalized
-/// cost of each other, for any seeded weight vector and cost sequence.
+/// Fair-share invariant at the granularity the service schedules — one job
+/// per grant, at the runner pick: with every tenant continuously
+/// backlogged, the weighted virtual times of all tenants stay within one
+/// grant's normalized cost of each other, for any seeded weight vector and
+/// cost sequence.
 #[test]
 fn fair_share_virtual_times_stay_within_one_grant() {
     use rheem_core::service::FairShare;

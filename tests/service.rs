@@ -22,12 +22,23 @@
 //! 6. **Monitor/metrics isolation** (regression): concurrent jobs can no
 //!    longer cross-contaminate per-job retry counts — each scoped job runs
 //!    on a private monitor merged in at completion.
+//! 7. **Weights at the job pick**: the order a runner picks queued jobs in
+//!    is exactly a replay of [`FairShare`] over the tenants' weights and
+//!    the jobs' virtual costs.
+//! 8. **Panic isolation**: a panicking UDF fails its own job with a typed
+//!    error; the runner and the jobs queued behind it carry on.
+//! 9. **Bounded completion log**: the service keeps the last 64
+//!    completions and a count of all of them.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use rheem::prelude::*;
 use rheem_core::cache::ResultCache;
 use rheem_core::kernels::SplitMix64;
+use rheem_core::obs::scrape;
+use rheem_core::trace::json;
 
 /// Fixed chaos-seed matrix (mirrors `tests/differential.rs` and CI).
 const CHAOS_SEEDS: [u64; 3] = [0xC0FFEE, 42, 7];
@@ -149,19 +160,48 @@ fn concurrent_jobs_match_isolated_runs_byte_for_byte() {
 
 // ---- 2. admission control -------------------------------------------------
 
+/// What a blocking UDF parks on: `(entered, open)` under one lock.
+#[derive(Default)]
+struct Latch {
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Latch {
+    /// Mark the UDF entered, then block until [`Latch::open`].
+    fn park(&self) {
+        let mut s = self.state.lock().unwrap();
+        s.0 = true;
+        self.cv.notify_all();
+        while !s.1 {
+            s = self.cv.wait(s).unwrap();
+        }
+    }
+
+    /// Block until a UDF has parked.
+    fn wait_entered(&self) {
+        let mut s = self.state.lock().unwrap();
+        while !s.0 {
+            s = self.cv.wait(s).unwrap();
+        }
+    }
+
+    /// Release every parked UDF, now and later.
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
 /// A plan whose single map UDF blocks until the test releases it — pins a
 /// job "running" deterministically so in-flight counts are controllable.
-fn blocking_plan(latch: &Arc<(Mutex<bool>, Condvar)>) -> (RheemPlan, OperatorId) {
+fn blocking_plan(latch: &Arc<Latch>) -> (RheemPlan, OperatorId) {
     let latch = Arc::clone(latch);
     let mut b = PlanBuilder::new();
     let sink = b
         .collection(vec![Value::from(1i64)])
         .map(MapUdf::new("block", move |v| {
-            let (lock, cv) = &*latch;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
+            latch.park();
             v.clone()
         }))
         .collect();
@@ -180,13 +220,12 @@ fn trivial_plan() -> (RheemPlan, OperatorId) {
 /// every admitted job.
 #[test]
 fn admission_control_rejects_typed_at_caps() {
-    let latch = Arc::new((Mutex::new(false), Condvar::new()));
+    let latch = Arc::new(Latch::default());
     let tenants = vec![
         TenantSpec::new("a").with_max_in_flight(2),
         TenantSpec::new("b").with_max_in_flight(8),
     ];
-    let config =
-        ServiceConfig { max_in_flight: 3, runners: 1, gate: false, ..ServiceConfig::default() };
+    let config = ServiceConfig { max_in_flight: 3, runners: 1, ..ServiceConfig::default() };
     let service = JobService::new(rheem::default_context(), config, tenants).unwrap();
 
     // Unknown tenant: rejected before any capacity is consumed.
@@ -225,11 +264,7 @@ fn admission_control_rejects_typed_at_caps() {
     }
 
     // Release the blocker: every admitted job completes.
-    {
-        let (lock, cv) = &*latch;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-    }
+    latch.open();
     assert_eq!(h_block.wait().unwrap().sink(bsink).unwrap().len(), 1);
     assert_eq!(h2.wait().unwrap().sink(s2).unwrap().len(), 1);
     assert_eq!(h4.wait().unwrap().sink(s4).unwrap().len(), 1);
@@ -429,9 +464,9 @@ fn disk_tier_serves_concurrent_warm_reruns() {
 // ---- 4. no starvation ------------------------------------------------------
 
 /// A short 1-stage job submitted behind another tenant's long critical-path
-/// job completes while the long job is still running: the fair-share stage
-/// gate grants the newly backlogged tenant the very next slot instead of
-/// letting the long job's stages monopolize the service.
+/// job completes while the long job is still running: the second runner
+/// picks the newly backlogged tenant's job at once, and its stages share the
+/// worker pool with the long job's instead of waiting for them to drain.
 #[test]
 fn short_job_is_not_starved_behind_long_critical_path() {
     // Long job: a deep chain of keyed reductions over a large collection —
@@ -655,4 +690,136 @@ fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
         "labelled counters must share one TYPE line:\n{prom}"
     );
     assert!(prom.contains("rheem_jobs_total{tenant=\"tenant0\"}"));
+}
+
+// ---- 7. tenant weights at the job pick -----------------------------------
+
+/// With one runner parked on tenant `c`'s job, tenants `a` (weight 3) and
+/// `b` (weight 1) queue four trivial jobs each. Once released, the runner
+/// serves them in exactly the order a fresh [`FairShare`] with the same
+/// seed, tenants, activations and per-job virtual costs picks: the runner
+/// pick is where weights act, and it is deterministic given the costs.
+#[test]
+fn tenant_weights_order_the_job_pick() {
+    const JOBS: usize = 4;
+    let specs =
+        vec![TenantSpec::new("a").with_weight(3.0), TenantSpec::new("b"), TenantSpec::new("c")];
+    let config = ServiceConfig { runners: 1, ..ServiceConfig::default() };
+    let seed = config.seed;
+    let service = JobService::new(rheem::default_context(), config, specs.clone()).unwrap();
+
+    let latch = Arc::new(Latch::default());
+    let parked = service.submit("c", blocking_plan(&latch).0).unwrap();
+    latch.wait_entered();
+    let mut handles = Vec::new();
+    for _ in 0..JOBS {
+        for tenant in ["a", "b"] {
+            handles.push(service.submit(tenant, trivial_plan().0).unwrap());
+        }
+    }
+    latch.open();
+    let parked_id = parked.id;
+    let parked_cost = parked.wait().unwrap().metrics.virtual_ms;
+    // `(job id, virtual ms)` per tenant, in submission order.
+    let mut queues: Vec<VecDeque<(u64, f64)>> = vec![VecDeque::new(); 2];
+    for h in handles {
+        let t = usize::from(h.tenant == "b");
+        let id = h.id;
+        queues[t].push_back((id, h.wait().unwrap().metrics.virtual_ms));
+    }
+
+    // Replay. Activations at admission, as the service saw them: `c`
+    // with nothing backlogged, `a` after `c`'s job had left the queue,
+    // `b` behind a backlogged `a`. Then `c` is charged first.
+    let mut fair = FairShare::new(seed);
+    for s in &specs {
+        fair.add_tenant(&s.name, s.weight);
+    }
+    fair.activate(2, &[]);
+    fair.activate(0, &[]);
+    fair.activate(1, &[0]);
+    fair.charge(2, parked_cost);
+    let mut want = vec![(parked_id, "c".to_string())];
+    loop {
+        let ready: Vec<usize> = (0..2).filter(|&t| !queues[t].is_empty()).collect();
+        let Some(t) = fair.pick(&ready) else { break };
+        let (id, cost) = queues[t].pop_front().unwrap();
+        fair.charge(t, cost);
+        want.push((id, specs[t].name.clone()));
+    }
+    assert_eq!(service.completions(), want);
+}
+
+// ---- 8. panic isolation ---------------------------------------------------
+
+/// A job whose UDF panics fails with [`RheemError::Execution`] naming the
+/// job and the panic; the single runner survives to run the job queued
+/// behind it, and both admission slots are returned. The waits are timed
+/// so a dead runner fails the test instead of hanging it.
+#[test]
+fn panicking_job_fails_typed_and_keeps_its_runner() {
+    let config = ServiceConfig { runners: 1, ..ServiceConfig::default() };
+    let service =
+        JobService::new(rheem::default_context(), config, vec![TenantSpec::new("t")]).unwrap();
+    let mut b = PlanBuilder::new();
+    b.collection(vec![Value::from(1i64)])
+        .map(MapUdf::new("boom", |_: &Value| -> Value { panic!("udf exploded") }))
+        .collect();
+    let boom = service.submit("t", b.build().unwrap()).unwrap();
+    let boom_id = boom.id;
+    let (plan, sink) = trivial_plan();
+    let next = service.submit("t", plan).unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send((boom.wait(), next.wait()));
+    });
+    let (failed, ok) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the panicking job stranded the job queued behind it");
+    waiter.join().unwrap();
+    match failed {
+        Err(RheemError::Execution(msg)) => assert!(
+            msg.contains(&format!("job {boom_id}")) && msg.contains("udf exploded"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("a panicking job must fail typed, got ok={}", other.is_ok()),
+    }
+    assert_eq!(ok.unwrap().sink(sink).unwrap().len(), 1);
+    assert_eq!(service.in_flight(), 0, "the panicking job's admission slot leaked");
+}
+
+// ---- 9. bounded completion log --------------------------------------------
+
+/// 70 jobs leave the last 64 in `completions()` and in `/jobs`, in
+/// completion order, while `/jobs` counts all 70.
+#[test]
+fn completion_log_keeps_the_last_64() {
+    const JOBS: u64 = 70;
+    let service = JobService::new(
+        rheem::default_context(),
+        ServiceConfig::default(),
+        vec![TenantSpec::new("t")],
+    )
+    .unwrap();
+    let addr = service.serve("127.0.0.1:0").unwrap().to_string();
+    for _ in 0..JOBS {
+        service.submit("t", trivial_plan().0).unwrap().wait().unwrap();
+    }
+    let want: Vec<u64> = (JOBS - 64..JOBS).collect();
+    let kept: Vec<u64> = service.completions().iter().map(|(id, _)| *id).collect();
+    assert_eq!(kept, want);
+
+    let body = scrape(&addr, "/jobs").unwrap();
+    let doc = json::parse(&body).unwrap();
+    let obj = doc.as_obj("jobs").unwrap();
+    assert_eq!(json::get(obj, "completed").unwrap().as_f64("completed").unwrap(), JOBS as f64);
+    let recent: Vec<u64> = json::get(obj, "recent_completions")
+        .unwrap()
+        .as_arr("recent_completions")
+        .unwrap()
+        .iter()
+        .map(|e| json::get(e.as_obj("job").unwrap(), "job").unwrap().as_f64("job").unwrap() as u64)
+        .collect();
+    assert_eq!(recent, want);
 }
