@@ -16,7 +16,7 @@
 use rheem_bench::harness::bench;
 use rheem_bench::{community_files, default_context, graph_context};
 use rheem_core::cardinality::Estimator;
-use rheem_core::learner::{samples_from_monitor, CostLearner};
+use rheem_core::learner::{samples_from_trace, CostLearner};
 use rheem_core::optimizer::Optimizer;
 use rheem_core::platform::ids;
 
@@ -114,10 +114,11 @@ fn bench_costlearn() {
     let ctx = default_context();
     let path = rheem_bench::corpus_file("bench_abl_cl", 128, 4);
     let (plan, _) = rheem_bench::wordcount_plan(&path).unwrap();
+    let mut samples = Vec::new();
     for _ in 0..3 {
-        ctx.execute(&plan).unwrap();
+        let trace = ctx.execute(&plan).unwrap().trace.expect("tracing is on by default");
+        samples.extend(samples_from_trace(&trace));
     }
-    let samples = samples_from_monitor(ctx.monitor());
     assert!(!samples.is_empty());
     let learner = CostLearner { generations: 60, ..Default::default() };
 

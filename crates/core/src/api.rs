@@ -2,9 +2,9 @@
 //!
 //! Mirrors the paper's Fig. 5 flow: applications submit a Rheem plan (1);
 //! the cross-platform optimizer compiles it into an execution plan (2); the
-//! executor dispatches stages to the platform drivers (3); the monitor
-//! collects statistics (4); and the progressive optimizer re-optimizes on
-//! cardinality mismatches (5).
+//! executor dispatches stages to the platform drivers (3); the job trace
+//! collects statistics and the monitor logs faults (4); and the progressive
+//! optimizer re-optimizes on cardinality mismatches (5).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -77,8 +77,7 @@ impl JobResult {
 /// Per-job tenancy scope for [`RheemContext::execute_scoped`]: who the job
 /// runs for, which cache namespace it reads/publishes, and which service job
 /// id its flight-recorder events carry. The default scope reproduces
-/// [`RheemContext::execute`]'s single-tenant behaviour except for the
-/// private per-job monitor.
+/// [`RheemContext::execute`]'s single-tenant behaviour.
 #[derive(Clone, Debug)]
 pub struct JobScope {
     /// Tenant name (labels metrics, stamps the job trace span).
@@ -247,8 +246,8 @@ impl RheemContext {
         &mut self.config
     }
 
-    /// The monitor (accumulates stage statistics across jobs; feed it to
-    /// the cost learner).
+    /// The monitor: every fault this context's jobs handled. Stage-run
+    /// statistics for the cost learner are in each [`JobResult::trace`].
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
     }
@@ -299,14 +298,10 @@ impl RheemContext {
     }
 
     /// Execute a plan under a multi-tenant scope (see
-    /// [`crate::service::JobService`]): tenant-scoped cache namespace,
-    /// per-tenant metric labels, and — crucially for
-    /// concurrent submissions — a *private* monitor per job, merged into
-    /// the context's monitor at completion. Without the private monitor,
-    /// two concurrent jobs would cross-contaminate retry/replan deltas and
-    /// phase stamps (the bug `execute_with`'s before/after delta has when
-    /// racing); with it, each job's [`JobMetrics`] reflects exactly its own
-    /// execution, and the shared monitor still ends up with every record.
+    /// [`crate::service::JobService`]): tenant-scoped cache namespace and
+    /// per-tenant metric labels. Every [`JobMetrics`] count comes from the
+    /// job's own run, so concurrent submissions cannot charge each other;
+    /// the job's faults land in the context's monitor as they happen.
     pub fn execute_scoped(&self, plan: &RheemPlan, scope: &JobScope) -> Result<JobResult> {
         let mut config = self.config.clone();
         config.tenant = scope.tenant.clone();
@@ -314,39 +309,7 @@ impl RheemContext {
         config.cache_shared_read = scope.cache_shared_read;
         config.recorder = Some(Arc::clone(&self.recorder));
         config.job = scope.job;
-        let job_monitor = Monitor::new();
-        let outcome = match run_progressive(
-            plan,
-            &self.registry,
-            &self.profiles,
-            &self.model,
-            || self.estimator(),
-            &config,
-            &job_monitor,
-            self.forced_platform,
-            self.cache.clone(),
-        ) {
-            Ok(o) => o,
-            Err(e) => {
-                self.monitor.merge(&job_monitor);
-                return Err(e);
-            }
-        };
-        let result = JobResult {
-            sinks: outcome.sink_data,
-            metrics: JobMetrics {
-                virtual_ms: outcome.virtual_ms,
-                real_ms: outcome.real_ms,
-                replans: outcome.replans,
-                retries: job_monitor.retries(),
-                failovers: outcome.failovers,
-                platforms: outcome.platforms,
-                est_ms: outcome.est_ms,
-            },
-            exploration: outcome.exploration,
-            trace: outcome.trace,
-        };
-        self.monitor.merge(&job_monitor);
+        let result = self.run(plan, &config)?;
         self.record_job_metrics(&result);
         // Cache counters publish the cache's own cumulative stats
         // monotonically instead of racing read-modify-write deltas.
@@ -421,38 +384,12 @@ impl RheemContext {
     /// Execute a plan with an explicit executor configuration (used by
     /// [`RheemContext::explain_analyze`] to force tracing on).
     fn execute_with(&self, plan: &RheemPlan, config: &ExecConfig) -> Result<JobResult> {
-        // The monitor accumulates across jobs; report this job's delta.
-        let retries_before = self.monitor.retries();
         let cache_before = self.cache.as_ref().map(|c| c.stats());
         let mut config = config.clone();
         if config.recorder.is_none() {
             config.recorder = Some(Arc::clone(&self.recorder));
         }
-        let outcome = run_progressive(
-            plan,
-            &self.registry,
-            &self.profiles,
-            &self.model,
-            || self.estimator(),
-            &config,
-            &self.monitor,
-            self.forced_platform,
-            self.cache.clone(),
-        )?;
-        let result = JobResult {
-            sinks: outcome.sink_data,
-            metrics: JobMetrics {
-                virtual_ms: outcome.virtual_ms,
-                real_ms: outcome.real_ms,
-                replans: outcome.replans,
-                retries: self.monitor.retries() - retries_before,
-                failovers: outcome.failovers,
-                platforms: outcome.platforms,
-                est_ms: outcome.est_ms,
-            },
-            exploration: outcome.exploration,
-            trace: outcome.trace,
-        };
+        let result = self.run(plan, &config)?;
         self.record_job_metrics(&result);
         if let (Some(c), Some(before)) = (&self.cache, cache_before) {
             let after = c.stats();
@@ -464,6 +401,36 @@ impl RheemContext {
             self.metrics.inc("rheem_cache_promotions_total", after.promotions - before.promotions);
         }
         Ok(result)
+    }
+
+    /// Run Algorithm 1 under `config`; the job's faults go to the context's
+    /// monitor, everything else into the returned result.
+    fn run(&self, plan: &RheemPlan, config: &ExecConfig) -> Result<JobResult> {
+        let outcome = run_progressive(
+            plan,
+            &self.registry,
+            &self.profiles,
+            &self.model,
+            || self.estimator(),
+            config,
+            &self.monitor,
+            self.forced_platform,
+            self.cache.clone(),
+        )?;
+        Ok(JobResult {
+            sinks: outcome.sink_data,
+            metrics: JobMetrics {
+                virtual_ms: outcome.virtual_ms,
+                real_ms: outcome.real_ms,
+                replans: outcome.replans,
+                retries: outcome.retries,
+                failovers: outcome.failovers,
+                platforms: outcome.platforms,
+                est_ms: outcome.est_ms,
+            },
+            exploration: outcome.exploration,
+            trace: outcome.trace,
+        })
     }
 
     /// Feed the registry from a finished job: job-level counters plus

@@ -78,7 +78,7 @@ pub fn estimate_text_file_lines(path: &Path) -> Option<(f64, f64)> {
 #[derive(Default)]
 pub struct Estimator {
     source_estimators: Vec<SourceEstimator>,
-    /// Known true cardinalities (from the monitor) that pin estimates.
+    /// Known true cardinalities (measured by the executor) that pin estimates.
     pub overrides: HashMap<OperatorId, f64>,
     /// Expected iterations assumed for `DoWhile` loops.
     pub dowhile_expected_iters: f64,

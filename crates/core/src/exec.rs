@@ -70,8 +70,8 @@ impl fmt::Debug for dyn ExecutionOperator {
     }
 }
 
-/// Metrics of one execution-operator run, fed to the monitor and the cost
-/// learner (§4.3, §4.5).
+/// Metrics of one execution-operator run, recorded in the job trace as an
+/// [`crate::trace::OpProfile`] for the cost learner (§4.3, §4.5).
 #[derive(Clone, Debug)]
 pub struct OpMetrics {
     /// Operator name (`ExecutionOperator::name`).
@@ -322,7 +322,7 @@ impl<'a> ExecCtx<'a> {
         &self.ops
     }
 
-    /// Drain recorded metrics (executor moves them into the monitor).
+    /// Drain recorded metrics (the executor records them in the job trace).
     pub fn take_metrics(&mut self) -> (Vec<OpMetrics>, f64) {
         let v = self.virtual_ms;
         self.virtual_ms = 0.0;

@@ -16,7 +16,7 @@ use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, OpMetrics, TraceEvent};
 use crate::execplan::ExecPlan;
 use crate::fault::{BudgetExhausted, FaultKind, FaultPlan, InjectedFault};
-use crate::monitor::{check_cardinality, FaultRecord, Health, Monitor, StageRun};
+use crate::monitor::{check_cardinality, FaultRecord, Health, Monitor};
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::Profiles;
@@ -190,6 +190,8 @@ pub struct Execution {
     pub virtual_ms: f64,
     /// Real local wall time, ms.
     pub real_ms: f64,
+    /// Operator retries the retry budget absorbed.
+    pub retries: u32,
     /// Exploration taps (empty unless exploratory mode).
     pub exploration: ExplorationBuffer,
 }
@@ -208,6 +210,8 @@ pub struct Checkpoint {
     pub virtual_ms: f64,
     /// Real time consumed so far, ms.
     pub real_ms: f64,
+    /// Operator retries absorbed so far.
+    pub retries: u32,
     /// Exploration taps so far.
     pub exploration: ExplorationBuffer,
 }
@@ -242,8 +246,6 @@ struct RunState {
     /// Latest virtual finish over the current run's nodes (the run span's
     /// end and the time its lane frees up).
     run_end: f64,
-    run_ops: Vec<OpMetrics>,
-    run_real_ms: f64,
     run_virtual_ms: f64,
     started_platforms: HashSet<&'static str>,
     /// Per-platform lane occupancy (virtual finish time of the last run on
@@ -260,6 +262,8 @@ struct RunState {
     exploration: ExplorationBuffer,
     iteration: u64,
     job_virtual_ms: f64,
+    /// Retries absorbed by the whole run (all stage runs).
+    job_retries: u32,
     wall_start: Instant,
     /// Failed attempts per (stage, iteration) — the retry-budget meter.
     stage_attempts: HashMap<(usize, u64), u32>,
@@ -276,7 +280,7 @@ struct RunState {
 }
 
 /// One failed attempt observed inside [`Executor::exec_node`]'s retry loop,
-/// buffered so the coordinator can replay monitor records and retry spans in
+/// buffered so the coordinator can replay fault records and retry spans in
 /// deterministic commit order regardless of which thread executed the node.
 struct RetryRec {
     /// The injected fault behind the failure (`None` for organic errors).
@@ -288,13 +292,12 @@ struct RetryRec {
 }
 
 /// Worker-side result of executing one node: everything `commit_node` needs
-/// to account virtual time, spans and monitor records on the coordinator.
+/// to account virtual time, spans and fault records on the coordinator.
 struct NodeExec {
     out: ChannelData,
     ops: Vec<OpMetrics>,
     vdur: f64,
     events: Vec<TraceEvent>,
-    real_ms: f64,
     node_retries: u32,
     vec_stats: crate::exec::VecStats,
 }
@@ -367,8 +370,6 @@ impl<'a> Executor<'a> {
             run_clock: 0.0,
             run_base: 0.0,
             run_end: 0.0,
-            run_ops: Vec::new(),
-            run_real_ms: 0.0,
             run_virtual_ms: 0.0,
             started_platforms: HashSet::new(),
             lanes: HashMap::new(),
@@ -378,6 +379,7 @@ impl<'a> Executor<'a> {
             exploration: ExplorationBuffer::default(),
             iteration: 0,
             job_virtual_ms: 0.0,
+            job_retries: 0,
             wall_start: Instant::now(),
             stage_attempts: HashMap::new(),
             run_retries: 0,
@@ -418,6 +420,7 @@ impl<'a> Executor<'a> {
             sink_data,
             virtual_ms,
             real_ms,
+            retries: st.job_retries,
             exploration: st.exploration,
         }))
     }
@@ -741,13 +744,13 @@ impl<'a> Executor<'a> {
         NodeOutcome {
             retries,
             failures_after: *stage_failures,
-            result: Ok(NodeExec { out, ops, vdur, events, real_ms, node_retries, vec_stats }),
+            result: Ok(NodeExec { out, ops, vdur, events, node_retries, vec_stats }),
         }
     }
 
     /// Commit one executed node on the coordinator: stage-run bookkeeping,
     /// lane assignment, critical-path virtual-time composition, trace spans,
-    /// monitor records and value publication. Runs in deterministic stage
+    /// fault records and value publication. Runs in deterministic stage
     /// order under both scheduler modes, so results and traces are
     /// byte-identical regardless of which thread executed the node.
     fn commit_node(&self, st: &mut RunState, nid: usize, outcome: NodeOutcome) -> Result<()> {
@@ -835,7 +838,7 @@ impl<'a> Executor<'a> {
             );
         }
 
-        // Replay the retry history: monitor records and retry spans, in the
+        // Replay the retry history: fault records and retry spans, in the
         // exact order the sequential walk would have recorded them live.
         let NodeOutcome { retries, failures_after, result } = outcome;
         for rec in &retries {
@@ -867,7 +870,7 @@ impl<'a> Executor<'a> {
                 h.trace.attr(sid, "recovered", i64::from(rec.within_budget).into());
             }
             if rec.within_budget {
-                self.monitor.count_retry();
+                st.job_retries += 1;
                 st.run_retries += 1;
             }
             let fault_kind = rec
@@ -885,7 +888,7 @@ impl<'a> Executor<'a> {
         if failures_after > 0 {
             st.stage_attempts.insert((node.stage, st.iteration), failures_after);
         }
-        let NodeExec { out, mut ops, mut vdur, events, real_ms, node_retries, vec_stats } = result?;
+        let NodeExec { out, mut ops, mut vdur, events, node_retries, vec_stats } = result?;
 
         // Columnar execution fell back to rows somewhere inside this node:
         // surface it on the flight recorder so operators can spot plans that
@@ -1000,9 +1003,7 @@ impl<'a> Executor<'a> {
         st.run_clock = st.vfinish[nid];
         st.run_end = st.run_end.max(st.vfinish[nid]);
         st.job_virtual_ms = st.job_virtual_ms.max(st.vfinish[nid]);
-        st.run_real_ms += real_ms;
         st.run_virtual_ms += vdur + pending_overhead;
-        st.run_ops.extend(ops);
         if let Some(tail) = node.tail() {
             if let Some(card) = out.cardinality() {
                 st.measured.insert(tail, card as f64);
@@ -1114,7 +1115,7 @@ impl<'a> Executor<'a> {
     /// The concurrent scheduler: compute the top-level stage DAG from
     /// channel producers/consumers, dispatch ready stages onto the shared
     /// worker pool, and commit finished stages in sequential stage order so
-    /// spans, monitor records and virtual-time accounting stay
+    /// spans, fault records and virtual-time accounting stay
     /// byte-identical with the sequential walk. Loop-head stages and stages
     /// a loop body demand-pulls run inline on the coordinator, exactly
     /// where the sequential walk runs them.
@@ -1348,27 +1349,14 @@ impl<'a> Executor<'a> {
                     });
                 }
             }
-            let run = StageRun {
-                stage,
-                platform: self.eplan.stages[stage].platform,
-                iteration: st.iteration,
-                ops: std::mem::take(&mut st.run_ops),
-                virtual_ms: st.run_virtual_ms,
-                real_ms: st.run_real_ms,
-                retries: st.run_retries,
-                phase: 0, // stamped by Monitor::record
-                superseded: false,
-            };
             self.record_event(
                 crate::obs::EventKind::StageCommitted,
                 Some(stage as u64),
-                run.virtual_ms,
-                &run.platform.to_string(),
+                st.run_virtual_ms,
+                &self.eplan.stages[stage].platform.to_string(),
             );
             st.run_virtual_ms = 0.0;
-            st.run_real_ms = 0.0;
             st.run_retries = 0;
-            self.monitor.record(run);
         }
     }
 
@@ -1401,22 +1389,18 @@ impl<'a> Executor<'a> {
         if !self.checkpoint_materializable(&st, &executed) {
             return Err(RheemError::Exhausted(cause));
         }
-        // In-flight loops restart from iteration 0 after failover: their
-        // already-recorded iteration runs would double-count in the learner.
-        let stale_stages: HashSet<usize> = self
-            .eplan
-            .nodes
-            .iter()
-            .filter(|n| self.in_active_loop(&st, n.id))
-            .map(|n| n.stage)
-            .collect();
-        if !stale_stages.is_empty() {
-            self.monitor.supersede_current_phase(&stale_stages);
-            if let Some(h) = &self.trace {
-                h.trace.supersede_current_phase(&stale_stages);
-            }
-        }
         if let Some(h) = &self.trace {
+            // In-flight loops restart from iteration 0 after failover: their
+            // already-recorded iteration runs would double-count in the
+            // learner.
+            let stale_stages: HashSet<usize> = self
+                .eplan
+                .nodes
+                .iter()
+                .filter(|n| self.in_active_loop(&st, n.id))
+                .map(|n| n.stage)
+                .collect();
+            h.trace.supersede_current_phase(&stale_stages);
             let sid = h.trace.instant(
                 Some(h.parent),
                 SpanKind::Failover,
@@ -1543,6 +1527,7 @@ impl<'a> Executor<'a> {
             sink_data,
             virtual_ms,
             real_ms,
+            retries: st.job_retries,
             exploration: st.exploration,
         }
     }

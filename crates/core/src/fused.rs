@@ -99,7 +99,7 @@ pub fn fusable(op: &LogicalOp) -> bool {
 
 /// Display name of an engine's operator over `ops`: `SparkMap` for a single
 /// operator, `SparkChain3` for a narrow chain; a chain ending in a wide
-/// operator names its tail (`SparkChain3∘ReduceBy`) so monitor logs still
+/// operator names its tail (`SparkChain3∘ReduceBy`) so traces still
 /// show what the stage aggregates into.
 pub fn chain_name(label: &str, ops: &[LogicalOp]) -> String {
     match ops {

@@ -17,8 +17,6 @@ use crate::kernels::SplitMix64;
 
 use crate::cost::{param_key, CostModel, Load};
 use crate::error::{Result, RheemError};
-use crate::monitor::Monitor;
-#[allow(unused_imports)]
 use crate::plan::RheemPlan;
 use crate::platform::{PlatformId, Profiles};
 
@@ -51,36 +49,11 @@ pub struct StageSample {
     pub measured_ms: f64,
 }
 
-/// Extract training samples from a monitor's stage records. Superseded runs
-/// (re-executed by a failover) are excluded — they would double-count loop
-/// iterations — and backoff padding is not an operator observation.
-pub fn samples_from_monitor(monitor: &Monitor) -> Vec<StageSample> {
-    monitor
-        .stage_runs_effective()
-        .into_iter()
-        .filter(|r| !r.ops.is_empty() && r.virtual_ms > 0.0)
-        .map(|r| StageSample {
-            ops: r
-                .ops
-                .iter()
-                .filter(|o| o.name != "RetryBackoff")
-                .map(|o| OpObs {
-                    platform: o.platform.0.to_string(),
-                    op: o.name.clone(),
-                    in_card: o.in_card as f64,
-                    out_card: o.out_card as f64,
-                })
-                .collect(),
-            measured_ms: r.virtual_ms,
-        })
-        .collect()
-}
-
 /// Extract training samples from a job trace: one sample per effective
-/// (non-superseded) stage run, joining the run's measured virtual time with
-/// its operators' true cardinalities. Produces the same rows as
-/// [`samples_from_monitor`] for the same job, so calibration can run off
-/// traces alone — no ad-hoc `StageRun` filtering needed.
+/// stage run, joining the run's measured virtual time with its operators'
+/// true cardinalities. Superseded runs (re-executed by a failover) are
+/// excluded — they would double-count loop iterations — and backoff
+/// padding is not an operator observation.
 pub fn samples_from_trace(trace: &crate::trace::JobTrace) -> Vec<StageSample> {
     trace
         .runs
@@ -350,7 +323,7 @@ impl CostLearner {
 /// topologies that cover most analytic tasks — **pipeline** (batch),
 /// **iterative** (ML) and **merge** (SPJA) — across varying input sizes and
 /// UDF complexities, executes them on the given context, and returns the
-/// collected stage samples for [`CostLearner::fit`].
+/// stage samples of their traces for [`CostLearner::fit`].
 pub struct LogGenerator {
     /// Input cardinalities to sweep.
     pub sizes: Vec<usize>,
@@ -368,12 +341,23 @@ impl Default for LogGenerator {
 
 impl LogGenerator {
     /// Build and execute the plan sweep, returning the training samples.
+    /// Fails with [`RheemError::Config`] when the context's jobs run
+    /// untraced: the traces are the execution log.
     pub fn generate(&self, ctx: &crate::api::RheemContext) -> Result<Vec<StageSample>> {
         use crate::plan::PlanBuilder;
         use crate::udf::{KeyUdf, MapUdf, PredicateUdf, ReduceUdf};
         use crate::value::Value;
 
-        ctx.monitor().reset();
+        let mut samples = Vec::new();
+        let mut run = |plan: RheemPlan| -> Result<()> {
+            let trace = ctx.execute(&plan)?.trace.ok_or_else(|| {
+                RheemError::Config(
+                    "LogGenerator needs job traces: enable ExecConfig::tracing".into(),
+                )
+            })?;
+            samples.extend(samples_from_trace(&trace));
+            Ok(())
+        };
         for &n in &self.sizes {
             for &udf_cost in &self.udf_costs {
                 let spin = udf_cost as usize;
@@ -410,7 +394,7 @@ impl LogGenerator {
                         }),
                     )
                     .collect();
-                ctx.execute(&b.build()?)?;
+                run(b.build()?)?;
 
                 // merge topology: two sources joined then aggregated (SPJA).
                 // FK-style unique join keys keep the output linear in n.
@@ -437,7 +421,7 @@ impl LogGenerator {
                         }),
                     )
                     .collect();
-                ctx.execute(&b.build()?)?;
+                run(b.build()?)?;
 
                 // iterative topology: a loop over map+reduce
                 let mut b = PlanBuilder::new();
@@ -458,10 +442,10 @@ impl LogGenerator {
                         .broadcast("agg", &agg)
                     })
                     .collect();
-                ctx.execute(&b.build()?)?;
+                run(b.build()?)?;
             }
         }
-        Ok(samples_from_monitor(ctx.monitor()))
+        Ok(samples)
     }
 }
 

@@ -7,9 +7,10 @@
 //! operators of registered [`platform::Platform`]s — considering data
 //! movement over the channel conversion graph ([`movement`]) and platform
 //! start-up costs — and the [`executor::Executor`] orchestrates the chosen
-//! plan across platforms, monitored ([`monitor`]) and progressively
+//! plan across platforms, health-checked ([`monitor`]) and progressively
 //! re-optimized ([`progressive`]) on cardinality mismatches. The cost model
-//! is learned from execution logs ([`learner`]).
+//! is learned ([`learner`]) from the execution logs every job's
+//! [`trace::JobTrace`] carries.
 //!
 //! ```
 //! use rheem_core::prelude::*;

@@ -1,40 +1,16 @@
-//! The monitor (§4.3): collects light-weight execution statistics —
-//! per-stage runtimes and true cardinalities — attributes them to operators
-//! (aware of platform-internal laziness, which our engines surface by
-//! reporting per-operator metrics themselves), and checks execution health.
+//! The monitor (§4.3): the execution health check ([`check_cardinality`])
+//! and the context's fault log. The other half of §4.3 — per-stage runtimes
+//! and true cardinalities, attributed to operators (aware of
+//! platform-internal laziness, which our engines surface by reporting
+//! per-operator metrics themselves) — is each job's
+//! [`crate::trace::JobTrace`], the execution log the cost learner reads;
+//! the progressive optimizer takes measured cardinalities straight from
+//! the executor's checkpoint.
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 
-use crate::exec::OpMetrics;
 use crate::fault::FaultKind;
 use crate::platform::PlatformId;
-
-/// Record of one stage run (a stage may run many times inside loops).
-#[derive(Clone, Debug)]
-pub struct StageRun {
-    /// Stage id.
-    pub stage: usize,
-    /// Platform the stage ran on.
-    pub platform: PlatformId,
-    /// Loop iteration the run belonged to (0 outside loops).
-    pub iteration: u64,
-    /// Per-operator metrics in execution order.
-    pub ops: Vec<OpMetrics>,
-    /// Virtual time of the whole run including overheads, ms.
-    pub virtual_ms: f64,
-    /// Real local time, ms.
-    pub real_ms: f64,
-    /// Fault-tolerance retries absorbed by this run.
-    pub retries: u32,
-    /// Execution phase (bumped on every progressive replan/failover) the run
-    /// belongs to — stamped by [`Monitor::record`].
-    pub phase: u32,
-    /// A later phase re-executed this run's work (e.g. a failover restarted
-    /// an in-flight loop from iteration 0), so its metrics would be
-    /// double-counted: the learner must skip it.
-    pub superseded: bool,
-}
 
 /// Record of one injected or organic fault handled by the executor.
 #[derive(Clone, Debug)]
@@ -77,49 +53,19 @@ pub fn check_cardinality(est: crate::cost::Interval, measured: f64, tau: f64) ->
     }
 }
 
-/// Thread-safe statistics store shared between executor, progressive
-/// optimizer and cost learner.
+/// The context's fault log: every failure the executor handled, in commit
+/// order. Stage runs and their true cardinalities live in each job's
+/// [`crate::trace::JobTrace`]; job-level retry, replan and failover counts
+/// in [`crate::api::JobMetrics`].
 #[derive(Default)]
 pub struct Monitor {
-    runs: Mutex<Vec<StageRun>>,
     faults: Mutex<Vec<FaultRecord>>,
-    replans: Mutex<u32>,
-    retries: Mutex<u32>,
-    failovers: Mutex<u32>,
-    phase: Mutex<u32>,
 }
 
 impl Monitor {
     /// Fresh monitor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record a stage run, stamping it with the current phase.
-    pub fn record(&self, mut run: StageRun) {
-        run.phase = *self.phase.lock().unwrap();
-        self.runs.lock().unwrap().push(run);
-    }
-
-    /// Enter the next execution phase (called before each progressive
-    /// executor run); subsequent stage runs are stamped with it.
-    pub fn begin_phase(&self) -> u32 {
-        let mut p = self.phase.lock().unwrap();
-        *p += 1;
-        *p
-    }
-
-    /// Mark the current phase's runs of the given stages superseded: a
-    /// failover is about to re-execute their work (an in-flight loop
-    /// restarts from iteration 0), so keeping them live would double-count
-    /// iterations in the learner.
-    pub fn supersede_current_phase(&self, stages: &HashSet<usize>) {
-        let phase = *self.phase.lock().unwrap();
-        for run in self.runs.lock().unwrap().iter_mut() {
-            if run.phase == phase && stages.contains(&run.stage) {
-                run.superseded = true;
-            }
-        }
     }
 
     /// Record a handled fault (retry or budget exhaustion).
@@ -132,92 +78,10 @@ impl Monitor {
         self.faults.lock().unwrap().clone()
     }
 
-    /// Count a progressive re-optimization.
-    pub fn count_replan(&self) {
-        *self.replans.lock().unwrap() += 1;
-    }
-
-    /// Number of progressive re-optimizations so far.
-    pub fn replans(&self) -> u32 {
-        *self.replans.lock().unwrap()
-    }
-
-    /// Count a fault-tolerance retry of a failed execution operator.
-    pub fn count_retry(&self) {
-        *self.retries.lock().unwrap() += 1;
-    }
-
-    /// Number of operator retries so far.
+    /// Number of operator retries so far: the faults the retry budget
+    /// absorbed.
     pub fn retries(&self) -> u32 {
-        *self.retries.lock().unwrap()
-    }
-
-    /// Count a cross-platform failover (retry budget exhausted, plan
-    /// re-enumerated over the surviving platforms).
-    pub fn count_failover(&self) {
-        *self.failovers.lock().unwrap() += 1;
-    }
-
-    /// Number of failovers so far.
-    pub fn failovers(&self) -> u32 {
-        *self.failovers.lock().unwrap()
-    }
-
-    /// Snapshot of all recorded stage runs (superseded ones included).
-    pub fn stage_runs(&self) -> Vec<StageRun> {
-        self.runs.lock().unwrap().clone()
-    }
-
-    /// Snapshot of the stage runs that still count (superseded runs —
-    /// re-executed by a failover — excluded).
-    pub fn stage_runs_effective(&self) -> Vec<StageRun> {
-        self.runs.lock().unwrap().iter().filter(|r| !r.superseded).cloned().collect()
-    }
-
-    /// Total virtual time across effective runs — superseded runs (work a
-    /// failover re-executed elsewhere) are excluded, so the sum reflects
-    /// work that contributed to the job's results (diagnostic; the
-    /// executor's dependency-aware composition is authoritative for job
-    /// runtime).
-    pub fn total_virtual_ms(&self) -> f64 {
-        self.runs.lock().unwrap().iter().filter(|r| !r.superseded).map(|r| r.virtual_ms).sum()
-    }
-
-    /// Absorb another monitor's records, re-stamping its phases after this
-    /// monitor's current phase counter so phase numbers stay unique and
-    /// ordered. The [`crate::service::JobService`] gives every job a
-    /// private monitor (so concurrent jobs can't cross-contaminate retry
-    /// and replan counts) and merges it into the context's monitor at
-    /// completion — after which the context monitor reads exactly as if
-    /// the jobs had run sequentially through it.
-    pub fn merge(&self, other: &Monitor) {
-        let offset = {
-            let mut p = self.phase.lock().unwrap();
-            let offset = *p;
-            *p += *other.phase.lock().unwrap();
-            offset
-        };
-        {
-            let mut runs = self.runs.lock().unwrap();
-            for mut run in other.runs.lock().unwrap().iter().cloned() {
-                run.phase += offset;
-                runs.push(run);
-            }
-        }
-        self.faults.lock().unwrap().extend(other.faults.lock().unwrap().iter().cloned());
-        *self.replans.lock().unwrap() += *other.replans.lock().unwrap();
-        *self.retries.lock().unwrap() += *other.retries.lock().unwrap();
-        *self.failovers.lock().unwrap() += *other.failovers.lock().unwrap();
-    }
-
-    /// Clear all records (between jobs).
-    pub fn reset(&self) {
-        self.runs.lock().unwrap().clear();
-        self.faults.lock().unwrap().clear();
-        *self.replans.lock().unwrap() = 0;
-        *self.retries.lock().unwrap() = 0;
-        *self.failovers.lock().unwrap() = 0;
-        *self.phase.lock().unwrap() = 0;
+        self.faults.lock().unwrap().iter().filter(|r| r.recovered).count() as u32
     }
 }
 
@@ -235,53 +99,8 @@ mod tests {
         assert_eq!(check_cardinality(est, 100_000.0, 2.0), Health::Mismatch);
     }
 
-    fn run(stage: usize, virtual_ms: f64) -> StageRun {
-        StageRun {
-            stage,
-            platform: PlatformId("x"),
-            iteration: 0,
-            ops: vec![],
-            virtual_ms,
-            real_ms: 1.0,
-            retries: 0,
-            phase: 0,
-            superseded: false,
-        }
-    }
-
     #[test]
-    fn monitor_records_and_resets() {
-        let m = Monitor::new();
-        m.record(run(0, 12.0));
-        m.count_replan();
-        assert_eq!(m.stage_runs().len(), 1);
-        assert_eq!(m.replans(), 1);
-        assert!((m.total_virtual_ms() - 12.0).abs() < 1e-12);
-        m.reset();
-        assert!(m.stage_runs().is_empty());
-        assert_eq!(m.replans(), 0);
-    }
-
-    #[test]
-    fn supersede_hits_only_current_phase_and_listed_stages() {
-        let m = Monitor::new();
-        m.begin_phase();
-        m.record(run(0, 1.0));
-        m.begin_phase();
-        m.record(run(0, 2.0));
-        m.record(run(1, 3.0));
-        m.supersede_current_phase(&HashSet::from([0]));
-        let runs = m.stage_runs();
-        assert!(!runs[0].superseded, "earlier phase untouched");
-        assert!(runs[1].superseded, "current phase + listed stage marked");
-        assert!(!runs[2].superseded, "unlisted stage untouched");
-        assert_eq!(m.stage_runs_effective().len(), 2);
-        // total_virtual_ms counts effective runs only (1.0 + 3.0).
-        assert!((m.total_virtual_ms() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fault_and_failover_accounting() {
+    fn retries_count_recovered_faults() {
         let m = Monitor::new();
         m.record_fault(FaultRecord {
             stage: 2,
@@ -292,11 +111,12 @@ mod tests {
             attempt: 1,
             recovered: true,
         });
-        m.count_failover();
-        assert_eq!(m.fault_records().len(), 1);
-        assert_eq!(m.failovers(), 1);
-        m.reset();
-        assert!(m.fault_records().is_empty());
-        assert_eq!(m.failovers(), 0);
+        m.record_fault(FaultRecord {
+            attempt: 2,
+            recovered: false,
+            ..m.fault_records()[0].clone()
+        });
+        assert_eq!(m.fault_records().len(), 2);
+        assert_eq!(m.retries(), 1);
     }
 }

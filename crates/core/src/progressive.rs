@@ -37,6 +37,8 @@ pub struct ProgressiveOutcome {
     pub real_ms: f64,
     /// Number of re-optimizations performed.
     pub replans: u32,
+    /// Operator retries the retry budget absorbed, over all phases.
+    pub retries: u32,
     /// Number of cross-platform failovers performed (retry budget exhausted
     /// on a platform; remainder re-planned over the survivors).
     pub failovers: u32,
@@ -174,6 +176,7 @@ pub fn run_progressive(
     let mut virtual_ms = 0.0;
     let mut real_ms = 0.0;
     let mut replans = 0;
+    let mut retries = 0;
     let mut failovers = 0;
     let mut platforms: Vec<PlatformId> = Vec::new();
     let mut est_ms = None;
@@ -272,16 +275,17 @@ pub fn run_progressive(
             .with_faults(faults.clone())
             .with_trace(handle)
             .with_cache(publish);
-        monitor.begin_phase();
         match executor.run()? {
             Outcome::Finished(Execution {
                 sink_data: sinks,
                 virtual_ms: v,
                 real_ms: r,
+                retries: n,
                 exploration: expl,
             }) => {
                 virtual_ms += v;
                 real_ms += r;
+                retries += n;
                 exploration.taps.extend(expl.taps);
                 for (new_id, data) in sinks {
                     let orig = sink_map.get(&new_id).copied().unwrap_or(new_id);
@@ -300,6 +304,7 @@ pub fn run_progressive(
                     virtual_ms,
                     real_ms,
                     replans,
+                    retries,
                     failovers,
                     platforms,
                     est_ms: est_ms.unwrap_or(0.0),
@@ -311,7 +316,6 @@ pub fn run_progressive(
                 let (cp, rewrite_cause) = match outcome {
                     Outcome::Paused(cp) => {
                         replans += 1;
-                        monitor.count_replan();
                         (cp, "cardinality-mismatch")
                     }
                     Outcome::Failover { checkpoint, cause } => {
@@ -321,7 +325,6 @@ pub fn run_progressive(
                             return Err(RheemError::Exhausted(cause));
                         }
                         failovers += 1;
-                        monitor.count_failover();
                         blacklist.push(cause.platform);
                         (checkpoint, "failover")
                     }
@@ -342,6 +345,7 @@ pub fn run_progressive(
                 }
                 virtual_ms += cp.virtual_ms + REPLAN_MS;
                 real_ms += cp.real_ms;
+                retries += cp.retries;
                 exploration.taps.extend(cp.exploration.taps.clone());
                 for (new_id, data) in &cp.sink_data {
                     let orig = sink_map.get(new_id).copied().unwrap_or(*new_id);
@@ -398,6 +402,7 @@ mod tests {
             sink_data: HashMap::new(),
             virtual_ms: 0.0,
             real_ms: 0.0,
+            retries: 0,
             exploration: ExplorationBuffer::default(),
         };
         let (next, _sinks, overrides) = rewrite_plan(&plan, &cp, &fps).unwrap();

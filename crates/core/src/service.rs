@@ -20,10 +20,9 @@
 //!   [`Namespace`] on the shared [`crate::cache::ResultCache`], bounded by
 //!   an optional byte quota; reads fall back to the shared namespace for
 //!   public datasets when the tenant opts in.
-//! - **Attribution**: each job runs with a private [`crate::monitor::
-//!   Monitor`] merged into the context's after completion, a `tenant`
-//!   attribute on its trace's job span, and tenant-labelled counters and
-//!   gauges in the context's Prometheus snapshot.
+//! - **Attribution**: each job's [`crate::api::JobMetrics`] count only its
+//!   own run, its trace's job span carries a `tenant` attribute, and the
+//!   context's Prometheus snapshot has tenant-labelled counters and gauges.
 //! - **Observability**: job lifecycle events feed the context's
 //!   [`crate::obs::FlightRecorder`], per-tenant SLO phase histograms
 //!   ([`crate::obs::slo`]) decompose every job into queue / admission /

@@ -279,9 +279,9 @@ impl OpProfile {
     }
 }
 
-/// Summary of one stage run (the trace-side mirror of
-/// [`crate::monitor::StageRun`], minus the per-op metrics which live in
-/// [`JobTrace::profiles`]).
+/// Summary of one stage run — the execution log's record of it; the
+/// run's per-operator metrics are the [`JobTrace::profiles`] with the same
+/// `(phase, run)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunProfile {
     /// Progressive execution phase.
@@ -1034,8 +1034,8 @@ impl Trace {
         self.inner.lock().unwrap().runs.push(run);
     }
 
-    /// Enter the next progressive execution phase; keep in lockstep with
-    /// [`crate::monitor::Monitor::begin_phase`] so supersede marks agree.
+    /// Enter the next progressive execution phase; later spans, profiles and
+    /// runs carry it, and [`Trace::supersede_current_phase`] marks only it.
     pub fn begin_phase(&self) -> u32 {
         let mut inner = self.inner.lock().unwrap();
         inner.phase += 1;
@@ -1056,8 +1056,9 @@ impl Trace {
     }
 
     /// Mark the current phase's spans/profiles/runs of the given stages
-    /// superseded (a failover is about to re-execute their work); mirrors
-    /// [`crate::monitor::Monitor::supersede_current_phase`].
+    /// superseded: a failover is about to re-execute their work (an
+    /// in-flight loop restarts from iteration 0), so keeping them live would
+    /// double-count iterations in the learner.
     pub fn supersede_current_phase(&self, stages: &HashSet<usize>) {
         let mut inner = self.inner.lock().unwrap();
         let phase = inner.phase;
@@ -1206,20 +1207,20 @@ mod tests {
         assert!(!p.is_pseudo());
     }
 
-    #[test]
-    fn supersede_marks_profiles_runs_and_stage_spans() {
-        let t = Trace::new();
-        t.begin_phase();
-        let stage = t.begin(None, SpanKind::Stage, "stage 3", None, 0.0);
-        t.attr(stage, "phase", 1u32.into());
-        t.attr(stage, "run", 0u32.into());
+    /// Record one stage run of `stage` in the current phase: its stage span,
+    /// run summary and one operator profile.
+    fn record_run(t: &Trace, stage: usize, virtual_ms: f64) {
+        let (phase, run) = (t.phase(), t.next_run_id());
+        let span = t.begin(None, SpanKind::Stage, &format!("stage {stage}"), None, 0.0);
+        t.attr(span, "phase", phase.into());
+        t.attr(span, "run", run.into());
         t.add_run(RunProfile {
-            phase: 1,
-            run: 0,
-            stage: 3,
+            phase,
+            run,
+            stage,
             platform: "x".into(),
             iteration: 0,
-            virtual_ms: 1.0,
+            virtual_ms,
             retries: 0,
             superseded: false,
         });
@@ -1227,25 +1228,40 @@ mod tests {
             name: "XMap".into(),
             platform: "x".into(),
             node: 0,
-            stage: 3,
+            stage,
             iteration: 0,
-            phase: 1,
-            run: 0,
+            phase,
+            run,
             logical: vec![],
             tuples_in: 0,
             tuples_out: 0,
-            virtual_ms: 1.0,
+            virtual_ms,
             retries: 0,
             vec_stats: crate::exec::VecStats::default(),
             superseded: false,
         });
-        t.supersede_current_phase(&HashSet::from([3]));
+    }
+
+    #[test]
+    fn supersede_hits_only_current_phase_and_listed_stages() {
+        let t = Trace::new();
+        t.begin_phase();
+        record_run(&t, 0, 1.0);
+        t.begin_phase();
+        record_run(&t, 0, 2.0);
+        record_run(&t, 1, 3.0);
+        t.supersede_current_phase(&HashSet::from([0]));
         let jt = t.snapshot();
-        assert!(jt.runs[0].superseded);
-        assert!(jt.profiles[0].superseded);
-        assert!(jt.spans[0].superseded);
-        assert_eq!(jt.profiles_effective().count(), 0);
-        assert_eq!(jt.total_run_virtual_ms(), 0.0);
+        // Earlier phase untouched, current phase + listed stage marked,
+        // unlisted stage untouched — in all three views of a run.
+        let expected = vec![false, true, false];
+        assert_eq!(jt.runs.iter().map(|r| r.superseded).collect::<Vec<_>>(), expected, "runs");
+        let profiles: Vec<bool> = jt.profiles.iter().map(|p| p.superseded).collect();
+        assert_eq!(profiles, expected, "profiles");
+        assert_eq!(jt.spans.iter().map(|s| s.superseded).collect::<Vec<_>>(), expected, "spans");
+        assert_eq!(jt.profiles_effective().count(), 2);
+        // Effective runs only: 1.0 + 3.0.
+        assert!((jt.total_run_virtual_ms() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use rheem::prelude::*;
-use rheem_core::learner::{samples_from_monitor, write_samples, CostLearner, LogGenerator};
+use rheem_core::learner::{samples_from_trace, write_samples, CostLearner, LogGenerator};
 
 fn main() -> Result<()> {
     let ctx = rheem::default_context();
@@ -53,7 +53,8 @@ fn main() -> Result<()> {
         tuned.cost_model().params().len()
     );
 
-    // The tuned context optimizes as usual.
+    // The tuned context optimizes as usual, and each run's trace extends
+    // the execution log.
     let mut b = rheem_core::plan::PlanBuilder::new();
     b.collection((0..10_000i64).map(Value::from).collect::<Vec<_>>())
         .map(MapUdf::new("x2", |v| Value::from(v.as_int().unwrap() * 2)))
@@ -65,6 +66,8 @@ fn main() -> Result<()> {
         "tuned optimizer estimate for a 10k map+count: {:.2} ms on {:?}",
         opt.est_ms, opt.platforms
     );
-    let _ = samples_from_monitor(ctx.monitor());
+    let run = tuned.execute(&plan)?;
+    let more = run.trace.as_ref().map(samples_from_trace).unwrap_or_default();
+    println!("  its run logged {} more stage samples", more.len());
     Ok(())
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints on the whole workspace, the whole workspace's
 # tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
-# the trace round trip, the differential and cross-platform suites on a
-# one-worker pool, and the service/obs suites under their deployment shapes. Scheduler, batch and cache modes are forced in-process by
+# the trace round trip, the differential, cross-platform, chaos and
+# fault-tolerance suites on a one-worker pool (where retries commit through
+# the sequential walk), and the service/obs suites under their deployment
+# shapes. Scheduler, batch and cache modes are forced in-process by
 # tests/differential.rs and tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
 set -eu
@@ -29,7 +31,8 @@ RHEEM_POOL=2 cargo test -q --release --test service -- --test-threads=1
 RHEEM_POOL=8 cargo test -q --release --test service -- --test-threads=1
 
 echo "== one-worker pool: every runner call inline, the scheduler's sequential walk"
-RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform
+RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \
+    --test chaos --test fault_tolerance
 
 echo "== observability suite (recorder, exposition, watchdog over live TCP scrapes)"
 cargo test -q --release --test obs -- --test-threads=1

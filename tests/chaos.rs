@@ -3,7 +3,8 @@
 //! count)` cell must either recover within the retry budget (byte-identical
 //! answer, zero failovers) or escalate cleanly — fail over to a surviving
 //! platform or die with a *typed* error. Alongside each cell we check that
-//! the monitor's retry/fault annotations match the injected plan exactly:
+//! the fault log, the job trace and the job metrics match the injected plan
+//! exactly:
 //! chaos without bookkeeping honesty would hide exactly the bugs it is
 //! supposed to find.
 
@@ -125,31 +126,48 @@ const PLANS: [(&str, PlanFn); 3] =
 /// the optimizer actually scheduled — those are the sweep's injection axis.
 fn baseline(make: PlanFn) -> (Vec<Value>, Vec<usize>) {
     let ctx = rheem::default_context();
-    let (plan, sink) = make();
-    let result = ctx.execute(&plan).unwrap();
-    let mut out = result.sink(sink).unwrap().to_vec();
-    out.sort();
-    let mut stages: Vec<usize> = ctx.monitor().stage_runs().iter().map(|r| r.stage).collect();
+    let (out, result) = run_sorted(&ctx, make).unwrap();
+    let mut stages: Vec<usize> = trace(&result).runs.iter().map(|r| r.stage).collect();
     stages.sort_unstable();
     stages.dedup();
     (out, stages)
 }
 
-fn run_sorted(ctx: &RheemContext, make: PlanFn) -> Result<(Vec<Value>, u32, u32)> {
+/// Run a plan; its canonical (sorted) output and the whole result.
+fn run_sorted(ctx: &RheemContext, make: PlanFn) -> Result<(Vec<Value>, JobResult)> {
     let (plan, sink) = make();
     let result = ctx.execute(&plan)?;
     let mut out = result.sink(sink)?.to_vec();
     out.sort();
-    Ok((out, result.metrics.retries, result.metrics.failovers))
+    Ok((out, result))
+}
+
+fn trace(result: &JobResult) -> &JobTrace {
+    result.trace.as_ref().expect("tracing is on by default")
+}
+
+/// The first stage run on a real engine (the driver pseudo-platform is
+/// never injected) that satisfies `pick`: its stage and platform.
+fn first_engine_run(
+    result: &JobResult,
+    pick: impl Fn(&rheem_core::trace::RunProfile) -> bool,
+) -> (usize, PlatformId) {
+    let r = trace(result)
+        .runs
+        .iter()
+        .find(|r| r.platform != CONTROL.0 && pick(r))
+        .expect("job must run a matching stage on a real platform");
+    let platform = result.metrics.platforms.iter().find(|p| p.0 == r.platform).unwrap();
+    (r.stage, *platform)
 }
 
 /// Effective (non-superseded) stage runs must account every loop iteration
-/// exactly once per phase — the monitor invariant behind the learner's
-/// sample extraction, and the regression guard for the replayed-iteration
-/// accounting bug fixed in this PR.
-fn assert_no_duplicate_iteration_accounting(ctx: &RheemContext, what: &str) {
+/// exactly once per phase — the invariant behind the learner's sample
+/// extraction, and the regression guard for replayed-iteration accounting
+/// after a mid-loop failover.
+fn assert_no_duplicate_iteration_accounting(result: &JobResult, what: &str) {
     let mut seen = HashSet::new();
-    for r in ctx.monitor().stage_runs_effective() {
+    for r in trace(result).runs.iter().filter(|r| !r.superseded) {
         assert!(
             seen.insert((r.phase, r.stage, r.iteration)),
             "{what}: stage {} iteration {} recorded twice in phase {}",
@@ -182,10 +200,10 @@ impl Tally {
 /// Sweep every `(stage, kind, fail count)` cell of every workload. Cells
 /// inside the budget must recover in place with the exact baseline answer;
 /// cells beyond it must fail over or surface a typed error. In every
-/// surviving cell the monitor's annotations are reconciled against the
-/// injected plan: all records carry the injected kind and stage, and the
-/// global retry counter, the per-run `StageRun::retries` sums and the
-/// recovered fault records all agree.
+/// surviving cell the bookkeeping is reconciled against the injected plan:
+/// all fault records carry the injected kind and stage, and the monitor's
+/// retry count, the per-run `RunProfile::retries` sums of the trace, the
+/// job's `JobMetrics::retries` and the recovered fault records all agree.
 #[test]
 fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
     let mut tally = Tally::default();
@@ -202,7 +220,8 @@ fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
                             .with_rule(FaultRule::new(kind).on_stage(stage).failing(fail_n)),
                     ));
                     match run_sorted(&ctx, make) {
-                        Ok((out, retries, failovers)) => {
+                        Ok((out, result)) => {
+                            let JobMetrics { retries, failovers, .. } = result.metrics;
                             assert_eq!(out, expected, "{cell}: wrong answer");
                             let recs = ctx.monitor().fault_records();
                             for r in &recs {
@@ -215,13 +234,12 @@ fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
                                 recovered,
                                 "{cell}: retry counter out of sync with fault records"
                             );
-                            let per_run: u32 =
-                                ctx.monitor().stage_runs().iter().map(|r| r.retries).sum();
-                            assert_eq!(per_run, recovered, "{cell}: StageRun retries drifted");
+                            let per_run: u32 = trace(&result).runs.iter().map(|r| r.retries).sum();
+                            assert_eq!(per_run, recovered, "{cell}: RunProfile retries drifted");
                             assert_eq!(retries, recovered, "{cell}: JobMetrics retries drifted");
                             assert_eq!(
-                                failovers,
-                                ctx.monitor().failovers(),
+                                u64::from(failovers),
+                                ctx.metrics().counter("rheem_failovers_total"),
                                 "{cell}: JobMetrics failovers drifted"
                             );
                             if fail_n <= BUDGET {
@@ -264,34 +282,28 @@ fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
 
 /// Kill the platform that actually ran each workload's first stage,
 /// persistently: the job must complete on a surviving platform with the
-/// baseline answer, and both the monitor and the job metrics must report
-/// the failover.
+/// baseline answer, and both the job metrics and the metrics registry must
+/// report the failover.
 #[test]
 fn exhausted_stage_fails_over_and_completes() {
     for (name, make) in [("wordcount", wordcount_plan as PlanFn), ("sgd", sgd_plan as PlanFn)] {
         let (expected, _) = baseline(make);
-        let victim = {
-            let ctx = rheem::default_context();
-            let (plan, _) = make();
-            ctx.execute(&plan).unwrap();
-            // The driver pseudo-platform is never injected; kill the first
-            // real engine the job touched.
-            ctx.monitor()
-                .stage_runs()
-                .iter()
-                .map(|r| r.platform)
-                .find(|&p| p != CONTROL)
-                .expect("job must touch a real platform")
-        };
+        // Kill the first real engine the job touched.
+        let (_, victim) =
+            first_engine_run(&run_sorted(&rheem::default_context(), make).unwrap().1, |_| true);
         let mut ctx = rheem::default_context();
         ctx.config_mut().retry_budget = BUDGET;
         ctx.config_mut().fault_plan = Some(Arc::new(FaultPlan::none().with_rule(
             FaultRule::new(FaultKind::Transient).on_platform(victim).failing(PERSISTENT),
         )));
-        let (out, retries, failovers) = run_sorted(&ctx, make).unwrap();
+        let (out, result) = run_sorted(&ctx, make).unwrap();
+        let JobMetrics { retries, failovers, .. } = result.metrics;
         assert_eq!(out, expected, "{name}: failover from {victim:?} changed the answer");
         assert!(failovers >= 1, "{name}: JobMetrics must report the failover");
-        assert!(ctx.monitor().failovers() >= 1, "{name}: monitor must count the failover");
+        assert!(
+            ctx.metrics().counter("rheem_failovers_total") >= 1,
+            "{name}: the metrics registry must count the failover"
+        );
         assert!(retries >= BUDGET, "{name}: the budget must be consumed before failing over");
         assert!(
             ctx.monitor().fault_records().iter().any(|r| !r.recovered),
@@ -299,10 +311,10 @@ fn exhausted_stage_fails_over_and_completes() {
         );
         // Work finished on the victim *before* the exhaustion survives via
         // the checkpoint, but the re-planned final phase must avoid it.
-        let runs = ctx.monitor().stage_runs();
+        let runs = &trace(&result).runs;
         let last_phase = runs.iter().map(|r| r.phase).max().unwrap();
         assert!(
-            runs.iter().filter(|r| r.phase == last_phase).all(|r| r.platform != victim),
+            runs.iter().filter(|r| r.phase == last_phase).all(|r| r.platform != victim.0),
             "{name}: re-planned phase still scheduled the blacklisted platform"
         );
     }
@@ -316,17 +328,10 @@ fn exhausted_stage_fails_over_and_completes() {
 fn mid_loop_failover_replays_without_duplicate_iteration_accounting() {
     let (expected, _) = baseline(sgd_plan);
     // Find a stage that actually iterates, and the platform it ran on.
-    let (loop_stage, victim) = {
-        let ctx = rheem::default_context();
-        let (plan, _) = sgd_plan();
-        ctx.execute(&plan).unwrap();
-        let runs = ctx.monitor().stage_runs();
-        let r = runs
-            .iter()
-            .find(|r| r.iteration > 0 && r.platform != CONTROL)
-            .expect("sgd must iterate on a real platform");
-        (r.stage, r.platform)
-    };
+    let (loop_stage, victim) =
+        first_engine_run(&run_sorted(&rheem::default_context(), sgd_plan).unwrap().1, |r| {
+            r.iteration > 0
+        });
     let mut ctx = rheem::default_context();
     ctx.config_mut().retry_budget = BUDGET;
     ctx.config_mut().fault_plan = Some(Arc::new(
@@ -337,15 +342,27 @@ fn mid_loop_failover_replays_without_duplicate_iteration_accounting() {
                 .failing(PERSISTENT),
         ),
     ));
-    let (out, _, failovers) = run_sorted(&ctx, sgd_plan).unwrap();
+    let (out, result) = run_sorted(&ctx, sgd_plan).unwrap();
     assert_eq!(out, expected, "mid-loop failover changed the learned weights");
-    assert!(failovers >= 1, "expected a mid-loop failover");
-    assert_no_duplicate_iteration_accounting(&ctx, "sgd mid-loop failover");
+    assert!(result.metrics.failovers >= 1, "expected a mid-loop failover");
+    assert_no_duplicate_iteration_accounting(&result, "sgd mid-loop failover");
+    // Phase 1 ran the baseline plan until the loop stage exhausted its
+    // budget; the failover restarts the loop from iteration 0 in a later
+    // phase, so every phase-1 run of that stage was re-executed and must be
+    // superseded — phases differ, so the check above cannot see them.
+    let stale: Vec<bool> = trace(&result)
+        .runs
+        .iter()
+        .filter(|r| r.phase == 1 && r.stage == loop_stage)
+        .map(|r| r.superseded)
+        .collect();
+    assert!(!stale.is_empty(), "the loop stage must have run before the failover");
+    assert!(stale.iter().all(|&s| s), "re-executed loop runs left live: {stale:?}");
 }
 
 /// Seeded chaos over both workloads for the fixed CI seed matrix: survive
 /// with the exact baseline answer or die typed; surviving runs keep the
-/// monitor's iteration accounting duplicate-free.
+/// trace's iteration accounting duplicate-free.
 #[test]
 fn seeded_chaos_on_wordcount_and_sgd_is_survivable_or_typed() {
     let mut survived = 0usize;
@@ -356,9 +373,9 @@ fn seeded_chaos_on_wordcount_and_sgd_is_survivable_or_typed() {
             let mut ctx = rheem::default_context();
             ctx.config_mut().chaos_seed = Some(seed);
             match run_sorted(&ctx, make) {
-                Ok((out, _, _)) => {
+                Ok((out, result)) => {
                     assert_eq!(out, expected, "seed {seed:#x} on {name}: wrong answer");
-                    assert_no_duplicate_iteration_accounting(&ctx, name);
+                    assert_no_duplicate_iteration_accounting(&result, name);
                     survived += 1;
                 }
                 Err(RheemError::Fault(_) | RheemError::Exhausted(_) | RheemError::Optimizer(_)) => {

@@ -3,7 +3,7 @@
 //! and the executor's parallel-stage virtual-time composition.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use platform_postgres::{PgDatabase, PostgresPlatform};
 use rheem::prelude::*;
@@ -163,6 +163,48 @@ fn concurrent_jobs_share_one_context() {
     }
 }
 
+/// Two `execute` calls racing on one context each report only their own
+/// retries: a job that is in flight while another job retries reports none.
+#[test]
+fn concurrent_execute_reports_only_its_own_retries() {
+    let (plan_a, _) = double_plan();
+    let isolated = flaky_ctx(1).execute(&plan_a).unwrap().metrics.retries;
+    assert!(isolated >= 1, "the flaky map must retry");
+
+    let ctx = Arc::new(flaky_ctx(1));
+    // 0: B not entered yet, 1: B blocked inside its UDF, 2: B released.
+    let latch = Arc::new((Mutex::new(0u8), Condvar::new()));
+    let b = {
+        let (ctx, latch) = (Arc::clone(&ctx), Arc::clone(&latch));
+        std::thread::spawn(move || {
+            let mut b = PlanBuilder::new();
+            b.collection((0..10i64).map(Value::from).collect::<Vec<_>>())
+                .map(MapUdf::new("gate", move |v| {
+                    let (state, cv) = &*latch;
+                    let mut s = state.lock().unwrap();
+                    if *s == 0 {
+                        *s = 1;
+                        cv.notify_all();
+                    }
+                    while *s != 2 {
+                        s = cv.wait(s).unwrap();
+                    }
+                    v.clone()
+                }))
+                .with_target_platform(ids::JAVA_STREAMS)
+                .collect();
+            ctx.execute(&b.build().unwrap()).unwrap().metrics.retries
+        })
+    };
+    let (state, cv) = &*latch;
+    drop(cv.wait_while(state.lock().unwrap(), |s| *s == 0).unwrap());
+    let a = ctx.execute(&plan_a).unwrap().metrics.retries;
+    *state.lock().unwrap() = 2;
+    cv.notify_all();
+    assert_eq!(b.join().unwrap(), 0, "B was charged A's retries");
+    assert_eq!(a, isolated);
+}
+
 #[test]
 fn independent_branches_overlap_in_virtual_time() {
     // Two branches pinned to different platforms: the job's virtual time
@@ -189,7 +231,7 @@ fn independent_branches_overlap_in_virtual_time() {
     let plan = b.build().unwrap();
     let ctx = rheem::default_context();
     let result = ctx.execute(&plan).unwrap();
-    let total: f64 = ctx.monitor().stage_runs().iter().map(|r| r.virtual_ms).sum();
+    let total = result.trace.as_ref().expect("tracing is on by default").total_run_virtual_ms();
     assert!(
         result.metrics.virtual_ms < total * 0.85,
         "no overlap: job {} vs serial {}",

@@ -46,3 +46,43 @@ fn learned_model_beats_defaults_and_roundtrips() {
     tuned.cost_model_mut().merge(&model);
     assert!(!tuned.cost_model().params().is_empty());
 }
+
+/// The log generator reads its samples from its own jobs' traces and leaves
+/// the fault log the context collected from earlier jobs alone.
+#[test]
+fn log_generator_keeps_the_callers_fault_log() {
+    use rheem::prelude::*;
+    use rheem_core::fault::{FaultKind, FaultPlan, FaultRule};
+    use std::sync::Arc;
+
+    let mut ctx = rheem::default_context();
+    ctx.config_mut().fault_plan =
+        Some(Arc::new(FaultPlan::none().with_rule(FaultRule::new(FaultKind::Transient))));
+    let mut b = PlanBuilder::new();
+    b.collection((0..100i64).map(Value::from).collect::<Vec<_>>())
+        .map(MapUdf::new("inc", |v| Value::from(v.as_int().unwrap_or(0) + 1)))
+        .collect();
+    assert!(ctx.execute(&b.build().unwrap()).unwrap().metrics.retries >= 1);
+    ctx.config_mut().fault_plan = None;
+    let (retries, faults) = (ctx.monitor().retries(), ctx.monitor().fault_records().len());
+
+    let generator = LogGenerator { sizes: vec![200], udf_costs: vec![1.0], iterations: 2 };
+    assert!(!generator.generate(&ctx).unwrap().is_empty());
+    assert_eq!(ctx.monitor().retries(), retries, "the sweep reset the retry count");
+    assert_eq!(ctx.monitor().fault_records().len(), faults, "the sweep wiped the fault log");
+}
+
+/// Without job traces there is no execution log: the generator says so
+/// with a typed error instead of returning an empty sample set.
+#[test]
+fn log_generator_rejects_untraced_contexts() {
+    let mut ctx = rheem::default_context();
+    ctx.config_mut().tracing = false;
+    let generator = LogGenerator { sizes: vec![200], udf_costs: vec![1.0], iterations: 2 };
+    match generator.generate(&ctx) {
+        Err(rheem_core::error::RheemError::Config(msg)) => {
+            assert!(msg.contains("tracing"), "{msg}")
+        }
+        other => panic!("expected a typed config error, got {:?}", other.map(|s| s.len())),
+    }
+}

@@ -1,5 +1,5 @@
 //! Integration tests for the progressive optimizer (Algorithm 1, §4.4) and
-//! the monitor/cost-learner loop (§4.3/§4.5).
+//! the trace/cost-learner loop (§4.3/§4.5).
 
 use rheem::prelude::*;
 use rheem_core::plan::PlanBuilder;
@@ -116,7 +116,7 @@ fn exploration_mode_taps_operators_with_bounded_overhead() {
 
 #[test]
 fn monitor_feeds_the_cost_learner() {
-    use rheem_core::learner::{samples_from_monitor, CostLearner};
+    use rheem_core::learner::{samples_from_trace, CostLearner};
     let ctx = rheem::default_context();
     let mut b = PlanBuilder::new();
     b.collection((0..10_000i64).map(Value::from).collect::<Vec<_>>())
@@ -124,10 +124,10 @@ fn monitor_feeds_the_cost_learner() {
         .count()
         .collect();
     let plan = b.build().unwrap();
+    let mut samples = Vec::new();
     for _ in 0..3 {
-        ctx.execute(&plan).unwrap();
+        samples.extend(samples_from_trace(&ctx.execute(&plan).unwrap().trace.unwrap()));
     }
-    let samples = samples_from_monitor(ctx.monitor());
     assert!(samples.len() >= 3);
     let learner = CostLearner { generations: 40, ..Default::default() };
     let model = learner.fit(&samples, ctx.profiles());

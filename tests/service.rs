@@ -20,8 +20,8 @@
 //!    outcome (answer or typed error, and its retry count) is
 //!    byte-reproducible under concurrent load.
 //! 6. **Monitor/metrics isolation** (regression): concurrent jobs can no
-//!    longer cross-contaminate per-job retry counts — each scoped job runs
-//!    on a private monitor merged in at completion.
+//!    longer cross-contaminate per-job retry counts — each job's counts
+//!    come from its own run, and its faults land in the shared fault log.
 //! 7. **Weights at the job pick**: the order a runner picks queued jobs in
 //!    is exactly a replay of [`FairShare`] over the tenants' weights and
 //!    the jobs' virtual costs.
@@ -623,12 +623,10 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
 
 // ---- 6. monitor/metrics isolation regression -------------------------------
 
-/// Before PR 7, `execute` computed per-job retries as a before/after delta
-/// on the context-shared monitor — racing jobs bled retries into each
-/// other's metrics. `execute_scoped` runs each job on a private monitor:
-/// per-job counts match isolated runs exactly (asserted per job in the
-/// chaos test above); here we assert the merge side — the shared monitor
-/// and metrics registry still account for *everything*, exactly once.
+/// Racing scoped jobs each count only their own retries: per-job counts
+/// match isolated runs exactly (asserted per job in the chaos test above).
+/// Here we assert the shared side — the context's fault log and metrics
+/// registry account for *everything*, exactly once.
 #[test]
 fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
     const THREADS: usize = 4;
@@ -637,7 +635,7 @@ fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
     ctx.config_mut().chaos_seed = Some(0xC0FFEE);
     let ctx = Arc::new(ctx);
 
-    let per_job: Vec<(u32, u32, usize)> = std::thread::scope(|s| {
+    let per_job: Vec<(u32, u32)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let ctx = Arc::clone(&ctx);
@@ -648,12 +646,8 @@ fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
                         let scope =
                             JobScope { tenant: Some(tenant_name(t)), ..JobScope::default() };
                         match ctx.execute_scoped(&plan, &scope) {
-                            Ok(r) => acc.push((
-                                r.metrics.retries,
-                                r.metrics.failovers,
-                                r.trace.map(|t| t.runs.len()).unwrap_or(0),
-                            )),
-                            Err(_) => acc.push((0, 0, 0)),
+                            Ok(r) => acc.push((r.metrics.retries, r.metrics.failovers)),
+                            Err(_) => acc.push((0, 0)),
                         }
                     }
                     acc
@@ -663,20 +657,14 @@ fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
 
-    // Isolated reruns agree per job (determinism), and the shared monitor
-    // holds exactly the sum of the per-job records.
-    let total_retries: u32 = per_job.iter().map(|(r, _, _)| r).sum();
-    let total_failovers: u32 = per_job.iter().map(|(_, f, _)| f).sum();
-    let total_runs: usize = per_job.iter().map(|(_, _, n)| n).sum();
+    // The shared fault log and metrics hold exactly the sum of the per-job
+    // counts.
+    let total_retries: u32 = per_job.iter().map(|(r, _)| r).sum();
+    let total_failovers: u32 = per_job.iter().map(|(_, f)| f).sum();
     assert_eq!(ctx.monitor().retries(), total_retries, "shared monitor lost/duplicated retries");
-    assert_eq!(ctx.monitor().failovers(), total_failovers);
-    assert_eq!(
-        ctx.monitor().stage_runs().len(),
-        total_runs,
-        "merged stage-run records must equal the sum of per-job traces"
-    );
-    // Per-tenant job counters each saw exactly JOBS completions.
     let metrics = ctx.metrics();
+    assert_eq!(metrics.counter("rheem_failovers_total"), u64::from(total_failovers));
+    // Per-tenant job counters each saw exactly JOBS completions.
     for t in 0..THREADS {
         let key = format!("rheem_jobs_total{{tenant=\"{}\"}}", tenant_name(t));
         assert_eq!(metrics.counter(&key), JOBS as u64, "mislabelled tenant counter {key}");
