@@ -1089,7 +1089,7 @@ impl ExecutionOperator for CachedSource {
             ]
         });
         // Fixed virtual charge (not wall time): replays must cost the same
-        // in every scheduler mode for results and traces to stay identical.
+        // on every run for results and traces to stay identical.
         // in_card carries the replayed cardinality so the learner can fit
         // the per-quantum replay cost from measured samples.
         ctx.record(OpMetrics {

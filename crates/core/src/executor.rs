@@ -5,7 +5,7 @@
 //! optimizer's optimization checkpoints (§4.4).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use std::sync::Mutex;
@@ -67,15 +67,6 @@ pub struct ExecConfig {
     /// Record a job trace (span tree + per-operator profiles) with every
     /// execution; see [`crate::trace`].
     pub tracing: bool,
-    /// Scheduler mode: `Some(true)` forces dependency-driven concurrent
-    /// stage dispatch over the shared worker pool, `Some(false)` forces the
-    /// classic sequential stage walk, and `None` (the default) adapts —
-    /// concurrent dispatch when the pool has more than one worker, the
-    /// in-line walk otherwise (on a single CPU, cross-thread stage handoffs
-    /// only add context-switch overhead). Both modes produce byte-identical
-    /// results, traces and virtual times (`tests/differential.rs` forces
-    /// both per case).
-    pub concurrent: Option<bool>,
     /// Columnar batch execution ([`crate::batch`]): fused chains whose steps
     /// carry spec descriptors run as vectorized kernels over typed column
     /// slices; everything else falls back to the row interpreter. Both modes
@@ -133,7 +124,6 @@ impl Default for ExecConfig {
             chaos_seed: None,
             fault_plan: None,
             tracing: true,
-            concurrent: None,
             batch: true,
             tenant: None,
             cache_ns: crate::cache::Namespace::SHARED,
@@ -250,7 +240,7 @@ struct RunState {
     started_platforms: HashSet<&'static str>,
     /// Per-platform lane occupancy (virtual finish time of the last run on
     /// each lane). Engines accept only [`crate::platform::PlatformProfile::
-    /// slots`] concurrent stage submissions; a new run waits for the
+    /// slots`] stage submissions at once; a new run waits for the
     /// earliest-free lane. The driver (CONTROL) is unconstrained.
     lanes: HashMap<&'static str, Vec<f64>>,
     /// Lane held by the currently open stage run, released on close.
@@ -280,8 +270,8 @@ struct RunState {
 }
 
 /// One failed attempt observed inside [`Executor::exec_node`]'s retry loop,
-/// buffered so the coordinator can replay fault records and retry spans in
-/// deterministic commit order regardless of which thread executed the node.
+/// buffered so [`Executor::commit_node`] replays its fault record and retry
+/// span after opening the stage-run span the retry span nests under.
 struct RetryRec {
     /// The injected fault behind the failure (`None` for organic errors).
     fault: Option<InjectedFault>,
@@ -291,8 +281,8 @@ struct RetryRec {
     within_budget: bool,
 }
 
-/// Worker-side result of executing one node: everything `commit_node` needs
-/// to account virtual time, spans and fault records on the coordinator.
+/// Result of executing one node: everything `commit_node` needs to account
+/// virtual time, spans and fault records.
 struct NodeExec {
     out: ChannelData,
     ops: Vec<OpMetrics>,
@@ -309,13 +299,6 @@ struct NodeOutcome {
     /// Budget-meter value after this node (`stage_attempts` parity).
     failures_after: u32,
     result: Result<NodeExec>,
-}
-
-/// Worker-side result of one pooled stage execution: per-node outcomes in
-/// stage order (a failing node truncates the tail — its predecessors still
-/// commit, matching the sequential walk's partial-stage state).
-struct StageExec {
-    nodes: Vec<(usize, NodeOutcome)>,
 }
 
 impl<'a> Executor<'a> {
@@ -387,12 +370,7 @@ impl<'a> Executor<'a> {
             span_parent: self.trace.as_ref().map(|h| h.parent),
             active_loops: Vec::new(),
         };
-        let top = if self.config.concurrent.unwrap_or_else(|| crate::pool::size() > 1) {
-            self.run_region_concurrent(&mut st)
-        } else {
-            self.run_region(&mut st, None)
-        };
-        let pause = match top {
+        let pause = match self.run_region(&mut st, None) {
             Ok(pause) => pause,
             Err(RheemError::Exhausted(cause)) if self.config.failover => {
                 self.close_stage_run(&mut st);
@@ -603,23 +581,19 @@ impl<'a> Executor<'a> {
 
     fn run_node(&self, st: &mut RunState, nid: usize) -> Result<()> {
         let node = &self.eplan.nodes[nid];
-        let (inputs, bc) = self.gather(nid, |i| st.values[i].clone())?;
+        let (inputs, bc) = self.gather(st, nid)?;
         let mut failures = st.stage_attempts.get(&(node.stage, st.iteration)).copied().unwrap_or(0);
         let outcome = self.exec_node(nid, &inputs, &bc, st.iteration, &mut failures);
         self.commit_node(st, nid, outcome)
     }
 
-    /// Gather a node's inputs and bind its broadcasts from `get` (the run
-    /// state's committed values, or a worker's execution-value snapshot).
-    fn gather(
-        &self,
-        nid: usize,
-        get: impl Fn(usize) -> Option<ChannelData>,
-    ) -> Result<(Vec<ChannelData>, BroadcastCtx)> {
+    /// Gather a node's inputs and bind its broadcasts from the run state's
+    /// committed values.
+    fn gather(&self, st: &RunState, nid: usize) -> Result<(Vec<ChannelData>, BroadcastCtx)> {
         let node = &self.eplan.nodes[nid];
         let mut inputs = Vec::with_capacity(node.inputs.len());
         for &i in &node.inputs {
-            inputs.push(get(i).ok_or_else(|| {
+            inputs.push(st.values[i].clone().ok_or_else(|| {
                 RheemError::Execution(format!(
                     "input node {i} of {} not yet executed",
                     node.exec.name()
@@ -628,7 +602,8 @@ impl<'a> Executor<'a> {
         }
         let mut bc = BroadcastCtx::new();
         for (name, i) in &node.broadcasts {
-            let data = get(*i)
+            let data = st.values[*i]
+                .as_ref()
                 .ok_or_else(|| RheemError::Execution("broadcast input missing".into()))?
                 .flatten()?;
             bc.bind(Arc::clone(name), data);
@@ -637,12 +612,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute one node: the retry loop with its fault gates, and the
-    /// operator itself. Touches no `RunState` — safe to run on a pool
-    /// worker; every side effect is buffered into the returned
-    /// [`NodeOutcome`] and replayed by [`Executor::commit_node`] in
-    /// deterministic commit order. `stage_failures` is the (stage,
-    /// iteration) budget meter, owned by the caller (exclusively owned by
-    /// one stage's worker under the concurrent scheduler).
+    /// operator itself. Touches no `RunState`: every side effect is
+    /// buffered into the returned [`NodeOutcome`] and replayed by
+    /// [`Executor::commit_node`]. `stage_failures` is the (stage,
+    /// iteration) budget meter, read from and written back to the run
+    /// state by the caller.
     fn exec_node(
         &self,
         nid: usize,
@@ -748,11 +722,11 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Commit one executed node on the coordinator: stage-run bookkeeping,
-    /// lane assignment, critical-path virtual-time composition, trace spans,
-    /// fault records and value publication. Runs in deterministic stage
-    /// order under both scheduler modes, so results and traces are
-    /// byte-identical regardless of which thread executed the node.
+    /// Commit one executed node: stage-run bookkeeping, lane assignment,
+    /// critical-path virtual-time composition, trace spans, fault records
+    /// and value publication, in the walk's dependency order. A new stage
+    /// run's span opens here, before the node's buffered retries are
+    /// replayed, so retry spans nest under the run they struck.
     fn commit_node(&self, st: &mut RunState, nid: usize, outcome: NodeOutcome) -> Result<()> {
         let node = &self.eplan.nodes[nid];
         let platform = node.exec.platform();
@@ -839,7 +813,7 @@ impl<'a> Executor<'a> {
         }
 
         // Replay the retry history: fault records and retry spans, in the
-        // exact order the sequential walk would have recorded them live.
+        // order the attempts happened.
         let NodeOutcome { retries, failures_after, result } = outcome;
         for rec in &retries {
             self.monitor.record_fault(FaultRecord {
@@ -1009,8 +983,8 @@ impl<'a> Executor<'a> {
                 st.measured.insert(tail, card as f64);
             }
         }
-        // Commit is the single deterministic value-publication point in both
-        // scheduler modes: publish reusable committed results cross-job.
+        // Commit is the single value-publication point: publish reusable
+        // committed results cross-job.
         // (Errors returned above never reach here, so only correct values
         // are ever published.)
         if let Some((cache, pubs)) = &self.cache {
@@ -1058,257 +1032,6 @@ impl<'a> Executor<'a> {
             let vals = pipeline.run(&rows, &bc);
             cache.insert_in(self.config.cache_ns, fp, Arc::new(vals));
         }
-    }
-
-    /// Execute every node of one stage on the calling thread (a pool
-    /// worker), reading cross-stage inputs from the `values` snapshot and
-    /// intra-stage inputs from the outputs produced so far. A failing node
-    /// truncates the stage; earlier nodes still commit.
-    fn exec_stage(&self, sid: usize, values: &[Option<ChannelData>], iteration: u64) -> StageExec {
-        let mut local: HashMap<usize, ChannelData> = HashMap::new();
-        let mut failures = 0u32;
-        let mut nodes = Vec::new();
-        for &nid in &self.eplan.stages[sid].nodes {
-            let gathered =
-                self.gather(nid, |i| local.get(&i).cloned().or_else(|| values[i].clone()));
-            let outcome = match gathered {
-                Ok((inputs, bc)) => self.exec_node(nid, &inputs, &bc, iteration, &mut failures),
-                Err(e) => {
-                    NodeOutcome { retries: Vec::new(), failures_after: failures, result: Err(e) }
-                }
-            };
-            let failed = outcome.result.is_err();
-            if let Ok(ex) = &outcome.result {
-                local.insert(nid, ex.out.clone());
-            }
-            nodes.push((nid, outcome));
-            if failed {
-                break;
-            }
-        }
-        StageExec { nodes }
-    }
-
-    /// Commit a pooled stage's node outcomes, in stage order.
-    fn commit_stage(&self, st: &mut RunState, sx: StageExec) -> Result<()> {
-        for (nid, outcome) in sx.nodes {
-            self.commit_node(st, nid, outcome)?;
-        }
-        Ok(())
-    }
-
-    /// Roll back the fault-plan quota consumed by a speculatively executed
-    /// stage that will never commit (checkpoint pause, failover, or an
-    /// earlier stage's error), so the post-pause replay sees the same fault
-    /// schedule the sequential walk would.
-    fn undo_stage_faults(&self, sx: &StageExec) {
-        let Some(faults) = &self.faults else { return };
-        for (_, outcome) in &sx.nodes {
-            for rec in &outcome.retries {
-                if let Some(f) = &rec.fault {
-                    faults.undo(f);
-                }
-            }
-        }
-    }
-
-    /// The concurrent scheduler: compute the top-level stage DAG from
-    /// channel producers/consumers, dispatch ready stages onto the shared
-    /// worker pool, and commit finished stages in sequential stage order so
-    /// spans, fault records and virtual-time accounting stay
-    /// byte-identical with the sequential walk. Loop-head stages and stages
-    /// a loop body demand-pulls run inline on the coordinator, exactly
-    /// where the sequential walk runs them.
-    fn run_region_concurrent(&self, st: &mut RunState) -> Result<Option<()>> {
-        let order: Vec<usize> =
-            self.eplan.stages.iter().filter(|s| s.loop_of.is_none()).map(|s| s.id).collect();
-        let pos_of: HashMap<usize, usize> =
-            order.iter().enumerate().map(|(p, &s)| (s, p)).collect();
-        let stage_of = |nid: usize| self.eplan.nodes[nid].stage;
-
-        // Stage DAG: a top-level stage depends on the earlier top-level
-        // stages of its nodes' input/broadcast producers (feedback edges
-        // from loop bodies are not top-level and drop out here).
-        let mut deps: HashMap<usize, HashSet<usize>> = HashMap::new();
-        for &s in &order {
-            let mut d = HashSet::new();
-            for &nid in &self.eplan.stages[s].nodes {
-                let node = &self.eplan.nodes[nid];
-                for &i in node.inputs.iter().chain(node.broadcasts.iter().map(|(_, p)| p)) {
-                    let ps = stage_of(i);
-                    if ps != s && pos_of.get(&ps).map(|&pp| pp < pos_of[&s]).unwrap_or(false) {
-                        d.insert(ps);
-                    }
-                }
-            }
-            deps.insert(s, d);
-        }
-
-        // Stages a loop demand-pulls mid-iteration (transitive providers of
-        // the loop's head/body placed after the head stage) must run inline
-        // on the coordinator — dispatching them too would execute them
-        // twice.
-        let mut demanded: HashSet<usize> = HashSet::new();
-        for &s in &order {
-            let Some(&head_nid) = self.eplan.stages[s]
-                .nodes
-                .iter()
-                .find(|&&nid| self.eplan.nodes[nid].is_loop_head(self.plan))
-            else {
-                continue;
-            };
-            let tail = self.eplan.nodes[head_nid].tail().expect("loop head covers its logical op");
-            let mut frontier: Vec<usize> = self
-                .eplan
-                .nodes
-                .iter()
-                .filter(|n| n.id == head_nid || self.nested_in_loop(n.id, tail))
-                .map(|n| n.id)
-                .collect();
-            let mut seen: HashSet<usize> = frontier.iter().copied().collect();
-            while let Some(nid) = frontier.pop() {
-                let node = &self.eplan.nodes[nid];
-                for &p in node.inputs.iter().chain(node.broadcasts.iter().map(|(_, b)| b)) {
-                    if seen.insert(p) {
-                        frontier.push(p);
-                    }
-                }
-            }
-            let head_pos = pos_of[&s];
-            for &p in &seen {
-                let ps = stage_of(p);
-                if pos_of.get(&ps).map(|&pp| pp > head_pos).unwrap_or(false) {
-                    demanded.insert(ps);
-                }
-            }
-        }
-
-        let poolable: HashSet<usize> = order
-            .iter()
-            .copied()
-            .filter(|&s| {
-                // Driver (CONTROL) data stages pool like any other — only
-                // loop heads and demand-pulled providers need the
-                // coordinator's loop state.
-                !demanded.contains(&s)
-                    && !self.eplan.stages[s]
-                        .nodes
-                        .iter()
-                        .any(|&nid| self.eplan.nodes[nid].is_loop_head(self.plan))
-                    // Defensive: a pooled stage must see every producer in
-                    // the top-level DAG, else readiness can't be tracked.
-                    && self.eplan.stages[s].nodes.iter().all(|&nid| {
-                        let node = &self.eplan.nodes[nid];
-                        node.inputs
-                            .iter()
-                            .chain(node.broadcasts.iter().map(|(_, p)| p))
-                            .all(|&i| stage_of(i) == s || pos_of.contains_key(&stage_of(i)))
-                    })
-            })
-            .collect();
-
-        // Execution values mirror: what workers gather from. Fed by pooled
-        // completions as they land (pipelining — dependents dispatch on
-        // exec-completion while commits lag in strict stage order) and by
-        // inline stages from the committed state.
-        let n_nodes = self.eplan.nodes.len();
-        let mut exec_values: Vec<Option<ChannelData>> = vec![None; n_nodes];
-        let (tx, rx) = mpsc::channel::<(usize, std::result::Result<StageExec, String>)>();
-        let mut results: HashMap<usize, StageExec> = HashMap::new();
-        let mut dispatched: HashSet<usize> = HashSet::new();
-        let mut exec_done: HashSet<usize> = HashSet::new();
-
-        let outcome = crate::pool::scope(|scope| -> Result<Option<()>> {
-            let mut pos = 0usize;
-            while pos < order.len() {
-                // Dispatch every ready, undispatched poolable stage.
-                for &s in &order {
-                    if poolable.contains(&s)
-                        && !dispatched.contains(&s)
-                        && deps[&s].iter().all(|d| exec_done.contains(d))
-                    {
-                        dispatched.insert(s);
-                        let snapshot = exec_values.clone();
-                        let tx = tx.clone();
-                        let iteration = st.iteration;
-                        scope.spawn(move || {
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    self.exec_stage(s, &snapshot, iteration)
-                                }));
-                            match run {
-                                Ok(sx) => {
-                                    let _ = tx.send((s, Ok(sx)));
-                                }
-                                Err(p) => {
-                                    // Unblock the coordinator's recv before
-                                    // re-raising on the pool scope.
-                                    let _ = tx.send((s, Err(format!("stage {s} worker panicked"))));
-                                    std::panic::resume_unwind(p);
-                                }
-                            }
-                        });
-                    }
-                }
-                let s = order[pos];
-                if poolable.contains(&s) && !results.contains_key(&s) {
-                    // Bank one completion, then rescan: it may have
-                    // unblocked further dispatches.
-                    let (rs, r) = rx.recv().expect("stage workers outlive the dispatch loop");
-                    let sx = r.map_err(RheemError::Execution)?;
-                    for (nid, oc) in &sx.nodes {
-                        if let Ok(ex) = &oc.result {
-                            exec_values[*nid] = Some(ex.out.clone());
-                        }
-                    }
-                    exec_done.insert(rs);
-                    results.insert(rs, sx);
-                    continue;
-                }
-                if poolable.contains(&s) {
-                    let sx = results.remove(&s).expect("banked above");
-                    self.commit_stage(st, sx)?;
-                } else {
-                    // Inline on the coordinator: loop heads and demand-pulled
-                    // providers. `ensure_node` no-ops for values a loop body
-                    // already pulled.
-                    for nid in self.eplan.stages[s].nodes.clone() {
-                        self.ensure_node(st, nid)?;
-                    }
-                    for (ev, v) in exec_values.iter_mut().zip(&st.values) {
-                        if ev.is_none() && v.is_some() {
-                            *ev = v.clone();
-                        }
-                    }
-                }
-                exec_done.insert(s);
-                pos += 1;
-                // Progressive checkpoints at stage boundaries, with work
-                // remaining — the same predicate as the sequential walk.
-                let last = *self.eplan.stages[s].nodes.last().expect("stages are non-empty");
-                if self.config.progressive
-                    && pos < order.len()
-                    && self.checkpoint_triggers(st, last)
-                {
-                    self.close_stage_run(st);
-                    return Ok(Some(()));
-                }
-            }
-            Ok(None)
-        });
-        // The pool scope joined every worker; anything still un-committed is
-        // speculative. Return its consumed fault quota so a replay (next
-        // phase, failover, or the sequential walk) sees the same schedule.
-        drop(tx);
-        while let Ok((rs, r)) = rx.try_recv() {
-            if let Ok(sx) = r {
-                results.insert(rs, sx);
-            }
-        }
-        for sx in results.values() {
-            self.undo_stage_faults(sx);
-        }
-        outcome
     }
 
     /// Record a flight-recorder event attributed to this job's tenant and

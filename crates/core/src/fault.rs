@@ -170,9 +170,7 @@ pub struct FaultPlan {
     rules: Vec<FaultRule>,
     /// Failed attempts per `(site, iteration)` key.
     attempts: Mutex<HashMap<u64, u32>>,
-    /// Flight recorder fed a `fault.injected` event per injection. Events
-    /// are physical records: speculative attempts later rolled back via
-    /// [`FaultPlan::undo`] stay recorded (they did strike).
+    /// Flight recorder fed a `fault.injected` event per injection.
     recorder: Mutex<Option<std::sync::Arc<crate::obs::FlightRecorder>>>,
 }
 
@@ -258,21 +256,6 @@ impl FaultPlan {
             );
         }
         Some(fault)
-    }
-
-    /// Roll back the attempt-counter increment behind one injected fault.
-    /// The concurrent stage scheduler executes independent stages
-    /// speculatively; when a checkpoint or failover discards a stage that
-    /// ran but was never committed, the fail-quota its attempts consumed
-    /// must be restored so the replay sees exactly the schedule the
-    /// sequential walk would have seen.
-    pub fn undo(&self, f: &InjectedFault) {
-        let site = self.site_hash(f.kind, f.platform, &f.op, f.stage);
-        let key = mix(site, f.iteration.wrapping_add(0x9E37_79B9_7F4A_7C15));
-        let mut attempts = self.attempts.lock().unwrap();
-        if let Some(a) = attempts.get_mut(&key) {
-            *a = a.saturating_sub(1);
-        }
     }
 
     /// Site identity: stage crashes are keyed per stage (any node of the
@@ -375,18 +358,6 @@ mod tests {
     fn driver_is_never_injected() {
         let plan = FaultPlan::seeded(1, 1.0).with_rule(FaultRule::new(FaultKind::Transient));
         assert!(plan.check(FaultKind::Transient, CONTROL, "LoopRelay", 0, 0).is_none());
-    }
-
-    #[test]
-    fn undo_restores_the_fail_quota() {
-        let plan = FaultPlan::none()
-            .with_rule(FaultRule::new(FaultKind::Transient).on_op("Map").failing(1));
-        let f = plan.check(FaultKind::Transient, ids::SPARK, "SparkMap", 0, 0).unwrap();
-        // quota consumed: the site succeeds now…
-        assert!(plan.check(FaultKind::Transient, ids::SPARK, "SparkMap", 0, 0).is_none());
-        plan.undo(&f);
-        // …until the speculative attempt is rolled back.
-        assert!(plan.check(FaultKind::Transient, ids::SPARK, "SparkMap", 0, 0).is_some());
     }
 
     #[test]

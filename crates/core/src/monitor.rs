@@ -7,6 +7,7 @@
 //! the progressive optimizer takes measured cardinalities straight from
 //! the executor's checkpoint.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::fault::FaultKind;
@@ -53,13 +54,25 @@ pub fn check_cardinality(est: crate::cost::Interval, measured: f64, tau: f64) ->
     }
 }
 
-/// The context's fault log: every failure the executor handled, in commit
-/// order. Stage runs and their true cardinalities live in each job's
+/// Fault records a [`Monitor`] keeps: the most recent ones, oldest dropped
+/// first. The largest per-context log any workspace test reads holds 6
+/// records, so every test still sees its whole log.
+pub const RECENT_FAULTS: usize = 64;
+
+/// The context's fault log: the last [`RECENT_FAULTS`] failures the
+/// executor handled, in commit order, plus an exact count of the retries
+/// it absorbed. Stage runs and their true cardinalities live in each job's
 /// [`crate::trace::JobTrace`]; job-level retry, replan and failover counts
 /// in [`crate::api::JobMetrics`].
 #[derive(Default)]
 pub struct Monitor {
-    faults: Mutex<Vec<FaultRecord>>,
+    log: Mutex<FaultLog>,
+}
+
+#[derive(Default)]
+struct FaultLog {
+    recent: VecDeque<FaultRecord>,
+    retries: u32,
 }
 
 impl Monitor {
@@ -70,18 +83,23 @@ impl Monitor {
 
     /// Record a handled fault (retry or budget exhaustion).
     pub fn record_fault(&self, record: FaultRecord) {
-        self.faults.lock().unwrap().push(record);
+        let mut log = self.log.lock().expect("fault log poisoned");
+        log.retries += u32::from(record.recovered);
+        if log.recent.len() == RECENT_FAULTS {
+            log.recent.pop_front();
+        }
+        log.recent.push_back(record);
     }
 
-    /// Snapshot of all handled faults.
+    /// Snapshot of the last [`RECENT_FAULTS`] handled faults, oldest first.
     pub fn fault_records(&self) -> Vec<FaultRecord> {
-        self.faults.lock().unwrap().clone()
+        self.log.lock().expect("fault log poisoned").recent.iter().cloned().collect()
     }
 
     /// Number of operator retries so far: the faults the retry budget
-    /// absorbed.
+    /// absorbed, counted over the context's whole life.
     pub fn retries(&self) -> u32 {
-        self.faults.lock().unwrap().iter().filter(|r| r.recovered).count() as u32
+        self.log.lock().expect("fault log poisoned").retries
     }
 }
 
@@ -99,24 +117,37 @@ mod tests {
         assert_eq!(check_cardinality(est, 100_000.0, 2.0), Health::Mismatch);
     }
 
-    #[test]
-    fn retries_count_recovered_faults() {
-        let m = Monitor::new();
-        m.record_fault(FaultRecord {
-            stage: 2,
+    fn record(stage: usize, recovered: bool) -> FaultRecord {
+        FaultRecord {
+            stage,
             iteration: 0,
             platform: PlatformId("x"),
             op: "XMap".into(),
             kind: Some(FaultKind::Transient),
             attempt: 1,
-            recovered: true,
-        });
-        m.record_fault(FaultRecord {
-            attempt: 2,
-            recovered: false,
-            ..m.fault_records()[0].clone()
-        });
+            recovered,
+        }
+    }
+
+    #[test]
+    fn retries_count_recovered_faults() {
+        let m = Monitor::new();
+        m.record_fault(record(2, true));
+        m.record_fault(FaultRecord { attempt: 2, ..record(2, false) });
         assert_eq!(m.fault_records().len(), 2);
         assert_eq!(m.retries(), 1);
+    }
+
+    #[test]
+    fn fault_log_keeps_the_most_recent_records() {
+        let m = Monitor::new();
+        for stage in 0..RECENT_FAULTS + 10 {
+            m.record_fault(record(stage, true));
+        }
+        let recs = m.fault_records();
+        assert_eq!(recs.len(), RECENT_FAULTS);
+        let stages: Vec<usize> = recs.iter().map(|r| r.stage).collect();
+        assert_eq!(stages, (10..RECENT_FAULTS + 10).collect::<Vec<_>>(), "oldest 10 not dropped");
+        assert_eq!(m.retries(), (RECENT_FAULTS + 10) as u32, "retries lost with the ring");
     }
 }

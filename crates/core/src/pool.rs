@@ -1,27 +1,24 @@
 //! Shared worker pool for real (wall-clock) parallelism.
 //!
 //! One lazily-initialized, process-wide pool sized by
-//! `std::thread::available_parallelism` serves every consumer: the
-//! concurrent stage scheduler in [`crate::executor`] dispatches ready
-//! stages onto it, and the distributed platform simulacra (spark/flink)
-//! run their per-partition workers on it instead of paying a fresh
-//! `std::thread::scope` spawn per operator call.
+//! `std::thread::available_parallelism` serves partition-level
+//! parallelism: [`crate::partitioned::par_each_idx`], through which the
+//! distributed platform simulacra (spark/flink) run their per-partition
+//! workers, instead of paying a fresh `std::thread::scope` spawn per
+//! operator call. Stages themselves run one at a time on the job's thread.
 //!
 //! The API is a scoped spawn ([`scope`]): closures may borrow from the
 //! caller's stack, and the scope does not return until every spawned job
 //! has finished. Deadlock freedom with a fixed-size pool and *nested*
-//! scopes (a stage job opening a partition-level scope) comes from
-//! help-while-waiting: a scope owner whose jobs are still pending pops and
-//! runs *its own* queued jobs instead of blocking, so the thread currently
-//! waiting always doubles as a worker. Help is deliberately scope-local —
-//! stealing a foreign job (say, a whole other stage) would pin this scope
-//! behind arbitrarily long work and serialize independent stages.
+//! scopes (a job running on a worker opening its own partition-level
+//! scope) comes from help-while-waiting: a scope owner whose jobs are
+//! still pending pops and runs *its own* queued jobs instead of blocking,
+//! so the thread currently waiting always doubles as a worker. Help is
+//! deliberately scope-local — stealing a foreign job (another job's
+//! partition) would pin this scope behind unrelated work.
 //!
-//! Dispatch is plain FIFO. Jobs are coarse (whole stages) or fine
-//! (partitions of a running stage); FIFO lets a freed worker start the
-//! next queued stage while the running stage's owner keeps draining its
-//! own partitions — LIFO variants starve queued stages behind an endless
-//! stream of partition jobs.
+//! Dispatch is plain FIFO, so concurrent jobs' partitions are served in
+//! arrival order.
 
 use std::any::Any;
 use std::collections::VecDeque;

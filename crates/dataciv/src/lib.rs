@@ -207,8 +207,9 @@ pub fn build_join_task(_db: &Arc<PgDatabase>) -> Result<(RheemPlan, OperatorId)>
 /// Build a **batch of independent analytic tasks** over the lake placement
 /// as one multi-sink plan — the data-lake scenario (§2.1): several tenants'
 /// tasks run against the same stores at once. The tasks share no operators,
-/// so their stage DAGs are disjoint and a concurrent scheduler can overlap
-/// them across stores; a sequential executor pays their costs back-to-back.
+/// so their stage DAGs are disjoint and the executor's critical-path virtual
+/// clock overlaps them across stores instead of paying their costs
+/// back-to-back.
 ///
 /// * join: SUPPLIER ⋈ CUSTOMER on `nationkey` out of Postgres (Fig. 10a),
 /// * revenue: discounted revenue per supplier from LINEITEM on HDFS,

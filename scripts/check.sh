@@ -2,10 +2,11 @@
 # Repo gate: formatting, lints on the whole workspace, the whole workspace's
 # tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
 # the trace round trip, the differential, cross-platform, chaos and
-# fault-tolerance suites on a one-worker pool (where retries commit through
-# the sequential walk), and the service/obs suites under their deployment
-# shapes. Scheduler, batch and cache modes are forced in-process by
-# tests/differential.rs and tests/cache.rs, so the suite runs once.
+# fault-tolerance suites on a one-worker pool (where every partition runs
+# inline), the service and fault-tolerance suites on 2- and 8-worker pools
+# (job coordinators on pool workers included), and the obs suite. Batch
+# and cache modes are forced in-process by tests/differential.rs and
+# tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
 set -eu
 
@@ -25,12 +26,12 @@ cargo test -q --manifest-path perf/Cargo.toml
 echo "== trace round-trip (native JSON + chrome export)"
 cargo run --release -q -p rheem-bench --bin trace_dump
 
-echo "== multi-tenant service stress suite (1-, 2- and 8-worker pool shapes)"
+echo "== multi-tenant service stress + fault-tolerance suites (1-, 2- and 8-worker pool shapes)"
 RHEEM_POOL=1 cargo test -q --release --test service -- --test-threads=1
-RHEEM_POOL=2 cargo test -q --release --test service -- --test-threads=1
-RHEEM_POOL=8 cargo test -q --release --test service -- --test-threads=1
+RHEEM_POOL=2 cargo test -q --release --test service --test fault_tolerance -- --test-threads=1
+RHEEM_POOL=8 cargo test -q --release --test service --test fault_tolerance -- --test-threads=1
 
-echo "== one-worker pool: every runner call inline, the scheduler's sequential walk"
+echo "== one-worker pool: every par_each_idx partition runs inline"
 RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \
     --test chaos --test fault_tolerance
 

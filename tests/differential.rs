@@ -204,87 +204,6 @@ fn seeded_chaos_never_produces_wrong_answers() {
     assert!(survived > 0, "chaos matrix never survived a run");
 }
 
-// ---- scheduler modes ----------------------------------------------------
-
-/// Run the spec under one scheduler mode; returns the canonical (sorted)
-/// sink output and the deterministic span-tree structure.
-fn run_spec_mode(
-    spec: &Spec,
-    concurrent: bool,
-    chaos_seed: Option<u64>,
-) -> Result<(Vec<Value>, String)> {
-    let mut ctx = rheem::default_context();
-    // Force the mode (`Some`) so the concurrent dispatcher is exercised even
-    // on single-CPU hosts, where the adaptive default would walk in-line.
-    ctx.config_mut().concurrent = Some(concurrent);
-    ctx.config_mut().chaos_seed = chaos_seed;
-    let (plan, sink) = build_plan(spec);
-    let result = ctx.execute(&plan)?;
-    let mut out = result.sink(sink)?.to_vec();
-    out.sort();
-    let structure = result.trace.as_ref().map(|t| t.render_structure()).unwrap_or_default();
-    Ok((out, structure))
-}
-
-/// The concurrent DAG scheduler must be invisible in every observable:
-/// multi-branch random plans produce byte-identical sink outputs *and*
-/// byte-identical span trees (same spans, same order, same lane
-/// assignments) as the sequential stage walk.
-#[test]
-fn scheduler_modes_agree_on_results_and_traces() {
-    for case in 0u64..10 {
-        let spec = gen_spec(case);
-        let (seq_out, seq_trace) = run_spec_mode(&spec, false, None).unwrap();
-        let (conc_out, conc_trace) = run_spec_mode(&spec, true, None).unwrap();
-        assert_eq!(
-            conc_out, seq_out,
-            "case {case}: concurrent scheduler changed the answer: {spec:?}"
-        );
-        assert_eq!(
-            conc_trace, seq_trace,
-            "case {case}: concurrent scheduler changed the span tree: {spec:?}"
-        );
-    }
-}
-
-/// Mode-agreement must also hold under seeded chaos: retry/failover of one
-/// stage while others are in flight may not corrupt a concurrent lane. Both
-/// modes must survive identically (same answer, same trace) or die with the
-/// same typed error.
-#[test]
-fn scheduler_modes_agree_under_chaos() {
-    for chaos_seed in chaos_seeds() {
-        for case in 0u64..6 {
-            let spec = gen_spec(case);
-            let seq = run_spec_mode(&spec, false, Some(chaos_seed));
-            let conc = run_spec_mode(&spec, true, Some(chaos_seed));
-            match (seq, conc) {
-                (Ok((so, st)), Ok((co, ct))) => {
-                    assert_eq!(
-                        co, so,
-                        "chaos seed {chaos_seed:#x} case {case}: modes disagree on the answer"
-                    );
-                    assert_eq!(
-                        ct, st,
-                        "chaos seed {chaos_seed:#x} case {case}: modes disagree on the span tree"
-                    );
-                }
-                (Err(se), Err(ce)) => assert_eq!(
-                    se.to_string(),
-                    ce.to_string(),
-                    "chaos seed {chaos_seed:#x} case {case}: modes fail differently"
-                ),
-                (seq, conc) => panic!(
-                    "chaos seed {chaos_seed:#x} case {case}: one mode survived, the other \
-                     failed (seq ok={}, conc ok={})",
-                    seq.is_ok(),
-                    conc.is_ok()
-                ),
-            }
-        }
-    }
-}
-
 // ---- batch modes ---------------------------------------------------------
 
 /// Run the spec with columnar batch execution forced on or off; returns the
@@ -501,19 +420,17 @@ fn build_shuffle_plan(
     (b.build().unwrap(), sink)
 }
 
-/// Run a shuffle spec under explicit batch/scheduler modes; returns the
-/// *unsorted* sink output (order is part of the contract for SortBy) and the
-/// span-tree structure.
+/// Run a shuffle spec under an explicit batch mode; returns the *unsorted*
+/// sink output (order is part of the contract for SortBy) and the span-tree
+/// structure.
 fn run_shuffle_spec(
     spec: &ShuffleSpec,
     batch: bool,
-    concurrent: bool,
     forced: Option<PlatformId>,
     chaos_seed: Option<u64>,
 ) -> Result<(Vec<Value>, String)> {
     let mut ctx = rheem::default_context().with_batch(batch);
     ctx.forced_platform = forced;
-    ctx.config_mut().concurrent = Some(concurrent);
     ctx.config_mut().chaos_seed = chaos_seed;
     let (plan, sink) = build_shuffle_plan(spec);
     let result = ctx.execute(&plan)?;
@@ -524,29 +441,22 @@ fn run_shuffle_spec(
 
 /// Shuffle-heavy random plans (Join / SortBy / ReduceBy over typed key
 /// columns) must be byte-identical — including output *order* — between the
-/// columnar exchange and the row exchange, on every engine and under both
-/// scheduler modes.
+/// columnar exchange and the row exchange, on every engine.
 #[test]
 fn shuffle_plans_agree_across_batch_and_scheduler_modes() {
     for case in 0u64..10 {
         let spec = gen_shuffle_spec(case);
         for forced in PLATFORMS {
-            let (row_out, row_trace) =
-                run_shuffle_spec(&spec, false, false, Some(forced), None).unwrap();
-            for (batch, concurrent) in [(true, false), (false, true), (true, true)] {
-                let (out, trace) =
-                    run_shuffle_spec(&spec, batch, concurrent, Some(forced), None).unwrap();
-                assert_eq!(
-                    out, row_out,
-                    "case {case} on {forced:?} (batch={batch}, conc={concurrent}) \
-                     changed the answer: {spec:?}"
-                );
-                assert_eq!(
-                    trace, row_trace,
-                    "case {case} on {forced:?} (batch={batch}, conc={concurrent}) \
-                     changed the span tree: {spec:?}"
-                );
-            }
+            let (row_out, row_trace) = run_shuffle_spec(&spec, false, Some(forced), None).unwrap();
+            let (out, trace) = run_shuffle_spec(&spec, true, Some(forced), None).unwrap();
+            assert_eq!(
+                out, row_out,
+                "case {case} on {forced:?}: batch changed the answer: {spec:?}"
+            );
+            assert_eq!(
+                trace, row_trace,
+                "case {case} on {forced:?}: batch changed the span tree: {spec:?}"
+            );
         }
     }
 }
@@ -559,8 +469,8 @@ fn shuffle_plans_agree_under_chaos() {
     for chaos_seed in chaos_seeds() {
         for case in 0u64..6 {
             let spec = gen_shuffle_spec(case);
-            let row = run_shuffle_spec(&spec, false, false, None, Some(chaos_seed));
-            let bat = run_shuffle_spec(&spec, true, false, None, Some(chaos_seed));
+            let row = run_shuffle_spec(&spec, false, None, Some(chaos_seed));
+            let bat = run_shuffle_spec(&spec, true, None, Some(chaos_seed));
             match (row, bat) {
                 (Ok((ro, rt)), Ok((bo, bt))) => {
                     assert_eq!(
@@ -794,12 +704,10 @@ fn persistent_fault_fails_over_and_matches_baseline() {
 fn run_specs_service(
     specs: &[Spec],
     concurrent_service: bool,
-    sched_concurrent: bool,
     batch: bool,
 ) -> Vec<(Vec<Value>, String)> {
     let mut ctx = rheem::default_context().with_batch(batch);
     ctx.set_cache(None);
-    ctx.config_mut().concurrent = Some(sched_concurrent);
     let tenants: Vec<TenantSpec> = (0..3)
         .map(|t| TenantSpec::new(&format!("t{t}")).with_max_in_flight(specs.len().max(1)))
         .collect();
@@ -843,28 +751,23 @@ fn run_specs_service(
 /// The job service must be invisible per job: a seeded batch of random
 /// plans submitted concurrently (4 runners, fair-share job pick) returns
 /// exactly the outputs and span-tree structures of strictly sequential
-/// submission — under both scheduler modes and with batch execution on and
-/// off.
+/// submission, with batch execution on and off.
 #[test]
 fn service_concurrent_submission_matches_sequential() {
     let specs: Vec<Spec> = (0..6).map(|case| gen_spec(0x5E51 ^ (case * 31))).collect();
-    for sched_concurrent in [false, true] {
-        for batch in [false, true] {
-            let seq = run_specs_service(&specs, false, sched_concurrent, batch);
-            let conc = run_specs_service(&specs, true, sched_concurrent, batch);
-            for (i, (s, c)) in seq.iter().zip(&conc).enumerate() {
-                assert!(!s.0.is_empty(), "case {i}: sequential reference produced nothing");
-                assert_eq!(
-                    c.0, s.0,
-                    "case {i} (sched={sched_concurrent}, batch={batch}): \
-                     concurrent submission changed the answer"
-                );
-                assert_eq!(
-                    c.1, s.1,
-                    "case {i} (sched={sched_concurrent}, batch={batch}): \
-                     concurrent submission changed the span tree"
-                );
-            }
+    for batch in [false, true] {
+        let seq = run_specs_service(&specs, false, batch);
+        let conc = run_specs_service(&specs, true, batch);
+        for (i, (s, c)) in seq.iter().zip(&conc).enumerate() {
+            assert!(!s.0.is_empty(), "case {i}: sequential reference produced nothing");
+            assert_eq!(
+                c.0, s.0,
+                "case {i} (batch={batch}): concurrent submission changed the answer"
+            );
+            assert_eq!(
+                c.1, s.1,
+                "case {i} (batch={batch}): concurrent submission changed the span tree"
+            );
         }
     }
 }

@@ -3,7 +3,8 @@
 //! and the executor's parallel-stage virtual-time composition.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 use platform_postgres::{PgDatabase, PostgresPlatform};
 use rheem::prelude::*;
@@ -242,25 +243,23 @@ fn independent_branches_overlap_in_virtual_time() {
     // The polystore Q5 and the multi-sink batch of lake tasks at a tiny
     // TPC-H scale: their independent branches overlap, so the makespan is
     // strictly below the serial sum of stage times, and it is a property of
-    // the plan — both scheduler modes compose it to the same bits. Scaled
+    // the plan — two back-to-back runs compose it to the same bits. Scaled
     // host time is zeroed (`cpu_scale = 0`) so the virtual clock is purely
-    // modelled and two runs compare bit for bit; progressive re-optimization
-    // is off because a replan splits the job into phases that run one after
-    // the other, which is not what the scheduler is tested on here.
+    // modelled and the runs compare bit for bit; progressive
+    // re-optimization is off because a replan splits the job into phases
+    // that run one after the other, which is not what is tested here.
     let data = rheem_datagen::tpch::generate(0.01, 7);
     let placement = rheem::dataciv::place(&data, "fault_tolerance_overlap").unwrap();
     let (q5, _) = rheem::dataciv::build_q5_plan(&placement, "ASIA", 1995).unwrap();
     let (lake_tasks, _) = rheem::dataciv::build_task_batch(&placement).unwrap();
     for (name, plan) in [("q5", &q5), ("task_batch", &lake_tasks)] {
-        let makespans: Vec<u64> = [true, false]
-            .into_iter()
-            .map(|concurrent| {
+        let makespans: Vec<u64> = (0..2)
+            .map(|run| {
                 let mut ctx = rheem::default_context();
                 ctx.register_platform(&PostgresPlatform::new(Arc::clone(&placement.db)));
                 for p in [ids::JAVA_STREAMS, ids::SPARK, ids::FLINK, ids::POSTGRES, CONTROL] {
                     ctx.profiles_mut().get_mut(p).cpu_scale = 0.0;
                 }
-                ctx.config_mut().concurrent = Some(concurrent);
                 ctx.config_mut().progressive = false;
                 let result = ctx.execute(plan).unwrap();
                 let trace = result.trace.expect("tracing is on by default");
@@ -269,12 +268,46 @@ fn independent_branches_overlap_in_virtual_time() {
                 let makespan = result.metrics.virtual_ms;
                 assert!(
                     makespan < serial,
-                    "{name} (concurrent={concurrent}): makespan {makespan} not below serial {serial}"
+                    "{name} (run {run}): makespan {makespan} not below serial {serial}"
                 );
                 makespan.to_bits()
             })
             .collect();
-        assert_eq!(makespans[0], makespans[1], "{name}: scheduler modes disagree on virtual_ms");
+        assert_eq!(makespans[0], makespans[1], "{name}: two runs disagree on virtual_ms");
+    }
+}
+
+/// Jobs running *on* pool workers finish: every worker, plus the scope
+/// owner, holds one job's coordinator at once, so a coordinator that waited
+/// on pool work it did not run itself would wait forever.
+#[test]
+fn coordinators_on_every_pool_worker_do_not_deadlock() {
+    let (plan, sink) = double_plan();
+    let isolated = rheem::default_context().execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+    let jobs = rheem_core::pool::size() + 1;
+    let ctx = rheem::default_context();
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let barrier = Barrier::new(jobs);
+        let answers = Mutex::new(Vec::new());
+        rheem_core::pool::scope(|s| {
+            for _ in 0..jobs {
+                let (ctx, plan, barrier, answers) = (&ctx, &plan, &barrier, &answers);
+                s.spawn(move || {
+                    barrier.wait();
+                    let out = ctx.execute(plan).unwrap().sink(sink).unwrap().to_vec();
+                    answers.lock().unwrap().push(out);
+                });
+            }
+        });
+        let _ = tx.send(answers.into_inner().unwrap());
+    });
+    let answers =
+        rx.recv_timeout(Duration::from_secs(60)).expect("coordinators on pool workers deadlocked");
+    runner.join().unwrap();
+    assert_eq!(answers.len(), jobs);
+    for out in answers {
+        assert_eq!(out, isolated);
     }
 }
 
