@@ -75,9 +75,8 @@ impl JobResult {
 }
 
 /// Per-job tenancy scope for [`RheemContext::execute_scoped`]: who the job
-/// runs for, which cache namespace it reads/publishes, and which service job
-/// id its flight-recorder events carry. The default scope reproduces
-/// [`RheemContext::execute`]'s single-tenant behaviour.
+/// runs for and which cache namespace it reads/publishes. The default scope
+/// reproduces [`RheemContext::execute`]'s single-tenant behaviour.
 #[derive(Clone, Debug)]
 pub struct JobScope {
     /// Tenant name (labels metrics, stamps the job trace span).
@@ -86,19 +85,11 @@ pub struct JobScope {
     pub cache_ns: crate::cache::Namespace,
     /// Fall back to the shared namespace on a tenant-namespace miss.
     pub cache_shared_read: bool,
-    /// Service job id stamped on flight-recorder events (lets the
-    /// watchdog group stage commits per job).
-    pub job: Option<u64>,
 }
 
 impl Default for JobScope {
     fn default() -> Self {
-        Self {
-            tenant: None,
-            cache_ns: crate::cache::Namespace::SHARED,
-            cache_shared_read: true,
-            job: None,
-        }
+        Self { tenant: None, cache_ns: crate::cache::Namespace::SHARED, cache_shared_read: true }
     }
 }
 
@@ -307,12 +298,17 @@ impl RheemContext {
         config.tenant = scope.tenant.clone();
         config.cache_ns = scope.cache_ns;
         config.cache_shared_read = scope.cache_shared_read;
-        config.recorder = Some(Arc::clone(&self.recorder));
-        config.job = scope.job;
-        let result = self.run(plan, &config)?;
+        self.execute_with(plan, &config)
+    }
+
+    /// Execute a plan with an explicit executor configuration — the one
+    /// completion path behind [`Self::execute`], [`Self::execute_scoped`]
+    /// and [`Self::explain_analyze`]. Cache counters publish the cache's own
+    /// cumulative stats monotonically, so overlapping calls cannot count
+    /// each other's hits.
+    fn execute_with(&self, plan: &RheemPlan, config: &ExecConfig) -> Result<JobResult> {
+        let result = self.run(plan, config)?;
         self.record_job_metrics(&result);
-        // Cache counters publish the cache's own cumulative stats
-        // monotonically instead of racing read-modify-write deltas.
         if let Some(c) = &self.cache {
             let s = c.stats();
             self.metrics.set_counter_max("rheem_cache_hits_total", s.hits);
@@ -323,7 +319,7 @@ impl RheemContext {
             self.metrics.set_counter_max("rheem_cache_promotions_total", s.promotions);
             self.metrics.set_gauge("rheem_cache_spilled_bytes", s.spilled_bytes as f64);
         }
-        if let Some(tenant) = &scope.tenant {
+        if let Some(tenant) = &config.tenant {
             let m = &result.metrics;
             self.metrics.inc(&format!("rheem_jobs_total{{tenant=\"{tenant}\"}}"), 1);
             self.metrics
@@ -333,7 +329,7 @@ impl RheemContext {
             self.metrics
                 .inc(&format!("rheem_failovers_total{{tenant=\"{tenant}\"}}"), m.failovers as u64);
             if let Some(c) = &self.cache {
-                let st = c.stats_of(scope.cache_ns);
+                let st = c.stats_of(config.cache_ns);
                 self.metrics.set_counter_max(
                     &format!("rheem_cache_hits_total{{tenant=\"{tenant}\"}}"),
                     st.hits,
@@ -370,35 +366,13 @@ impl RheemContext {
                     &format!("rheem_cache_entries{{tenant=\"{tenant}\"}}"),
                     st.entries as f64,
                 );
-                if let Some(q) = c.quota_of(scope.cache_ns) {
+                if let Some(q) = c.quota_of(config.cache_ns) {
                     self.metrics.set_gauge(
                         &format!("rheem_cache_quota_bytes{{tenant=\"{tenant}\"}}"),
                         q as f64,
                     );
                 }
             }
-        }
-        Ok(result)
-    }
-
-    /// Execute a plan with an explicit executor configuration (used by
-    /// [`RheemContext::explain_analyze`] to force tracing on).
-    fn execute_with(&self, plan: &RheemPlan, config: &ExecConfig) -> Result<JobResult> {
-        let cache_before = self.cache.as_ref().map(|c| c.stats());
-        let mut config = config.clone();
-        if config.recorder.is_none() {
-            config.recorder = Some(Arc::clone(&self.recorder));
-        }
-        let result = self.run(plan, &config)?;
-        self.record_job_metrics(&result);
-        if let (Some(c), Some(before)) = (&self.cache, cache_before) {
-            let after = c.stats();
-            self.metrics.inc("rheem_cache_hits_total", after.hits - before.hits);
-            self.metrics.inc("rheem_cache_misses_total", after.misses - before.misses);
-            self.metrics.inc("rheem_cache_inserts_total", after.inserts - before.inserts);
-            self.metrics.inc("rheem_cache_evictions_total", after.evictions - before.evictions);
-            self.metrics.inc("rheem_cache_spills_total", after.spills - before.spills);
-            self.metrics.inc("rheem_cache_promotions_total", after.promotions - before.promotions);
         }
         Ok(result)
     }

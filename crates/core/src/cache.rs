@@ -682,7 +682,7 @@ impl ResultCache {
         self.recorder.lock().unwrap().clone()
     }
 
-    fn record_events(&self, events: &[(EventKind, u64, u64)]) {
+    fn record_cache_events(&self, events: &[(EventKind, u64, u64)]) {
         if events.is_empty() {
             return;
         }
@@ -825,7 +825,7 @@ impl ResultCache {
                     }
                 }
             };
-            self.record_events(&events);
+            self.record_cache_events(&events);
             return fetched;
         }
     }
@@ -902,7 +902,7 @@ impl ResultCache {
         if let Some(r) = self.rec() {
             r.record(EventKind::CacheInsert, None, None, None, bytes as f64, &format!("fp:{fp}"));
         }
-        self.record_events(&events);
+        self.record_cache_events(&events);
     }
 
     /// Snapshot the global counters (all namespaces combined).

@@ -151,7 +151,7 @@ pub enum Fallback {
 }
 
 impl Fallback {
-    /// Stable short name (used in trace JSON and recorder events).
+    /// Stable short name (used in trace JSON and `explain_analyze`).
     pub fn as_str(self) -> &'static str {
         match self {
             Fallback::OpaqueSegment => "opaque-segment",

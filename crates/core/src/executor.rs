@@ -84,13 +84,6 @@ pub struct ExecConfig {
     /// `cache_ns` (public datasets); publishes never touch the shared
     /// namespace when `cache_ns` is tenant-scoped.
     pub cache_shared_read: bool,
-    /// Flight recorder fed stage dispatch/commit and retry events
-    /// ([`crate::obs`]); injected by [`crate::api::RheemContext`], which
-    /// owns one recorder per context by default.
-    pub recorder: Option<Arc<crate::obs::FlightRecorder>>,
-    /// Service job id stamped on recorder events, so the watchdog can group
-    /// stage commits per job. `None` outside the [`crate::service`] path.
-    pub job: Option<u64>,
 }
 
 impl ExecConfig {
@@ -128,8 +121,6 @@ impl Default for ExecConfig {
             tenant: None,
             cache_ns: crate::cache::Namespace::SHARED,
             cache_shared_read: true,
-            recorder: None,
-            job: None,
         }
     }
 }
@@ -804,12 +795,6 @@ impl<'a> Executor<'a> {
                 }
                 st.run_span = Some((sid, run_id));
             }
-            self.record_event(
-                crate::obs::EventKind::StageDispatched,
-                Some(node.stage as u64),
-                st.run_base,
-                &platform.to_string(),
-            );
         }
 
         // Replay the retry history: fault records and retry spans, in the
@@ -847,34 +832,11 @@ impl<'a> Executor<'a> {
                 st.job_retries += 1;
                 st.run_retries += 1;
             }
-            let fault_kind = rec
-                .fault
-                .as_ref()
-                .map(|i| format!("{:?}", i.kind))
-                .unwrap_or_else(|| "organic".to_string());
-            self.record_event(
-                crate::obs::EventKind::JobRetried,
-                Some(node.stage as u64),
-                rec.failures as f64,
-                &fault_kind,
-            );
         }
         if failures_after > 0 {
             st.stage_attempts.insert((node.stage, st.iteration), failures_after);
         }
         let NodeExec { out, mut ops, mut vdur, events, node_retries, vec_stats } = result?;
-
-        // Columnar execution fell back to rows somewhere inside this node:
-        // surface it on the flight recorder so operators can spot plans that
-        // silently lose their batch shape (satellite of the columnar shuffle).
-        if let Some(why) = vec_stats.fallback {
-            self.record_event(
-                crate::obs::EventKind::BatchFallback,
-                Some(node.stage as u64),
-                (vec_stats.row_steps as u64).max(vec_stats.exch_row_rows) as f64,
-                why.as_str(),
-            );
-        }
 
         // Exploration sniffer (Fig. 7): multiplex a sample of the output.
         if self.config.exploration && !node.logical.is_empty() {
@@ -1034,20 +996,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Record a flight-recorder event attributed to this job's tenant and
-    /// service job id, when a recorder is attached.
-    fn record_event(
-        &self,
-        kind: crate::obs::EventKind,
-        stage: Option<u64>,
-        value: f64,
-        detail: &str,
-    ) {
-        if let Some(r) = &self.config.recorder {
-            r.record(kind, self.config.tenant.as_deref(), self.config.job, stage, value, detail);
-        }
-    }
-
     fn close_stage_run(&self, st: &mut RunState) {
         if let Some(stage) = st.open_stage.take() {
             let run_end = st.run_end.max(st.run_base);
@@ -1072,12 +1020,6 @@ impl<'a> Executor<'a> {
                     });
                 }
             }
-            self.record_event(
-                crate::obs::EventKind::StageCommitted,
-                Some(stage as u64),
-                st.run_virtual_ms,
-                &self.eplan.stages[stage].platform.to_string(),
-            );
             st.run_virtual_ms = 0.0;
             st.run_retries = 0;
         }

@@ -170,8 +170,6 @@ pub struct FaultPlan {
     rules: Vec<FaultRule>,
     /// Failed attempts per `(site, iteration)` key.
     attempts: Mutex<HashMap<u64, u32>>,
-    /// Flight recorder fed a `fault.injected` event per injection.
-    recorder: Mutex<Option<std::sync::Arc<crate::obs::FlightRecorder>>>,
 }
 
 impl FaultPlan {
@@ -191,7 +189,6 @@ impl FaultPlan {
             density_millis: (density.clamp(0.0, 1.0) * 1000.0).round() as u32,
             rules: Vec::new(),
             attempts: Mutex::new(HashMap::new()),
-            recorder: Mutex::new(None),
         }
     }
 
@@ -205,12 +202,6 @@ impl FaultPlan {
     /// The seed (0 for rule-only plans).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Attach (or detach, with `None`) a flight recorder. Plans shared
-    /// across contexts record to whichever recorder was attached last.
-    pub fn set_recorder(&self, recorder: Option<std::sync::Arc<crate::obs::FlightRecorder>>) {
-        *self.recorder.lock().unwrap() = recorder;
     }
 
     /// Decide whether the attempt happening right now at the described site
@@ -241,21 +232,7 @@ impl FaultPlan {
             return None; // site already failed its quota: succeed now
         }
         *a += 1;
-        let fault =
-            InjectedFault { kind, platform, op: op.to_string(), stage, iteration, attempt: *a };
-        drop(attempts);
-        let rec = self.recorder.lock().unwrap().clone();
-        if let Some(r) = rec {
-            r.record(
-                crate::obs::EventKind::FaultInjected,
-                None,
-                None,
-                Some(stage as u64),
-                fault.attempt as f64,
-                &fault.to_string(),
-            );
-        }
-        Some(fault)
+        Some(InjectedFault { kind, platform, op: op.to_string(), stage, iteration, attempt: *a })
     }
 
     /// Site identity: stage crashes are keyed per stage (any node of the

@@ -4,18 +4,21 @@
 //! The plane has four cooperating parts, all dependency-free:
 //!
 //! - [`recorder`] — an always-on, lock-light bounded ring buffer of
-//!   structured [`Event`]s fed from service, executor, cache and fault
-//!   hooks, with exact drop accounting and a deterministic JSON dump.
+//!   structured [`Event`]s that no other record holds (service job
+//!   lifecycle, cache activity, watchdog diagnoses), with exact drop
+//!   accounting and a deterministic JSON dump. Stage runs, faults and row
+//!   fallbacks live once, in each job's [`crate::trace::JobTrace`] (faults
+//!   also in the context's [`crate::monitor::Monitor`]).
 //! - [`slo`] — per-tenant labeled histograms decomposing every service job
 //!   into queue-wait / admission / execution / commit phases, plus
 //!   in-flight and fair-share-vtime gauges.
 //! - [`http`] — a `std::net` HTTP/1.0 scrape endpoint serving `/metrics`,
 //!   `/healthz`, `/jobs`, `/tenants` and `/flight?n=K`, opt-in via
 //!   [`crate::service::JobService::serve`] or `RHEEM_OBS_ADDR`.
-//! - [`watchdog`] — walks recorder + registry state on a virtual-time
-//!   cadence and emits typed diagnoses (tenant starvation, straggler
-//!   stages, cache thrash) as `rheem_watchdog_*` metrics and recorder
-//!   events.
+//! - [`watchdog`] — reads registry state on a virtual-time cadence
+//!   (tenant starvation, cache thrash) and each completed job's stage runs
+//!   (straggler stages), and emits typed diagnoses as `rheem_watchdog_*`
+//!   metrics and recorder events.
 
 pub mod http;
 pub mod recorder;

@@ -1,5 +1,8 @@
 //! Always-on, lock-light flight recorder: a bounded ring buffer of
-//! structured events fed from service, executor, cache and fault hooks.
+//! structured events that no other record holds — service job lifecycle,
+//! cross-job cache activity and watchdog diagnoses. Stage runs, faults and
+//! row fallbacks are not here: each job's [`crate::trace::JobTrace`] (and
+//! the context's fault log) records them once.
 //!
 //! Design: a single short [`Mutex`] critical section protects the ring
 //! (push + evict only — no allocation-heavy work inside the lock), while
@@ -25,7 +28,7 @@ pub const DEFAULT_MAX_BYTES: usize = 1 << 20;
 const EVENT_BASE_BYTES: usize = 64;
 
 /// What happened. String forms (for dumps and filters) are dotted
-/// `subject.verb` names, e.g. `job.admitted`, `stage.committed`.
+/// `subject.verb` names, e.g. `job.admitted`, `cache.hit`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A job passed service admission control.
@@ -36,16 +39,10 @@ pub enum EventKind {
     JobQueued,
     /// A runner picked the job and began executing it.
     JobStarted,
-    /// A stage attempt inside the job failed and was retried.
-    JobRetried,
     /// The job finished with an error.
     JobFailed,
     /// The job finished successfully.
     JobCompleted,
-    /// A stage run was dispatched to a platform.
-    StageDispatched,
-    /// A stage run committed (its results became canonical).
-    StageCommitted,
     /// A cross-job cache lookup hit.
     CacheHit,
     /// A result was published to the cross-job cache.
@@ -56,12 +53,8 @@ pub enum EventKind {
     CacheSpilled,
     /// A spilled cache entry was read back and promoted to memory.
     CachePromoted,
-    /// The deterministic chaos plan injected a fault.
-    FaultInjected,
     /// The watchdog emitted a diagnosis.
     Watchdog,
-    /// A batched (columnar) stage fell back to row execution.
-    BatchFallback,
 }
 
 impl EventKind {
@@ -72,19 +65,14 @@ impl EventKind {
             EventKind::JobRejected => "job.rejected",
             EventKind::JobQueued => "job.queued",
             EventKind::JobStarted => "job.started",
-            EventKind::JobRetried => "job.retried",
             EventKind::JobFailed => "job.failed",
             EventKind::JobCompleted => "job.completed",
-            EventKind::StageDispatched => "stage.dispatched",
-            EventKind::StageCommitted => "stage.committed",
             EventKind::CacheHit => "cache.hit",
             EventKind::CacheInsert => "cache.insert",
             EventKind::CacheEvicted => "cache.evicted",
             EventKind::CacheSpilled => "cache.spilled",
             EventKind::CachePromoted => "cache.promoted",
-            EventKind::FaultInjected => "fault.injected",
             EventKind::Watchdog => "watchdog",
-            EventKind::BatchFallback => "batch.fallback",
         }
     }
 }
@@ -100,12 +88,12 @@ pub struct Event {
     pub tenant: Option<String>,
     /// Service job id, when the event happened inside a service job.
     pub job: Option<u64>,
-    /// Stage id, for stage-scoped events.
+    /// Stage id, for a straggler diagnosis.
     pub stage: Option<u64>,
-    /// Kind-specific magnitude (virtual ms for stage commits, wait ms for
-    /// job starts, bytes for cache events, attempt count for retries).
+    /// Kind-specific magnitude (wait ms for job starts, virtual ms for job
+    /// completions and stragglers, bytes for cache events).
     pub value: f64,
-    /// Free-form detail (platform name, fault kind, diagnosis text).
+    /// Free-form detail (rejection reason, job error, diagnosis text).
     pub detail: String,
 }
 
@@ -258,13 +246,6 @@ impl FlightRecorder {
         let ring = self.ring.lock().unwrap();
         let skip = ring.events.len().saturating_sub(n);
         ring.events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Clone of resident events with `seq >= from`, oldest first. Used by
-    /// the watchdog to walk forward incrementally (`from` = next unseen).
-    pub fn events_since(&self, from: u64) -> Vec<Event> {
-        let ring = self.ring.lock().unwrap();
-        ring.events.iter().filter(|e| e.seq >= from).cloned().collect()
     }
 
     /// Remove and return every resident event, oldest first. Drained events

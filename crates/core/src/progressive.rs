@@ -184,11 +184,6 @@ pub fn run_progressive(
     // Resolved once per job: attempt counters live inside the plan and must
     // survive replans/failovers (fail-N-then-succeed semantics).
     let faults = config.resolve_fault_plan();
-    if let Some(f) = &faults {
-        // Injections surface in the flight recorder too. Plans shared
-        // across contexts record to whichever context ran last.
-        f.set_recorder(config.recorder.clone());
-    }
     // Platforms that exhausted a retry budget; excluded from re-enumeration.
     let mut blacklist: Vec<PlatformId> = Vec::new();
     // Fingerprint identities pinned across plan rewrites: maps operators of

@@ -26,8 +26,9 @@
 //! - **Observability**: job lifecycle events feed the context's
 //!   [`crate::obs::FlightRecorder`], per-tenant SLO phase histograms
 //!   ([`crate::obs::slo`]) decompose every job into queue / admission /
-//!   exec / commit, a [`Watchdog`] sweeps for starvation, stragglers and
-//!   cache thrash on a virtual-time cadence, and [`JobService::serve`] (or
+//!   exec / commit, a [`Watchdog`] sweeps for starvation and cache thrash
+//!   on a virtual-time cadence and checks every completed job's trace for
+//!   straggler stages, and [`JobService::serve`] (or
 //!   the `RHEEM_OBS_ADDR` env var) exposes it all over a dependency-free
 //!   TCP scrape endpoint ([`crate::obs::http`]).
 //!
@@ -288,7 +289,6 @@ impl SvcInner {
             tenant: Some(spec.name.clone()),
             cache_ns: spec.namespace(),
             cache_shared_read: spec.share_cache,
-            job: None,
         }
     }
 
@@ -344,8 +344,7 @@ impl SvcInner {
             let tname = self.tenants[tenant].name.clone();
             let queue_ms = job.admitted_at.elapsed().as_secs_f64() * 1e3;
             self.record(EventKind::JobStarted, Some(&tname), Some(job.id), queue_ms, "");
-            let mut scope = self.scope_for(tenant);
-            scope.job = Some(job.id);
+            let scope = self.scope_for(tenant);
             // A panicking UDF must fail its job, not unwind the runner: a
             // dead runner would leak the job's admission slot and strand
             // every job queued behind it.
@@ -388,13 +387,21 @@ impl SvcInner {
             let phases = JobPhases { queue_ms, admission_ms: job.admission_ms, exec_ms, commit_ms };
             obs::slo::observe_job(metrics, &tname, &phases);
             match &result {
-                Ok(r) => self.record(
-                    EventKind::JobCompleted,
-                    Some(&tname),
-                    Some(job.id),
-                    r.metrics.virtual_ms,
-                    "",
-                ),
+                Ok(r) => {
+                    self.record(
+                        EventKind::JobCompleted,
+                        Some(&tname),
+                        Some(job.id),
+                        r.metrics.virtual_ms,
+                        "",
+                    );
+                    // Stragglers come from the finished job's own trace: a
+                    // failed or untraced job gets no straggler verdict.
+                    if let Some(trace) = &r.trace {
+                        let rec = self.ctx.recorder();
+                        self.watchdog.check_job(Some(&tname), job.id, &trace.runs, rec, metrics);
+                    }
+                }
                 Err(e) => self.record(
                     EventKind::JobFailed,
                     Some(&tname),
@@ -403,10 +410,8 @@ impl SvcInner {
                     &e.to_string(),
                 ),
             }
-            // Sweep outside the state lock: the watchdog walks the recorder
-            // (which the executor threads also feed) and must never hold up
-            // submissions. The completion event above is already visible,
-            // so straggler analysis for this job happens in this sweep.
+            // Sweep outside the state lock: it must never hold up
+            // submissions.
             if let Some(snap) = &sweep {
                 self.watchdog.sweep(snap, self.ctx.recorder(), metrics);
             }

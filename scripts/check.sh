@@ -4,7 +4,8 @@
 # the trace round trip, the differential, cross-platform, chaos and
 # fault-tolerance suites on a one-worker pool (where every partition runs
 # inline), the service and fault-tolerance suites on 2- and 8-worker pools
-# (job coordinators on pool workers included), and the obs suite. Batch
+# (job coordinators on pool workers included), and the obs suite on 1-, 2-
+# and 8-worker pools (straggler verdicts come from the completion path). Batch
 # and cache modes are forced in-process by tests/differential.rs and
 # tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
@@ -26,10 +27,10 @@ cargo test -q --manifest-path perf/Cargo.toml
 echo "== trace round-trip (native JSON + chrome export)"
 cargo run --release -q -p rheem-bench --bin trace_dump
 
-echo "== multi-tenant service stress + fault-tolerance suites (1-, 2- and 8-worker pool shapes)"
-RHEEM_POOL=1 cargo test -q --release --test service -- --test-threads=1
+echo "== multi-tenant service stress, fault-tolerance and obs suites (1-, 2- and 8-worker pool shapes)"
+RHEEM_POOL=1 cargo test -q --release --test service --test obs -- --test-threads=1
 RHEEM_POOL=2 cargo test -q --release --test service --test fault_tolerance -- --test-threads=1
-RHEEM_POOL=8 cargo test -q --release --test service --test fault_tolerance -- --test-threads=1
+RHEEM_POOL=8 cargo test -q --release --test service --test fault_tolerance --test obs -- --test-threads=1
 
 echo "== one-worker pool: every par_each_idx partition runs inline"
 RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \

@@ -51,6 +51,40 @@ fn run(ctx: &RheemContext, plan: &RheemPlan, sink: OperatorId) -> Result<(Vec<Va
 
 // ---- hit / replay -------------------------------------------------------
 
+/// Overlapping `execute` calls on one context publish the cache's own
+/// cumulative stats, so once they finish every `rheem_cache_*_total`
+/// counter equals [`ResultCache::stats`] however the calls interleaved.
+#[test]
+fn concurrent_execute_cache_counters_equal_the_cache_stats() {
+    let path = std::path::PathBuf::from("hdfs://tests/cache/concurrent_corpus.txt");
+    rheem_datagen::text::write_corpus(&path, 200, 5).unwrap();
+    let (plan, _) = wordcount(&path);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let ctx = ctx_with(&cache);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                for _ in 0..20 {
+                    ctx.execute(&plan).unwrap();
+                }
+            });
+        }
+    });
+    let st = cache.stats();
+    assert!(st.hits > 0, "warm runs hit: {st:?}");
+    for (name, v) in [
+        ("hits", st.hits),
+        ("misses", st.misses),
+        ("inserts", st.inserts),
+        ("evictions", st.evictions),
+        ("spills", st.spills),
+        ("promotions", st.promotions),
+    ] {
+        let key = format!("rheem_cache_{name}_total");
+        assert_eq!(ctx.metrics().counter(&key), v, "{key} vs {st:?}");
+    }
+}
+
 /// Rerunning an identical job against a shared cache replays published
 /// intermediates: the trace shows a `CachedSource`, virtual time does not
 /// regress, and the answer is byte-identical to the cold run.

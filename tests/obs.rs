@@ -14,6 +14,8 @@
 //!    — and only they are — via `rheem_watchdog_*` metrics, while
 //!    `/metrics`, `/healthz` and `/flight` are scraped concurrently over
 //!    real TCP.
+//! 4. **One stage log**: stage runs live in the job trace only, so a
+//!    looped job writes no flight event at any iteration count.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -110,7 +112,7 @@ fn recorder_budgets_hold_under_concurrent_writes() {
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     rec.record(
-                        EventKind::StageCommitted,
+                        EventKind::Watchdog,
                         Some("tenant"),
                         Some(t as u64),
                         Some(i as u64),
@@ -163,7 +165,7 @@ fn recorder_dump_parses_and_is_deterministic() {
     let _serial = one_at_a_time();
     let rec = FlightRecorder::with_capacity(64, 1 << 20);
     rec.record(EventKind::JobAdmitted, Some("a"), Some(1), None, 0.25, "");
-    rec.record(EventKind::StageCommitted, Some("a"), Some(1), Some(3), 7.5, "java.streams");
+    rec.record(EventKind::Watchdog, Some("a"), Some(1), Some(3), 7.5, "java.streams");
     rec.record(EventKind::JobCompleted, Some("a\"quote"), Some(1), None, 7.5, "done \"ok\"");
 
     let dump = rec.dump_json(None);
@@ -175,7 +177,7 @@ fn recorder_dump_parses_and_is_deterministic() {
     let events = json::get(obj, "events").unwrap().as_arr("events").unwrap();
     assert_eq!(events.len(), 3);
     let ev = events[1].as_obj("event").unwrap();
-    assert_eq!(json::get(ev, "kind").unwrap().as_str("kind").unwrap(), "stage.committed");
+    assert_eq!(json::get(ev, "kind").unwrap().as_str("kind").unwrap(), "watchdog");
     assert_eq!(json::get(ev, "stage").unwrap().as_f64("stage").unwrap(), 3.0);
     assert_eq!(json::get(ev, "detail").unwrap().as_str("detail").unwrap(), "java.streams");
     // Quotes in tenant/detail strings survive the round trip.
@@ -388,4 +390,28 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
 
     // Unknown routes 404 at the transport level (scrape surfaces an error).
     assert!(scrape(&addr, "/nope").is_err());
+}
+
+// ---- 4. stage runs stay out of the flight ring ---------------------------
+
+/// The job trace is the one record of a stage run: an SGD loop on a fresh
+/// context writes no flight event, whatever its iteration count.
+#[test]
+fn looped_plan_writes_no_flight_events() {
+    let _serial = one_at_a_time();
+    let points: Dataset = Arc::new(rheem_datagen::generate_points(256, 4, 0.05, 7).points);
+    for iterations in [1, 10, 1_000] {
+        let ctx = rheem::default_context();
+        let cfg = ml4all::SgdConfig { dims: 4, batch: 64, iterations, ..Default::default() };
+        let source = ml4all::PointSource::InMemory(Arc::clone(&points));
+        let (plan, _) = ml4all::build_sgd_plan(source, &cfg).unwrap();
+        let trace = ctx.execute(&plan).unwrap().trace.expect("tracing is on by default");
+        assert!(trace.runs.len() > iterations as usize, "every iteration is a traced run");
+        assert_eq!(
+            ctx.recorder().recorded(),
+            0,
+            "{iterations} iterations, {} stage runs",
+            trace.runs.len()
+        );
+    }
 }
