@@ -5,6 +5,10 @@
 //! executor dispatches stages to the platform drivers (3); the job trace
 //! collects statistics and the monitor logs faults (4); and the progressive
 //! optimizer re-optimizes on cardinality mismatches (5).
+//!
+//! A context keeps cumulative counts in its [`MetricsRegistry`] but holds
+//! no flight recorder: the ring of service events belongs to
+//! [`crate::service::JobService`], which writes it with its watchdog.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,6 +19,7 @@ use crate::cache::ResultCache;
 use crate::cardinality::Estimator;
 use crate::cost::{CostModel, Interval};
 use crate::error::{Result, RheemError};
+use crate::exec::VecStats;
 use crate::execplan::{build_exec_plan, ExecPlan};
 use crate::executor::{ExecConfig, ExplorationBuffer};
 use crate::learner::{samples_from_trace, StageSample};
@@ -103,8 +108,6 @@ pub struct RheemContext {
     monitor: Monitor,
     metrics: MetricsRegistry,
     cache: Option<Arc<ResultCache>>,
-    /// Always-on flight recorder ([`crate::obs`]).
-    recorder: Arc<crate::obs::FlightRecorder>,
     /// Force every mappable operator onto one platform (platform-
     /// independence experiments; `None` = free choice).
     pub forced_platform: Option<PlatformId>,
@@ -129,7 +132,6 @@ impl RheemContext {
             monitor: Monitor::new(),
             metrics: MetricsRegistry::new(),
             cache: None,
-            recorder: Arc::new(crate::obs::FlightRecorder::default()),
             forced_platform: None,
         }
     }
@@ -177,18 +179,9 @@ impl RheemContext {
         self.cache.as_ref()
     }
 
-    /// Replace or disable the cross-job result cache. The context's flight
-    /// recorder follows the cache handle.
+    /// Replace or disable the cross-job result cache.
     pub fn set_cache(&mut self, cache: Option<Arc<ResultCache>>) {
-        if let Some(c) = &cache {
-            c.set_recorder(Arc::clone(&self.recorder));
-        }
         self.cache = cache;
-    }
-
-    /// The context's flight recorder ([`crate::obs`]).
-    pub fn recorder(&self) -> &Arc<crate::obs::FlightRecorder> {
-        &self.recorder
     }
 
     /// Register a platform.
@@ -244,7 +237,7 @@ impl RheemContext {
     }
 
     /// The metrics registry (counters + virtual-time histograms accumulated
-    /// across jobs; snapshot as JSON or Prometheus text).
+    /// across jobs; snapshot as Prometheus text).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -481,14 +474,7 @@ impl RheemContext {
                         fused: p.logical.len(),
                         chain_tail: pos + 1 == members.len(),
                         miss: false,
-                        vec_rows: 0,
-                        vec_batches: 0,
-                        vec_steps: 0,
-                        row_steps: 0,
-                        exch_batches: 0,
-                        exch_rows: 0,
-                        exch_row_rows: 0,
-                        fallback: None,
+                        vec: VecStats::default(),
                     }
                 });
                 row.runs += 1;
@@ -496,16 +482,7 @@ impl RheemContext {
                 row.virtual_ms += p.virtual_ms;
                 row.measured_tuples = p.tuples_out;
                 row.tuples_in = p.tuples_in;
-                row.vec_rows += p.vec_stats.rows;
-                row.vec_batches += p.vec_stats.batches;
-                row.vec_steps += p.vec_stats.vec_steps;
-                row.row_steps += p.vec_stats.row_steps;
-                row.exch_batches += p.vec_stats.exch_batches;
-                row.exch_rows += p.vec_stats.exch_rows;
-                row.exch_row_rows += p.vec_stats.exch_row_rows;
-                if row.fallback.is_none() {
-                    row.fallback = p.vec_stats.fallback;
-                }
+                row.vec += p.vec_stats;
             }
         }
         let mut rows: Vec<AnalyzeRow> =
@@ -555,25 +532,10 @@ pub struct AnalyzeRow {
     pub chain_tail: bool,
     /// Estimate miss: the measured cardinality left `[lo/tau, hi*tau]`.
     pub miss: bool,
-    /// Rows the covering operator fed through vectorized column kernels
-    /// ([`crate::batch`]), summed over runs. 0 in row mode.
-    pub vec_rows: u64,
-    /// Column batches the covering operator processed, summed over runs.
-    pub vec_batches: u64,
-    /// Fused steps executed vectorized, summed over runs.
-    pub vec_steps: u32,
-    /// Fused steps that fell back to the row interpreter (batch mode only).
-    pub row_steps: u32,
-    /// Column batches shipped through an exchange without row
-    /// materialization (columnar shuffle), summed over runs.
-    pub exch_batches: u64,
-    /// Rows that crossed an exchange in columnar form, summed over runs.
-    pub exch_rows: u64,
-    /// Rows that crossed an exchange via the row fallback path while batch
-    /// mode was on, summed over runs. 0 in row mode.
-    pub exch_row_rows: u64,
-    /// First reason the covering operator fell back to rows, if any.
-    pub fallback: Option<crate::exec::Fallback>,
+    /// The covering operator's vectorization counters ([`crate::batch`]),
+    /// summed over runs; the first fallback reason wins. All zero in row
+    /// mode.
+    pub vec: VecStats,
 }
 
 /// The result of [`RheemContext::explain_analyze`].
@@ -641,25 +603,23 @@ impl fmt::Display for ExplainAnalysis {
             if r.retries > 0 {
                 flags.push(format!("retries={}", r.retries));
             }
-            if r.vec_steps > 0 || r.row_steps > 0 {
+            let v = &r.vec;
+            if v.vec_steps > 0 || v.row_steps > 0 {
                 // Which chain segments actually vectorized: steps through
                 // column kernels vs. row-interpreter fallbacks, plus batch
                 // geometry (rows per batch).
-                let rpb = r.vec_rows.checked_div(r.vec_batches).unwrap_or(0);
-                flags.push(format!(
-                    "vec({}v/{}r,{}x{})",
-                    r.vec_steps, r.row_steps, r.vec_batches, rpb
-                ));
+                let rpb = v.rows.checked_div(v.batches).unwrap_or(0);
+                flags.push(format!("vec({}v/{}r,{}x{})", v.vec_steps, v.row_steps, v.batches, rpb));
             }
-            if r.exch_batches > 0 || r.exch_row_rows > 0 {
+            if v.exch_batches > 0 || v.exch_row_rows > 0 {
                 // Exchange-level batch stats: batches/rows that crossed the
                 // shuffle in columnar form vs. rows that fell back.
                 flags.push(format!(
                     "xch({}b/{}c/{}r)",
-                    r.exch_batches, r.exch_rows, r.exch_row_rows
+                    v.exch_batches, v.exch_rows, v.exch_row_rows
                 ));
             }
-            if let Some(why) = r.fallback {
+            if let Some(why) = v.fallback {
                 flags.push(format!("fallback={}", why.as_str()));
             }
             writeln!(

@@ -41,6 +41,12 @@
 //! [`crate::api::RheemContext::set_cache`], with a disk tier via
 //! [`ResultCache::with_disk`]); entries are evicted least-recently-used
 //! under the byte budgets.
+//!
+//! Cache activity is counted once, in [`CacheStats`] (global and per
+//! namespace): the context publishes the `rheem_cache_*` metric families
+//! from it, and the service watchdog's thrash rule reads it. A replay also
+//! shows in its job's trace as a `cache.hit` event; nothing else records
+//! hits, inserts, evictions, spills or promotions.
 
 pub mod spill;
 
@@ -57,7 +63,6 @@ use crate::cost::Load;
 use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, ExecutionOperator, OpMetrics};
 use crate::execplan::ExecPlan;
-use crate::obs::{EventKind, FlightRecorder};
 use crate::plan::{LogicalOp, OperatorId, OperatorNode, RheemPlan};
 use crate::platform::PlatformId;
 use crate::registry::Registry;
@@ -524,9 +529,8 @@ struct Inner {
 }
 
 impl Inner {
-    /// Evict `key` from whichever tier holds it; returns the freed byte
-    /// count for event reporting.
-    fn evict(&mut self, key: (u64, u64)) -> u64 {
+    /// Evict `key` from whichever tier holds it.
+    fn evict(&mut self, key: (u64, u64)) {
         let evicted = self.map.remove(&key).expect("victim exists");
         match &evicted.stored {
             Stored::Mem(_) => self.bytes -= evicted.bytes,
@@ -545,7 +549,6 @@ impl Inner {
         if matches!(evicted.stored, Stored::Disk(_)) {
             st.spilled_bytes -= evicted.bytes;
         }
-        evicted.bytes
     }
 
     /// LRU victim among entries matching `pred` on the namespace id,
@@ -607,12 +610,7 @@ impl Inner {
     /// oldest entry, not the one being demoted. Quoted namespaces are
     /// victimized last in both loops so cross-tenant pressure lands on
     /// unquoted entries first.
-    fn enforce(
-        &mut self,
-        mem_budget: u64,
-        disk_budget: u64,
-        events: &mut Vec<(EventKind, u64, u64)>,
-    ) {
+    fn enforce(&mut self, mem_budget: u64, disk_budget: u64) {
         while self.bytes > mem_budget {
             let quotas = &self.quotas;
             let victim = self
@@ -620,11 +618,10 @@ impl Inner {
                 .or_else(|| self.victim_where(Some(Tier::Memory), |_| true))
                 .expect("over budget implies a resident entry");
             let vbytes = self.map.get(&victim).map(|e| e.bytes).unwrap_or(0);
-            if self.spill.is_some() && vbytes <= disk_budget && self.spill_victim(victim) {
-                events.push((EventKind::CacheSpilled, victim.1, vbytes));
-            } else {
-                let freed = self.evict(victim);
-                events.push((EventKind::CacheEvicted, victim.1, freed));
+            let spilled =
+                self.spill.is_some() && vbytes <= disk_budget && self.spill_victim(victim);
+            if !spilled {
+                self.evict(victim);
             }
         }
         while self.disk_bytes > disk_budget {
@@ -633,8 +630,7 @@ impl Inner {
                 .victim_where(Some(Tier::Disk), |n| !quotas.contains_key(&n))
                 .or_else(|| self.victim_where(Some(Tier::Disk), |_| true))
                 .expect("over disk budget implies a spilled entry");
-            let freed = self.evict(victim);
-            events.push((EventKind::CacheEvicted, victim.1, freed));
+            self.evict(victim);
         }
     }
 }
@@ -646,9 +642,6 @@ pub struct ResultCache {
     budget: u64,
     disk_budget: u64,
     inner: Mutex<Inner>,
-    /// Optional flight recorder fed hit/insert/evict/spill events; held in
-    /// its own lock so recording never happens under the cache lock.
-    recorder: Mutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl ResultCache {
@@ -668,28 +661,6 @@ impl ResultCache {
             budget: budget_bytes.max(1),
             disk_budget: disk_budget_bytes,
             inner: Mutex::new(inner),
-            recorder: Mutex::new(None),
-        }
-    }
-
-    /// Attach a flight recorder. Hit, insert, eviction, spill and promotion
-    /// events are recorded outside the cache lock.
-    pub fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        *self.recorder.lock().unwrap() = Some(recorder);
-    }
-
-    fn rec(&self) -> Option<Arc<FlightRecorder>> {
-        self.recorder.lock().unwrap().clone()
-    }
-
-    fn record_cache_events(&self, events: &[(EventKind, u64, u64)]) {
-        if events.is_empty() {
-            return;
-        }
-        if let Some(r) = self.rec() {
-            for (kind, vfp, bytes) in events {
-                r.record(*kind, None, None, None, *bytes as f64, &format!("fp:{vfp:016x}"));
-            }
         }
     }
 
@@ -740,33 +711,18 @@ impl ResultCache {
     /// price the replay at the disk rate. [`Self::fetch_in`] reads the
     /// payload of a spilled entry the caller decides to replay.
     pub fn lookup_in(&self, ns: Namespace, fp: Fingerprint) -> Option<CacheHit> {
-        let hit = {
-            let mut guard = self.inner.lock().unwrap();
-            let inner = &mut *guard;
-            inner.clock += 1;
-            let hit = inner.map.get_mut(&(ns.0, fp.0)).map(|e| {
-                e.last_used = inner.clock;
-                let (payload, tier) = match &e.stored {
-                    Stored::Mem(p) => (Some(p.clone()), Tier::Memory),
-                    Stored::Disk(_) => (None, Tier::Disk),
-                };
-                CacheHit { payload, bytes: e.bytes, card: e.card, tier }
-            });
-            inner.count(ns.0, hit.is_some());
-            hit
-        };
-        if let Some(h) = &hit {
-            if let Some(r) = self.rec() {
-                r.record(
-                    EventKind::CacheHit,
-                    None,
-                    None,
-                    None,
-                    h.bytes as f64,
-                    &format!("fp:{fp}"),
-                );
-            }
-        }
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.clock += 1;
+        let hit = inner.map.get_mut(&(ns.0, fp.0)).map(|e| {
+            e.last_used = inner.clock;
+            let (payload, tier) = match &e.stored {
+                Stored::Mem(p) => (Some(p.clone()), Tier::Memory),
+                Stored::Disk(_) => (None, Tier::Disk),
+            };
+            CacheHit { payload, bytes: e.bytes, card: e.card, tier }
+        });
+        inner.count(ns.0, hit.is_some());
         hit
     }
 
@@ -789,44 +745,37 @@ impl ResultCache {
                 }
             };
             let read = spill::read(&path);
-            let mut events: Vec<(EventKind, u64, u64)> = Vec::new();
-            let fetched = {
-                let mut inner = self.inner.lock().expect("cache lock poisoned");
-                match (inner.map.get(&key).map(|e| &e.stored), read) {
-                    (Some(Stored::Mem(p)), _) => Some(p.clone()),
-                    // Promoted and spilled again since: its old file is gone.
-                    (Some(&Stored::Disk(now)), Err(_)) if now != slot => continue,
-                    (Some(&Stored::Disk(now)), Ok(payload)) => {
-                        // Promote: the freshest entry in LRU order.
-                        if let Some(sp) = &inner.spill {
-                            sp.remove(now);
-                        }
-                        inner.clock += 1;
-                        let clock = inner.clock;
-                        let e = inner.map.get_mut(&key).expect("promoted entry exists");
-                        (e.stored, e.last_used) = (Stored::Mem(payload.clone()), clock);
-                        let bytes = e.bytes;
-                        inner.disk_bytes -= bytes;
-                        inner.bytes += bytes;
-                        inner.promotions += 1;
-                        let st = inner.ns.entry(ns.0).or_default();
-                        st.spilled_bytes -= bytes;
-                        st.promotions += 1;
-                        events.push((EventKind::CachePromoted, fp.0, bytes));
-                        inner.enforce(self.budget, self.disk_budget, &mut events);
-                        Some(payload)
+            let mut inner = self.inner.lock().expect("cache lock poisoned");
+            return match (inner.map.get(&key).map(|e| &e.stored), read) {
+                (Some(Stored::Mem(p)), _) => Some(p.clone()),
+                // Promoted and spilled again since: its old file is gone.
+                (Some(&Stored::Disk(now)), Err(_)) if now != slot => continue,
+                (Some(&Stored::Disk(now)), Ok(payload)) => {
+                    // Promote: the freshest entry in LRU order.
+                    if let Some(sp) = &inner.spill {
+                        sp.remove(now);
                     }
-                    (None, _) => None,
-                    (Some(_), _) => {
-                        let freed = inner.evict(key);
-                        events.push((EventKind::CacheEvicted, fp.0, freed));
-                        inner.count(ns.0, false);
-                        None
-                    }
+                    inner.clock += 1;
+                    let clock = inner.clock;
+                    let e = inner.map.get_mut(&key).expect("promoted entry exists");
+                    (e.stored, e.last_used) = (Stored::Mem(payload.clone()), clock);
+                    let bytes = e.bytes;
+                    inner.disk_bytes -= bytes;
+                    inner.bytes += bytes;
+                    inner.promotions += 1;
+                    let st = inner.ns.entry(ns.0).or_default();
+                    st.spilled_bytes -= bytes;
+                    st.promotions += 1;
+                    inner.enforce(self.budget, self.disk_budget);
+                    Some(payload)
+                }
+                (None, _) => None,
+                (Some(_), _) => {
+                    inner.evict(key);
+                    inner.count(ns.0, false);
+                    None
                 }
             };
-            self.record_cache_events(&events);
-            return fetched;
         }
     }
 
@@ -863,46 +812,38 @@ impl ResultCache {
             return;
         }
         let card = payload.len() as u64;
-        let mut events: Vec<(EventKind, u64, u64)> = Vec::new();
+        let mut inner = self.inner.lock().unwrap();
+        let quota = inner.quotas.get(&ns.0).copied();
+        if quota.is_some_and(|q| bytes > q) {
+            return;
+        }
+        inner.clock += 1;
+        let clock = inner.clock;
+        if let Some(e) = inner.map.get_mut(&(ns.0, fp.0)) {
+            e.last_used = clock;
+            return;
+        }
+        inner.map.insert(
+            (ns.0, fp.0),
+            Entry { stored: Stored::Mem(payload), bytes, card, last_used: clock },
+        );
+        inner.bytes += bytes;
+        inner.inserts += 1;
         {
-            let mut inner = self.inner.lock().unwrap();
-            let quota = inner.quotas.get(&ns.0).copied();
-            if quota.is_some_and(|q| bytes > q) {
-                return;
-            }
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(e) = inner.map.get_mut(&(ns.0, fp.0)) {
-                e.last_used = clock;
-                return;
-            }
-            inner.map.insert(
-                (ns.0, fp.0),
-                Entry { stored: Stored::Mem(payload), bytes, card, last_used: clock },
-            );
-            inner.bytes += bytes;
-            inner.inserts += 1;
-            {
-                let st = inner.ns.entry(ns.0).or_default();
-                st.bytes += bytes;
-                st.entries += 1;
-                st.inserts += 1;
-            }
-            if let Some(q) = quota {
-                while inner.ns.get(&ns.0).map(|s| s.bytes).unwrap_or(0) > q {
-                    let victim = inner
-                        .victim_where(None, |n| n == ns.0)
-                        .expect("over quota implies non-empty namespace");
-                    let freed = inner.evict(victim);
-                    events.push((EventKind::CacheEvicted, victim.1, freed));
-                }
-            }
-            inner.enforce(self.budget, self.disk_budget, &mut events);
+            let st = inner.ns.entry(ns.0).or_default();
+            st.bytes += bytes;
+            st.entries += 1;
+            st.inserts += 1;
         }
-        if let Some(r) = self.rec() {
-            r.record(EventKind::CacheInsert, None, None, None, bytes as f64, &format!("fp:{fp}"));
+        if let Some(q) = quota {
+            while inner.ns.get(&ns.0).map(|s| s.bytes).unwrap_or(0) > q {
+                let victim = inner
+                    .victim_where(None, |n| n == ns.0)
+                    .expect("over quota implies non-empty namespace");
+                inner.evict(victim);
+            }
         }
-        self.record_cache_events(&events);
+        inner.enforce(self.budget, self.disk_budget);
     }
 
     /// Snapshot the global counters (all namespaces combined).

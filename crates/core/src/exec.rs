@@ -180,6 +180,20 @@ impl VecStats {
     }
 }
 
+/// Sums the counters; the first fallback reason wins.
+impl std::ops::AddAssign for VecStats {
+    fn add_assign(&mut self, other: VecStats) {
+        self.rows += other.rows;
+        self.batches += other.batches;
+        self.vec_steps += other.vec_steps;
+        self.row_steps += other.row_steps;
+        self.exch_batches += other.exch_batches;
+        self.exch_rows += other.exch_rows;
+        self.exch_row_rows += other.exch_row_rows;
+        self.fallback = self.fallback.or(other.fallback);
+    }
+}
+
 impl<'a> ExecCtx<'a> {
     /// New context.
     pub fn new(profiles: &'a Profiles, seed: u64) -> Self {

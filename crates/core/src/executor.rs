@@ -14,17 +14,28 @@ use crate::builtin::CONTROL;
 use crate::channel::ChannelData;
 use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, OpMetrics, TraceEvent};
-use crate::execplan::ExecPlan;
+use crate::execplan::{ExecPlan, CHECKPOINT_CONF, CHECKPOINT_WIDTH};
 use crate::fault::{BudgetExhausted, FaultKind, FaultPlan, InjectedFault};
 use crate::monitor::{check_cardinality, FaultRecord, Health, Monitor};
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::Profiles;
-use crate::trace::{OpProfile, RunProfile, SpanKind, Trace};
+use crate::trace::{OpProfile, SpanKind, Trace};
 use crate::udf::BroadcastCtx;
 use crate::value::{Dataset, Value};
 
-/// Executor configuration.
+/// Max quanta a sniffer captures per operator execution in exploratory
+/// mode ([`ExecConfig::exploration`]).
+pub const SNIFF_LIMIT: usize = 64;
+
+/// Base of the exponential retry backoff, in *virtual* cluster
+/// milliseconds (failure `f` waits `BACKOFF_BASE_MS · 2^(f-1)`), so chaos
+/// runs stay deterministic and fast in wall-clock terms.
+pub const BACKOFF_BASE_MS: f64 = 10.0;
+
+/// Executor configuration. Optimization checkpoints go after stages whose
+/// estimates are less confident than [`crate::execplan::CHECKPOINT_CONF`]
+/// or wider than [`crate::execplan::CHECKPOINT_WIDTH`].
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// RNG seed for sampling operators.
@@ -32,27 +43,16 @@ pub struct ExecConfig {
     /// Exploratory mode: inject sniffers after every logical operator and
     /// multiplex a sample of the flowing data to an auxiliary buffer (§4.2).
     pub exploration: bool,
-    /// Max quanta a sniffer captures per operator execution.
-    pub sniff_limit: usize,
     /// Enable progressive re-optimization (§4.4).
     pub progressive: bool,
     /// Mismatch tolerance: pause when a measured cardinality leaves
     /// `[lo/tau, hi*tau]`.
     pub mismatch_tau: f64,
-    /// Place an optimization checkpoint after stages whose estimates have
-    /// confidence below this…
-    pub checkpoint_conf: f64,
-    /// …or relative width above this.
-    pub checkpoint_width: f64,
     /// Cross-platform fault tolerance (§7.1): max transient failures
     /// tolerated per (stage, loop iteration) before the platform is given up
-    /// on — each one retried with exponential backoff; one more exhausts the
-    /// budget and triggers failover.
+    /// on — each one retried with exponential backoff ([`BACKOFF_BASE_MS`]);
+    /// one more exhausts the budget and triggers failover.
     pub retry_budget: u32,
-    /// Base of the exponential retry backoff, in *virtual* cluster
-    /// milliseconds (failure `f` waits `backoff_base_ms · 2^(f-1)`), so
-    /// chaos runs stay deterministic and fast in wall-clock terms.
-    pub backoff_base_ms: f64,
     /// Fail over to a surviving platform (re-plan from the last consistent
     /// cut over non-blacklisted platforms) when a stage exhausts its retry
     /// budget; with `false` the exhaustion surfaces as an error.
@@ -106,13 +106,9 @@ impl Default for ExecConfig {
         Self {
             seed: 0xC0FFEE,
             exploration: false,
-            sniff_limit: 64,
             progressive: true,
             mismatch_tau: 2.0,
-            checkpoint_conf: crate::execplan::CHECKPOINT_CONF,
-            checkpoint_width: crate::execplan::CHECKPOINT_WIDTH,
             retry_budget: 2,
-            backoff_base_ms: 10.0,
             failover: true,
             chaos_seed: None,
             fault_plan: None,
@@ -248,8 +244,6 @@ struct RunState {
     wall_start: Instant,
     /// Failed attempts per (stage, iteration) — the retry-budget meter.
     stage_attempts: HashMap<(usize, u64), u32>,
-    /// Retries absorbed by the currently open stage run.
-    run_retries: u32,
     /// Open trace span of the current stage run, with its run ordinal.
     run_span: Option<(u32, u32)>,
     /// Parent span for new stage spans (phase span, or the innermost
@@ -356,7 +350,6 @@ impl<'a> Executor<'a> {
             job_retries: 0,
             wall_start: Instant::now(),
             stage_attempts: HashMap::new(),
-            run_retries: 0,
             run_span: None,
             span_parent: self.trace.as_ref().map(|h| h.parent),
             active_loops: Vec::new(),
@@ -667,8 +660,7 @@ impl<'a> Executor<'a> {
                         return NodeOutcome { retries, failures_after: failures, result: Err(err) };
                     }
                     node_retries += 1;
-                    backoff_ms +=
-                        self.config.backoff_base_ms * (1u64 << (failures - 1).min(20)) as f64;
+                    backoff_ms += BACKOFF_BASE_MS * (1u64 << (failures - 1).min(20)) as f64;
                 }
                 Err(e) => {
                     return NodeOutcome { retries, failures_after: *stage_failures, result: Err(e) }
@@ -830,7 +822,6 @@ impl<'a> Executor<'a> {
             }
             if rec.within_budget {
                 st.job_retries += 1;
-                st.run_retries += 1;
             }
         }
         if failures_after > 0 {
@@ -842,7 +833,7 @@ impl<'a> Executor<'a> {
         if self.config.exploration && !node.logical.is_empty() {
             if let Some(total) = out.cardinality() {
                 let sniff_wall = Instant::now();
-                let sample = out.sample(self.config.sniff_limit).unwrap_or_default();
+                let sample = out.sample(SNIFF_LIMIT).unwrap_or_default();
                 let sniff_ms = sniff_wall.elapsed().as_secs_f64() * 1000.0;
                 // Copying at scale costs time proportional to data volume:
                 // charge the multiplex pass over the full output.
@@ -997,7 +988,7 @@ impl<'a> Executor<'a> {
     }
 
     fn close_stage_run(&self, st: &mut RunState) {
-        if let Some(stage) = st.open_stage.take() {
+        if st.open_stage.take().is_some() {
             let run_end = st.run_end.max(st.run_base);
             if let Some((p, lane)) = st.run_lane.take() {
                 if let Some(lanes) = st.lanes.get_mut(p) {
@@ -1005,23 +996,13 @@ impl<'a> Executor<'a> {
                 }
             }
             if let Some(h) = &self.trace {
-                if let Some((sid, run_id)) = st.run_span.take() {
+                if let Some((sid, _)) = st.run_span.take() {
+                    // The closed span is the run's record (`JobTrace::runs`).
                     h.trace.end(sid, h.base_ms + run_end);
                     h.trace.attr(sid, "virtual_ms", st.run_virtual_ms.into());
-                    h.trace.add_run(RunProfile {
-                        phase: h.trace.phase(),
-                        run: run_id,
-                        stage,
-                        platform: self.eplan.stages[stage].platform.0.to_string(),
-                        iteration: st.iteration,
-                        virtual_ms: st.run_virtual_ms,
-                        retries: st.run_retries,
-                        superseded: false,
-                    });
                 }
             }
             st.run_virtual_ms = 0.0;
-            st.run_retries = 0;
         }
     }
 
@@ -1031,8 +1012,7 @@ impl<'a> Executor<'a> {
             return false;
         };
         let est = self.opt.estimates.out_card(tail);
-        let uncertain = est.conf < self.config.checkpoint_conf
-            || est.rel_width() > self.config.checkpoint_width;
+        let uncertain = est.conf < CHECKPOINT_CONF || est.rel_width() > CHECKPOINT_WIDTH;
         if !uncertain {
             return false;
         }

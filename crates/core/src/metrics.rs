@@ -1,5 +1,5 @@
 //! Job metrics registry: monotonic counters and virtual-time histograms
-//! with JSON and Prometheus text-exposition snapshots.
+//! with a Prometheus text-exposition snapshot.
 //!
 //! [`crate::api::RheemContext`] owns one registry and feeds it after every
 //! job from the job's [`crate::api::JobMetrics`] and trace, so long-running
@@ -157,46 +157,6 @@ impl MetricsRegistry {
         self.inner.lock().unwrap().histograms.get(name).cloned()
     }
 
-    /// JSON snapshot of every counter and histogram (key-sorted, so the
-    /// output is deterministic given the same observations).
-    pub fn snapshot_json(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in inner.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in inner.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ =
-                write!(out, "\"{k}\":{{\"count\":{},\"sum\":{:.6},\"buckets\":[", h.count, h.sum);
-            for (j, (&b, &c)) in h.bounds.iter().zip(&h.counts).enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{c}]");
-            }
-            if !h.bounds.is_empty() {
-                out.push(',');
-            }
-            let _ = write!(out, "[null,{}]]}}", h.counts[h.bounds.len()]);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in inner.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v:.6}");
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Prometheus text-exposition snapshot (counters as `counter`, gauges
     /// as `gauge`, histograms as cumulative-bucket `histogram` families).
     ///
@@ -312,11 +272,6 @@ mod tests {
         let m = MetricsRegistry::new();
         m.inc("rheem_retries_total", 2);
         m.observe("rheem_stage_virtual_ms", 3.0);
-        let json = m.snapshot_json();
-        assert!(json.contains("\"rheem_retries_total\":2"));
-        assert!(json.contains("\"rheem_stage_virtual_ms\""));
-        // Valid JSON by our own parser.
-        assert!(crate::trace::json::parse(&json).is_ok());
         let prom = m.snapshot_prometheus();
         assert!(prom.contains("# TYPE rheem_retries_total counter"));
         assert!(prom.contains("rheem_stage_virtual_ms_bucket{le=\"+Inf\"} 1"));

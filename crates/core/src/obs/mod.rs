@@ -5,10 +5,12 @@
 //!
 //! - [`recorder`] — an always-on, lock-light bounded ring buffer of
 //!   structured [`Event`]s that no other record holds (service job
-//!   lifecycle, cache activity, watchdog diagnoses), with exact drop
-//!   accounting and a deterministic JSON dump. Stage runs, faults and row
-//!   fallbacks live once, in each job's [`crate::trace::JobTrace`] (faults
-//!   also in the context's [`crate::monitor::Monitor`]).
+//!   lifecycle, watchdog diagnoses), owned by
+//!   [`crate::service::JobService`], with exact drop accounting and a
+//!   deterministic JSON dump. Stage runs, faults and row fallbacks live
+//!   once, in each job's [`crate::trace::JobTrace`] (faults also in the
+//!   context's [`crate::monitor::Monitor`]); cache activity lives in
+//!   [`crate::cache::CacheStats`].
 //! - [`slo`] — per-tenant labeled histograms decomposing every service job
 //!   into queue-wait / admission / execution / commit phases, plus
 //!   in-flight and fair-share-vtime gauges.

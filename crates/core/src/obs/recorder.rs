@@ -1,8 +1,10 @@
 //! Always-on, lock-light flight recorder: a bounded ring buffer of
-//! structured events that no other record holds — service job lifecycle,
-//! cross-job cache activity and watchdog diagnoses. Stage runs, faults and
-//! row fallbacks are not here: each job's [`crate::trace::JobTrace`] (and
-//! the context's fault log) records them once.
+//! structured events that no other record holds — service job lifecycle
+//! and watchdog diagnoses, written by [`crate::service::JobService`] and
+//! its watchdog only. Stage runs, faults and row fallbacks are not here:
+//! each job's [`crate::trace::JobTrace`] (and the context's fault log)
+//! records them once. Neither is cache activity: the cache's own
+//! [`crate::cache::CacheStats`] counts it.
 //!
 //! Design: a single short [`Mutex`] critical section protects the ring
 //! (push + evict only — no allocation-heavy work inside the lock), while
@@ -28,7 +30,7 @@ pub const DEFAULT_MAX_BYTES: usize = 1 << 20;
 const EVENT_BASE_BYTES: usize = 64;
 
 /// What happened. String forms (for dumps and filters) are dotted
-/// `subject.verb` names, e.g. `job.admitted`, `cache.hit`.
+/// `subject.verb` names, e.g. `job.admitted`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A job passed service admission control.
@@ -43,16 +45,6 @@ pub enum EventKind {
     JobFailed,
     /// The job finished successfully.
     JobCompleted,
-    /// A cross-job cache lookup hit.
-    CacheHit,
-    /// A result was published to the cross-job cache.
-    CacheInsert,
-    /// A cache entry was evicted (quota or budget pressure).
-    CacheEvicted,
-    /// A cold cache entry was demoted from memory to the disk spill tier.
-    CacheSpilled,
-    /// A spilled cache entry was read back and promoted to memory.
-    CachePromoted,
     /// The watchdog emitted a diagnosis.
     Watchdog,
 }
@@ -67,11 +59,6 @@ impl EventKind {
             EventKind::JobStarted => "job.started",
             EventKind::JobFailed => "job.failed",
             EventKind::JobCompleted => "job.completed",
-            EventKind::CacheHit => "cache.hit",
-            EventKind::CacheInsert => "cache.insert",
-            EventKind::CacheEvicted => "cache.evicted",
-            EventKind::CacheSpilled => "cache.spilled",
-            EventKind::CachePromoted => "cache.promoted",
             EventKind::Watchdog => "watchdog",
         }
     }
@@ -91,7 +78,7 @@ pub struct Event {
     /// Stage id, for a straggler diagnosis.
     pub stage: Option<u64>,
     /// Kind-specific magnitude (wait ms for job starts, virtual ms for job
-    /// completions and stragglers, bytes for cache events).
+    /// completions and stragglers).
     pub value: f64,
     /// Free-form detail (rejection reason, job error, diagnosis text).
     pub detail: String,

@@ -23,8 +23,9 @@
 //! - **Attribution**: each job's [`crate::api::JobMetrics`] count only its
 //!   own run, its trace's job span carries a `tenant` attribute, and the
 //!   context's Prometheus snapshot has tenant-labelled counters and gauges.
-//! - **Observability**: job lifecycle events feed the context's
-//!   [`crate::obs::FlightRecorder`], per-tenant SLO phase histograms
+//! - **Observability**: job lifecycle events feed the service's own
+//!   [`FlightRecorder`] ([`JobService::recorder`]; the service and its
+//!   watchdog are the ring's only writers), per-tenant SLO phase histograms
 //!   ([`crate::obs::slo`]) decompose every job into queue / admission /
 //!   exec / commit, a [`Watchdog`] sweeps for starvation and cache thrash
 //!   on a virtual-time cadence and checks every completed job's trace for
@@ -50,8 +51,8 @@ use crate::cache::Namespace;
 use crate::error::{Result, RheemError};
 use crate::kernels::SplitMix64;
 use crate::obs::{
-    self, EventKind, JobPhases, ObsServer, ObsSource, TenantState, Watchdog, WatchdogConfig,
-    WatchdogSnapshot,
+    self, EventKind, FlightRecorder, JobPhases, ObsServer, ObsSource, TenantState, Watchdog,
+    WatchdogConfig, WatchdogSnapshot,
 };
 use crate::plan::RheemPlan;
 
@@ -271,6 +272,8 @@ struct SvcInner {
     state: Mutex<SvcState>,
     work: Condvar,
     watchdog: Watchdog,
+    /// The flight ring: job lifecycle events and watchdog diagnoses.
+    recorder: FlightRecorder,
 }
 
 /// The message a panic was raised with, when it carries a string.
@@ -292,7 +295,7 @@ impl SvcInner {
         }
     }
 
-    /// Record a job-lifecycle event on the context's flight recorder.
+    /// Record a job-lifecycle event on the service's flight recorder.
     fn record(
         &self,
         kind: EventKind,
@@ -301,7 +304,7 @@ impl SvcInner {
         value: f64,
         detail: &str,
     ) {
-        self.ctx.recorder().record(kind, tenant, job, None, value, detail);
+        self.recorder.record(kind, tenant, job, None, value, detail);
     }
 
     /// Scheduler state for a watchdog sweep. Caller holds the state lock.
@@ -398,7 +401,7 @@ impl SvcInner {
                     // Stragglers come from the finished job's own trace: a
                     // failed or untraced job gets no straggler verdict.
                     if let Some(trace) = &r.trace {
-                        let rec = self.ctx.recorder();
+                        let rec = &self.recorder;
                         self.watchdog.check_job(Some(&tname), job.id, &trace.runs, rec, metrics);
                     }
                 }
@@ -413,7 +416,7 @@ impl SvcInner {
             // Sweep outside the state lock: it must never hold up
             // submissions.
             if let Some(snap) = &sweep {
-                self.watchdog.sweep(snap, self.ctx.recorder(), metrics);
+                self.watchdog.sweep(snap, &self.recorder, metrics);
             }
             let _ = job.tx.send(result);
         }
@@ -496,7 +499,7 @@ impl ObsSource for SvcInner {
     }
 
     fn flight_json(&self, n: usize) -> String {
-        self.ctx.recorder().dump_json(Some(n))
+        self.recorder.dump_json(Some(n))
     }
 }
 
@@ -550,6 +553,7 @@ impl JobService {
             }),
             work: Condvar::new(),
             watchdog: Watchdog::new(config.watchdog),
+            recorder: FlightRecorder::default(),
         });
         let mut handles = Vec::with_capacity(runners);
         for i in 0..runners {
@@ -654,6 +658,12 @@ impl JobService {
     /// The wrapped context (metrics, monitor, cache inspection).
     pub fn context(&self) -> &RheemContext {
         &self.inner.ctx
+    }
+
+    /// The service's flight recorder: job lifecycle events and watchdog
+    /// diagnoses (also served at `/flight`).
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.inner.recorder
     }
 
     /// `(job id, tenant name)` of the last 64 completed jobs, in completion

@@ -6,7 +6,9 @@
 //! snapshots into a [`JobTrace`] attached to every job result. On top of the
 //! span tree sit per-operator [`OpProfile`]s (tuples in/out, measured
 //! selectivity, virtual ms, fused-chain membership) that feed `EXPLAIN
-//! ANALYZE` and the cost learner.
+//! ANALYZE` and the cost learner. A stage run is recorded once, as its
+//! closed `Stage` span; [`JobTrace::runs`] is a [`RunProfile`] view of
+//! those spans, derived on snapshot and on parse.
 //!
 //! Determinism: span *structure* (parentage, order, kinds, names, platforms,
 //! cardinalities, fault events) is a pure function of the plan, the seed and
@@ -279,9 +281,9 @@ impl OpProfile {
     }
 }
 
-/// Summary of one stage run — the execution log's record of it; the
-/// run's per-operator metrics are the [`JobTrace::profiles`] with the same
-/// `(phase, run)`.
+/// One stage run, read off its closed [`SpanKind::Stage`] span (the
+/// execution log's one record of it); the run's per-operator metrics are
+/// the [`JobTrace::profiles`] with the same `(phase, run)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunProfile {
     /// Progressive execution phase.
@@ -296,7 +298,8 @@ pub struct RunProfile {
     pub iteration: u64,
     /// Virtual time of the whole run including submission overheads, ms.
     pub virtual_ms: f64,
-    /// Retries absorbed by the run.
+    /// Retries absorbed by the run: its `Retry` children with
+    /// `recovered=1`.
     pub retries: u32,
     /// A later failover re-executed this run's work.
     pub superseded: bool,
@@ -309,7 +312,9 @@ pub struct JobTrace {
     pub spans: Vec<Span>,
     /// Per-operator profiles in execution order.
     pub profiles: Vec<OpProfile>,
-    /// Per-stage-run summaries in execution order.
+    /// Per-stage-run summaries in run order, derived from the closed stage
+    /// spans by [`Trace::snapshot`] and [`JobTrace::from_json`] (so the
+    /// JSON schema does not repeat them).
     pub runs: Vec<RunProfile>,
 }
 
@@ -544,26 +549,6 @@ impl JobTrace {
             }
             let _ = write!(out, ",\"superseded\":{}}}", p.superseded);
         }
-        out.push_str("],\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":{},\"run\":{},\"stage\":{},\"platform\":",
-                r.phase, r.run, r.stage
-            );
-            json_string(&mut out, &r.platform);
-            let _ = write!(
-                out,
-                ",\"iteration\":{},\"virtual_ms\":{},\"retries\":{},\"superseded\":{}}}",
-                r.iteration,
-                json_f64(r.virtual_ms),
-                r.retries,
-                r.superseded
-            );
-        }
         out.push_str("]}");
         out
     }
@@ -662,19 +647,7 @@ impl JobTrace {
                 superseded: json::get(p, "superseded")?.as_bool("superseded")?,
             });
         }
-        for r in json::get(obj, "runs")?.as_arr("runs")? {
-            let r = r.as_obj("run")?;
-            trace.runs.push(RunProfile {
-                phase: json::get(r, "phase")?.as_f64("phase")? as u32,
-                run: json::get(r, "run")?.as_f64("run")? as u32,
-                stage: json::get(r, "stage")?.as_f64("stage")? as usize,
-                platform: json::get(r, "platform")?.as_str("platform")?.to_string(),
-                iteration: json::get(r, "iteration")?.as_f64("iteration")? as u64,
-                virtual_ms: json::get(r, "virtual_ms")?.as_f64("virtual_ms")?,
-                retries: json::get(r, "retries")?.as_f64("retries")? as u32,
-                superseded: json::get(r, "superseded")?.as_bool("superseded")?,
-            });
-        }
+        trace.runs = runs_of(&trace.spans);
         Ok(trace)
     }
 }
@@ -955,7 +928,6 @@ pub mod json {
 struct TraceInner {
     spans: Vec<Span>,
     profiles: Vec<OpProfile>,
-    runs: Vec<RunProfile>,
     phase: u32,
     next_run: u32,
 }
@@ -1029,11 +1001,6 @@ impl Trace {
         self.inner.lock().unwrap().profiles.push(profile);
     }
 
-    /// Record one stage-run summary.
-    pub fn add_run(&self, run: RunProfile) {
-        self.inner.lock().unwrap().runs.push(run);
-    }
-
     /// Enter the next progressive execution phase; later spans, profiles and
     /// runs carry it, and [`Trace::supersede_current_phase`] marks only it.
     pub fn begin_phase(&self) -> u32 {
@@ -1055,10 +1022,11 @@ impl Trace {
         id
     }
 
-    /// Mark the current phase's spans/profiles/runs of the given stages
-    /// superseded: a failover is about to re-execute their work (an
-    /// in-flight loop restarts from iteration 0), so keeping them live would
-    /// double-count iterations in the learner.
+    /// Mark the current phase's closed stage spans and profiles of the
+    /// given stages superseded: a failover is about to re-execute their
+    /// work (an in-flight loop restarts from iteration 0), so keeping them
+    /// live would double-count iterations in the learner. A stage span the
+    /// failure left open records no run and stays unmarked.
     pub fn supersede_current_phase(&self, stages: &HashSet<usize>) {
         let mut inner = self.inner.lock().unwrap();
         let phase = inner.phase;
@@ -1067,26 +1035,11 @@ impl Trace {
                 p.superseded = true;
             }
         }
-        let marked: Vec<(u32, u32)> = inner
-            .runs
-            .iter_mut()
-            .filter(|r| r.phase == phase && stages.contains(&r.stage))
-            .map(|r| {
-                r.superseded = true;
-                (r.phase, r.run)
-            })
-            .collect();
-        // Stage spans carry their run ordinal; mark the matching ones.
         for s in inner.spans.iter_mut() {
-            if s.kind != SpanKind::Stage {
-                continue;
-            }
-            let (Some(AttrValue::Int(ph)), Some(AttrValue::Int(run))) =
-                (s.attr("phase").cloned(), s.attr("run").cloned())
-            else {
-                continue;
-            };
-            if marked.iter().any(|&(p, r)| p as i64 == ph && r as i64 == run) {
+            if is_closed_stage(s)
+                && int_attr(s, "phase") == phase as i64
+                && stages.contains(&(int_attr(s, "stage") as usize))
+            {
                 s.superseded = true;
             }
         }
@@ -1098,23 +1051,112 @@ impl Trace {
         JobTrace {
             spans: inner.spans.clone(),
             profiles: inner.profiles.clone(),
-            runs: inner.runs.clone(),
+            runs: runs_of(&inner.spans),
         }
     }
+}
+
+/// Whether `s` is a stage run's span that its run closed (the executor
+/// attaches `virtual_ms` when it closes the run).
+fn is_closed_stage(s: &Span) -> bool {
+    s.kind == SpanKind::Stage && s.attr("virtual_ms").is_some()
+}
+
+/// Integer attribute `key` of a span (0 when absent).
+fn int_attr(s: &Span, key: &str) -> i64 {
+    match s.attr(key) {
+        Some(AttrValue::Int(v)) => *v,
+        _ => 0,
+    }
+}
+
+/// The stage runs a span tree records: one per closed `Stage` span (one
+/// that carries `virtual_ms`), in run order, each with its recovered
+/// `Retry` children as retries.
+fn runs_of(spans: &[Span]) -> Vec<RunProfile> {
+    let mut runs: Vec<RunProfile> = Vec::new();
+    let mut run_of: Vec<Option<usize>> = vec![None; spans.len()];
+    for s in spans {
+        match s.kind {
+            SpanKind::Stage => {
+                let Some(&AttrValue::Float(virtual_ms)) = s.attr("virtual_ms") else {
+                    continue;
+                };
+                if let Some(slot) = run_of.get_mut(s.id as usize) {
+                    *slot = Some(runs.len());
+                }
+                runs.push(RunProfile {
+                    phase: int_attr(s, "phase") as u32,
+                    run: int_attr(s, "run") as u32,
+                    stage: int_attr(s, "stage") as usize,
+                    platform: s.platform.clone().unwrap_or_default(),
+                    iteration: int_attr(s, "iteration") as u64,
+                    virtual_ms,
+                    retries: 0,
+                    superseded: s.superseded,
+                });
+            }
+            SpanKind::Retry if int_attr(s, "recovered") == 1 => {
+                // Parsed traces may carry any ids: look up, never index.
+                if let Some(i) = s.parent.and_then(|p| run_of.get(p as usize).copied().flatten()) {
+                    runs[i].retries += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Open a stage run's span the way the executor does; returns the span
+    /// id and the run ordinal.
+    fn open_run(
+        t: &Trace,
+        parent: Option<u32>,
+        stage: usize,
+        iteration: u64,
+        at: f64,
+    ) -> (u32, u32) {
+        let (phase, run) = (t.phase(), t.next_run_id());
+        let span = t.begin(
+            parent,
+            SpanKind::Stage,
+            &format!("stage {stage}"),
+            Some(PlatformId("spark")),
+            at,
+        );
+        t.attr(span, "stage", stage.into());
+        t.attr(span, "iteration", iteration.into());
+        t.attr(span, "phase", phase.into());
+        t.attr(span, "run", run.into());
+        (span, run)
+    }
+
+    /// Close a stage run's span the way the executor does.
+    fn close_run(t: &Trace, span: u32, end: f64, virtual_ms: f64) {
+        t.end(span, end);
+        t.attr(span, "virtual_ms", virtual_ms.into());
+    }
+
+    /// A retry instant under a stage span.
+    fn retry(t: &Trace, span: u32, attempt: u32, recovered: bool) {
+        let r = t.instant(Some(span), SpanKind::Retry, "SparkMap", Some(PlatformId("spark")), 1.0);
+        t.attr(r, "attempt", attempt.into());
+        t.attr(r, "kind", "OperatorCrash".into());
+        t.attr(r, "recovered", i64::from(recovered).into());
+    }
+
     fn sample_trace() -> JobTrace {
         let t = Trace::new();
         t.begin_phase();
         let job = t.begin(None, SpanKind::Job, "job", None, 0.0);
         t.instant(Some(job), SpanKind::Submit, "submit", None, 0.0);
-        let stage = t.begin(Some(job), SpanKind::Stage, "stage 0", Some(PlatformId("spark")), 1.0);
-        t.attr(stage, "phase", 1u32.into());
-        t.attr(stage, "run", 0u32.into());
+        let (stage, _) = open_run(&t, Some(job), 0, 0, 1.0);
+        retry(&t, stage, 1, true);
         let op =
             t.begin(Some(stage), SpanKind::Operator, "SparkMap", Some(PlatformId("spark")), 1.5);
         t.attr(op, "tuples_in", 100u64.into());
@@ -1122,7 +1164,7 @@ mod tests {
         t.attr(op, "virtual_ms", 2.5f64.into());
         t.end(op, 4.0);
         t.instant(Some(op), SpanKind::Event, "spark.shuffle", Some(PlatformId("spark")), 1.5);
-        t.end(stage, 4.0);
+        close_run(&t, stage, 4.0, 3.0);
         t.end(job, 4.0);
         t.add_profile(OpProfile {
             name: "SparkMap".into(),
@@ -1149,16 +1191,6 @@ mod tests {
             },
             superseded: false,
         });
-        t.add_run(RunProfile {
-            phase: 1,
-            run: 0,
-            stage: 0,
-            platform: "spark".into(),
-            iteration: 0,
-            virtual_ms: 3.0,
-            retries: 1,
-            superseded: false,
-        });
         t.snapshot()
     }
 
@@ -1176,11 +1208,31 @@ mod tests {
     }
 
     #[test]
+    fn closed_stage_span_is_the_run_record() {
+        let jt = sample_trace();
+        let expected = RunProfile {
+            phase: 1,
+            run: 0,
+            stage: 0,
+            platform: "spark".into(),
+            iteration: 0,
+            virtual_ms: 3.0,
+            retries: 1,
+            superseded: false,
+        };
+        assert_eq!(jt.runs, vec![expected]);
+    }
+
+    #[test]
     fn json_round_trip_is_lossless() {
         let jt = sample_trace();
         let text = jt.to_json();
+        // Runs are derived from the stage spans, so the schema does not
+        // repeat them.
+        assert!(!text.contains("\"runs\""), "{text}");
         let back = JobTrace::from_json(&text).unwrap();
         assert_eq!(jt, back);
+        assert_eq!(back.runs.len(), 1);
         // And re-serialization is byte-stable.
         assert_eq!(text, back.to_json());
     }
@@ -1192,7 +1244,7 @@ mod tests {
         let parsed = json::parse(&chrome).unwrap();
         let events = json::get(parsed.as_obj("root").unwrap(), "traceEvents").unwrap();
         let events = events.as_arr("traceEvents").unwrap();
-        // 2 thread_name metadata lanes (driver + spark) + 5 spans.
+        // 2 thread_name metadata lanes (driver + spark) + one per span.
         assert_eq!(events.len(), 2 + jt.spans.len());
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"ph\":\"i\""));
@@ -1207,30 +1259,18 @@ mod tests {
         assert!(!p.is_pseudo());
     }
 
-    /// Record one stage run of `stage` in the current phase: its stage span,
-    /// run summary and one operator profile.
+    /// Record one closed stage run of `stage` in the current phase: its
+    /// stage span and one operator profile.
     fn record_run(t: &Trace, stage: usize, virtual_ms: f64) {
-        let (phase, run) = (t.phase(), t.next_run_id());
-        let span = t.begin(None, SpanKind::Stage, &format!("stage {stage}"), None, 0.0);
-        t.attr(span, "phase", phase.into());
-        t.attr(span, "run", run.into());
-        t.add_run(RunProfile {
-            phase,
-            run,
-            stage,
-            platform: "x".into(),
-            iteration: 0,
-            virtual_ms,
-            retries: 0,
-            superseded: false,
-        });
+        let (span, run) = open_run(t, None, stage, 0, 0.0);
+        close_run(t, span, virtual_ms, virtual_ms);
         t.add_profile(OpProfile {
             name: "XMap".into(),
-            platform: "x".into(),
+            platform: "spark".into(),
             node: 0,
             stage,
             iteration: 0,
-            phase,
+            phase: t.phase(),
             run,
             logical: vec![],
             tuples_in: 0,
@@ -1253,15 +1293,53 @@ mod tests {
         t.supersede_current_phase(&HashSet::from([0]));
         let jt = t.snapshot();
         // Earlier phase untouched, current phase + listed stage marked,
-        // unlisted stage untouched — in all three views of a run.
+        // unlisted stage untouched — on the span, and so on its run, and on
+        // the profile.
         let expected = vec![false, true, false];
+        assert_eq!(jt.spans.iter().map(|s| s.superseded).collect::<Vec<_>>(), expected, "spans");
         assert_eq!(jt.runs.iter().map(|r| r.superseded).collect::<Vec<_>>(), expected, "runs");
         let profiles: Vec<bool> = jt.profiles.iter().map(|p| p.superseded).collect();
         assert_eq!(profiles, expected, "profiles");
-        assert_eq!(jt.spans.iter().map(|s| s.superseded).collect::<Vec<_>>(), expected, "spans");
         assert_eq!(jt.profiles_effective().count(), 2);
         // Effective runs only: 1.0 + 3.0.
         assert!((jt.total_run_virtual_ms() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn open_stage_span_yields_no_run_and_is_never_superseded() {
+        let t = Trace::new();
+        t.begin_phase();
+        record_run(&t, 0, 1.0);
+        // A failure left this run's span open: no `virtual_ms`, no end.
+        let (open, _) = open_run(&t, None, 0, 1, 1.0);
+        t.supersede_current_phase(&HashSet::from([0]));
+        let jt = t.snapshot();
+        assert_eq!(jt.runs.len(), 1, "{:?}", jt.runs);
+        assert!(jt.runs[0].superseded);
+        let open = &jt.spans[open as usize];
+        assert_eq!(open.end_ms, OPEN_END);
+        assert!(!open.superseded, "an open span is never marked");
+        assert_eq!(JobTrace::from_json(&jt.to_json()).unwrap().runs, jt.runs);
+    }
+
+    #[test]
+    fn retries_of_a_run_count_only_recovered_retry_children() {
+        let t = Trace::new();
+        t.begin_phase();
+        let (first, _) = open_run(&t, None, 0, 0, 0.0);
+        retry(&t, first, 1, true);
+        retry(&t, first, 2, true);
+        // The budget-exhausting attempt is a retry span too, unrecovered.
+        retry(&t, first, 3, false);
+        close_run(&t, first, 1.0, 1.0);
+        let (second, _) = open_run(&t, None, 1, 0, 1.0);
+        retry(&t, second, 1, false);
+        // A recovered retry nested deeper (not a child) does not count.
+        let op = t.begin(Some(second), SpanKind::Operator, "SparkMap", None, 1.0);
+        retry(&t, op, 1, true);
+        close_run(&t, second, 2.0, 1.0);
+        let jt = t.snapshot();
+        assert_eq!(jt.runs.iter().map(|r| r.retries).collect::<Vec<_>>(), vec![2, 0]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints on the whole workspace, the whole workspace's
 # tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
-# the trace round trip, the differential, cross-platform, chaos and
-# fault-tolerance suites on a one-worker pool (where every partition runs
-# inline), the service and fault-tolerance suites on 2- and 8-worker pools
-# (job coordinators on pool workers included), and the obs suite on 1-, 2-
-# and 8-worker pools (straggler verdicts come from the completion path). Batch
+# the trace round trip, the differential, cross-platform, chaos,
+# fault-tolerance and explain suites on a one-worker pool (where every
+# partition runs inline; explain's golden span structure pins the stage-span
+# attributes a job's runs are derived from), the service and
+# fault-tolerance suites on 2- and 8-worker pools (job coordinators on pool
+# workers included), and the obs suite on 1-, 2- and 8-worker pools
+# (straggler verdicts come from the completion path). Batch
 # and cache modes are forced in-process by tests/differential.rs and
 # tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
@@ -34,7 +36,7 @@ RHEEM_POOL=8 cargo test -q --release --test service --test fault_tolerance --tes
 
 echo "== one-worker pool: every par_each_idx partition runs inline"
 RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \
-    --test chaos --test fault_tolerance
+    --test chaos --test fault_tolerance --test explain
 
 echo "== observability suite (recorder, exposition, watchdog over live TCP scrapes)"
 cargo test -q --release --test obs -- --test-threads=1

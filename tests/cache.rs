@@ -583,9 +583,9 @@ fn cached_replay_feeds_vectorized_downstream_chain() {
         analysis.rows.iter().map(|r| r.exec_name.clone()).collect::<Vec<_>>()
     );
     assert!(
-        analysis.rows.iter().any(|r| r.vec_steps > 0),
+        analysis.rows.iter().any(|r| r.vec.vec_steps > 0),
         "downstream of the replay must stay vectorized: {:?}",
-        analysis.rows.iter().map(|r| (r.exec_name.clone(), r.vec_steps)).collect::<Vec<_>>()
+        analysis.rows.iter().map(|r| (r.exec_name.clone(), r.vec.vec_steps)).collect::<Vec<_>>()
     );
     let (warm, _) = run(&ctx, &b_plan, b_sink).unwrap();
     assert_eq!(warm, reference, "columnar replay changed job B's answer");

@@ -326,12 +326,12 @@ fn vectorizable_plans_report_vectorized_steps() {
         let (plan, _) = build();
         let analysis = rheem::default_context().with_batch(true).explain_analyze(&plan).unwrap();
         assert!(
-            analysis.rows.iter().any(|r| r.vec_steps > 0),
+            analysis.rows.iter().any(|r| r.vec.vec_steps > 0),
             "{label}: no operator reported vectorized steps"
         );
         let analysis = rheem::default_context().with_batch(false).explain_analyze(&plan).unwrap();
         assert!(
-            analysis.rows.iter().all(|r| r.vec_steps == 0 && r.row_steps == 0),
+            analysis.rows.iter().all(|r| r.vec.vec_steps == 0 && r.vec.row_steps == 0),
             "{label}: row mode reported batch statistics"
         );
     }
@@ -520,7 +520,7 @@ fn shuffle_plans_report_columnar_exchange() {
         ctx.forced_platform = Some(ids::SPARK);
         let analysis = ctx.explain_analyze(&plan).unwrap();
         assert!(
-            analysis.rows.iter().any(|r| r.exch_batches > 0),
+            analysis.rows.iter().any(|r| r.vec.exch_batches > 0),
             "wide op {wide}: columnar exchange never shipped a batch"
         );
         // Row mode must stay fully dormant.
@@ -528,7 +528,7 @@ fn shuffle_plans_report_columnar_exchange() {
         ctx.forced_platform = Some(ids::SPARK);
         let analysis = ctx.explain_analyze(&plan).unwrap();
         assert!(
-            analysis.rows.iter().all(|r| r.exch_batches == 0 && r.exch_row_rows == 0),
+            analysis.rows.iter().all(|r| r.vec.exch_batches == 0 && r.vec.exch_row_rows == 0),
             "wide op {wide}: row mode reported exchange batch statistics"
         );
     }
@@ -542,8 +542,9 @@ fn shuffle_plans_report_columnar_exchange() {
         let mut ctx = rheem::default_context().with_batch(true);
         ctx.forced_platform = Some(ids::SPARK);
         let analysis = ctx.explain_analyze(&plan).unwrap();
-        fallback_cases +=
-            usize::from(analysis.rows.iter().any(|r| r.exch_row_rows > 0 && r.fallback.is_some()));
+        fallback_cases += usize::from(
+            analysis.rows.iter().any(|r| r.vec.exch_row_rows > 0 && r.vec.fallback.is_some()),
+        );
     }
     assert!(fallback_cases > 0, "no opaque case reported a row-exchange fallback");
 }

@@ -14,8 +14,10 @@
 //!    — and only they are — via `rheem_watchdog_*` metrics, while
 //!    `/metrics`, `/healthz` and `/flight` are scraped concurrently over
 //!    real TCP.
-//! 4. **One stage log**: stage runs live in the job trace only, so a
-//!    looped job writes no flight event at any iteration count.
+//! 4. **One record per fact**: stage runs live in the job trace and cache
+//!    activity in `CacheStats`, so the service's ring holds only job
+//!    lifecycle and watchdog events, whatever a job's iteration count or
+//!    cache traffic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -392,26 +394,62 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
     assert!(scrape(&addr, "/nope").is_err());
 }
 
-// ---- 4. stage runs stay out of the flight ring ---------------------------
+// ---- 4. the flight ring holds only what no other record holds ----------
 
-/// The job trace is the one record of a stage run: an SGD loop on a fresh
-/// context writes no flight event, whatever its iteration count.
+/// In-memory WordCount over `lines` distinct lines: collection sources
+/// are content-fingerprinted, so a rerun replays from the cache.
+fn wordcount_plan(lines: i64, salt: i64) -> RheemPlan {
+    let text: Vec<Value> =
+        (0..lines).map(|i| Value::from(format!("w{} w{} w{salt}", i % 13, (i * 7) % 31))).collect();
+    let mut b = PlanBuilder::new();
+    b.collection(text)
+        .flat_map(FlatMapUdf::split_whitespace("split"))
+        .map(MapUdf::pair_with_int("pair", 1))
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
+        .collect();
+    b.build().unwrap()
+}
+
+/// Stage runs live in the job trace and cache activity in `CacheStats`,
+/// so a service running a 1 000-iteration SGD loop and a cold and a warm
+/// pass of cached WordCount jobs writes only its four lifecycle events per
+/// job (and any watchdog diagnosis) to its ring.
 #[test]
-fn looped_plan_writes_no_flight_events() {
+fn service_ring_holds_only_job_and_watchdog_events() {
     let _serial = one_at_a_time();
+    let ctx = rheem::default_context().with_cache(256 << 20);
+    let svc = JobService::new(
+        ctx,
+        ServiceConfig { runners: 1, ..ServiceConfig::default() },
+        vec![TenantSpec::new("t")],
+    )
+    .unwrap();
     let points: Dataset = Arc::new(rheem_datagen::generate_points(256, 4, 0.05, 7).points);
-    for iterations in [1, 10, 1_000] {
-        let ctx = rheem::default_context();
-        let cfg = ml4all::SgdConfig { dims: 4, batch: 64, iterations, ..Default::default() };
-        let source = ml4all::PointSource::InMemory(Arc::clone(&points));
-        let (plan, _) = ml4all::build_sgd_plan(source, &cfg).unwrap();
-        let trace = ctx.execute(&plan).unwrap().trace.expect("tracing is on by default");
-        assert!(trace.runs.len() > iterations as usize, "every iteration is a traced run");
-        assert_eq!(
-            ctx.recorder().recorded(),
-            0,
-            "{iterations} iterations, {} stage runs",
-            trace.runs.len()
-        );
+    let cfg = ml4all::SgdConfig { dims: 4, batch: 64, iterations: 1_000, ..Default::default() };
+    let (sgd, _) = ml4all::build_sgd_plan(ml4all::PointSource::InMemory(points), &cfg).unwrap();
+    let trace = svc.submit("t", sgd).unwrap().wait().unwrap().trace.expect("traced");
+    assert!(trace.runs.len() > 1_000, "every iteration is a traced run");
+    let mut jobs = 1;
+    for _pass in 0..2 {
+        for salt in 0..4 {
+            svc.submit("t", wordcount_plan(400, salt)).unwrap().wait().unwrap();
+            jobs += 1;
+        }
     }
+    let stats = svc.context().cache().expect("cache on").stats();
+    assert!(stats.inserts > 0 && stats.hits > 0, "the warm pass replays: {stats:?}");
+
+    let rec = svc.recorder();
+    assert_eq!(rec.dropped(), 0);
+    let events = rec.recent(usize::MAX);
+    let mut per_job = std::collections::BTreeMap::<u64, usize>::new();
+    for e in &events {
+        let kind = e.kind.as_str();
+        assert!(kind.starts_with("job.") || kind == "watchdog", "unexpected {kind} event");
+        if kind.starts_with("job.") {
+            *per_job.entry(e.job.expect("lifecycle events carry their job")).or_default() += 1;
+        }
+    }
+    assert_eq!(per_job.len(), jobs, "{per_job:?}");
+    assert!(per_job.values().all(|&n| n == 4), "{per_job:?}");
 }

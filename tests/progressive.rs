@@ -99,7 +99,7 @@ fn exploration_mode_taps_operators_with_bounded_overhead() {
     assert!(!tapped.exploration.taps.is_empty());
     // sniffer captures bounded samples
     for (_, sample) in &tapped.exploration.taps {
-        assert!(sample.len() <= exploring.config().sniff_limit);
+        assert!(sample.len() <= rheem_core::executor::SNIFF_LIMIT);
     }
     // overhead exists but stays within ~2x for this shape
     assert!(tapped.metrics.virtual_ms >= base.metrics.virtual_ms * 0.99);
