@@ -19,10 +19,19 @@
 //! the fingerprint (samplers, loop heads and bodies, mutable table scans)
 //! have no fingerprint, and neither does anything downstream of them.
 //!
+//! The optimizer probes the cache once per fingerprinted operator, before
+//! estimation, and pins each hit operator's estimate to the entry's
+//! recorded cardinality: a replay is a measurement, so no optimization
+//! checkpoint re-plans around it and a warm job runs in one phase.
+//!
 //! Publication goes beyond node tails: [`publish_map`] also exposes the
 //! *interior cut points* of fused chains ([`crate::fused::cut_points`]), so
 //! a later job that shares only a structural prefix of a chain — the same
 //! source → tokenize but a different downstream aggregate — still hits.
+//! Each cut is computed once, from the cut before it, and none when all
+//! are resident ([`ResultCache::publish_cuts_in`]). Publishing a resident
+//! fingerprint is a map probe that refreshes its age and sizes nothing,
+//! and a node that replays an entry does not publish it again.
 //!
 //! Storage is two-tiered. The memory budget bounds *resident* bytes; under
 //! pressure cold entries are demoted to a disk [`spill`] tier (bounded by
@@ -239,28 +248,34 @@ pub struct NodePublish {
     /// channel is reusable and the subplan is fingerprintable.
     pub tail: Option<Fingerprint>,
     /// Interior cut points as `(prefix_len, fingerprint)` pairs, shortest
-    /// first. The executor recomputes `ops[..prefix_len]` from the node's
-    /// input via [`crate::fused::FusedPipeline`] and publishes the result.
+    /// first. [`ResultCache::publish_cuts_in`] computes each from the one
+    /// before it and publishes the ones not yet resident.
     pub cuts: Vec<(usize, Fingerprint)>,
 }
 
 /// Publication schedule for a whole exec plan, indexed like `eplan.nodes`.
-/// Cut points are only emitted for nodes whose logical chain is *linear*
-/// (each member feeds exactly the next, no broadcasts) — the shape fused
-/// chains have by construction — and land on fusable prefixes, so they can
-/// be recomputed from the node's single input.
+/// A node whose tail operator the plan replays from the cache (`replayed`,
+/// see [`crate::optimizer::OptimizedPlan::replayed`]) publishes no tail: its
+/// value is that entry. Cut points are only emitted for nodes whose logical
+/// chain is *linear* (each member feeds exactly the next, no broadcasts) —
+/// the shape fused chains have by construction — and land on fusable
+/// prefixes, so they can be recomputed from the node's single input.
 pub fn publish_map(
     plan: &RheemPlan,
     fps: &[Option<Fingerprint>],
     eplan: &ExecPlan,
     registry: &Registry,
+    replayed: &[OperatorId],
 ) -> Vec<NodePublish> {
     eplan
         .nodes
         .iter()
         .map(|nd| {
             let reusable = registry.channel(nd.exec.output_kind()).reusable;
-            let tail = if reusable { nd.tail().and_then(|t| fps[t.index()]) } else { None };
+            let tail = nd
+                .tail()
+                .filter(|t| reusable && !replayed.contains(t))
+                .and_then(|t| fps[t.index()]);
             let mut cuts = Vec::new();
             if nd.logical.len() > 1 && nd.inputs.len() == 1 && nd.broadcasts.is_empty() {
                 let linear = plan.node(nd.logical[0]).broadcasts.is_empty()
@@ -431,6 +446,29 @@ pub fn batches_unique_bytes(batches: &[Batch]) -> u64 {
     }
     total as u64
 }
+
+/// The values of a linear fusable chain `ops` at the prefix lengths `lens`
+/// (ascending), from its `input`: each prefix is the steps since the one
+/// before it, run over that one's output. The walk stops at steps that do
+/// not fuse, which [`crate::fused::cut_points`] never yields.
+fn cut_values(ops: &[LogicalOp], lens: &[usize], input: Dataset) -> Vec<Dataset> {
+    let bc = BroadcastCtx::new();
+    let mut out: Vec<Dataset> = Vec::with_capacity(lens.len());
+    let mut done = 0;
+    for &len in lens {
+        let Some(steps) = crate::fused::FusedPipeline::from_ops(&ops[done..len]) else { break };
+        let from = out.last().unwrap_or(&input);
+        let vals = Arc::new(steps.run(from, &bc));
+        out.push(vals);
+        done = len;
+    }
+    out
+}
+
+/// Test builds log every payload sized for publication (`PAYLOADS_SIZED`,
+/// below the tests' cut); other builds do nothing here.
+#[cfg(not(test))]
+fn payload_sized(_: Fingerprint) {}
 
 /// Which storage tier a lookup was served from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -691,8 +729,8 @@ impl ResultCache {
     }
 
     /// Whether a fingerprint is resident in `ns` (either tier). Unlike
-    /// [`Self::lookup_in`] this counts nothing and refreshes nothing — the
-    /// executor uses it to skip recomputing already-published cut points.
+    /// [`Self::lookup_in`] this counts nothing and refreshes nothing —
+    /// [`Self::publish_cuts_in`] uses it to skip computing resident cuts.
     pub fn contains_in(&self, ns: Namespace, fp: Fingerprint) -> bool {
         self.inner.lock().unwrap().map.contains_key(&(ns.0, fp.0))
     }
@@ -791,22 +829,39 @@ impl ResultCache {
     }
 
     /// Publish a committed channel into a namespace, preserving its layout
-    /// (columnar stays columnar). Non-cacheable layouts are ignored.
+    /// (columnar stays columnar). Non-cacheable layouts are ignored. A
+    /// resident fingerprint is refreshed before the channel is captured, so
+    /// a partitioned channel is not flattened to be thrown away.
     pub fn insert_channel_in(&self, ns: Namespace, fp: Fingerprint, data: &ChannelData) {
-        if let Some(payload) = CachedPayload::from_channel(data) {
-            self.insert_payload_in(ns, fp, payload);
-        }
+        self.publish_in(ns, fp, || CachedPayload::from_channel(data))
     }
 
-    /// Publish a result into a namespace. Re-publishing an existing
-    /// fingerprint only refreshes its age; results over the whole memory
-    /// budget — or over the namespace quota, when one is set — are
-    /// rejected. Eviction order is deterministic (the LRU clock is unique
-    /// per operation): first within-namespace LRU eviction until the quota
-    /// holds, then memory-budget enforcement, which demotes LRU entries
-    /// from unquoted namespaces to the spill tier (or evicts, when
-    /// spilling is off or the disk budget is exhausted).
+    /// Publish a result into a namespace. Re-publishing a resident
+    /// fingerprint is a map probe: it only refreshes the entry's age,
+    /// subject to the quota test on its recorded bytes, and sizes nothing.
+    /// A new result over the whole memory budget — or over the namespace
+    /// quota, when one is set — is rejected. Eviction order is
+    /// deterministic (the LRU clock is unique per operation): first
+    /// within-namespace LRU eviction until the quota holds, then
+    /// memory-budget enforcement, which demotes LRU entries from unquoted
+    /// namespaces to the spill tier (or evicts, when spilling is off or the
+    /// disk budget is exhausted).
     pub fn insert_payload_in(&self, ns: Namespace, fp: Fingerprint, payload: CachedPayload) {
+        self.publish_in(ns, fp, || Some(payload))
+    }
+
+    fn publish_in(
+        &self,
+        ns: Namespace,
+        fp: Fingerprint,
+        payload: impl FnOnce() -> Option<CachedPayload>,
+    ) {
+        if self.refresh_in(ns, fp) {
+            return;
+        }
+        let Some(payload) = payload() else { return };
+        // Sized outside the lock: unique-bytes accounting walks the payload.
+        payload_sized(fp);
         let bytes = payload.accounted_bytes().max(1);
         if bytes > self.budget {
             return;
@@ -819,6 +874,7 @@ impl ResultCache {
         }
         inner.clock += 1;
         let clock = inner.clock;
+        // Published by a concurrent job while this one was sizing.
         if let Some(e) = inner.map.get_mut(&(ns.0, fp.0)) {
             e.last_used = clock;
             return;
@@ -844,6 +900,52 @@ impl ResultCache {
             }
         }
         inner.enforce(self.budget, self.disk_budget);
+    }
+
+    /// The re-publication of a resident fingerprint: refresh its age unless
+    /// its recorded bytes exceed the namespace quota. `false` when the
+    /// fingerprint is not resident.
+    fn refresh_in(&self, ns: Namespace, fp: Fingerprint) -> bool {
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        let quota = inner.quotas.get(&ns.0).copied();
+        let Some(e) = inner.map.get_mut(&(ns.0, fp.0)) else { return false };
+        if quota.is_none_or(|q| e.bytes <= q) {
+            inner.clock += 1;
+            e.last_used = inner.clock;
+        }
+        true
+    }
+
+    /// Publish the interior fused-chain cut points of a committed node
+    /// whose logical `chain` read `input` (see [`NodePublish::cuts`]):
+    /// structurally shared *prefixes* `ops[..len]` of the chain that no
+    /// single node produced. Nothing is computed when every cut is
+    /// resident. Otherwise cut *k* is `ops[len_{k-1}..len_k]` run over cut
+    /// *k−1*'s output (over `input` for the first) — narrow fusable steps
+    /// compose, so each cut equals its prefix run over the input — up to
+    /// the last missing cut, and only the missing cuts are published.
+    pub fn publish_cuts_in(
+        &self,
+        ns: Namespace,
+        plan: &RheemPlan,
+        chain: &[OperatorId],
+        cuts: &[(usize, Fingerprint)],
+        input: &ChannelData,
+    ) {
+        let missing: Vec<bool> = cuts.iter().map(|&(_, fp)| !self.contains_in(ns, fp)).collect();
+        let Some(last) = missing.iter().rposition(|&m| m) else { return };
+        let Ok(rows) = input.flatten() else { return };
+        let lens: Vec<usize> = cuts[..=last].iter().map(|&(len, _)| len).collect();
+        let ops: Vec<LogicalOp> =
+            chain[..lens[last]].iter().map(|&id| plan.node(id).op.clone()).collect();
+        for ((vals, &(_, fp)), &missing) in
+            cut_values(&ops, &lens, rows).into_iter().zip(cuts).zip(&missing)
+        {
+            if missing {
+                self.insert_in(ns, fp, vals);
+            }
+        }
     }
 
     /// Snapshot the global counters (all namespaces combined).
@@ -1045,6 +1147,17 @@ impl ExecutionOperator for CachedSource {
     }
 }
 
+/// The fingerprints whose payloads were sized for publication in this
+/// process, in order. A test finds its own by the fingerprints it owns,
+/// whatever other tests publish meanwhile.
+#[cfg(test)]
+static PAYLOADS_SIZED: Mutex<Vec<Fingerprint>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+fn payload_sized(fp: Fingerprint) {
+    PAYLOADS_SIZED.lock().unwrap().push(fp);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +1224,56 @@ mod tests {
         cache.insert(fp(1), dataset(5));
         let s = cache.stats();
         assert_eq!((s.inserts, s.entries), (1, 1));
+    }
+
+    /// Re-publishing a resident fingerprint is a map probe: it refreshes
+    /// the entry's age (the LRU victim is the other entry) and sizes
+    /// nothing, whichever way it is published.
+    #[test]
+    fn republishing_a_resident_fingerprint_sizes_nothing() {
+        let (a, b, c) = (fp(0x5123_0001), fp(0x5123_0002), fp(0x5123_0003));
+        let sized = |key| PAYLOADS_SIZED.lock().unwrap().iter().filter(|&&f| f == key).count();
+        let one = rows_unique_bytes(&dataset(100));
+        let cache = ResultCache::new(2 * one + one / 2);
+        cache.insert(a, dataset(100));
+        cache.insert(b, dataset(100));
+        assert_eq!((sized(a), sized(b)), (1, 1));
+        cache.insert(a, dataset(100));
+        cache.insert_channel_in(Namespace::SHARED, a, &ChannelData::Collection(dataset(100)));
+        assert_eq!(sized(a), 1, "a resident fingerprint was sized again");
+        assert_eq!(cache.stats().inserts, 2);
+        cache.insert(c, dataset(100));
+        assert!(cache.contains_in(Namespace::SHARED, a), "the refreshed entry was evicted");
+        assert!(!cache.contains_in(Namespace::SHARED, b), "the LRU entry survived");
+    }
+
+    /// Each cut of a chain computed from the one before it equals its whole
+    /// prefix run over the chain's input.
+    #[test]
+    fn incremental_cuts_equal_their_prefixes() {
+        use crate::udf::{FlatMapUdf, PredicateUdf};
+        let ops = vec![
+            LogicalOp::FlatMap(FlatMapUdf::new("cut_split", |v| {
+                v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
+            })),
+            LogicalOp::Filter(PredicateUdf::new("cut_long", |v| {
+                v.as_str().is_some_and(|w| w.len() > 2)
+            })),
+            LogicalOp::Map(MapUdf::new("cut_pair", |w| Value::pair(w.clone(), Value::from(1)))),
+            LogicalOp::ReduceBy { key: KeyUdf::field(0), agg: ReduceUdf::pair_int_sum("cut_n") },
+        ];
+        let lens = crate::fused::cut_points(&ops);
+        assert_eq!(lens, [1, 2, 3]);
+        let input: Dataset = Arc::new(
+            (0..40).map(|i| Value::from(format!("w{} ab w{} xyz{i}", i % 7, i % 3))).collect(),
+        );
+        let cuts = cut_values(&ops, &lens, Arc::clone(&input));
+        assert_eq!(cuts.len(), lens.len());
+        let bc = BroadcastCtx::new();
+        for (vals, &len) in cuts.iter().zip(&lens) {
+            let whole = crate::fused::FusedPipeline::from_ops(&ops[..len]).unwrap();
+            assert_eq!(**vals, whole.run(&input, &bc), "cut at {len}");
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn estimate_text_file_lines(path: &Path) -> Option<(f64, f64)> {
 
 /// The cardinality estimator. Holds source estimators and per-job overrides
 /// (the progressive optimizer injects measured cardinalities here, §4.4).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Estimator {
     source_estimators: Vec<SourceEstimator>,
     /// Known true cardinalities (measured by the executor) that pin estimates.
@@ -301,6 +301,28 @@ mod tests {
         let body = plan.operators().iter().find(|n| n.loop_of.is_some()).unwrap();
         assert_eq!(e.iter_factor[body.id.index()], 7.0);
         assert_eq!(e.iter_factor[0], 1.0);
+    }
+
+    #[test]
+    fn nested_loop_bodies_multiply_iteration_factors() {
+        let mut b = PlanBuilder::new();
+        let init = b.collection(vec![Value::from(0)]);
+        let id = || MapUdf::new("same", |v| v.clone());
+        let (mut outer_body, mut inner_body) = (None, None);
+        init.repeat(3, |w| {
+            let o = w.map(id());
+            outer_body = Some(o.id());
+            o.repeat(2, |x| {
+                let i = x.map(id());
+                inner_body = Some(i.id());
+                i
+            })
+        })
+        .collect();
+        let plan = b.build().unwrap();
+        let e = est(&plan);
+        assert_eq!(e.iter_factor[outer_body.unwrap().index()], 3.0);
+        assert_eq!(e.iter_factor[inner_body.unwrap().index()], 6.0, "inner × outer");
     }
 
     #[test]

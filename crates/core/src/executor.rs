@@ -948,43 +948,13 @@ impl<'a> Executor<'a> {
                 // vectorized consumers without a row detour.
                 cache.insert_channel_in(self.config.cache_ns, fp, &out);
             }
-            if !publish.cuts.is_empty() {
-                self.publish_cuts(st, nid, cache, publish);
+            if let Some(input) = node.inputs.first().and_then(|&i| st.values[i].as_ref()) {
+                let ns = self.config.cache_ns;
+                cache.publish_cuts_in(ns, self.plan, &node.logical, &publish.cuts, input);
             }
         }
         st.values[nid] = Some(out);
         Ok(())
-    }
-
-    /// Publish the interior fused-chain cut points of a committed node:
-    /// structurally shared *prefixes* of its logical chain that no single
-    /// node produced. Each prefix is recomputed from the node's input via a
-    /// fused pipeline — bounded extra work, done once per distinct
-    /// fingerprint (already-resident cuts are skipped).
-    fn publish_cuts(
-        &self,
-        st: &RunState,
-        nid: usize,
-        cache: &crate::cache::ResultCache,
-        publish: &crate::cache::NodePublish,
-    ) {
-        let node = &self.eplan.nodes[nid];
-        let Some(&inp) = node.inputs.first() else { return };
-        let Some(input) = st.values[inp].as_ref() else { return };
-        let Ok(rows) = input.flatten() else { return };
-        let ops: Vec<crate::plan::LogicalOp> =
-            node.logical.iter().map(|&id| self.plan.node(id).op.clone()).collect();
-        let bc = BroadcastCtx::new();
-        for &(len, fp) in &publish.cuts {
-            if cache.contains_in(self.config.cache_ns, fp) {
-                continue;
-            }
-            let Some(pipeline) = crate::fused::FusedPipeline::from_ops(&ops[..len]) else {
-                continue;
-            };
-            let vals = pipeline.run(&rows, &bc);
-            cache.insert_in(self.config.cache_ns, fp, Arc::new(vals));
-        }
     }
 
     fn close_stage_run(&self, st: &mut RunState) {

@@ -19,9 +19,9 @@
 
 use std::collections::HashMap;
 
-use super::{OptimizedPlan, Optimizer};
+use super::{CacheProbe, OptimizedPlan, Optimizer};
 use crate::builtin::CONTROL;
-use crate::cache::{CacheHit, CachedSource, Fingerprint, Namespace, Tier};
+use crate::cache::{CacheHit, CachedSource, Fingerprint, Tier};
 use crate::cardinality::Estimates;
 use crate::cost::Interval;
 use crate::error::{Result, RheemError};
@@ -103,17 +103,10 @@ struct Inflated {
     pay_at: Vec<Vec<OperatorId>>,
     /// `core.handoff.alpha`: cycles per quantum of an external edge.
     handoff_alpha: f64,
-    /// `CachedSource` candidates priced from a probe of a spilled entry,
-    /// whose payload is fetched only if the chosen plan replays them.
-    disk_probes: Vec<DiskProbe>,
-}
-
-/// A `CachedSource` candidate whose cache entry is on the disk tier.
-struct DiskProbe {
-    cand: usize,
-    ns: Namespace,
-    fp: Fingerprint,
-    hit: CacheHit,
+    /// `CachedSource` candidates as `(candidate, index of its cache probe)`.
+    /// One on a spilled entry is priced from the probe alone; its payload
+    /// is fetched only if the chosen plan replays it.
+    replays: Vec<(usize, usize)>,
 }
 
 #[derive(Clone)]
@@ -123,14 +116,13 @@ struct Partial {
     mask: u32,
 }
 
-/// `unreadable` lists fingerprints whose spilled entry failed to read back
-/// in an earlier round of this enumeration: they are not probed again.
+/// `hits` are the optimizer's cache probes that found an entry.
 fn build_inflated(
     opt: &Optimizer<'_>,
     plan: &RheemPlan,
     estimates: Estimates,
     graph: &ConversionGraph,
-    unreadable: &[Fingerprint],
+    hits: &[CacheProbe],
 ) -> Result<Inflated> {
     let n = plan.len();
     let topo = plan.topological_order()?;
@@ -170,72 +162,48 @@ fn build_inflated(
     }
 
     // --- cache-aware inflation -------------------------------------------
-    // For every subplan-fingerprint hit, add a zero-input CachedSource
-    // candidate covering the hit operator's whole input closure. It rides
-    // through costing and enumeration like any other source-headed chain
-    // candidate, so reuse is *chosen*, never forced: the replay cost (cache
-    // read + conversion out of the collection channel) competes against
-    // recomputation. Skipped under a forced platform — a driver-side replay
-    // would bypass the pin. A spilled entry is priced from its probe alone;
-    // only the ones the chosen plan replays are read (`fetch_chosen`).
-    let mut disk_probes = Vec::new();
-    if let Some(cache) = opt.cache.as_ref().filter(|_| opt.forced_platform.is_none()) {
-        // Overridden fingerprints pin progressive-replan boundaries to
-        // their original identities, so a re-planned remainder still hits
-        // entries published before the rewrite.
-        let fps = crate::cache::plan_fingerprints_with(plan, &opt.fp_overrides);
-        for node in plan.operators() {
-            let i = node.id.index();
-            let Some(fp) = fps[i].filter(|fp| !unreadable.contains(fp)) else { continue };
-            // An in-memory collection source replays for free already.
-            if matches!(node.op, crate::plan::LogicalOp::CollectionSource { .. }) {
+    // For every cache hit, add a zero-input CachedSource candidate covering
+    // the hit operator's whole input closure. It rides through costing and
+    // enumeration like any other source-headed chain candidate, so reuse is
+    // *chosen*, never forced: the replay cost (cache read + conversion out
+    // of the collection channel) competes against recomputation. A spilled
+    // entry is priced from its probe alone; only the ones the chosen plan
+    // replays are read (`fetch_chosen`).
+    let mut replays = Vec::new();
+    for (k, probe) in hits.iter().enumerate() {
+        // Transitive input closure of the hit operator (fingerprintable ops
+        // only, so no loop edges and no cycles).
+        let mut covered = vec![false; n];
+        let mut stack = vec![probe.op];
+        while let Some(o) = stack.pop() {
+            if covered[o.index()] {
                 continue;
             }
-            // Namespace-scoped: the tenant's own entries first, the shared
-            // namespace (public datasets) only when the scope opts in.
-            let hit = cache.lookup_in(opt.cache_ns, fp).map(|h| (opt.cache_ns, h)).or_else(|| {
-                (opt.cache_shared_read && !opt.cache_ns.is_shared())
-                    .then(|| cache.lookup(fp).map(|h| (Namespace::SHARED, h)))
-                    .flatten()
-            });
-            let Some((ns, hit)) = hit else { continue };
-            // Transitive input closure of the hit operator (fingerprintable
-            // ops only, so no loop edges and no cycles).
-            let mut covered = vec![false; n];
-            let mut stack = vec![node.id];
-            while let Some(o) = stack.pop() {
-                if covered[o.index()] {
-                    continue;
-                }
-                covered[o.index()] = true;
-                let nd = plan.node(o);
-                stack.extend(nd.inputs.iter().copied());
-                stack.extend(nd.broadcasts.iter().map(|(_, b)| *b));
-            }
-            // The closure must be closed: an interior operator feeding a
-            // consumer outside it would leave that consumer unwired when
-            // the whole closure collapses into one execution operator.
-            let closed = plan.operators().iter().filter(|m| !covered[m.id.index()]).all(|m| {
-                m.inputs
-                    .iter()
-                    .chain(m.broadcasts.iter().map(|(_, b)| b))
-                    .all(|inp| !covered[inp.index()] || *inp == node.id)
-            });
-            if !closed {
-                continue;
-            }
-            // Dataflow order; input-closedness makes covers[0] a source.
-            let covers: Vec<OperatorId> =
-                topo.iter().copied().filter(|o| covered[o.index()]).collect();
-            debug_assert!(plan.node(covers[0]).inputs.is_empty());
-            debug_assert_eq!(*covers.last().unwrap(), node.id);
-            if hit.tier == Tier::Disk {
-                disk_probes.push(DiskProbe { cand: cands.len(), ns, fp, hit: hit.clone() });
-            }
-            let exec = std::sync::Arc::new(CachedSource::new(hit, fp));
-            by_head[covers[0].index()].push(cands.len());
-            cands.push(Candidate { covers, exec });
+            covered[o.index()] = true;
+            let nd = plan.node(o);
+            stack.extend(nd.inputs.iter().copied());
+            stack.extend(nd.broadcasts.iter().map(|(_, b)| *b));
         }
+        // The closure must be closed: an interior operator feeding a
+        // consumer outside it would leave that consumer unwired when the
+        // whole closure collapses into one execution operator.
+        let closed = plan.operators().iter().filter(|m| !covered[m.id.index()]).all(|m| {
+            m.inputs
+                .iter()
+                .chain(m.broadcasts.iter().map(|(_, b)| b))
+                .all(|inp| !covered[inp.index()] || *inp == probe.op)
+        });
+        if !closed {
+            continue;
+        }
+        // Dataflow order; input-closedness makes covers[0] a source.
+        let covers: Vec<OperatorId> = topo.iter().copied().filter(|o| covered[o.index()]).collect();
+        debug_assert!(plan.node(covers[0]).inputs.is_empty());
+        debug_assert_eq!(*covers.last().unwrap(), probe.op);
+        replays.push((cands.len(), k));
+        let exec = std::sync::Arc::new(CachedSource::new(probe.hit.clone(), probe.fp));
+        by_head[covers[0].index()].push(cands.len());
+        cands.push(Candidate { covers, exec });
     }
 
     // --- platform bitmask order ------------------------------------------
@@ -372,7 +340,7 @@ fn build_inflated(
         // per-quantum handoff cost that makes operator fusion (chains)
         // strictly cheaper than equivalent sequences of single operators.
         handoff_alpha: opt.model.get("core.handoff.alpha", 25.0),
-        disk_probes,
+        replays,
     })
 }
 
@@ -514,48 +482,46 @@ impl<'a> Settlements<'a> {
     }
 }
 
+/// Inflate and enumerate under `estimates`, then fetch the spilled entries
+/// the winning plan replays. `Err(fp)`: the chosen entry `fp` could not be
+/// read back (the cache evicted it), and the plan must be made without it.
 pub(super) fn enumerate(
     opt: &Optimizer<'_>,
     plan: &RheemPlan,
     estimates: Estimates,
-) -> Result<OptimizedPlan> {
-    enumerate_with(opt, plan, estimates, true)
-}
-
-pub(super) fn enumerate_with(
-    opt: &Optimizer<'_>,
-    plan: &RheemPlan,
-    mut estimates: Estimates,
+    hits: &[CacheProbe],
     prune: bool,
-) -> Result<OptimizedPlan> {
+) -> Result<std::result::Result<OptimizedPlan, Fingerprint>> {
     let graph = opt.registry.conversion_graph();
-    // Each round that fails to read a chosen spilled entry re-plans without
-    // it, so there are at most as many rounds as probed fingerprints.
-    let mut unreadable = Vec::new();
-    loop {
-        let mut inf = build_inflated(opt, plan, estimates, graph, &unreadable)?;
-        let mut settlements = Settlements::new(opt, &inf, graph);
-        let (best, mut stats) =
-            search(plan, &inf, prune, |partial, p| settlements.settle(partial, p))?;
-        stats.movement_settlements = settlements.settled;
-        stats.movement_solves = settlements.solved;
-        let Some(fp) = fetch_chosen(opt, &mut inf, &best) else {
-            return Ok(assemble(inf, best, stats));
-        };
-        unreadable.push(fp);
-        estimates = inf.estimates;
+    let mut inf = build_inflated(opt, plan, estimates, graph, hits)?;
+    let mut settlements = Settlements::new(opt, &inf, graph);
+    let (best, mut stats) = search(plan, &inf, prune, |partial, p| settlements.settle(partial, p))?;
+    stats.movement_settlements = settlements.settled;
+    stats.movement_solves = settlements.solved;
+    if let Some(fp) = fetch_chosen(opt, &mut inf, hits, &best) {
+        return Ok(Err(fp));
     }
+    Ok(Ok(assemble(inf, best, stats)))
 }
 
 /// Read back the spilled entries the winning plan replays — only those —
 /// and hand their `CachedSource`s the payload, priced as probed. Returns
 /// the fingerprint of an entry that could not be read (the cache evicted it).
-fn fetch_chosen(opt: &Optimizer<'_>, inf: &mut Inflated, best: &Partial) -> Option<Fingerprint> {
+fn fetch_chosen(
+    opt: &Optimizer<'_>,
+    inf: &mut Inflated,
+    hits: &[CacheProbe],
+    best: &Partial,
+) -> Option<Fingerprint> {
     let cache = opt.cache.as_ref()?;
-    for probe in inf.disk_probes.iter().filter(|d| best.choice.contains(&(d.cand as u32))) {
+    for &(cand, k) in &inf.replays {
+        let probe = &hits[k];
+        if probe.hit.tier != Tier::Disk || !best.choice.contains(&(cand as u32)) {
+            continue;
+        }
         let Some(payload) = cache.fetch_in(probe.ns, probe.fp) else { return Some(probe.fp) };
         let hit = CacheHit { payload: Some(payload), ..probe.hit.clone() };
-        inf.cands[probe.cand].exec = std::sync::Arc::new(CachedSource::new(hit, probe.fp));
+        inf.cands[cand].exec = std::sync::Arc::new(CachedSource::new(hit, probe.fp));
     }
     None
 }
@@ -688,6 +654,12 @@ fn assemble(inf: Inflated, best: Partial, stats: EnumerationStats) -> OptimizedP
         }
     }
 
+    let replayed = inf
+        .replays
+        .iter()
+        .filter(|&&(cand, _)| counted[cand])
+        .map(|&(cand, _)| inf.cands[cand].output_op())
+        .collect();
     OptimizedPlan {
         candidates: inf.cands,
         choice,
@@ -696,6 +668,7 @@ fn assemble(inf: Inflated, best: Partial, stats: EnumerationStats) -> OptimizedP
         est_interval,
         platforms,
         stats,
+        replayed,
     }
 }
 
@@ -1033,7 +1006,7 @@ mod tests {
     ) {
         let opt = Optimizer::new(ctx.registry(), ctx.profiles(), ctx.cost_model());
         let estimates = Estimator::new().estimate(plan).unwrap();
-        let new = enumerate_with(&opt, plan, estimates.clone(), prune).unwrap();
+        let new = enumerate(&opt, plan, estimates.clone(), &[], prune).unwrap().unwrap();
         let old = enumerate_reference(&opt, plan, estimates, prune).unwrap();
         assert_eq!(new.choice, old.choice, "{what}: chosen alternatives differ");
         assert_eq!(new.est_ms.to_bits(), old.est_ms.to_bits(), "{what}: est_ms differs");

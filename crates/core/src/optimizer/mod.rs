@@ -11,6 +11,7 @@ mod enumerate;
 
 pub use enumerate::EnumerationStats;
 
+use crate::cache::{CacheHit, Fingerprint, Namespace};
 use crate::cardinality::{Estimates, Estimator};
 use crate::cost::{CostModel, Interval};
 use crate::error::{Result, RheemError};
@@ -36,9 +37,11 @@ pub struct Optimizer<'a> {
     /// exhausted its retry budget is blacklisted for the rest of the job;
     /// the driver's control operators are never excluded).
     pub blacklist: Vec<PlatformId>,
-    /// Cross-job result cache. When set, inflation injects zero-upstream
-    /// [`crate::cache::CachedSource`] candidates for subplan-fingerprint
-    /// hits, letting enumeration choose reuse when it beats recomputation.
+    /// Cross-job result cache. When set, it is probed once per fingerprinted
+    /// operator: each hit pins that operator's estimate to the entry's
+    /// cardinality, and inflation injects a zero-upstream
+    /// [`crate::cache::CachedSource`] candidate for it, letting enumeration
+    /// choose reuse when it beats recomputation.
     pub cache: Option<std::sync::Arc<crate::cache::ResultCache>>,
     /// Cache namespace lookups are scoped to (multi-tenant isolation).
     pub cache_ns: crate::cache::Namespace,
@@ -68,6 +71,18 @@ pub struct OptimizedPlan {
     pub platforms: Vec<PlatformId>,
     /// Enumeration statistics (for the pruning ablation).
     pub stats: EnumerationStats,
+    /// Operators whose output the chosen plan replays from the cache: their
+    /// results are already published under their fingerprints.
+    pub replayed: Vec<OperatorId>,
+}
+
+/// A cache hit on one operator's subplan fingerprint, found by the
+/// optimizer's one probe of it.
+struct CacheProbe {
+    op: OperatorId,
+    ns: Namespace,
+    fp: Fingerprint,
+    hit: CacheHit,
 }
 
 impl OptimizedPlan {
@@ -98,21 +113,10 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Optimize a plan end-to-end: validate, estimate, inflate, enumerate.
+    /// Optimize a plan end-to-end: validate, probe the cache, estimate,
+    /// inflate, enumerate.
     pub fn optimize(&self, plan: &RheemPlan, estimator: &Estimator) -> Result<OptimizedPlan> {
-        plan.validate()?;
-        let estimates = estimator.estimate(plan)?;
-        self.optimize_with_estimates(plan, estimates)
-    }
-
-    /// Optimize with externally supplied estimates (the progressive
-    /// optimizer re-enters here with measured cardinalities, §4.4).
-    pub fn optimize_with_estimates(
-        &self,
-        plan: &RheemPlan,
-        estimates: Estimates,
-    ) -> Result<OptimizedPlan> {
-        enumerate::enumerate(self, plan, estimates)
+        self.optimize_with(plan, estimator, true)
     }
 
     /// Enumerate without pruning (exhaustive baseline for the ablation
@@ -122,9 +126,70 @@ impl<'a> Optimizer<'a> {
         plan: &RheemPlan,
         estimator: &Estimator,
     ) -> Result<OptimizedPlan> {
+        self.optimize_with(plan, estimator, false)
+    }
+
+    /// The cache is probed once, before estimation, and each hit pins its
+    /// operator's estimate to the entry's recorded cardinality: a replayed
+    /// result is a measurement, so the plan around it is costed at the true
+    /// size and no checkpoint sees it as uncertain. A round whose chosen
+    /// spilled entry cannot be read drops that hit, pin included, and plans
+    /// again without it; there are at most as many rounds as hits.
+    fn optimize_with(
+        &self,
+        plan: &RheemPlan,
+        estimator: &Estimator,
+        prune: bool,
+    ) -> Result<OptimizedPlan> {
         plan.validate()?;
-        let estimates = estimator.estimate(plan)?;
-        enumerate::enumerate_with(self, plan, estimates, false)
+        let mut hits = self.probe_cache(plan);
+        loop {
+            let estimates = if hits.is_empty() {
+                estimator.estimate(plan)?
+            } else {
+                let mut pinned = estimator.clone();
+                for h in &hits {
+                    pinned.overrides.entry(h.op).or_insert(h.hit.card as f64);
+                }
+                pinned.estimate(plan)?
+            };
+            match enumerate::enumerate(self, plan, estimates, &hits, prune)? {
+                Ok(optimized) => return Ok(optimized),
+                Err(unreadable) => hits.retain(|h| h.fp != unreadable),
+            }
+        }
+    }
+
+    /// One namespace-scoped lookup per fingerprinted operator: the tenant's
+    /// own entries first, the shared namespace (public datasets) only when
+    /// the scope opts in. None under a forced platform (a driver-side
+    /// replay would bypass the pin), and none for an in-memory collection
+    /// source, which replays for free already. Overridden fingerprints pin
+    /// progressive-replan boundaries to their original identities, so a
+    /// re-planned remainder still hits entries published before the
+    /// rewrite.
+    fn probe_cache(&self, plan: &RheemPlan) -> Vec<CacheProbe> {
+        let Some(cache) = self.cache.as_ref().filter(|_| self.forced_platform.is_none()) else {
+            return Vec::new();
+        };
+        let fps = crate::cache::plan_fingerprints_with(plan, &self.fp_overrides);
+        let mut hits = Vec::new();
+        for node in plan.operators() {
+            let Some(fp) = fps[node.id.index()] else { continue };
+            if matches!(node.op, crate::plan::LogicalOp::CollectionSource { .. }) {
+                continue;
+            }
+            let hit =
+                cache.lookup_in(self.cache_ns, fp).map(|h| (self.cache_ns, h)).or_else(|| {
+                    (self.cache_shared_read && !self.cache_ns.is_shared())
+                        .then(|| cache.lookup(fp).map(|h| (Namespace::SHARED, h)))
+                        .flatten()
+                });
+            if let Some((ns, hit)) = hit {
+                hits.push(CacheProbe { op: node.id, ns, fp, hit });
+            }
+        }
+        hits
     }
 
     pub(crate) fn err_no_candidates(plan: &RheemPlan, id: OperatorId) -> RheemError {

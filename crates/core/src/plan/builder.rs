@@ -246,6 +246,11 @@ impl DataQuanta {
         let loop_id = {
             let mut inner = self.inner.borrow_mut();
             let id = inner.plan.add(head, &[self.op, self.op]);
+            // A nested head belongs to the enclosing loop's body, so every
+            // outer iteration clears and re-runs it.
+            if let Some(&outer) = inner.loop_stack.last() {
+                inner.plan.set_loop(id, outer);
+            }
             inner.loop_stack.push(id);
             id
         };

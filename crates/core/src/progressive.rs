@@ -257,9 +257,9 @@ pub fn run_progressive(
         // non-reusable channel is consumed exactly once and has no
         // after-job identity) plus the interior fused-chain cut points for
         // structural subplan sharing.
-        let publish = cache
-            .as_ref()
-            .map(|c| (Arc::clone(c), publish_map(phase_plan, &fps, &eplan, registry)));
+        let publish = cache.as_ref().map(|c| {
+            (Arc::clone(c), publish_map(phase_plan, &fps, &eplan, registry, &opt.replayed))
+        });
         let handle = match (&trace, phase_span) {
             (Some(t), Some(ps)) => {
                 Some(TraceHandle { trace: Arc::clone(t), parent: ps, base_ms: virtual_ms })

@@ -175,6 +175,28 @@ mod tests {
         assert_eq!(data[0].as_int(), Some(5));
     }
 
+    /// A `repeat` inside a `repeat` lowers through the same builder loop
+    /// path as the fluent API: the inner loop re-runs in every outer
+    /// iteration.
+    #[test]
+    fn nested_repeat_reruns_the_inner_loop() {
+        let mut reg = wc_registry();
+        reg.map("inc", MapUdf::new("inc", |v| Value::from(v.as_int().unwrap_or(0) + 1)));
+        reg.map("dbl", MapUdf::new("dbl", |v| Value::from(v.as_int().unwrap_or(0) * 2)));
+        let src = "w = values 0 1 2 3 4;\n\
+                   out = repeat 3 w { a = map w -> {inc}; \
+                   b = repeat 2 a { c = map a -> {dbl}; yield c; }; yield b; };\n\
+                   collect out;";
+        let program = Parser::new(reg).parse(src).unwrap();
+        let ctx =
+            RheemContext::new().with_platform(&platform_javastreams::JavaStreamsPlatform::new());
+        let result = ctx.execute(&program.plan).unwrap();
+        let mut out: Vec<i64> =
+            result.sink(program.sinks["out"]).unwrap().iter().filter_map(Value::as_int).collect();
+        out.sort();
+        assert_eq!(out, vec![84, 148, 212, 276, 340]);
+    }
+
     #[test]
     fn broadcast_clause_attaches() {
         let mut reg = wc_registry();

@@ -2,9 +2,10 @@
 # Repo gate: formatting, lints on the whole workspace, the whole workspace's
 # tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
 # the trace round trip, the differential, cross-platform, chaos,
-# fault-tolerance and explain suites on a one-worker pool (where every
+# fault-tolerance, explain and cache suites on a one-worker pool (where every
 # partition runs inline; explain's golden span structure pins the stage-span
-# attributes a job's runs are derived from), the service and
+# attributes a job's runs are derived from; cache publication takes a
+# different path per node kind), the service and
 # fault-tolerance suites on 2- and 8-worker pools (job coordinators on pool
 # workers included), and the obs suite on 1-, 2- and 8-worker pools
 # (straggler verdicts come from the completion path). Batch
@@ -36,7 +37,7 @@ RHEEM_POOL=8 cargo test -q --release --test service --test fault_tolerance --tes
 
 echo "== one-worker pool: every par_each_idx partition runs inline"
 RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \
-    --test chaos --test fault_tolerance --test explain
+    --test chaos --test fault_tolerance --test explain --test cache
 
 echo "== observability suite (recorder, exposition, watchdog over live TCP scrapes)"
 cargo test -q --release --test obs -- --test-threads=1

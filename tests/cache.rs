@@ -19,6 +19,7 @@ use rheem_core::cost::{CostModel, Load};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
 use rheem_core::kernels::SplitMix64;
 use rheem_core::mapping::{Candidate, FnMapping};
+use rheem_core::trace::SpanKind;
 use rheem_core::udf::FlatMapUdf;
 
 /// Fixed chaos-seed matrix (mirrors `tests/differential.rs` and CI).
@@ -121,6 +122,92 @@ fn warm_rerun_replays_from_cache() {
         warm_result.metrics.virtual_ms,
         cold_m.virtual_ms
     );
+}
+
+/// A warm rerun is one phase that only replays: the replayed operator's
+/// estimate is the entry's recorded cardinality, so no checkpoint sees it as
+/// uncertain and nothing is re-planned, and the entry it replayed is not
+/// published again.
+#[test]
+fn warm_rerun_replays_in_one_phase_and_publishes_nothing() {
+    let path = std::path::PathBuf::from("hdfs://tests/cache/one_phase_corpus.txt");
+    rheem_datagen::text::write_corpus(&path, 200, 13).unwrap();
+    let (plan, sink) = wordcount(&path);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let ctx = ctx_with(&cache);
+    let (cold, _) = run(&ctx, &plan, sink).unwrap();
+    let inserts = cache.stats().inserts;
+
+    let warm = ctx.execute(&plan).unwrap();
+    let trace = warm.trace.as_ref().expect("tracing is on by default");
+    assert!(trace.profiles.iter().any(|p| p.name == "CachedSource"), "the warm run must replay");
+    assert_eq!(warm.metrics.replans, 0, "a replay is a measurement, not a surprise");
+    assert!(
+        trace.spans.iter().all(|s| s.kind != SpanKind::PlanRewrite),
+        "a warm run must not rewrite its plan"
+    );
+    assert_eq!(cache.stats().inserts, inserts, "the warm run published a new entry");
+    let mut out = warm.sink(sink).unwrap().to_vec();
+    out.sort();
+    assert_eq!(out, cold, "cache replay changed the answer");
+}
+
+/// Word counts from a text file, summed per word.
+fn counts(b: &mut PlanBuilder, path: &std::path::Path) -> DataQuanta {
+    b.read_text_file(path)
+        .flat_map(FlatMapUdf::new("split", |v| {
+            v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
+        }))
+        .map(MapUdf::new("pair", |w| Value::pair(w.clone(), Value::from(1))))
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("count"))
+}
+
+/// A replay that feeds a join is planned at its true size in the first
+/// phase. The join and the map after it land on the platforms that a
+/// re-plan from the measured cardinality chose before replays pinned their
+/// estimates (java.streams for both, at this size), and the answer is the
+/// cold run's.
+#[test]
+fn replay_feeding_a_join_plans_downstream_at_the_true_size() {
+    let path = std::path::PathBuf::from("hdfs://tests/cache/join_corpus.txt");
+    rheem_datagen::text::write_corpus(&path, 256, 31).unwrap();
+    let mut b = PlanBuilder::new();
+    counts(&mut b, &path).collect();
+    let wordcount = b.build().unwrap();
+    let mut b = PlanBuilder::new();
+    let ranks: Vec<Value> = (0..2000i64)
+        .map(|r| {
+            Value::pair(Value::from(rheem_datagen::text::word_for(r as usize)), Value::from(r))
+        })
+        .collect();
+    let ranks = b.collection(ranks);
+    let sink = counts(&mut b, &path)
+        .join(&ranks, KeyUdf::field(0), KeyUdf::field(0))
+        .map(MapUdf::new("rank_count", |v| {
+            Value::pair(v.field(1).field(1).clone(), v.field(0).field(1).clone())
+        }))
+        .collect();
+    let plan = b.build().unwrap();
+    let (cold, _) = run(&rheem::default_context(), &plan, sink).unwrap();
+
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let ctx = ctx_with(&cache);
+    ctx.execute(&wordcount).unwrap();
+    let warm = ctx.execute(&plan).unwrap();
+    let trace = warm.trace.as_ref().expect("tracing is on by default");
+    assert!(trace.profiles.iter().any(|p| p.name == "CachedSource"), "the counts must replay");
+    assert_eq!(warm.metrics.replans, 0);
+    let downstream: Vec<(&str, &str)> = trace
+        .profiles
+        .iter()
+        .filter(|p| p.platform != "rheem.driver")
+        .map(|p| (p.name.as_str(), p.platform.as_str()))
+        .collect();
+    assert_eq!(downstream, [("JavaJoin", "java.streams"), ("JavaMap", "java.streams")]);
+    let mut out = warm.sink(sink).unwrap().to_vec();
+    out.sort();
+    assert_eq!(out.len(), 1908);
+    assert_eq!(out, cold, "the replay changed the join's answer");
 }
 
 // ---- invalidation -------------------------------------------------------

@@ -413,3 +413,34 @@ fn explain_describes_stages() {
     assert!(out.contains("stage 0"), "{out}");
     assert!(out.contains("estimated cost"), "{out}");
 }
+
+/// A loop nested in another re-runs its whole inner loop in every outer
+/// iteration: `repeat(3, w ↦ repeat(2, x ↦ 2x) ∘ (+1))` over 0..5 is
+/// `((((x + 1)·4 + 1)·4 + 1)·4)`, under free choice and on each engine,
+/// fused and unfused.
+#[test]
+fn nested_loops_rerun_the_inner_loop_every_outer_iteration() {
+    let expected: Vec<Value> = [84i64, 148, 212, 276, 340].into_iter().map(Value::from).collect();
+    for fusion in [true, false] {
+        for forced in [None, Some(ids::JAVA_STREAMS), Some(ids::SPARK), Some(ids::FLINK)] {
+            let mut b = PlanBuilder::new();
+            let int = |v: &Value| v.as_int().unwrap_or(0);
+            let sink = b
+                .collection((0..5i64).map(Value::from).collect::<Vec<_>>())
+                .repeat(3, |w| {
+                    w.map(MapUdf::new("nest_inc", move |v| Value::from(int(v) + 1)))
+                        .repeat(2, |x| {
+                            x.map(MapUdf::new("nest_dbl", move |v| Value::from(int(v) * 2)))
+                        })
+                        .map(MapUdf::new("nest_id", |v| v.clone()))
+                })
+                .collect();
+            let plan = b.build().unwrap();
+            let mut ctx = rheem::default_context().with_fusion(fusion);
+            ctx.forced_platform = forced;
+            let mut out = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+            out.sort();
+            assert_eq!(out, expected, "fusion={fusion} forced={forced:?}");
+        }
+    }
+}
