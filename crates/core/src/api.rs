@@ -3,12 +3,13 @@
 //! Mirrors the paper's Fig. 5 flow: applications submit a Rheem plan (1);
 //! the cross-platform optimizer compiles it into an execution plan (2); the
 //! executor dispatches stages to the platform drivers (3); the job trace
-//! collects statistics and the monitor logs faults (4); and the progressive
-//! optimizer re-optimizes on cardinality mismatches (5).
+//! collects statistics and the job's metrics carry the faults it handled
+//! (4); and the progressive optimizer re-optimizes on cardinality
+//! mismatches (5).
 //!
-//! A context keeps cumulative counts in its [`MetricsRegistry`] but holds
-//! no flight recorder: the ring of service events belongs to
-//! [`crate::service::JobService`], which writes it with its watchdog.
+//! A context keeps cumulative counts in its [`MetricsRegistry`] and no
+//! per-job log: a job's faults and trace are on its [`JobResult`], and the
+//! ring of job records belongs to [`crate::service::JobService`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,9 +23,10 @@ use crate::error::{Result, RheemError};
 use crate::exec::VecStats;
 use crate::execplan::{build_exec_plan, ExecPlan};
 use crate::executor::{ExecConfig, ExplorationBuffer};
+use crate::fault::FaultRecord;
 use crate::learner::{samples_from_trace, StageSample};
 use crate::metrics::MetricsRegistry;
-use crate::monitor::{check_cardinality, Health, Monitor};
+use crate::monitor::{check_cardinality, Health};
 use crate::optimizer::{OptimizedPlan, Optimizer};
 use crate::plan::{OperatorId, RheemPlan};
 use crate::platform::{Platform, PlatformId, Profiles};
@@ -42,8 +44,12 @@ pub struct JobMetrics {
     pub real_ms: f64,
     /// Progressive re-optimizations performed.
     pub replans: u32,
-    /// Fault-tolerance retries absorbed (faults survived in place).
+    /// Fault-tolerance retries absorbed (faults survived in place): the
+    /// recovered records of [`Self::faults`].
     pub retries: u32,
+    /// Every fault the job handled, retried or exhausted, in commit order,
+    /// traced or not.
+    pub faults: Vec<FaultRecord>,
     /// Cross-platform failovers performed (retry budget exhausted on a
     /// platform; the remainder re-planned over the survivors, §7.1).
     pub failovers: u32,
@@ -99,13 +105,12 @@ impl Default for JobScope {
 }
 
 /// The Rheem context: registered platforms, cost model, profiles, executor
-/// configuration and monitor.
+/// configuration, metrics registry and result cache.
 pub struct RheemContext {
     registry: Registry,
     profiles: Profiles,
     model: CostModel,
     config: ExecConfig,
-    monitor: Monitor,
     metrics: MetricsRegistry,
     cache: Option<Arc<ResultCache>>,
     /// Force every mappable operator onto one platform (platform-
@@ -129,7 +134,6 @@ impl RheemContext {
             profiles: Profiles::paper_testbed(),
             model: CostModel::new(),
             config: ExecConfig::default(),
-            monitor: Monitor::new(),
             metrics: MetricsRegistry::new(),
             cache: None,
             forced_platform: None,
@@ -230,12 +234,6 @@ impl RheemContext {
         &mut self.config
     }
 
-    /// The monitor: every fault this context's jobs handled. Stage-run
-    /// statistics for the cost learner are in each [`JobResult::trace`].
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
     /// The metrics registry (counters + virtual-time histograms accumulated
     /// across jobs; snapshot as Prometheus text).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -283,9 +281,9 @@ impl RheemContext {
 
     /// Execute a plan under a multi-tenant scope (see
     /// [`crate::service::JobService`]): tenant-scoped cache namespace and
-    /// per-tenant metric labels. Every [`JobMetrics`] count comes from the
-    /// job's own run, so concurrent submissions cannot charge each other;
-    /// the job's faults land in the context's monitor as they happen.
+    /// per-tenant metric labels. Every [`JobMetrics`] count and fault record
+    /// comes from the job's own run, so concurrent submissions cannot charge
+    /// each other.
     pub fn execute_scoped(&self, plan: &RheemPlan, scope: &JobScope) -> Result<JobResult> {
         let mut config = self.config.clone();
         config.tenant = scope.tenant.clone();
@@ -370,8 +368,7 @@ impl RheemContext {
         Ok(result)
     }
 
-    /// Run Algorithm 1 under `config`; the job's faults go to the context's
-    /// monitor, everything else into the returned result.
+    /// Run Algorithm 1 under `config`.
     fn run(&self, plan: &RheemPlan, config: &ExecConfig) -> Result<JobResult> {
         let outcome = run_progressive(
             plan,
@@ -380,7 +377,6 @@ impl RheemContext {
             &self.model,
             || self.estimator(),
             config,
-            &self.monitor,
             self.forced_platform,
             self.cache.clone(),
         )?;
@@ -390,7 +386,8 @@ impl RheemContext {
                 virtual_ms: outcome.virtual_ms,
                 real_ms: outcome.real_ms,
                 replans: outcome.replans,
-                retries: outcome.retries,
+                retries: outcome.faults.iter().filter(|f| f.recovered).count() as u32,
+                faults: outcome.faults,
                 failovers: outcome.failovers,
                 platforms: outcome.platforms,
                 est_ms: outcome.est_ms,

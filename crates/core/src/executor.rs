@@ -15,8 +15,8 @@ use crate::channel::ChannelData;
 use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, OpMetrics, TraceEvent};
 use crate::execplan::{ExecPlan, CHECKPOINT_CONF, CHECKPOINT_WIDTH};
-use crate::fault::{BudgetExhausted, FaultKind, FaultPlan, InjectedFault};
-use crate::monitor::{check_cardinality, FaultRecord, Health, Monitor};
+use crate::fault::{BudgetExhausted, FaultKind, FaultPlan, FaultRecord, InjectedFault};
+use crate::monitor::{check_cardinality, Health};
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::Profiles;
@@ -167,8 +167,8 @@ pub struct Execution {
     pub virtual_ms: f64,
     /// Real local wall time, ms.
     pub real_ms: f64,
-    /// Operator retries the retry budget absorbed.
-    pub retries: u32,
+    /// Faults handled, retried or exhausted, in commit order.
+    pub faults: Vec<FaultRecord>,
     /// Exploration taps (empty unless exploratory mode).
     pub exploration: ExplorationBuffer,
 }
@@ -187,8 +187,8 @@ pub struct Checkpoint {
     pub virtual_ms: f64,
     /// Real time consumed so far, ms.
     pub real_ms: f64,
-    /// Operator retries absorbed so far.
-    pub retries: u32,
+    /// Faults handled so far, in commit order.
+    pub faults: Vec<FaultRecord>,
     /// Exploration taps so far.
     pub exploration: ExplorationBuffer,
 }
@@ -200,7 +200,6 @@ pub struct Executor<'a> {
     eplan: &'a ExecPlan,
     profiles: &'a Profiles,
     config: &'a ExecConfig,
-    monitor: &'a Monitor,
     faults: Option<Arc<FaultPlan>>,
     trace: Option<TraceHandle>,
     /// Cross-job result cache plus the per-node publication schedule
@@ -239,8 +238,8 @@ struct RunState {
     exploration: ExplorationBuffer,
     iteration: u64,
     job_virtual_ms: f64,
-    /// Retries absorbed by the whole run (all stage runs).
-    job_retries: u32,
+    /// Faults handled by the whole run (all stage runs), in commit order.
+    faults: Vec<FaultRecord>,
     wall_start: Instant,
     /// Failed attempts per (stage, iteration) — the retry-budget meter.
     stage_attempts: HashMap<(usize, u64), u32>,
@@ -294,10 +293,9 @@ impl<'a> Executor<'a> {
         eplan: &'a ExecPlan,
         profiles: &'a Profiles,
         config: &'a ExecConfig,
-        monitor: &'a Monitor,
     ) -> Self {
         let faults = config.resolve_fault_plan();
-        Self { plan, opt, eplan, profiles, config, monitor, faults, trace: None, cache: None }
+        Self { plan, opt, eplan, profiles, config, faults, trace: None, cache: None }
     }
 
     /// Use this (job-wide, shared) fault plan instead of resolving one from
@@ -347,7 +345,7 @@ impl<'a> Executor<'a> {
             exploration: ExplorationBuffer::default(),
             iteration: 0,
             job_virtual_ms: 0.0,
-            job_retries: 0,
+            faults: Vec::new(),
             wall_start: Instant::now(),
             stage_attempts: HashMap::new(),
             run_span: None,
@@ -382,7 +380,7 @@ impl<'a> Executor<'a> {
             sink_data,
             virtual_ms,
             real_ms,
-            retries: st.job_retries,
+            faults: st.faults,
             exploration: st.exploration,
         }))
     }
@@ -793,7 +791,7 @@ impl<'a> Executor<'a> {
         // order the attempts happened.
         let NodeOutcome { retries, failures_after, result } = outcome;
         for rec in &retries {
-            self.monitor.record_fault(FaultRecord {
+            st.faults.push(FaultRecord {
                 stage: node.stage,
                 iteration: st.iteration,
                 platform,
@@ -819,9 +817,6 @@ impl<'a> Executor<'a> {
                     .unwrap_or_else(|| "organic".to_string());
                 h.trace.attr(sid, "kind", kind.into());
                 h.trace.attr(sid, "recovered", i64::from(rec.within_budget).into());
-            }
-            if rec.within_budget {
-                st.job_retries += 1;
             }
         }
         if failures_after > 0 {
@@ -1142,7 +1137,7 @@ impl<'a> Executor<'a> {
             sink_data,
             virtual_ms,
             real_ms,
-            retries: st.job_retries,
+            faults: st.faults,
             exploration: st.exploration,
         }
     }

@@ -159,6 +159,27 @@ impl fmt::Display for BudgetExhausted {
     }
 }
 
+/// One injected or organic fault the executor handled, kept on the job's
+/// result ([`crate::api::JobMetrics::faults`]) in commit order.
+#[derive(Clone, Debug)]
+pub struct FaultRecord {
+    /// Stage the failure struck.
+    pub stage: usize,
+    /// Loop iteration at the time (0 outside loops).
+    pub iteration: u64,
+    /// Platform that failed.
+    pub platform: PlatformId,
+    /// Execution-operator name at the failure site.
+    pub op: String,
+    /// Injected fault kind (`None` for organic platform errors).
+    pub kind: Option<FaultKind>,
+    /// How many failures the stage's budget had absorbed, this one included.
+    pub attempt: u32,
+    /// Whether the executor retried (true) or gave up on the platform and
+    /// escalated to failover (false).
+    pub recovered: bool,
+}
+
 /// A deterministic, seeded fault-injection plan shared by one job across
 /// all of its (re-)planned phases — attempt counters survive failover so
 /// fail-N-then-succeed semantics hold across replans.

@@ -73,15 +73,15 @@ pub mod prelude {
     pub use crate::cache::Namespace;
     pub use crate::error::{Result, RheemError};
     pub use crate::metrics::MetricsRegistry;
-    pub use crate::obs::{
-        Diagnosis, Event, EventKind, FlightRecorder, ObsServer, ObsSource, Watchdog, WatchdogConfig,
-    };
+    pub use crate::obs::{Diagnosis, ObsServer, ObsSource, Watchdog, WatchdogConfig};
     pub use crate::plan::{
         DataQuanta, IneqCond, LogicalOp, OperatorId, PlanBuilder, RheemPlan, SampleMethod,
         SampleSize,
     };
     pub use crate::platform::{ids, Platform, PlatformId};
-    pub use crate::service::{FairShare, JobHandle, JobService, ServiceConfig, TenantSpec};
+    pub use crate::service::{
+        FairShare, JobHandle, JobOutcome, JobRecord, JobService, ServiceConfig, TenantSpec,
+    };
     pub use crate::trace::{JobTrace, OpProfile, Span, SpanKind};
     pub use crate::udf::{
         BroadcastCtx, CmpOp, FlatMapUdf, KeyUdf, MapUdf, PredicateUdf, ReduceUdf, Sarg,

@@ -2,8 +2,8 @@
 //! thread, plain HTTP/1.0, `Connection: close` per request.
 //!
 //! Routes: `/metrics` (Prometheus text exposition), `/healthz`, `/jobs`,
-//! `/tenants` (JSON), and `/flight?n=K` (flight-recorder dump of the most
-//! recent K events). Anything else is 404; a malformed request, or one whose
+//! `/tenants` (JSON), and `/flight?n=K` (the most recent K job records and
+//! sweep diagnoses). Anything else is 404; a malformed request, or one whose
 //! head exceeds 8 KiB, is 400. The server is opt-in via
 //! [`crate::service::JobService::serve`] or the `RHEEM_OBS_ADDR` env var.
 
@@ -28,12 +28,12 @@ pub trait ObsSource: Send + Sync + 'static {
     fn jobs_json(&self) -> String;
     /// Per-tenant share + SLO JSON for `/tenants`.
     fn tenants_json(&self) -> String;
-    /// Flight-recorder dump of the most recent `n` events for `/flight`.
+    /// The most recent `n` job records and sweep diagnoses for `/flight`.
     fn flight_json(&self, n: usize) -> String;
 }
 
-/// Default event count for `/flight` without an `n` query parameter.
-const DEFAULT_FLIGHT_N: usize = 256;
+/// `/flight` without an `n` query parameter serves whole rings.
+const DEFAULT_FLIGHT_N: usize = super::RING_LEN;
 /// Per-connection socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Cap on a request's line plus headers; a longer head is answered 400.

@@ -1,42 +1,69 @@
-//! Live observability plane: flight recorder, per-tenant SLO metrics,
-//! TCP scrape endpoint, and a starvation/straggler watchdog.
+//! Live observability plane: per-tenant SLO metrics, TCP scrape endpoint,
+//! and a starvation/straggler watchdog, over the service's job records.
 //!
-//! The plane has four cooperating parts, all dependency-free:
+//! Each fact has one record. A service job is one
+//! [`crate::service::JobRecord`] in the service's ring of the last
+//! [`RING_LEN`]; a stage run or a row fallback is in the job's
+//! [`crate::trace::JobTrace`]; a handled fault is in the job's
+//! [`crate::api::JobMetrics::faults`] (and, traced, a `Retry` span);
+//! cache activity is in [`crate::cache::CacheStats`]. The plane reads
+//! those:
 //!
-//! - [`recorder`] — an always-on, lock-light bounded ring buffer of
-//!   structured [`Event`]s that no other record holds (service job
-//!   lifecycle, watchdog diagnoses), owned by
-//!   [`crate::service::JobService`], with exact drop accounting and a
-//!   deterministic JSON dump. Stage runs, faults and row fallbacks live
-//!   once, in each job's [`crate::trace::JobTrace`] (faults also in the
-//!   context's [`crate::monitor::Monitor`]); cache activity lives in
-//!   [`crate::cache::CacheStats`].
 //! - [`slo`] — per-tenant labeled histograms decomposing every service job
-//!   into queue-wait / admission / execution / commit phases, plus
+//!   record into queue-wait / admission / execution / commit phases, plus
 //!   in-flight and fair-share-vtime gauges.
 //! - [`http`] — a `std::net` HTTP/1.0 scrape endpoint serving `/metrics`,
 //!   `/healthz`, `/jobs`, `/tenants` and `/flight?n=K`, opt-in via
 //!   [`crate::service::JobService::serve`] or `RHEEM_OBS_ADDR`.
 //! - [`watchdog`] — reads registry state on a virtual-time cadence
-//!   (tenant starvation, cache thrash) and each completed job's stage runs
-//!   (straggler stages), and emits typed diagnoses as `rheem_watchdog_*`
-//!   metrics and recorder events.
+//!   (tenant starvation, cache thrash, kept in a ring of its own) and each
+//!   completed job's stage runs (straggler stages, kept on the job's
+//!   record), and counts every diagnosis in `rheem_watchdog_*` metrics.
 
 pub mod http;
-pub mod recorder;
 pub mod slo;
 pub mod watchdog;
 
 pub use http::{handle_request, ObsServer, ObsSource};
-pub use recorder::{Event, EventKind, FlightRecorder};
-pub use slo::JobPhases;
 pub use watchdog::{Diagnosis, TenantState, Watchdog, WatchdogConfig, WatchdogSnapshot};
 
+use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::error::{Result, RheemError};
+
+/// Entries each ring of the plane keeps, oldest dropped first: the
+/// service's job records and the watchdog's sweep diagnoses.
+pub const RING_LEN: usize = 64;
+
+/// Append `item` to `ring`, dropping the oldest entry at [`RING_LEN`].
+pub(crate) fn push_bounded<T>(ring: &mut VecDeque<T>, item: T) {
+    if ring.len() == RING_LEN {
+        ring.pop_front();
+    }
+    ring.push_back(item);
+}
+
+/// Append the last `n` of `items` to `out` as a JSON array, each written
+/// by `write`.
+pub(crate) fn json_tail<'a, T: 'a>(
+    out: &mut String,
+    items: impl ExactSizeIterator<Item = &'a T>,
+    n: usize,
+    write: impl Fn(&T, &mut String),
+) {
+    let skip = items.len().saturating_sub(n);
+    out.push('[');
+    for (i, item) in items.skip(skip).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
+    out.push(']');
+}
 
 /// Minimal blocking HTTP/1.0 GET against `addr` (e.g. `127.0.0.1:9090`);
 /// returns the response body. Used by tests and benches to scrape the

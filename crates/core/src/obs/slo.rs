@@ -1,6 +1,6 @@
 //! Per-tenant SLO metrics: labeled latency histograms decomposing each
-//! service job into queue-wait / admission / execution / commit phases,
-//! plus in-flight and fair-share-vtime gauges.
+//! service job's [`JobRecord`] into queue-wait / admission / execution /
+//! commit phases, plus in-flight and fair-share-vtime gauges.
 //!
 //! Keys follow the registry's embedded-label convention
 //! (`rheem_tenant_job_phase_ms{phase="exec",tenant="a"}`); the fixed
@@ -10,6 +10,7 @@
 //! [`crate::metrics::Histogram::quantile`].
 
 use crate::metrics::MetricsRegistry;
+use crate::service::JobRecord;
 
 /// Histogram family for per-tenant job phase latencies.
 pub const PHASE_FAMILY: &str = "rheem_tenant_job_phase_ms";
@@ -19,22 +20,6 @@ pub const IN_FLIGHT_FAMILY: &str = "rheem_tenant_in_flight";
 pub const VTIME_FAMILY: &str = "rheem_tenant_fair_vtime";
 /// The phase label values, in pipeline order.
 pub const PHASES: [&str; 4] = ["queue", "admission", "exec", "commit"];
-
-/// Per-job phase decomposition. `queue_ms`, `admission_ms` and `commit_ms`
-/// are wall milliseconds (they measure real service overheads); `exec_ms`
-/// is the job's modeled virtual milliseconds, so execution-latency SLOs
-/// stay host-independent and deterministic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JobPhases {
-    /// Wall ms spent queued before a runner picked the job.
-    pub queue_ms: f64,
-    /// Wall ms spent in admission control at submit time.
-    pub admission_ms: f64,
-    /// Virtual ms of modeled execution time.
-    pub exec_ms: f64,
-    /// Wall ms spent committing the result (bookkeeping + hand-off).
-    pub commit_ms: f64,
-}
 
 /// Registry key for one tenant + phase histogram.
 pub fn phase_key(tenant: &str, phase: &str) -> String {
@@ -51,12 +36,15 @@ pub fn vtime_key(tenant: &str) -> String {
     format!("{VTIME_FAMILY}{{tenant=\"{tenant}\"}}")
 }
 
-/// Observe one completed job's phase decomposition for `tenant`.
-pub fn observe_job(metrics: &MetricsRegistry, tenant: &str, phases: &JobPhases) {
-    metrics.observe(&phase_key(tenant, "queue"), phases.queue_ms);
-    metrics.observe(&phase_key(tenant, "admission"), phases.admission_ms);
-    metrics.observe(&phase_key(tenant, "exec"), phases.exec_ms);
-    metrics.observe(&phase_key(tenant, "commit"), phases.commit_ms);
+/// Observe one completed job's phases for its tenant. Execution is in
+/// virtual ms, so execution-latency SLOs stay host-independent and
+/// deterministic; the other phases are wall ms of real service overhead.
+pub fn observe_job(metrics: &MetricsRegistry, record: &JobRecord) {
+    let tenant = &record.tenant;
+    metrics.observe(&phase_key(tenant, "queue"), record.queue_ms);
+    metrics.observe(&phase_key(tenant, "admission"), record.admission_ms);
+    metrics.observe(&phase_key(tenant, "exec"), record.exec_ms);
+    metrics.observe(&phase_key(tenant, "commit"), record.commit_ms);
 }
 
 /// p50/p99 estimates for one tenant + phase, when observed.
@@ -72,11 +60,18 @@ mod tests {
     #[test]
     fn observe_job_feeds_all_four_phases() {
         let m = MetricsRegistry::new();
-        observe_job(
-            &m,
-            "a",
-            &JobPhases { queue_ms: 1.0, admission_ms: 0.1, exec_ms: 40.0, commit_ms: 0.2 },
-        );
+        let record = JobRecord {
+            tenant: "a".into(),
+            job: Some(0),
+            admission_ms: 0.1,
+            queue_ms: 1.0,
+            exec_ms: 40.0,
+            commit_ms: 0.2,
+            outcome: crate::service::JobOutcome::Completed,
+            retries: 0,
+            stragglers: Vec::new(),
+        };
+        observe_job(&m, &record);
         for phase in PHASES {
             let h = m.histogram(&phase_key("a", phase)).unwrap();
             assert_eq!(h.count, 1, "phase {phase}");

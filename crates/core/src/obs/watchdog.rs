@@ -3,8 +3,10 @@
 //! The watchdog reads service registry state on a *virtual-time* cadence
 //! (served virtual ms between sweeps, so sweeps are deterministic for a
 //! deterministic workload) and each finished job's stage runs, and emits
-//! typed [`Diagnosis`] values, `rheem_watchdog_*` counters, and
-//! [`EventKind::Watchdog`] recorder events.
+//! typed [`Diagnosis`] values and `rheem_watchdog_*` counters. A straggler
+//! belongs to its job and is kept on the service's record of it; the
+//! sweep diagnoses belong to no job and are kept in the watchdog's own
+//! ring of the last [`super::RING_LEN`], served at `/flight`.
 //!
 //! Rules (thresholds in [`WatchdogConfig`]):
 //! - **Tenant starvation** (per sweep) — a backlogged tenant whose
@@ -22,13 +24,12 @@
 //!   inserts: the cache budget is too small for the working set and
 //!   entries churn.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
 
-use super::recorder::{EventKind, FlightRecorder};
 use crate::cache::CacheStats;
 use crate::metrics::MetricsRegistry;
-use crate::trace::RunProfile;
+use crate::trace::{json_f64, json_string, RunProfile};
 
 /// Watchdog thresholds. Defaults are deliberately conservative; tests and
 /// operators tighten them per workload.
@@ -125,6 +126,8 @@ struct WdState {
     last_evictions: u64,
     /// Served virtual ms accumulated since the last sweep.
     served_ms: f64,
+    /// Starvation and thrash diagnoses of recent sweeps, oldest first.
+    recent: VecDeque<Diagnosis>,
 }
 
 /// The watchdog itself. One per [`crate::service::JobService`].
@@ -159,30 +162,24 @@ impl Watchdog {
     }
 
     /// Straggler rule over one completed job's stage runs (its trace's
-    /// [`crate::trace::JobTrace::runs`]); publishes every diagnosis as a
-    /// `rheem_watchdog_straggler_total` counter plus a recorder event.
+    /// [`crate::trace::JobTrace::runs`]); counts every diagnosis in
+    /// `rheem_watchdog_straggler_total` and returns them for the job's
+    /// record.
     pub fn check_job(
         &self,
         tenant: Option<&str>,
         job: u64,
         runs: &[RunProfile],
-        recorder: &FlightRecorder,
         metrics: &MetricsRegistry,
     ) -> Vec<Diagnosis> {
         let out = stragglers_in(runs, tenant, job, &self.config);
-        publish(&out, recorder, metrics);
+        count(&out, metrics);
         out
     }
 
-    /// Run one sweep: check `snapshot` for starvation and cache thrash, and
-    /// publish every diagnosis as `rheem_watchdog_*` counters plus a
-    /// recorder event.
-    pub fn sweep(
-        &self,
-        snapshot: &WatchdogSnapshot,
-        recorder: &FlightRecorder,
-        metrics: &MetricsRegistry,
-    ) -> Vec<Diagnosis> {
+    /// Run one sweep: check `snapshot` for starvation and cache thrash,
+    /// count every diagnosis in `rheem_watchdog_*` and keep it in the ring.
+    pub fn sweep(&self, snapshot: &WatchdogSnapshot, metrics: &MetricsRegistry) -> Vec<Diagnosis> {
         let mut out = Vec::new();
         let mut st = self.state.lock().unwrap();
 
@@ -221,52 +218,63 @@ impl Watchdog {
                 }
             }
         }
+        for d in &out {
+            super::push_bounded(&mut st.recent, d.clone());
+        }
         drop(st);
 
         metrics.inc("rheem_watchdog_sweeps_total", 1);
-        publish(&out, recorder, metrics);
+        count(&out, metrics);
         out
+    }
+
+    /// Starvation and thrash diagnoses of the recent sweeps, oldest first.
+    pub(crate) fn recent(&self) -> Vec<Diagnosis> {
+        self.state.lock().unwrap().recent.iter().cloned().collect()
     }
 }
 
-/// Publish diagnoses as `rheem_watchdog_*` counters and recorder events.
-fn publish(diagnoses: &[Diagnosis], recorder: &FlightRecorder, metrics: &MetricsRegistry) {
-    for d in diagnoses {
-        match d {
+impl Diagnosis {
+    /// Append this diagnosis as a JSON object to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        match self {
             Diagnosis::Starvation { tenant, lag_ms } => {
-                metrics.inc(&format!("rheem_watchdog_starvation_total{{tenant=\"{tenant}\"}}"), 1);
-                recorder.record(
-                    EventKind::Watchdog,
-                    Some(tenant),
-                    None,
-                    None,
-                    *lag_ms,
-                    "starvation: vtime lag beyond bound",
-                );
+                out.push_str("{\"kind\":\"starvation\",\"tenant\":");
+                json_string(out, tenant);
+                out.push_str(&format!(",\"lag_ms\":{}}}", json_f64(*lag_ms)));
             }
             Diagnosis::Straggler { tenant, job, stage, ms, median_ms } => {
+                out.push_str("{\"kind\":\"straggler\",\"tenant\":");
+                match tenant {
+                    Some(t) => json_string(out, t),
+                    None => out.push_str("null"),
+                }
+                out.push_str(&format!(
+                    ",\"job\":{job},\"stage\":{stage},\"ms\":{},\"median_ms\":{}}}",
+                    json_f64(*ms),
+                    json_f64(*median_ms)
+                ));
+            }
+            Diagnosis::CacheThrash { ratio, evictions, inserts } => out.push_str(&format!(
+                "{{\"kind\":\"cache_thrash\",\"ratio\":{},\"evictions\":{evictions},\"inserts\":{inserts}}}",
+                json_f64(*ratio)
+            )),
+        }
+    }
+}
+
+/// Count diagnoses in the `rheem_watchdog_*` counters.
+fn count(diagnoses: &[Diagnosis], metrics: &MetricsRegistry) {
+    for d in diagnoses {
+        match d {
+            Diagnosis::Starvation { tenant, .. } => {
+                metrics.inc(&format!("rheem_watchdog_starvation_total{{tenant=\"{tenant}\"}}"), 1);
+            }
+            Diagnosis::Straggler { tenant, .. } => {
                 let t = tenant.as_deref().unwrap_or("unknown");
                 metrics.inc(&format!("rheem_watchdog_straggler_total{{tenant=\"{t}\"}}"), 1);
-                recorder.record(
-                    EventKind::Watchdog,
-                    tenant.as_deref(),
-                    Some(*job),
-                    Some(*stage),
-                    *ms,
-                    &format!("straggler: {ms:.3}ms vs sibling median {median_ms:.3}ms"),
-                );
             }
-            Diagnosis::CacheThrash { ratio, evictions, inserts } => {
-                metrics.inc("rheem_watchdog_cache_thrash_total", 1);
-                recorder.record(
-                    EventKind::Watchdog,
-                    None,
-                    None,
-                    None,
-                    *ratio,
-                    &format!("cache thrash: {evictions} evictions / {inserts} inserts"),
-                );
-            }
+            Diagnosis::CacheThrash { .. } => metrics.inc("rheem_watchdog_cache_thrash_total", 1),
         }
     }
 }
@@ -325,10 +333,6 @@ fn median_without(sorted: &[f64], x: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn recorder() -> FlightRecorder {
-        FlightRecorder::with_capacity(1024, 1 << 20)
-    }
-
     #[test]
     fn starvation_flags_lagging_backlogged_tenant_only() {
         let wd = Watchdog::new(WatchdogConfig { starvation_lag_ms: 100.0, ..Default::default() });
@@ -339,14 +343,14 @@ mod tests {
             ],
             cache: None,
         };
-        let (r, m) = (recorder(), MetricsRegistry::new());
-        let out = wd.sweep(&snap, &r, &m);
+        let m = MetricsRegistry::new();
+        let out = wd.sweep(&snap, &m);
         assert_eq!(out.len(), 1);
         assert!(matches!(&out[0], Diagnosis::Starvation { tenant, .. } if tenant == "starved"));
         assert_eq!(m.counter("rheem_watchdog_starvation_total{tenant=\"starved\"}"), 1);
         assert_eq!(m.counter("rheem_watchdog_starvation_total{tenant=\"heavy\"}"), 0);
-        // The diagnosis is also a recorder event.
-        assert!(r.recent(8).iter().any(|e| e.kind == EventKind::Watchdog));
+        // The diagnosis is also kept in the sweep ring.
+        assert_eq!(wd.recent(), out);
     }
 
     #[test]
@@ -359,7 +363,7 @@ mod tests {
             ],
             cache: None,
         };
-        assert!(wd.sweep(&snap, &recorder(), &MetricsRegistry::new()).is_empty());
+        assert!(wd.sweep(&snap, &MetricsRegistry::new()).is_empty());
     }
 
     fn run(stage: usize, iteration: u64, virtual_ms: f64) -> RunProfile {
@@ -386,9 +390,9 @@ mod tests {
     #[test]
     fn straggler_flagged_against_its_sibling_median() {
         let wd = straggler_watchdog(1.0);
-        let (r, m) = (recorder(), MetricsRegistry::new());
+        let m = MetricsRegistry::new();
         let runs = [run(0, 0, 2.0), run(1, 0, 40.0), run(2, 0, 3.0)];
-        let out = wd.check_job(Some("a"), 7, &runs, &r, &m);
+        let out = wd.check_job(Some("a"), 7, &runs, &m);
         assert_eq!(
             out,
             vec![Diagnosis::Straggler {
@@ -400,7 +404,8 @@ mod tests {
             }]
         );
         assert_eq!(m.counter("rheem_watchdog_straggler_total{tenant=\"a\"}"), 1);
-        assert!(r.recent(8).iter().any(|e| e.kind == EventKind::Watchdog && e.stage == Some(1)));
+        // The verdict goes to the job's record, not to the sweep ring.
+        assert!(wd.recent().is_empty());
         // The straggler rule is not a sweep.
         assert_eq!(m.counter("rheem_watchdog_sweeps_total"), 0);
     }
@@ -408,46 +413,46 @@ mod tests {
     #[test]
     fn fewer_than_three_runs_are_never_stragglers() {
         let wd = straggler_watchdog(0.0);
-        let (r, m) = (recorder(), MetricsRegistry::new());
+        let m = MetricsRegistry::new();
         let runs = [run(0, 0, 100.0), run(1, 0, 1.0)];
-        assert!(wd.check_job(None, 1, &runs, &r, &m).is_empty());
-        assert!(r.is_empty());
+        assert!(wd.check_job(None, 1, &runs, &m).is_empty());
+        assert_eq!(m.counter("rheem_watchdog_straggler_total{tenant=\"unknown\"}"), 0);
     }
 
     #[test]
     fn runs_below_the_floor_are_never_stragglers() {
         let wd = straggler_watchdog(50.0);
         let runs = [run(0, 0, 0.1), run(1, 0, 40.0), run(2, 0, 0.1)];
-        let out = wd.check_job(None, 1, &runs, &recorder(), &MetricsRegistry::new());
+        let out = wd.check_job(None, 1, &runs, &MetricsRegistry::new());
         assert!(out.is_empty(), "400x its siblings but under straggler_min_ms: {out:?}");
     }
 
     #[test]
     fn superseded_runs_are_excluded() {
         let wd = straggler_watchdog(1.0);
-        let (r, m) = (recorder(), MetricsRegistry::new());
+        let m = MetricsRegistry::new();
         // A superseded straggler is not flagged…
         let mut slow = run(1, 0, 40.0);
         slow.superseded = true;
         let runs = [run(0, 0, 2.0), slow.clone(), run(2, 0, 3.0), run(1, 0, 2.0)];
-        assert!(wd.check_job(None, 1, &runs, &r, &m).is_empty());
+        assert!(wd.check_job(None, 1, &runs, &m).is_empty());
         // …and does not count as a sibling: two live runs are too few.
         let runs = [run(0, 0, 2.0), slow, run(1, 0, 40.0)];
-        assert!(wd.check_job(None, 2, &runs, &r, &m).is_empty());
+        assert!(wd.check_job(None, 2, &runs, &m).is_empty());
     }
 
     #[test]
     fn a_stage_repeated_across_iterations_is_flagged_once() {
         let wd = straggler_watchdog(1.0);
-        let (r, m) = (recorder(), MetricsRegistry::new());
+        let m = MetricsRegistry::new();
         let mut runs: Vec<RunProfile> = (0..10).map(|i| run(0, i, 2.0)).collect();
         runs.extend((0..3).map(|i| run(1, i, 40.0)));
-        let out = wd.check_job(Some("a"), 3, &runs, &r, &m);
+        let out = wd.check_job(Some("a"), 3, &runs, &m);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(matches!(&out[0], Diagnosis::Straggler { job: 3, stage: 1, .. }));
         assert_eq!(m.counter("rheem_watchdog_straggler_total{tenant=\"a\"}"), 1);
         // The set is the job's own: the next job's repeat is flagged again.
-        assert_eq!(wd.check_job(Some("a"), 4, &runs, &r, &m).len(), 1);
+        assert_eq!(wd.check_job(Some("a"), 4, &runs, &m).len(), 1);
     }
 
     #[test]
@@ -475,15 +480,16 @@ mod tests {
             thrash_min_inserts: 4,
             ..Default::default()
         });
-        let (r, m) = (recorder(), MetricsRegistry::new());
+        let m = MetricsRegistry::new();
         let cs = CacheStats { inserts: 10, evictions: 9, ..Default::default() };
         let snap = WatchdogSnapshot { tenants: vec![], cache: Some(cs) };
-        let out = wd.sweep(&snap, &r, &m);
+        let out = wd.sweep(&snap, &m);
         assert!(matches!(out[0], Diagnosis::CacheThrash { inserts: 10, evictions: 9, .. }));
         assert_eq!(m.counter("rheem_watchdog_cache_thrash_total"), 1);
         // Same cumulative counters again: zero delta, no flag.
         let snap2 = WatchdogSnapshot { tenants: vec![], cache: Some(cs) };
-        assert!(wd.sweep(&snap2, &r, &m).is_empty());
+        assert!(wd.sweep(&snap2, &m).is_empty());
+        assert_eq!(wd.recent(), out, "the ring keeps the first sweep's verdict only");
     }
 
     #[test]

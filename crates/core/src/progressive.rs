@@ -18,7 +18,7 @@ use crate::execplan::build_exec_plan;
 use crate::executor::{
     Checkpoint, ExecConfig, Execution, Executor, ExplorationBuffer, Outcome, TraceHandle,
 };
-use crate::monitor::Monitor;
+use crate::fault::FaultRecord;
 use crate::optimizer::Optimizer;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::{PlatformId, Profiles};
@@ -37,8 +37,8 @@ pub struct ProgressiveOutcome {
     pub real_ms: f64,
     /// Number of re-optimizations performed.
     pub replans: u32,
-    /// Operator retries the retry budget absorbed, over all phases.
-    pub retries: u32,
+    /// Faults handled over all phases, in commit order.
+    pub faults: Vec<FaultRecord>,
     /// Number of cross-platform failovers performed (retry budget exhausted
     /// on a platform; remainder re-planned over the survivors).
     pub failovers: u32,
@@ -158,7 +158,6 @@ pub fn run_progressive(
     model: &CostModel,
     base_estimator: impl Fn() -> Estimator,
     config: &ExecConfig,
-    monitor: &Monitor,
     forced_platform: Option<PlatformId>,
     cache: Option<Arc<ResultCache>>,
 ) -> Result<ProgressiveOutcome> {
@@ -176,7 +175,7 @@ pub fn run_progressive(
     let mut virtual_ms = 0.0;
     let mut real_ms = 0.0;
     let mut replans = 0;
-    let mut retries = 0;
+    let mut job_faults = Vec::new();
     let mut failovers = 0;
     let mut platforms: Vec<PlatformId> = Vec::new();
     let mut est_ms = None;
@@ -266,7 +265,7 @@ pub fn run_progressive(
             }
             _ => None,
         };
-        let executor = Executor::new(phase_plan, &opt, &eplan, profiles, config, monitor)
+        let executor = Executor::new(phase_plan, &opt, &eplan, profiles, config)
             .with_faults(faults.clone())
             .with_trace(handle)
             .with_cache(publish);
@@ -275,12 +274,12 @@ pub fn run_progressive(
                 sink_data: sinks,
                 virtual_ms: v,
                 real_ms: r,
-                retries: n,
+                faults: f,
                 exploration: expl,
             }) => {
                 virtual_ms += v;
                 real_ms += r;
-                retries += n;
+                job_faults.extend(f);
                 exploration.taps.extend(expl.taps);
                 for (new_id, data) in sinks {
                     let orig = sink_map.get(&new_id).copied().unwrap_or(new_id);
@@ -299,7 +298,7 @@ pub fn run_progressive(
                     virtual_ms,
                     real_ms,
                     replans,
-                    retries,
+                    faults: job_faults,
                     failovers,
                     platforms,
                     est_ms: est_ms.unwrap_or(0.0),
@@ -308,7 +307,7 @@ pub fn run_progressive(
                 });
             }
             outcome => {
-                let (cp, rewrite_cause) = match outcome {
+                let (mut cp, rewrite_cause) = match outcome {
                     Outcome::Paused(cp) => {
                         replans += 1;
                         (cp, "cardinality-mismatch")
@@ -340,7 +339,7 @@ pub fn run_progressive(
                 }
                 virtual_ms += cp.virtual_ms + REPLAN_MS;
                 real_ms += cp.real_ms;
-                retries += cp.retries;
+                job_faults.append(&mut cp.faults);
                 exploration.taps.extend(cp.exploration.taps.clone());
                 for (new_id, data) in &cp.sink_data {
                     let orig = sink_map.get(new_id).copied().unwrap_or(*new_id);
@@ -397,7 +396,7 @@ mod tests {
             sink_data: HashMap::new(),
             virtual_ms: 0.0,
             real_ms: 0.0,
-            retries: 0,
+            faults: Vec::new(),
             exploration: ExplorationBuffer::default(),
         };
         let (next, _sinks, overrides) = rewrite_plan(&plan, &cp, &fps).unwrap();

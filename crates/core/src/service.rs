@@ -23,15 +23,15 @@
 //! - **Attribution**: each job's [`crate::api::JobMetrics`] count only its
 //!   own run, its trace's job span carries a `tenant` attribute, and the
 //!   context's Prometheus snapshot has tenant-labelled counters and gauges.
-//! - **Observability**: job lifecycle events feed the service's own
-//!   [`FlightRecorder`] ([`JobService::recorder`]; the service and its
-//!   watchdog are the ring's only writers), per-tenant SLO phase histograms
-//!   ([`crate::obs::slo`]) decompose every job into queue / admission /
-//!   exec / commit, a [`Watchdog`] sweeps for starvation and cache thrash
-//!   on a virtual-time cadence and checks every completed job's trace for
-//!   straggler stages, and [`JobService::serve`] (or
-//!   the `RHEEM_OBS_ADDR` env var) exposes it all over a dependency-free
-//!   TCP scrape endpoint ([`crate::obs::http`]).
+//! - **Observability**: every finished or rejected job leaves one
+//!   [`JobRecord`] (phase millis, outcome, retries, straggler verdicts) in
+//!   a ring of the last [`obs::RING_LEN`] ([`JobService::records`]); the
+//!   per-tenant SLO phase histograms ([`crate::obs::slo`]) are observed
+//!   from it. A [`Watchdog`] checks every completed job's trace for
+//!   straggler stages and sweeps for starvation and cache thrash on a
+//!   virtual-time cadence, and [`JobService::serve`] (or the
+//!   `RHEEM_OBS_ADDR` env var) exposes it all over a dependency-free TCP
+//!   scrape endpoint ([`crate::obs::http`]).
 //!
 //! Per-job results stay byte-identical to an isolated run of the same plan
 //! because the executor's commit-in-order design makes results and traces
@@ -51,10 +51,10 @@ use crate::cache::Namespace;
 use crate::error::{Result, RheemError};
 use crate::kernels::SplitMix64;
 use crate::obs::{
-    self, EventKind, FlightRecorder, JobPhases, ObsServer, ObsSource, TenantState, Watchdog,
-    WatchdogConfig, WatchdogSnapshot,
+    self, Diagnosis, ObsServer, ObsSource, TenantState, Watchdog, WatchdogConfig, WatchdogSnapshot,
 };
 use crate::plan::RheemPlan;
+use crate::trace::{json_f64, json_string};
 
 // ---------------------------------------------------------------------------
 // Fair-share policy
@@ -239,6 +239,73 @@ impl JobHandle {
     }
 }
 
+/// How a job the service saw ended.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JobOutcome {
+    /// The job returned its result.
+    Completed,
+    /// The job failed or panicked; the message names the cause.
+    Failed(String),
+    /// Admission control refused the submission; the reason says why.
+    Rejected(String),
+}
+
+/// The service's one record of a job: written once, when the job finishes
+/// or its submission is refused, into the ring [`JobService::records`]
+/// returns and `/flight` and `/jobs` serve. The SLO phase histograms are
+/// observed from it. Admission, queue and commit are wall ms of service
+/// overhead; execution is the job's virtual ms.
+#[derive(Clone, Debug)]
+pub struct JobRecord {
+    /// The tenant the job was submitted for.
+    pub tenant: String,
+    /// Service job id; `None` for a rejected submission.
+    pub job: Option<u64>,
+    /// Wall ms spent in admission control at submit time.
+    pub admission_ms: f64,
+    /// Wall ms spent queued before a runner picked the job.
+    pub queue_ms: f64,
+    /// Virtual ms of modeled execution (0 unless completed).
+    pub exec_ms: f64,
+    /// Wall ms spent committing the result (bookkeeping + hand-off).
+    pub commit_ms: f64,
+    /// How the job ended.
+    pub outcome: JobOutcome,
+    /// Retries the job absorbed ([`crate::api::JobMetrics::retries`]).
+    pub retries: u32,
+    /// The watchdog's straggler verdicts on the job's stage runs.
+    pub stragglers: Vec<Diagnosis>,
+}
+
+impl JobRecord {
+    /// Append this record as a JSON object to `out`.
+    fn write_json(&self, out: &mut String) {
+        let (outcome, detail) = match &self.outcome {
+            JobOutcome::Completed => ("completed", ""),
+            JobOutcome::Failed(msg) => ("failed", msg.as_str()),
+            JobOutcome::Rejected(reason) => ("rejected", reason.as_str()),
+        };
+        out.push_str("{\"tenant\":");
+        json_string(out, &self.tenant);
+        match self.job {
+            Some(id) => out.push_str(&format!(",\"job\":{id}")),
+            None => out.push_str(",\"job\":null"),
+        }
+        out.push_str(&format!(",\"outcome\":\"{outcome}\",\"detail\":"));
+        json_string(out, detail);
+        out.push_str(&format!(
+            ",\"admission_ms\":{},\"queue_ms\":{},\"exec_ms\":{},\"commit_ms\":{},\"retries\":{},\"stragglers\":",
+            json_f64(self.admission_ms),
+            json_f64(self.queue_ms),
+            json_f64(self.exec_ms),
+            json_f64(self.commit_ms),
+            self.retries,
+        ));
+        obs::json_tail(out, self.stragglers.iter(), usize::MAX, Diagnosis::write_json);
+        out.push('}');
+    }
+}
+
 struct Queued {
     id: u64,
     plan: RheemPlan,
@@ -249,9 +316,6 @@ struct Queued {
     admission_ms: f64,
 }
 
-/// Completions kept in [`SvcState::recent`] (and reported by `/jobs`).
-const RECENT_COMPLETIONS: usize = 64;
-
 struct SvcState {
     queues: Vec<VecDeque<Queued>>,
     fair: FairShare,
@@ -261,9 +325,8 @@ struct SvcState {
     shutdown: bool,
     /// Jobs completed so far (successfully or not).
     completed: u64,
-    /// `(job id, tenant index)` of the last [`RECENT_COMPLETIONS`] jobs, in
-    /// completion order.
-    recent: VecDeque<(u64, usize)>,
+    /// The last [`obs::RING_LEN`] job records, oldest first.
+    records: VecDeque<JobRecord>,
 }
 
 struct SvcInner {
@@ -272,8 +335,6 @@ struct SvcInner {
     state: Mutex<SvcState>,
     work: Condvar,
     watchdog: Watchdog,
-    /// The flight ring: job lifecycle events and watchdog diagnoses.
-    recorder: FlightRecorder,
 }
 
 /// The message a panic was raised with, when it carries a string.
@@ -293,18 +354,6 @@ impl SvcInner {
             cache_ns: spec.namespace(),
             cache_shared_read: spec.share_cache,
         }
-    }
-
-    /// Record a job-lifecycle event on the service's flight recorder.
-    fn record(
-        &self,
-        kind: EventKind,
-        tenant: Option<&str>,
-        job: Option<u64>,
-        value: f64,
-        detail: &str,
-    ) {
-        self.recorder.record(kind, tenant, job, None, value, detail);
     }
 
     /// Scheduler state for a watchdog sweep. Caller holds the state lock.
@@ -344,9 +393,8 @@ impl SvcInner {
                     st = self.work.wait(st).unwrap();
                 }
             };
-            let tname = self.tenants[tenant].name.clone();
+            let tname = &self.tenants[tenant].name;
             let queue_ms = job.admitted_at.elapsed().as_secs_f64() * 1e3;
-            self.record(EventKind::JobStarted, Some(&tname), Some(job.id), queue_ms, "");
             let scope = self.scope_for(tenant);
             // A panicking UDF must fail its job, not unwind the runner: a
             // dead runner would leak the job's admission slot and strand
@@ -361,62 +409,57 @@ impl SvcInner {
                         )))
                     });
             let commit_t0 = Instant::now();
-            let exec_ms = result.as_ref().map(|r| r.metrics.virtual_ms).unwrap_or(0.0);
+            let metrics = self.ctx.metrics();
+            // Stragglers come from the finished job's own trace: a failed or
+            // untraced job gets no straggler verdict.
+            let (outcome, exec_ms, retries, stragglers) = match &result {
+                Ok(r) => {
+                    let stragglers = r.trace.as_ref().map_or_else(Vec::new, |t| {
+                        self.watchdog.check_job(Some(tname), job.id, &t.runs, metrics)
+                    });
+                    (JobOutcome::Completed, r.metrics.virtual_ms, r.metrics.retries, stragglers)
+                }
+                Err(e) => (JobOutcome::Failed(e.to_string()), 0.0, 0, Vec::new()),
+            };
             // Charge the served job at its virtual cost so the next pick
             // reflects actual consumption (failed jobs charge a token
             // amount — admission work isn't free either).
-            let cost = result.as_ref().map(|r| r.metrics.virtual_ms).unwrap_or(1.0);
+            let cost = if result.is_ok() { exec_ms } else { 1.0 };
+            let mut record = JobRecord {
+                tenant: tname.clone(),
+                job: Some(job.id),
+                admission_ms: job.admission_ms,
+                queue_ms,
+                exec_ms,
+                commit_ms: 0.0,
+                outcome,
+                retries,
+                stragglers,
+            };
             let (in_flight_now, vtime_now, sweep) = {
                 let mut st = self.state.lock().unwrap();
                 st.fair.charge(tenant, cost);
                 st.in_flight[tenant] -= 1;
                 st.total_in_flight -= 1;
                 st.completed += 1;
-                if st.recent.len() == RECENT_COMPLETIONS {
-                    st.recent.pop_front();
-                }
-                st.recent.push_back((job.id, tenant));
                 let due = self.watchdog.on_served(cost);
                 let snap = due.then(|| self.watchdog_snapshot(&st));
+                record.commit_ms = commit_t0.elapsed().as_secs_f64() * 1e3;
+                obs::push_bounded(&mut st.records, record.clone());
                 (st.in_flight[tenant], st.fair.vtime(tenant), snap)
             };
             // Wake runners (more queued work may be pickable) and any
             // submitter waiting on capacity semantics in tests.
             self.work.notify_all();
-            let metrics = self.ctx.metrics();
-            metrics.set_gauge(&obs::slo::in_flight_key(&tname), in_flight_now as f64);
-            metrics.set_gauge(&obs::slo::vtime_key(&tname), vtime_now);
-            let commit_ms = commit_t0.elapsed().as_secs_f64() * 1e3;
-            let phases = JobPhases { queue_ms, admission_ms: job.admission_ms, exec_ms, commit_ms };
-            obs::slo::observe_job(metrics, &tname, &phases);
-            match &result {
-                Ok(r) => {
-                    self.record(
-                        EventKind::JobCompleted,
-                        Some(&tname),
-                        Some(job.id),
-                        r.metrics.virtual_ms,
-                        "",
-                    );
-                    // Stragglers come from the finished job's own trace: a
-                    // failed or untraced job gets no straggler verdict.
-                    if let Some(trace) = &r.trace {
-                        let rec = &self.recorder;
-                        self.watchdog.check_job(Some(&tname), job.id, &trace.runs, rec, metrics);
-                    }
-                }
-                Err(e) => self.record(
-                    EventKind::JobFailed,
-                    Some(&tname),
-                    Some(job.id),
-                    0.0,
-                    &e.to_string(),
-                ),
-            }
+            // The registry has a lock of its own: feed it outside the state
+            // lock, which submissions and the job pick wait on.
+            obs::slo::observe_job(metrics, &record);
+            metrics.set_gauge(&obs::slo::in_flight_key(tname), in_flight_now as f64);
+            metrics.set_gauge(&obs::slo::vtime_key(tname), vtime_now);
             // Sweep outside the state lock: it must never hold up
             // submissions.
             if let Some(snap) = &sweep {
-                self.watchdog.sweep(snap, &self.recorder, metrics);
+                self.watchdog.sweep(snap, metrics);
             }
             let _ = job.tx.send(result);
         }
@@ -445,14 +488,13 @@ impl ObsSource for SvcInner {
             "{{\"in_flight\":{},\"queued\":{},\"completed\":{},\"recent_completions\":[",
             st.total_in_flight, queued, st.completed,
         );
-        for (i, (id, t)) in st.recent.iter().enumerate() {
+        let completions = st.records.iter().filter_map(|r| r.job.map(|id| (id, &r.tenant)));
+        for (i, (id, tenant)) in completions.enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"job\":");
-            out.push_str(&id.to_string());
-            out.push_str(",\"tenant\":");
-            crate::trace::json_string(&mut out, &self.tenants[*t].name);
+            out.push_str(&format!("{{\"job\":{id},\"tenant\":"));
+            json_string(&mut out, tenant);
             out.push('}');
         }
         out.push_str("]}");
@@ -499,7 +541,14 @@ impl ObsSource for SvcInner {
     }
 
     fn flight_json(&self, n: usize) -> String {
-        self.recorder.dump_json(Some(n))
+        let mut out = String::from("{\"jobs\":");
+        let st = self.state.lock().unwrap();
+        obs::json_tail(&mut out, st.records.iter(), n, JobRecord::write_json);
+        drop(st);
+        out.push_str(",\"watchdog\":");
+        obs::json_tail(&mut out, self.watchdog.recent().iter(), n, Diagnosis::write_json);
+        out.push('}');
+        out
     }
 }
 
@@ -549,11 +598,10 @@ impl JobService {
                 next_id: 0,
                 shutdown: false,
                 completed: 0,
-                recent: VecDeque::with_capacity(RECENT_COMPLETIONS),
+                records: VecDeque::with_capacity(obs::RING_LEN),
             }),
             work: Condvar::new(),
             watchdog: Watchdog::new(config.watchdog),
-            recorder: FlightRecorder::default(),
         });
         let mut handles = Vec::with_capacity(runners);
         for i in 0..runners {
@@ -602,14 +650,25 @@ impl JobService {
     pub fn submit(&self, tenant: &str, plan: RheemPlan) -> Result<JobHandle> {
         let t0 = Instant::now();
         let reject = |reason: String| {
-            self.inner.record(EventKind::JobRejected, Some(tenant), None, 0.0, &reason);
+            let record = JobRecord {
+                tenant: tenant.to_string(),
+                job: None,
+                admission_ms: t0.elapsed().as_secs_f64() * 1e3,
+                queue_ms: 0.0,
+                exec_ms: 0.0,
+                commit_ms: 0.0,
+                outcome: JobOutcome::Rejected(reason.clone()),
+                retries: 0,
+                stragglers: Vec::new(),
+            };
+            obs::push_bounded(&mut self.inner.state.lock().unwrap().records, record);
             Err(RheemError::Rejected { tenant: tenant.to_string(), reason })
         };
         let Some(t) = self.inner.tenants.iter().position(|s| s.name == tenant) else {
             return reject("unknown tenant".into());
         };
         let (tx, rx) = mpsc::channel();
-        let admitted: std::result::Result<(u64, f64), String> = {
+        let admitted: std::result::Result<u64, String> = {
             let mut st = self.inner.state.lock().unwrap();
             let cap = self.max_in_flight();
             let tcap = self.inner.tenants[t].max_in_flight;
@@ -637,15 +696,13 @@ impl JobService {
                     admitted_at: Instant::now(),
                     admission_ms,
                 });
-                Ok((id, admission_ms))
+                Ok(id)
             }
         };
-        let (id, admission_ms) = match admitted {
-            Ok(ok) => ok,
+        let id = match admitted {
+            Ok(id) => id,
             Err(reason) => return reject(reason),
         };
-        self.inner.record(EventKind::JobAdmitted, Some(tenant), Some(id), admission_ms, "");
-        self.inner.record(EventKind::JobQueued, Some(tenant), Some(id), 0.0, "");
         self.inner.work.notify_all();
         Ok(JobHandle { id, tenant: tenant.to_string(), rx })
     }
@@ -655,23 +712,17 @@ impl JobService {
         self.cap
     }
 
-    /// The wrapped context (metrics, monitor, cache inspection).
+    /// The wrapped context (metrics, cache inspection).
     pub fn context(&self) -> &RheemContext {
         &self.inner.ctx
     }
 
-    /// The service's flight recorder: job lifecycle events and watchdog
-    /// diagnoses (also served at `/flight`).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.inner.recorder
-    }
-
-    /// `(job id, tenant name)` of the last 64 completed jobs, in completion
-    /// order. The service keeps no longer log; `/jobs` also reports the
-    /// total count.
-    pub fn completions(&self) -> Vec<(u64, String)> {
-        let st = self.inner.state.lock().unwrap();
-        st.recent.iter().map(|&(id, t)| (id, self.inner.tenants[t].name.clone())).collect()
+    /// The records of the last [`obs::RING_LEN`] jobs that finished or were
+    /// refused, in that order (also served at `/flight`; `/jobs` lists the
+    /// finished ones and counts every job finished so far). The service
+    /// keeps no longer log.
+    pub fn records(&self) -> Vec<JobRecord> {
+        self.inner.state.lock().unwrap().records.iter().cloned().collect()
     }
 
     /// Jobs admitted and not yet completed.

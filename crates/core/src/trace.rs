@@ -655,8 +655,8 @@ impl JobTrace {
 /// Shortest representation of `f` that parses back to the identical f64
 /// (Rust's float `Display` is round-trip by construction); JSON requires a
 /// finite decimal, so non-finite values are clamped to sentinel strings.
-/// Shared with [`crate::obs`], whose flight-recorder dumps must parse via
-/// [`json::parse`].
+/// Shared with [`crate::obs`] and [`crate::service`], whose `/flight`
+/// dumps must parse via [`json::parse`].
 pub(crate) fn json_f64(f: f64) -> String {
     if f.is_finite() {
         format!("{f}")

@@ -39,7 +39,7 @@ echo "== one-worker pool: every par_each_idx partition runs inline"
 RHEEM_POOL=1 cargo test -q --release --test differential --test cross_platform \
     --test chaos --test fault_tolerance --test explain --test cache
 
-echo "== observability suite (recorder, exposition, watchdog over live TCP scrapes)"
+echo "== observability suite (job records, exposition, watchdog over live TCP scrapes)"
 cargo test -q --release --test obs -- --test-threads=1
 
 echo "== all checks passed"

@@ -38,7 +38,7 @@ fn wordcount(path: &std::path::Path) -> (RheemPlan, OperatorId) {
             v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
         }))
         .map(MapUdf::new("pair", |w| Value::pair(w.clone(), Value::from(1))))
-        .reduce_by_key(KeyUdf::field(0), ReduceUdf::sum())
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
         .collect();
     (b.build().unwrap(), sink)
 }
@@ -99,6 +99,16 @@ fn warm_rerun_replays_from_cache() {
     let ctx = ctx_with(&cache);
 
     let (cold, cold_m) = run(&ctx, &plan, sink).unwrap();
+    let mut counts = std::collections::HashMap::<String, i64>::new();
+    for line in rheem::storage::read_lines(&path).unwrap() {
+        for word in line.split_whitespace() {
+            *counts.entry(word.to_string()).or_default() += 1;
+        }
+    }
+    let mut want: Vec<Value> =
+        counts.into_iter().map(|(w, n)| Value::pair(Value::from(w), Value::from(n))).collect();
+    want.sort();
+    assert_eq!(cold, want, "the cold answer is not the corpus's word count");
     let after_cold = cache.stats();
     assert_eq!(after_cold.hits, 0, "first run cannot hit");
     assert!(after_cold.inserts >= 1, "commit must publish reusable channels");
@@ -327,7 +337,7 @@ fn gen_case(case: u64) -> (RheemPlan, OperatorId) {
         };
     }
     q = match rng.range_usize(3) {
-        0 => q.reduce_by_key(KeyUdf::field(0), ReduceUdf::sum()),
+        0 => q.reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum")),
         1 => q.distinct(),
         _ => q,
     };

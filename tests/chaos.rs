@@ -201,9 +201,10 @@ impl Tally {
 /// inside the budget must recover in place with the exact baseline answer;
 /// cells beyond it must fail over or surface a typed error. In every
 /// surviving cell the bookkeeping is reconciled against the injected plan:
-/// all fault records carry the injected kind and stage, and the monitor's
-/// retry count, the per-run `RunProfile::retries` sums of the trace, the
-/// job's `JobMetrics::retries` and the recovered fault records all agree.
+/// all of the job's fault records carry the injected kind and stage, and
+/// the context's `rheem_retries_total`, the per-run `RunProfile::retries`
+/// sums of the trace, the job's `JobMetrics::retries` and its recovered
+/// fault records all agree.
 #[test]
 fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
     let mut tally = Tally::default();
@@ -221,17 +222,16 @@ fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
                     ));
                     match run_sorted(&ctx, make) {
                         Ok((out, result)) => {
-                            let JobMetrics { retries, failovers, .. } = result.metrics;
+                            let JobMetrics { retries, failovers, ref faults, .. } = result.metrics;
                             assert_eq!(out, expected, "{cell}: wrong answer");
-                            let recs = ctx.monitor().fault_records();
-                            for r in &recs {
+                            for r in faults {
                                 assert_eq!(r.kind, Some(kind), "{cell}: alien fault {r:?}");
                                 assert_eq!(r.stage, stage, "{cell}: strayed to {r:?}");
                             }
-                            let recovered = recs.iter().filter(|r| r.recovered).count() as u32;
+                            let recovered = faults.iter().filter(|r| r.recovered).count() as u32;
                             assert_eq!(
-                                ctx.monitor().retries(),
-                                recovered,
+                                ctx.metrics().counter("rheem_retries_total"),
+                                u64::from(recovered),
                                 "{cell}: retry counter out of sync with fault records"
                             );
                             let per_run: u32 = trace(&result).runs.iter().map(|r| r.retries).sum();
@@ -244,17 +244,17 @@ fn fault_matrix_recovers_in_budget_or_escalates_cleanly() {
                             );
                             if fail_n <= BUDGET {
                                 assert!(
-                                    recs.iter().all(|r| r.recovered),
+                                    faults.iter().all(|r| r.recovered),
                                     "{cell}: in-budget fault not recovered"
                                 );
                                 assert_eq!(failovers, 0, "{cell}: needless failover");
-                            } else if recs.iter().any(|r| !r.recovered) {
+                            } else if faults.iter().any(|r| !r.recovered) {
                                 assert!(
                                     failovers >= 1,
                                     "{cell}: exhausted budget but no failover recorded"
                                 );
                             }
-                            tally.bump(kind, recs.len());
+                            tally.bump(kind, faults.len());
                         }
                         // Beyond the budget a cell may legitimately run out of
                         // platforms (pinned operators, repeated exhaustion) —
@@ -297,7 +297,7 @@ fn exhausted_stage_fails_over_and_completes() {
             FaultRule::new(FaultKind::Transient).on_platform(victim).failing(PERSISTENT),
         )));
         let (out, result) = run_sorted(&ctx, make).unwrap();
-        let JobMetrics { retries, failovers, .. } = result.metrics;
+        let JobMetrics { retries, failovers, ref faults, .. } = result.metrics;
         assert_eq!(out, expected, "{name}: failover from {victim:?} changed the answer");
         assert!(failovers >= 1, "{name}: JobMetrics must report the failover");
         assert!(
@@ -305,10 +305,7 @@ fn exhausted_stage_fails_over_and_completes() {
             "{name}: the metrics registry must count the failover"
         );
         assert!(retries >= BUDGET, "{name}: the budget must be consumed before failing over");
-        assert!(
-            ctx.monitor().fault_records().iter().any(|r| !r.recovered),
-            "{name}: the exhaustion must be recorded"
-        );
+        assert!(faults.iter().any(|r| !r.recovered), "{name}: the exhaustion must be recorded");
         // Work finished on the victim *before* the exhaustion survives via
         // the checkpoint, but the re-planned final phase must avoid it.
         let runs = &trace(&result).runs;
@@ -376,13 +373,14 @@ fn seeded_chaos_on_wordcount_and_sgd_is_survivable_or_typed() {
                 Ok((out, result)) => {
                     assert_eq!(out, expected, "seed {seed:#x} on {name}: wrong answer");
                     assert_no_duplicate_iteration_accounting(&result, name);
+                    injected += result.metrics.faults.len();
                     survived += 1;
                 }
-                Err(RheemError::Fault(_) | RheemError::Exhausted(_) | RheemError::Optimizer(_)) => {
-                }
+                // The fault that ended the job counts as injected.
+                Err(RheemError::Fault(_) | RheemError::Exhausted(_)) => injected += 1,
+                Err(RheemError::Optimizer(_)) => {}
                 Err(other) => panic!("seed {seed:#x} on {name}: untyped error {other}"),
             }
-            injected += ctx.monitor().fault_records().len();
         }
     }
     assert!(injected > 0, "seed matrix injected nothing");

@@ -2,22 +2,22 @@
 //!
 //! Locks down the live observability claims end to end:
 //!
-//! 1. **Flight-recorder budgets** hold under multi-threaded writes: the
-//!    ring never exceeds its entry or byte budget, drop accounting is
-//!    exact (`drained + resident + dropped == recorded`), and the JSON
-//!    dump parses with the repo's own `trace::json` parser.
+//! 1. **Job records**: the service keeps one `JobRecord` per finished or
+//!    refused job. A rejection, a panic and a seeded fault plan's retries
+//!    each show on the job's record, and `/flight` serves the record ring
+//!    and the watchdog's sweep ring as deterministic JSON that parses with
+//!    the repo's own `trace::json` parser.
 //! 2. **Prometheus exposition invariants** hold on a real multi-tenant
 //!    service run: one `# TYPE` per family, labels merged before `le`,
 //!    cumulative buckets ending in `+Inf`, deterministic double-snapshot.
 //! 3. **Watchdog end-to-end**: a synthetically starved tenant and an
 //!    injected straggler stage driven through the live service are flagged
-//!    — and only they are — via `rheem_watchdog_*` metrics, while
-//!    `/metrics`, `/healthz` and `/flight` are scraped concurrently over
-//!    real TCP.
+//!    — and only they are — via `rheem_watchdog_*` metrics, the straggler
+//!    verdict sits on the straggler job's record, and `/metrics`,
+//!    `/healthz` and `/flight` are scraped concurrently over real TCP.
 //! 4. **One record per fact**: stage runs live in the job trace and cache
-//!    activity in `CacheStats`, so the service's ring holds only job
-//!    lifecycle and watchdog events, whatever a job's iteration count or
-//!    cache traffic.
+//!    activity in `CacheStats`, so the service keeps exactly one record per
+//!    job, whatever the job's iteration count or cache traffic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -97,101 +97,105 @@ fn max_stage_ms(plan: &RheemPlan) -> f64 {
     trace.runs.iter().map(|r| r.virtual_ms).fold(0.0, f64::max)
 }
 
-// ---- 1. flight-recorder properties ---------------------------------------
+// ---- 1. job records ------------------------------------------------------
 
-#[test]
-fn recorder_budgets_hold_under_concurrent_writes() {
-    let _serial = one_at_a_time();
-    const THREADS: usize = 8;
-    const PER_THREAD: usize = 2_000;
-    const MAX_ENTRIES: usize = 256;
-    const MAX_BYTES: usize = 16 * 1024;
-
-    let rec = Arc::new(FlightRecorder::with_capacity(MAX_ENTRIES, MAX_BYTES));
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let rec = Arc::clone(&rec);
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    rec.record(
-                        EventKind::Watchdog,
-                        Some("tenant"),
-                        Some(t as u64),
-                        Some(i as u64),
-                        i as f64,
-                        "concurrent writer",
-                    );
-                    // Budgets must hold at every instant, not just at rest.
-                    assert!(rec.len() <= MAX_ENTRIES, "entry budget exceeded");
-                    assert!(rec.bytes() <= MAX_BYTES, "byte budget exceeded");
-                }
-            });
-        }
-    });
-
-    let recorded = rec.recorded();
-    assert_eq!(recorded, (THREADS * PER_THREAD) as u64);
-    let drained = rec.drain();
-    assert_eq!(
-        drained.len() as u64 + rec.dropped(),
-        recorded,
-        "every event is resident, drained, or counted dropped"
-    );
-    // Sequence numbers are unique and dense in [0, recorded).
-    let mut seqs: Vec<u64> = drained.iter().map(|e| e.seq).collect();
-    seqs.sort_unstable();
-    seqs.dedup();
-    assert_eq!(seqs.len(), drained.len(), "sequence numbers are unique");
-    assert!(seqs.iter().all(|&s| s < recorded));
+/// A one-row job whose map panics with `msg`.
+fn panicking_plan(msg: &'static str) -> RheemPlan {
+    let mut b = PlanBuilder::new();
+    b.collection(vec![Value::from(1i64)])
+        .map(MapUdf::new("boom", move |_: &Value| -> Value { panic!("{msg}") }))
+        .collect();
+    b.build().unwrap()
 }
 
+/// A rejected submission, a panicking job and jobs under a seeded fault
+/// plan each leave one record that says what happened to them.
 #[test]
-fn recorder_drop_accounting_is_exact_single_thread() {
+fn job_records_name_rejections_panics_and_retries() {
     let _serial = one_at_a_time();
-    let rec = FlightRecorder::with_capacity(4, 1 << 20);
-    for i in 0..10 {
-        rec.record(EventKind::JobQueued, None, Some(i), None, 0.0, "");
+    let mut ctx = rheem::default_context();
+    // A fresh seeded fault plan per job: under seed 7 each WordCount job
+    // below retries twice and fails over once.
+    ctx.config_mut().chaos_seed = Some(7);
+    let config = ServiceConfig { runners: 1, ..ServiceConfig::default() };
+    let svc = JobService::new(ctx, config, vec![TenantSpec::new("t")]).unwrap();
+
+    assert!(matches!(svc.submit("nobody", regular_plan(0)), Err(RheemError::Rejected { .. })));
+    let boom = svc.submit("t", panicking_plan("udf exploded")).unwrap();
+    let boom_id = boom.id;
+    assert!(boom.wait().is_err());
+    let mut retries = Vec::new();
+    for salt in 1..7 {
+        let h = svc.submit("t", wordcount_plan(400, salt)).unwrap();
+        let id = h.id;
+        retries.push((id, h.wait().unwrap().metrics.retries));
     }
-    assert_eq!(rec.recorded(), 10);
-    assert_eq!(rec.dropped(), 6);
-    let drained = rec.drain();
-    let seqs: Vec<u64> = drained.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted first, newest resident");
-    // Draining delivers events; it never counts them as dropped.
-    assert_eq!(rec.dropped(), 6);
-    assert!(rec.is_empty());
+    assert!(retries.iter().all(|&(_, n)| n > 0), "the fault plan missed a job: {retries:?}");
+
+    let records = svc.records();
+    assert_eq!(records.len(), 8, "{records:?}");
+    let rejected = &records[0];
+    assert_eq!((rejected.tenant.as_str(), rejected.job), ("nobody", None));
+    assert_eq!(rejected.outcome, JobOutcome::Rejected("unknown tenant".into()));
+    let failed = &records[1];
+    assert_eq!(failed.job, Some(boom_id));
+    match &failed.outcome {
+        JobOutcome::Failed(msg) => assert!(
+            msg.contains(&format!("job {boom_id} panicked")) && msg.contains("udf exploded"),
+            "{msg}"
+        ),
+        other => panic!("a panicking job must leave a failed record, got {other:?}"),
+    }
+    let recorded: Vec<(u64, u32)> =
+        records[2..].iter().map(|r| (r.job.unwrap(), r.retries)).collect();
+    assert_eq!(recorded, retries, "a record's retries are its job's");
+    assert!(records[2..].iter().all(|r| r.outcome == JobOutcome::Completed));
 }
 
+/// `/flight` is deterministic, keeps quotes in tenant names and error
+/// messages intact, parses with the repo's own JSON reader, and its `n`
+/// keeps the most recent records.
 #[test]
-fn recorder_dump_parses_and_is_deterministic() {
+fn flight_dump_parses_and_is_deterministic() {
     let _serial = one_at_a_time();
-    let rec = FlightRecorder::with_capacity(64, 1 << 20);
-    rec.record(EventKind::JobAdmitted, Some("a"), Some(1), None, 0.25, "");
-    rec.record(EventKind::Watchdog, Some("a"), Some(1), Some(3), 7.5, "java.streams");
-    rec.record(EventKind::JobCompleted, Some("a\"quote"), Some(1), None, 7.5, "done \"ok\"");
+    let config = ServiceConfig { runners: 1, ..ServiceConfig::default() };
+    let tenants = vec![TenantSpec::new("a"), TenantSpec::new("a\"quote")];
+    let svc = JobService::new(rheem::default_context(), config, tenants).unwrap();
+    let addr = svc.serve("127.0.0.1:0").unwrap().to_string();
+    let ok = svc.submit("a", regular_plan(0)).unwrap();
+    let ok_id = ok.id;
+    ok.wait().unwrap();
+    assert!(svc.submit("a\"quote", panicking_plan("done \"ok\"")).unwrap().wait().is_err());
+    assert!(svc.submit("x\"y", regular_plan(1)).is_err());
 
-    let dump = rec.dump_json(None);
-    assert_eq!(dump, rec.dump_json(None), "dump is deterministic");
+    let dump = scrape(&addr, "/flight").unwrap();
+    assert_eq!(dump, scrape(&addr, "/flight").unwrap(), "dump is deterministic");
     let doc = json::parse(&dump).expect("dump parses with the repo's own parser");
     let obj = doc.as_obj("dump").unwrap();
-    assert_eq!(json::get(obj, "recorded").unwrap().as_f64("recorded").unwrap(), 3.0);
-    assert_eq!(json::get(obj, "dropped").unwrap().as_f64("dropped").unwrap(), 0.0);
-    let events = json::get(obj, "events").unwrap().as_arr("events").unwrap();
-    assert_eq!(events.len(), 3);
-    let ev = events[1].as_obj("event").unwrap();
-    assert_eq!(json::get(ev, "kind").unwrap().as_str("kind").unwrap(), "watchdog");
-    assert_eq!(json::get(ev, "stage").unwrap().as_f64("stage").unwrap(), 3.0);
-    assert_eq!(json::get(ev, "detail").unwrap().as_str("detail").unwrap(), "java.streams");
-    // Quotes in tenant/detail strings survive the round trip.
-    let last = events[2].as_obj("event").unwrap();
-    assert_eq!(json::get(last, "tenant").unwrap().as_str("tenant").unwrap(), "a\"quote");
-    // The `n` limit keeps the most recent events.
-    let tail = json::parse(&rec.dump_json(Some(1))).unwrap();
-    let tail_events =
-        json::get(tail.as_obj("dump").unwrap(), "events").unwrap().as_arr("events").unwrap();
-    assert_eq!(tail_events.len(), 1);
-    let t0 = tail_events[0].as_obj("event").unwrap();
-    assert_eq!(json::get(t0, "seq").unwrap().as_f64("seq").unwrap(), 2.0);
+    let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["jobs", "watchdog"]);
+    let jobs = json::get(obj, "jobs").unwrap().as_arr("jobs").unwrap();
+    assert_eq!(jobs.len(), 3);
+    let str_of = |o: &json::Json, k: &str| -> String {
+        json::get(o.as_obj("record").unwrap(), k).unwrap().as_str(k).unwrap().to_string()
+    };
+    let first = jobs[0].as_obj("record").unwrap();
+    assert_eq!(json::get(first, "job").unwrap().as_f64("job").unwrap(), ok_id as f64);
+    assert_eq!(str_of(&jobs[0], "outcome"), "completed");
+    assert!(json::get(first, "exec_ms").unwrap().as_f64("exec_ms").unwrap() > 0.0);
+    // Quotes in tenant and detail strings survive the round trip.
+    assert_eq!(str_of(&jobs[1], "tenant"), "a\"quote");
+    assert_eq!(str_of(&jobs[1], "outcome"), "failed");
+    assert!(str_of(&jobs[1], "detail").ends_with("panicked: done \"ok\""));
+    assert_eq!(str_of(&jobs[2], "tenant"), "x\"y");
+    assert_eq!(str_of(&jobs[2], "outcome"), "rejected");
+    let last = jobs[2].as_obj("record").unwrap();
+    assert_eq!(json::get(last, "job").unwrap(), &json::Json::Null);
+    // The `n` limit keeps the most recent records.
+    let tail = json::parse(&scrape(&addr, "/flight?n=1").unwrap()).unwrap();
+    let tail_jobs =
+        json::get(tail.as_obj("dump").unwrap(), "jobs").unwrap().as_arr("jobs").unwrap();
+    assert_eq!(tail_jobs, &jobs[2..]);
 }
 
 // ---- 2. golden exposition over a real multi-tenant run -------------------
@@ -309,6 +313,7 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
     // with one starved job queued behind it. Fair share keeps serving
     // heavy — every completion sweep sees starved backlogged and lagging.
     let mut handles = vec![service.submit("heavy", straggler_plan()).unwrap()];
+    let straggler_id = handles[0].id;
     for j in 1..8 {
         handles.push(service.submit("heavy", regular_plan(j)).unwrap());
     }
@@ -349,20 +354,46 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
     assert_eq!(m.counter("rheem_watchdog_straggler_total{tenant=\"starved\"}"), 0);
     assert!(m.counter("rheem_watchdog_sweeps_total") >= 1);
 
+    // The straggler verdict sits on the straggler job's record, and on no
+    // other.
+    let records = service.records();
+    assert_eq!(records.len(), 10);
+    for r in &records {
+        let want = usize::from(r.job == Some(straggler_id));
+        assert_eq!(r.stragglers.len(), want, "{r:?}");
+    }
+
     // The scraped exposition satisfies the Prometheus invariants and the
-    // flight dump parses and contains the lifecycle events.
+    // flight dump parses and holds every job's record and the sweeps'
+    // diagnoses.
     validate_exposition(&prom).expect("scraped exposition is well-formed");
     assert!(prom.contains("rheem_watchdog_straggler_total{tenant=\"heavy\"} 1"));
     let doc = json::parse(&flight).unwrap();
     let obj = doc.as_obj("flight").unwrap();
-    let events = json::get(obj, "events").unwrap().as_arr("events").unwrap();
-    assert!(!events.is_empty());
-    let kinds: Vec<&str> = events
+    let jobs = json::get(obj, "jobs").unwrap().as_arr("jobs").unwrap();
+    assert_eq!(jobs.len(), 10);
+    let kinds = |arr: &[json::Json]| -> Vec<String> {
+        arr.iter()
+            .map(|d| {
+                let d = d.as_obj("diagnosis").unwrap();
+                json::get(d, "kind").unwrap().as_str("kind").unwrap().to_string()
+            })
+            .collect()
+    };
+    let on_records: Vec<String> = jobs
         .iter()
-        .map(|e| json::get(e.as_obj("event").unwrap(), "kind").unwrap().as_str("kind").unwrap())
+        .flat_map(|j| {
+            let j = j.as_obj("record").unwrap();
+            kinds(json::get(j, "stragglers").unwrap().as_arr("stragglers").unwrap())
+        })
         .collect();
-    for expected in ["job.admitted", "job.queued", "job.started", "job.completed", "watchdog"] {
-        assert!(kinds.contains(&expected), "flight dump has {expected}: {kinds:?}");
+    assert_eq!(on_records, ["straggler"]);
+    let sweeps = json::get(obj, "watchdog").unwrap().as_arr("watchdog").unwrap();
+    assert!(!sweeps.is_empty());
+    assert!(kinds(sweeps).iter().all(|k| k == "starvation"), "{sweeps:?}");
+    for d in sweeps {
+        let tenant = json::get(d.as_obj("diagnosis").unwrap(), "tenant").unwrap();
+        assert_eq!(tenant.as_str("tenant").unwrap(), "starved");
     }
 
     // /jobs and /tenants serve coherent JSON.
@@ -412,8 +443,9 @@ fn wordcount_plan(lines: i64, salt: i64) -> RheemPlan {
 
 /// Stage runs live in the job trace and cache activity in `CacheStats`,
 /// so a service running a 1 000-iteration SGD loop and a cold and a warm
-/// pass of cached WordCount jobs writes only its four lifecycle events per
-/// job (and any watchdog diagnosis) to its ring.
+/// pass of cached WordCount jobs keeps exactly one record per job, and its
+/// `/flight` view holds only the job records and the watchdog's sweep
+/// diagnoses.
 #[test]
 fn service_ring_holds_only_job_and_watchdog_events() {
     let _serial = one_at_a_time();
@@ -439,17 +471,17 @@ fn service_ring_holds_only_job_and_watchdog_events() {
     let stats = svc.context().cache().expect("cache on").stats();
     assert!(stats.inserts > 0 && stats.hits > 0, "the warm pass replays: {stats:?}");
 
-    let rec = svc.recorder();
-    assert_eq!(rec.dropped(), 0);
-    let events = rec.recent(usize::MAX);
-    let mut per_job = std::collections::BTreeMap::<u64, usize>::new();
-    for e in &events {
-        let kind = e.kind.as_str();
-        assert!(kind.starts_with("job.") || kind == "watchdog", "unexpected {kind} event");
-        if kind.starts_with("job.") {
-            *per_job.entry(e.job.expect("lifecycle events carry their job")).or_default() += 1;
-        }
-    }
-    assert_eq!(per_job.len(), jobs, "{per_job:?}");
-    assert!(per_job.values().all(|&n| n == 4), "{per_job:?}");
+    // Nothing dropped, one record per job, in completion order.
+    let records = svc.records();
+    let ids: Vec<u64> =
+        records.iter().map(|r| r.job.expect("finished jobs carry their id")).collect();
+    assert_eq!(ids, (0..jobs as u64).collect::<Vec<_>>(), "{records:?}");
+    assert!(records.iter().all(|r| r.outcome == JobOutcome::Completed), "{records:?}");
+
+    let addr = svc.serve("127.0.0.1:0").unwrap().to_string();
+    let doc = json::parse(&scrape(&addr, "/flight").unwrap()).unwrap();
+    let obj = doc.as_obj("flight").unwrap();
+    let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["jobs", "watchdog"], "unexpected record kinds");
+    assert_eq!(json::get(obj, "jobs").unwrap().as_arr("jobs").unwrap().len(), jobs);
 }

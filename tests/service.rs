@@ -19,16 +19,17 @@
 //! 5. **Chaos determinism**: under the fixed chaos-seed matrix, every job's
 //!    outcome (answer or typed error, and its retry count) is
 //!    byte-reproducible under concurrent load.
-//! 6. **Monitor/metrics isolation** (regression): concurrent jobs can no
-//!    longer cross-contaminate per-job retry counts — each job's counts
-//!    come from its own run, and its faults land in the shared fault log.
+//! 6. **Fault/metrics isolation** (regression): concurrent jobs can no
+//!    longer cross-contaminate per-job retry counts — each job's counts and
+//!    fault records come from its own run, and the shared retry counter
+//!    sums them exactly once.
 //! 7. **Weights at the job pick**: the order a runner picks queued jobs in
 //!    is exactly a replay of [`FairShare`] over the tenants' weights and
 //!    the jobs' virtual costs.
 //! 8. **Panic isolation**: a panicking UDF fails its own job with a typed
 //!    error; the runner and the jobs queued behind it carry on.
-//! 9. **Bounded completion log**: the service keeps the last 64
-//!    completions and a count of all of them.
+//! 9. **Bounded job records**: the service keeps the records of the last
+//!    64 jobs and a count of all of them.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -155,7 +156,7 @@ fn concurrent_jobs_match_isolated_runs_byte_for_byte() {
         }
     }
     assert_eq!(service.in_flight(), 0, "all jobs must have drained");
-    assert_eq!(service.completions().len(), TENANTS * JOBS);
+    assert_eq!(service.records().len(), TENANTS * JOBS);
 }
 
 // ---- 2. admission control -------------------------------------------------
@@ -294,7 +295,7 @@ fn corpus_plan(path: &std::path::Path) -> (RheemPlan, OperatorId) {
             v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
         }))
         .map(MapUdf::new("pair", |w| Value::pair(w.clone(), Value::from(1))))
-        .reduce_by_key(KeyUdf::field(0), ReduceUdf::sum())
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
         .collect();
     (b.build().unwrap(), sink)
 }
@@ -523,11 +524,11 @@ fn short_job_is_not_starved_behind_long_critical_path() {
 
     // The short job completes correctly...
     assert_eq!(sh.wait().unwrap().sink(ssink).unwrap().len(), 1);
-    // ...and strictly before the long job in the service's completion log.
+    // ...and strictly before the long job in the service's job records.
     lh.wait().unwrap();
-    let completions = service.completions();
-    let short_pos = completions.iter().position(|(_, t)| t == "short").unwrap();
-    let long_pos = completions.iter().position(|(_, t)| t == "long").unwrap();
+    let completions: Vec<String> = service.records().into_iter().map(|r| r.tenant).collect();
+    let short_pos = completions.iter().position(|t| t == "short").unwrap();
+    let long_pos = completions.iter().position(|t| t == "long").unwrap();
     assert!(short_pos < long_pos, "short job starved: completions ran {completions:?}");
 }
 
@@ -601,7 +602,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
                         assert_eq!(
                             retries, bretries,
                             "seed {chaos_seed:#x} tenant {t} job {j}: retry count changed \
-                             (monitor isolation regression)"
+                             (fault isolation regression)"
                         );
                     }
                     (Err(be), Err(e)) => assert_eq!(
@@ -621,12 +622,12 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
     }
 }
 
-// ---- 6. monitor/metrics isolation regression -------------------------------
+// ---- 6. fault/metrics isolation regression -------------------------------
 
 /// Racing scoped jobs each count only their own retries: per-job counts
 /// match isolated runs exactly (asserted per job in the chaos test above).
-/// Here we assert the shared side — the context's fault log and metrics
-/// registry account for *everything*, exactly once.
+/// Here we assert the shared side — the context's retry counter and
+/// metrics registry account for *everything*, exactly once.
 #[test]
 fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
     const THREADS: usize = 4;
@@ -657,12 +658,15 @@ fn scoped_jobs_merge_into_shared_monitor_exactly_once() {
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
 
-    // The shared fault log and metrics hold exactly the sum of the per-job
-    // counts.
+    // The shared metrics hold exactly the sum of the per-job counts.
     let total_retries: u32 = per_job.iter().map(|(r, _)| r).sum();
     let total_failovers: u32 = per_job.iter().map(|(_, f)| f).sum();
-    assert_eq!(ctx.monitor().retries(), total_retries, "shared monitor lost/duplicated retries");
     let metrics = ctx.metrics();
+    assert_eq!(
+        metrics.counter("rheem_retries_total"),
+        u64::from(total_retries),
+        "shared retry counter lost/duplicated retries"
+    );
     assert_eq!(metrics.counter("rheem_failovers_total"), u64::from(total_failovers));
     // Per-tenant job counters each saw exactly JOBS completions.
     for t in 0..THREADS {
@@ -735,7 +739,9 @@ fn tenant_weights_order_the_job_pick() {
         fair.charge(t, cost);
         want.push((id, specs[t].name.clone()));
     }
-    assert_eq!(service.completions(), want);
+    let order: Vec<(u64, String)> =
+        service.records().into_iter().map(|r| (r.job.unwrap(), r.tenant)).collect();
+    assert_eq!(order, want);
 }
 
 // ---- 8. panic isolation ---------------------------------------------------
@@ -777,10 +783,10 @@ fn panicking_job_fails_typed_and_keeps_its_runner() {
     assert_eq!(service.in_flight(), 0, "the panicking job's admission slot leaked");
 }
 
-// ---- 9. bounded completion log --------------------------------------------
+// ---- 9. bounded job records ----------------------------------------------
 
-/// 70 jobs leave the last 64 in `completions()` and in `/jobs`, in
-/// completion order, while `/jobs` counts all 70.
+/// 70 jobs leave the last 64 in `records()` and in `/jobs`, in completion
+/// order, while `/jobs` counts all 70.
 #[test]
 fn completion_log_keeps_the_last_64() {
     const JOBS: u64 = 70;
@@ -795,7 +801,7 @@ fn completion_log_keeps_the_last_64() {
         service.submit("t", trivial_plan().0).unwrap().wait().unwrap();
     }
     let want: Vec<u64> = (JOBS - 64..JOBS).collect();
-    let kept: Vec<u64> = service.completions().iter().map(|(id, _)| *id).collect();
+    let kept: Vec<u64> = service.records().iter().map(|r| r.job.unwrap()).collect();
     assert_eq!(kept, want);
 
     let body = scrape(&addr, "/jobs").unwrap();
