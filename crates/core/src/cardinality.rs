@@ -8,9 +8,9 @@
 //! decays per estimation hop, which later steers optimization-checkpoint
 //! placement (§4.4).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::cost::Interval;
 use crate::error::Result;
@@ -61,17 +61,46 @@ impl Estimates {
 /// Estimate by sampling a text file: average line length from a 64 KB probe
 /// scaled to the file size (the paper computes source cardinalities via
 /// sampling). Understands `hdfs://` URIs via the storage substrate.
+///
+/// The probe runs once per file version: estimates are remembered under
+/// `(path, len, mtime_ns)`, the file identity the result cache's
+/// fingerprints already trust, so a rewrite is re-probed and a job over an
+/// unchanged file costs one `stat`. The memo keeps the last 64 versions
+/// (`TEXT_ESTIMATE_MEMO`).
 pub fn estimate_text_file_lines(path: &Path) -> Option<(f64, f64)> {
-    let (size, _) = rheem_storage::stat(path).ok()?;
-    let size = size as f64;
-    if size == 0.0 {
-        return Some((0.0, 1.0));
+    let meta = rheem_storage::stat_meta(path).ok()?;
+    let key = (path.to_path_buf(), meta.len, meta.mtime_ns);
+    if let Some(&(_, est)) =
+        TEXT_ESTIMATES.lock().expect("text estimate memo poisoned").iter().find(|(k, _)| *k == key)
+    {
+        return Some(est);
     }
-    let probe = rheem_storage::read_head(path, 64 * 1024).ok()?;
-    let lines = probe.iter().filter(|&&b| b == b'\n').count().max(1);
-    let avg_line = probe.len() as f64 / lines as f64;
-    Some((size / avg_line.max(1.0), avg_line))
+    let size = meta.len as f64;
+    let est = if size == 0.0 {
+        (0.0, 1.0)
+    } else {
+        let probe = rheem_storage::read_head(path, 64 * 1024).ok()?;
+        let lines = probe.iter().filter(|&&b| b == b'\n').count().max(1);
+        let avg_line = probe.len() as f64 / lines as f64;
+        (size / avg_line.max(1.0), avg_line)
+    };
+    let mut memo = TEXT_ESTIMATES.lock().expect("text estimate memo poisoned");
+    if !memo.iter().any(|(k, _)| *k == key) {
+        if memo.len() == TEXT_ESTIMATE_MEMO {
+            memo.pop_front();
+        }
+        memo.push_back((key, est));
+    }
+    Some(est)
 }
+
+/// File versions whose text estimates are remembered.
+const TEXT_ESTIMATE_MEMO: usize = 64;
+
+/// `((path, len, mtime_ns), (lines, avg line bytes))`, oldest first.
+type TextEstimates = VecDeque<((std::path::PathBuf, u64, u128), (f64, f64))>;
+
+static TEXT_ESTIMATES: Mutex<TextEstimates> = Mutex::new(VecDeque::new());
 
 /// The cardinality estimator. Holds source estimators and per-job overrides
 /// (the progressive optimizer injects measured cardinalities here, §4.4).
@@ -352,6 +381,35 @@ mod tests {
         let (lines, avg) = estimate_text_file_lines(&path).unwrap();
         assert!((lines - 1000.0).abs() < 100.0, "{lines}");
         assert!(avg > 5.0);
+    }
+
+    /// A rewrite that changes the file's length is a new version: it is
+    /// probed again, not served from the memo.
+    #[test]
+    fn rewriting_a_text_file_changes_its_estimate() {
+        let dir = std::env::temp_dir().join("rheem_card_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rewritten.txt");
+        std::fs::write(&path, "a short line\n".repeat(100)).unwrap();
+        let before = estimate_text_file_lines(&path).unwrap();
+        assert_eq!(estimate_text_file_lines(&path).unwrap(), before, "same version, same estimate");
+        std::fs::write(&path, "a somewhat longer line than before\n".repeat(300)).unwrap();
+        let after = estimate_text_file_lines(&path).unwrap();
+        assert_ne!(after, before, "the rewrite was served from the memo");
+        assert!((after.0 - 300.0).abs() < 1.0, "{after:?}");
+    }
+
+    #[test]
+    fn the_text_estimate_memo_stays_within_its_capacity() {
+        let dir = std::env::temp_dir().join("rheem_card_test").join("memo_capacity");
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..TEXT_ESTIMATE_MEMO + 10 {
+            let path = dir.join(format!("f{i}.txt"));
+            std::fs::write(&path, format!("line {i}\n")).unwrap();
+            estimate_text_file_lines(&path).unwrap();
+            let len = TEXT_ESTIMATES.lock().unwrap().len();
+            assert!(len <= TEXT_ESTIMATE_MEMO, "memo grew to {len} after {} files", i + 1);
+        }
     }
 
     #[test]

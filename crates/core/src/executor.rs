@@ -62,7 +62,7 @@ pub struct ExecConfig {
     /// `fault_plan` is set.
     pub chaos_seed: Option<u64>,
     /// Explicit fault plan (targeted rules); takes precedence over
-    /// `chaos_seed`.
+    /// `chaos_seed`. Every job runs a copy with fresh attempt counters.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Record a job trace (span tree + per-operator profiles) with every
     /// execution; see [`crate::trace`].
@@ -90,14 +90,16 @@ impl ExecConfig {
     /// Density used by [`ExecConfig::chaos_seed`]'s seeded fault plans.
     pub const CHAOS_DENSITY: f64 = 0.05;
 
-    /// The fault plan this configuration asks for, if any: `fault_plan`
-    /// verbatim, else a seeded plan from `chaos_seed`. Resolve **once per
-    /// job** — attempt counters live inside the plan and must survive
+    /// The fault plan this configuration asks for, if any: a fresh copy of
+    /// `fault_plan` (same seed and rules, no attempts yet), else a seeded
+    /// plan from `chaos_seed`. Resolve **once per job** — attempt counters
+    /// live inside the plan, belong to that job alone, and must survive its
     /// replans/failovers for fail-N-then-succeed semantics to hold.
     pub fn resolve_fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.clone().or_else(|| {
-            self.chaos_seed.map(|s| Arc::new(FaultPlan::seeded(s, Self::CHAOS_DENSITY)))
-        })
+        match &self.fault_plan {
+            Some(plan) => Some(Arc::new(plan.fresh())),
+            None => self.chaos_seed.map(|s| Arc::new(FaultPlan::seeded(s, Self::CHAOS_DENSITY))),
+        }
     }
 }
 

@@ -182,7 +182,8 @@ pub struct FaultRecord {
 
 /// A deterministic, seeded fault-injection plan shared by one job across
 /// all of its (re-)planned phases — attempt counters survive failover so
-/// fail-N-then-succeed semantics hold across replans.
+/// fail-N-then-succeed semantics hold across replans. Each job runs its own
+/// [`FaultPlan::fresh`] copy of a configured plan.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -218,6 +219,17 @@ impl FaultPlan {
     pub fn with_rule(mut self, rule: FaultRule) -> Self {
         self.rules.push(rule);
         self
+    }
+
+    /// The same seed, density and rules with fresh attempt counters: the
+    /// copy one job runs under.
+    pub fn fresh(&self) -> Self {
+        Self {
+            seed: self.seed,
+            density_millis: self.density_millis,
+            rules: self.rules.clone(),
+            attempts: Mutex::default(),
+        }
     }
 
     /// The seed (0 for rule-only plans).

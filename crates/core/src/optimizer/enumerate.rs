@@ -16,6 +16,10 @@
 //! the alternatives chosen for the producer and its consumers, so each
 //! distinct combination is solved once per enumeration ([`Settlements`]) and
 //! every further partial that carries it looks the answer up.
+//!
+//! Before the search, a cache replay that provably beats every way of
+//! recomputing its closure removes those alternatives ([`drop_dominated`]),
+//! so a warm plan does not re-enumerate the subplan it replays.
 
 use std::collections::HashMap;
 
@@ -45,8 +49,12 @@ pub struct EnumerationStats {
     /// Data-movement settlements: one per (partial, producer) pair at the
     /// producer's pay step.
     pub movement_settlements: usize,
-    /// Distinct movement problems actually solved to serve them.
+    /// Distinct movement problems actually solved to serve them (and to
+    /// bound replay movement for replay dominance).
     pub movement_solves: usize,
+    /// Candidates dropped before the search because a cache replay
+    /// provably beats every way of recomputing what they cover.
+    pub dominated: usize,
 }
 
 /// A consumer edge of some producer operator.
@@ -166,9 +174,11 @@ fn build_inflated(
     // the hit operator's whole input closure. It rides through costing and
     // enumeration like any other source-headed chain candidate, so reuse is
     // *chosen*, never forced: the replay cost (cache read + conversion out
-    // of the collection channel) competes against recomputation. A spilled
-    // entry is priced from its probe alone; only the ones the chosen plan
-    // replays are read (`fetch_chosen`).
+    // of the collection channel) competes against recomputation. Replay
+    // dominance (`drop_dominated`) only skips recompute alternatives that
+    // are provably costlier. A spilled entry is priced from its probe
+    // alone; only the ones the chosen plan replays are read
+    // (`fetch_chosen`).
     let mut replays = Vec::new();
     for (k, probe) in hits.iter().enumerate() {
         // Transitive input closure of the hit operator (fingerprintable ops
@@ -374,7 +384,6 @@ impl Inflated {
 /// (`None`: no conversion tree) are remembered like any other.
 struct Settlements<'a> {
     opt: &'a Optimizer<'a>,
-    inf: &'a Inflated,
     graph: &'a ConversionGraph,
     /// per producer: `[choice[p], choice[consumer edges]..]` -> cost.
     memo: Vec<HashMap<Box<[u32]>, Option<f64>>>,
@@ -389,11 +398,10 @@ struct Settlements<'a> {
 }
 
 impl<'a> Settlements<'a> {
-    fn new(opt: &'a Optimizer<'a>, inf: &'a Inflated, graph: &'a ConversionGraph) -> Self {
+    fn new(opt: &'a Optimizer<'a>, inf: &Inflated, graph: &'a ConversionGraph) -> Self {
         let n = inf.consumers.len();
         Self {
             opt,
-            inf,
             graph,
             memo: vec![HashMap::new(); n],
             weights: vec![None; n],
@@ -406,30 +414,35 @@ impl<'a> Settlements<'a> {
     /// Settle the data-movement cost of producer `p` in a partial where all
     /// of `p`'s consumers have chosen alternatives. Returns `None` when no
     /// conversion tree exists (the partial is infeasible).
-    fn settle(&mut self, partial: &Partial, p: OperatorId) -> Result<Option<f64>> {
+    fn settle(&mut self, inf: &Inflated, partial: &Partial, p: OperatorId) -> Result<Option<f64>> {
         self.settled += 1;
         let cp = partial.choice[p.index()];
         debug_assert_ne!(cp, UNSET);
-        if self.inf.facts[cp as usize].output_op != p {
+        if inf.facts[cp as usize].output_op != p {
             // Chain-internal producer: its consumers are inside the same
             // execution operator; no movement.
             return Ok(Some(0.0));
         }
         self.key.clear();
         self.key.push(cp);
-        self.key.extend(self.inf.consumers[p.index()].iter().map(|e| partial.choice[e.op.index()]));
+        self.key.extend(inf.consumers[p.index()].iter().map(|e| partial.choice[e.op.index()]));
+        self.lookup_or_solve(inf, p)
+    }
+
+    /// The cost of the movement problem `self.key` names for producer `p`,
+    /// solved on its first request and looked up on every later one.
+    fn lookup_or_solve(&mut self, inf: &Inflated, p: OperatorId) -> Result<Option<f64>> {
         if let Some(&ms) = self.memo[p.index()].get(self.key.as_slice()) {
             return Ok(ms);
         }
-        let ms = self.solve(p)?;
+        let ms = self.solve(inf, p)?;
         self.solved += 1;
         self.memo[p.index()].insert(self.key.as_slice().into(), ms);
         Ok(ms)
     }
 
     /// Cost the movement problem `self.key` names for producer `p`.
-    fn solve(&mut self, p: OperatorId) -> Result<Option<f64>> {
-        let inf = self.inf;
+    fn solve(&mut self, inf: &Inflated, p: OperatorId) -> Result<Option<f64>> {
         let cp = self.key[0];
         let producer = &inf.facts[cp as usize];
         let mut consumer_kinds: Vec<&[usize]> = Vec::new();
@@ -495,13 +508,159 @@ pub(super) fn enumerate(
     let graph = opt.registry.conversion_graph();
     let mut inf = build_inflated(opt, plan, estimates, graph, hits)?;
     let mut settlements = Settlements::new(opt, &inf, graph);
-    let (best, mut stats) = search(plan, &inf, prune, |partial, p| settlements.settle(partial, p))?;
+    let dominated = if prune { drop_dominated(&mut inf, &mut settlements)? } else { 0 };
+    let (best, mut stats) =
+        search(plan, &inf, prune, |partial, p| settlements.settle(&inf, partial, p))?;
+    stats.dominated = dominated;
     stats.movement_settlements = settlements.settled;
     stats.movement_solves = settlements.solved;
     if let Some(fp) = fetch_chosen(opt, &mut inf, hits, &best) {
         return Ok(Err(fp));
     }
     Ok(Ok(assemble(inf, best, stats)))
+}
+
+/// Most combinations of consumer alternatives a replay's movement bound is
+/// taken over; a hit operator with more keeps its recompute alternatives.
+const DOMINANCE_COMBOS: usize = 64;
+
+/// Replay dominance: drop every way of recomputing a hit operator's closure
+/// that its replay provably beats, before the search. For a replay `r` of
+/// hit `h` with closure `C`, `lb` is the cheapest non-replay candidate
+/// covering `h` and `ub` the costliest movement of `r`'s output into any
+/// combination of `h`'s consumers' alternatives. Every plan that recomputes
+/// `C` contains a candidate covering `h`, costs at least `lb` there and pays
+/// only non-negative movement and startup inside `C` (nothing enters `C`
+/// from outside); the same plan with `C` swapped for `r` pays `time_ms[r]`
+/// on the driver (no startup bit) plus at most `ub`. So when
+/// `time_ms[r] + ub < lb`, every candidate inside `C` but `r` only ever
+/// sits in strictly costlier plans, and dropping it changes neither the
+/// argmin nor its tie-break. Outermost closures go first (closed closures
+/// nest or are disjoint); one whose replay is already dropped is skipped.
+/// Candidate indices stay stable. Returns how many candidates were dropped.
+fn drop_dominated(inf: &mut Inflated, settlements: &mut Settlements<'_>) -> Result<usize> {
+    let mut order: Vec<usize> = inf.replays.iter().map(|&(r, _)| r).collect();
+    order.sort_by_key(|&r| std::cmp::Reverse(inf.cands[r].covers.len()));
+    let mut dropped = 0;
+    for r in order {
+        let head = inf.cands[r].covers[0];
+        if !inf.by_head[head.index()].contains(&r) {
+            continue;
+        }
+        let mut in_c = vec![false; inf.consumers.len()];
+        for o in &inf.cands[r].covers {
+            in_c[o.index()] = true;
+        }
+        let Some(lb) = recompute_bound(inf, r, &in_c) else { continue };
+        let Some(ub) = replay_movement_bound(inf, settlements, r)? else { continue };
+        // Written so that a NaN cost never counts as a win.
+        let replay_wins = inf.time_ms[r] + ub < lb;
+        if !replay_wins {
+            continue;
+        }
+        for &o in &inf.cands[r].covers {
+            let before = inf.by_head[o.index()].len();
+            let cands = &inf.cands;
+            inf.by_head[o.index()]
+                .retain(|&c| c == r || cands[c].covers.iter().any(|x| !in_c[x.index()]));
+            dropped += before - inf.by_head[o.index()].len();
+        }
+    }
+    Ok(dropped)
+}
+
+/// `lb` of [`drop_dominated`]: the cheapest non-replay candidate covering
+/// replay `r`'s hit operator (infinite when none does). `None` when a
+/// non-replay candidate reaches across the closure `in_c`: a plan using it
+/// could not swap the closure for `r`.
+fn recompute_bound(inf: &Inflated, r: usize, in_c: &[bool]) -> Option<f64> {
+    let h = inf.cands[r].output_op();
+    let mut lb = f64::INFINITY;
+    for (c, cand) in inf.cands.iter().enumerate() {
+        if inf.replays.iter().any(|&(x, _)| x == c) {
+            continue;
+        }
+        let inside = cand.covers.iter().filter(|o| in_c[o.index()]).count();
+        if inside == 0 {
+            continue;
+        }
+        if inside < cand.covers.len() {
+            return None;
+        }
+        if cand.covers.contains(&h) {
+            lb = lb.min(inf.time_ms[c]);
+        }
+    }
+    Some(lb)
+}
+
+/// `ub` of [`drop_dominated`]: the costliest movement of replay `r`'s output
+/// over every consistent combination of alternatives for its hit operator's
+/// consumers. `None` above [`DOMINANCE_COMBOS`] combinations, when the replay
+/// runs off the driver, or when some combination has no conversion tree.
+fn replay_movement_bound(
+    inf: &Inflated,
+    settlements: &mut Settlements<'_>,
+    r: usize,
+) -> Result<Option<f64>> {
+    let h = inf.cands[r].output_op();
+    if inf.facts[r].bit != 0 {
+        return Ok(None);
+    }
+    let mut ops: Vec<OperatorId> = inf.consumers[h.index()].iter().map(|e| e.op).collect();
+    ops.sort();
+    ops.dedup();
+    // Per consumer: the alternatives that can cover it while `h` is covered
+    // by `r` — every candidate covering it but not `h`.
+    let options: Vec<Vec<usize>> = ops
+        .iter()
+        .map(|&e| {
+            (0..inf.cands.len())
+                .filter(|&c| inf.cands[c].covers.contains(&e) && !inf.cands[c].covers.contains(&h))
+                .collect()
+        })
+        .collect();
+    // Per consumer edge of `h`: its consumer's index in `ops`.
+    let edge_op: Vec<usize> = inf.consumers[h.index()]
+        .iter()
+        .map(|edge| ops.binary_search(&edge.op).expect("consumer listed"))
+        .collect();
+    let combos = options.iter().try_fold(1usize, |n, o| n.checked_mul(o.len()));
+    match combos {
+        Some(n) if (1..=DOMINANCE_COMBOS).contains(&n) => {}
+        _ => return Ok(None),
+    }
+    let mut ub = 0.0f64;
+    let mut pick = vec![0usize; ops.len()];
+    loop {
+        let chosen: Vec<usize> = pick.iter().zip(&options).map(|(&i, o)| o[i]).collect();
+        // A chain covering two consumers fixes both.
+        let consistent = chosen.iter().all(|&c| {
+            ops.iter().zip(&chosen).all(|(e, &d)| d == c || !inf.cands[c].covers.contains(e))
+        });
+        if consistent {
+            settlements.key.clear();
+            settlements.key.push(r as u32);
+            settlements.key.extend(edge_op.iter().map(|&i| chosen[i] as u32));
+            match settlements.lookup_or_solve(inf, h)? {
+                Some(ms) => ub = ub.max(ms),
+                None => return Ok(None),
+            }
+        }
+        // Next combination, odometer style.
+        let mut k = 0;
+        loop {
+            if k == pick.len() {
+                return Ok(Some(ub));
+            }
+            pick[k] += 1;
+            if pick[k] < options[k].len() {
+                break;
+            }
+            pick[k] = 0;
+            k += 1;
+        }
+    }
 }
 
 /// Read back the spilled entries the winning plan replays — only those —
@@ -1082,12 +1241,12 @@ mod tests {
             Partial { choice, cost: 0.0, mask: 0 }
         };
         let mut settlements = Settlements::new(&opt, &inf, graph);
-        assert_eq!(settlements.settle(&partial(ids::SPARK), a_id).unwrap(), None);
+        assert_eq!(settlements.settle(&inf, &partial(ids::SPARK), a_id).unwrap(), None);
         assert_eq!((settlements.settled, settlements.solved), (1, 1));
-        assert_eq!(settlements.settle(&partial(ids::SPARK), a_id).unwrap(), None);
+        assert_eq!(settlements.settle(&inf, &partial(ids::SPARK), a_id).unwrap(), None);
         assert_eq!((settlements.settled, settlements.solved), (2, 1));
         // A different consumer choice is a different problem.
-        assert_eq!(settlements.settle(&partial(ids::FLINK), a_id).unwrap(), None);
+        assert_eq!(settlements.settle(&inf, &partial(ids::FLINK), a_id).unwrap(), None);
         assert_eq!((settlements.settled, settlements.solved), (3, 2));
     }
 

@@ -309,6 +309,13 @@ fn eviction_respects_the_byte_budget() {
 
 /// Seeded random plan generator (same shape as `tests/differential.rs`).
 fn gen_case(case: u64) -> (RheemPlan, OperatorId) {
+    let (b, q) = gen_body(case);
+    let sink = q.collect();
+    (b.build().unwrap(), sink)
+}
+
+/// [`gen_case`]'s plan up to its sink.
+fn gen_body(case: u64) -> (PlanBuilder, DataQuanta) {
     let mut rng = SplitMix64(0xCAC4E ^ case.wrapping_mul(0x9E37_79B9));
     let len = 20 + rng.range_usize(40);
     let data: Vec<Value> = (0..len)
@@ -341,8 +348,7 @@ fn gen_case(case: u64) -> (RheemPlan, OperatorId) {
         1 => q.distinct(),
         _ => q,
     };
-    let sink = q.collect();
-    (b.build().unwrap(), sink)
+    (b, q)
 }
 
 /// The cache must be invisible in every answer: for random plans, cache-off,
@@ -401,6 +407,141 @@ fn chaos_with_cache_never_produces_wrong_answers() {
         }
     }
     assert!(survived > 0, "chaos matrix never survived a cached run");
+}
+
+// ---- replay dominance ----------------------------------------------------
+
+/// The pruned optimizer and the exhaustive oracle over `cache`, on `plan`:
+/// they must agree on the chosen alternatives, the replays and `est_ms` to
+/// the bit. One optimization first lets a spilled entry the plan replays be
+/// promoted, so both sides then price the same tiers (checked: the compared
+/// pair promotes nothing). Returns the pruned side's enumeration stats.
+fn assert_pruned_matches_exhaustive(
+    ctx: &RheemContext,
+    cache: &Arc<ResultCache>,
+    plan: &RheemPlan,
+    what: &str,
+) -> rheem_core::optimizer::EnumerationStats {
+    let mut opt =
+        rheem_core::optimizer::Optimizer::new(ctx.registry(), ctx.profiles(), ctx.cost_model());
+    opt.cache = Some(Arc::clone(cache));
+    let estimator = rheem_core::cardinality::Estimator::new();
+    opt.optimize(plan, &estimator).unwrap();
+    let promotions = cache.stats().promotions;
+    let oracle = opt.optimize_exhaustive(plan, &estimator).unwrap();
+    let pruned = opt.optimize(plan, &estimator).unwrap();
+    assert_eq!(cache.stats().promotions, promotions, "{what}: the tiers moved between the pair");
+    assert_eq!(pruned.choice, oracle.choice, "{what}: chosen alternatives differ");
+    assert_eq!(pruned.replayed, oracle.replayed, "{what}: replays differ");
+    assert_eq!(pruned.est_ms.to_bits(), oracle.est_ms.to_bits(), "{what}: est_ms differs");
+    assert_eq!(oracle.stats.dominated, 0, "{what}: the oracle dropped candidates");
+    pruned.stats
+}
+
+/// Dropping the recompute alternatives that a replay provably beats loses
+/// no plan: on the suite's warm random plans, under a memory-only and a
+/// spilling cache, `optimize` equals `optimize_exhaustive`.
+#[test]
+fn replay_dominance_keeps_the_exhaustive_plan() {
+    let mut dominated = 0;
+    for case in 0u64..8 {
+        let (plan, sink) = gen_case(case);
+        let memory = Arc::new(ResultCache::new(64 << 20));
+        let ctx = ctx_with(&memory);
+        run(&ctx, &plan, sink).unwrap();
+        let st = memory.stats();
+        let published = st.bytes + st.spilled_bytes;
+        let stats = assert_pruned_matches_exhaustive(&ctx, &memory, &plan, &format!("case {case}"));
+        dominated += stats.dominated;
+
+        let spill = Arc::new(ResultCache::with_disk(published / 2, 64 << 20));
+        let ctx = ctx_with(&spill);
+        run(&ctx, &plan, sink).unwrap();
+        let what = format!("case {case}, spilling");
+        assert_pruned_matches_exhaustive(&ctx, &spill, &plan, &what);
+
+        // A new job that extends the warm one: its replay feeds operators
+        // with alternatives of their own.
+        let (b, q) = gen_body(case);
+        q.map(MapUdf::new("extend", |v| v.clone()))
+            .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("extend_sum"))
+            .collect();
+        let extended = b.build().unwrap();
+        for (cache, shape) in [(&memory, "memory"), (&spill, "spilling")] {
+            let ctx = ctx_with(cache);
+            let what = format!("case {case}, extended, {shape}");
+            assert_pruned_matches_exhaustive(&ctx, cache, &extended, &what);
+        }
+    }
+    assert!(dominated > 0, "no warm random plan dropped a recompute alternative");
+}
+
+/// When the cost model makes a replay dearer than recomputation, nothing is
+/// dropped and the plan recomputes.
+#[test]
+fn a_replay_dearer_than_recomputation_drops_nothing() {
+    let (plan, sink) = gen_case(0);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let mut ctx = ctx_with(&cache);
+    run(&ctx, &plan, sink).unwrap();
+    let cheap = ctx.optimize(&plan).unwrap();
+    assert!(!cheap.replayed.is_empty() && cheap.stats.dominated > 0, "case 0 must replay warm");
+
+    ctx.cost_model_mut().set("rheem.driver.cachedsource.alpha", 1e12);
+    let stats = assert_pruned_matches_exhaustive(&ctx, &cache, &plan, "dear replay");
+    assert_eq!(stats.dominated, 0, "a replay that loses dominated something");
+    assert!(ctx.optimize(&plan).unwrap().replayed.is_empty(), "the dear replay was chosen");
+}
+
+/// The movement bound counts: a cheap replay whose only way into its
+/// Spark-pinned consumer is a dear `parallelize` loses to recomputing on
+/// Spark, so nothing is dropped.
+#[test]
+fn a_replay_with_dear_movement_drops_nothing() {
+    let path = std::path::PathBuf::from("hdfs://tests/cache/dear_movement_corpus.txt");
+    rheem_datagen::text::write_corpus(&path, 200, 23).unwrap();
+    let (warm_plan, warm_sink) = wordcount(&path);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let mut ctx = ctx_with(&cache);
+    run(&ctx, &warm_plan, warm_sink).unwrap();
+
+    let mut b = PlanBuilder::new();
+    b.read_text_file(&path)
+        .flat_map(FlatMapUdf::new("split", |v| {
+            v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
+        }))
+        .map(MapUdf::new("pair", |w| Value::pair(w.clone(), Value::from(1))))
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
+        .map(MapUdf::new("on_spark", |v| v.clone()))
+        .with_target_platform(ids::SPARK)
+        .collect();
+    let plan = b.build().unwrap();
+    assert!(!ctx.optimize(&plan).unwrap().replayed.is_empty(), "the extension must replay warm");
+
+    ctx.cost_model_mut().set("spark.parallelize.alpha", 1e9);
+    let stats = assert_pruned_matches_exhaustive(&ctx, &cache, &plan, "dear movement");
+    assert_eq!(stats.dominated, 0, "a replay that loses on movement dominated something");
+    assert!(ctx.optimize(&plan).unwrap().replayed.is_empty(), "the dear movement was chosen");
+}
+
+/// A warm in-memory WordCount does not re-enumerate the subplan it replays,
+/// and replays in one phase.
+#[test]
+fn warm_wordcount_enumerates_only_around_its_replay() {
+    let path = std::path::PathBuf::from("hdfs://tests/cache/dominance_corpus.txt");
+    rheem_datagen::text::write_corpus(&path, 200, 17).unwrap();
+    let (plan, sink) = wordcount(&path);
+    let cache = Arc::new(ResultCache::new(64 << 20));
+    let ctx = ctx_with(&cache);
+    let cold_partials = ctx.optimize(&plan).unwrap().stats.partials_created;
+    let (cold, _) = run(&ctx, &plan, sink).unwrap();
+
+    let warm = ctx.optimize(&plan).unwrap();
+    assert!(warm.stats.partials_created <= 4, "warm enumeration: {:?}", warm.stats);
+    assert!(warm.stats.partials_created < cold_partials, "{cold_partials} cold partials");
+    let (out, metrics) = run(&ctx, &plan, sink).unwrap();
+    assert_eq!(metrics.replans, 0, "a replay is a measurement, not a surprise");
+    assert_eq!(out, cold, "cache replay changed the answer");
 }
 
 // ---- structural subplan sharing (PR 10) ---------------------------------

@@ -12,6 +12,7 @@ use rheem_core::builtin::CONTROL;
 use rheem_core::channel::{kinds, ChannelData, ChannelKind};
 use rheem_core::cost::{CostModel, Load};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
+use rheem_core::fault::FaultPlan;
 use rheem_core::mapping::{Candidate, FnMapping};
 use rheem_core::plan::{DataQuanta, LogicalOp, OpKind, PlanBuilder};
 use rheem_core::udf::BroadcastCtx;
@@ -204,6 +205,44 @@ fn concurrent_execute_reports_only_its_own_retries() {
     cv.notify_all();
     assert_eq!(b.join().unwrap(), 0, "B was charged A's retries");
     assert_eq!(a, isolated);
+}
+
+/// An explicit fault plan's attempt counters belong to each job: six
+/// same-shaped jobs on one context under the same seeded plan meet the same
+/// faults, not the first job all of them.
+#[test]
+fn explicit_fault_plan_counts_attempts_per_job() {
+    let mut ctx = rheem::default_context();
+    ctx.config_mut().fault_plan = Some(Arc::new(FaultPlan::seeded(0xC0FFEE, 1.0)));
+    // Every site fails 1-3 times; a stage's budget covers all of its sites.
+    ctx.config_mut().retry_budget = 100;
+    let mut b = PlanBuilder::new();
+    let rows: Vec<Value> =
+        (0..200i64).map(|i| Value::pair(Value::from(i % 7), Value::from(i))).collect();
+    b.collection(rows)
+        .map(MapUdf::new("same", |v| v.clone()))
+        .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
+        .collect();
+    let plan = b.build().unwrap();
+    let faults = |job: usize| -> Vec<String> {
+        let result = ctx.execute(&plan).unwrap_or_else(|e| panic!("job {job}: {e}"));
+        result
+            .metrics
+            .faults
+            .iter()
+            .map(|f| {
+                format!(
+                    "{}@{} stage {} iteration {} {:?} attempt {} recovered {}",
+                    f.op, f.platform, f.stage, f.iteration, f.kind, f.attempt, f.recovered
+                )
+            })
+            .collect()
+    };
+    let first = faults(0);
+    assert!(!first.is_empty(), "density 1.0 must strike the first job");
+    for job in 1..6 {
+        assert_eq!(faults(job), first, "job {job} met different faults");
+    }
 }
 
 #[test]
