@@ -812,9 +812,7 @@ pub fn merge_batches(contribs: &[Batch]) -> Option<Batch> {
             _ => return None,
         }
     }
-    // Keyed by global interner id: process-internal, so the multiply-rotate
-    // hasher of the join table serves.
-    let mut slot_s: FastMap<u32, usize> = FastMap::default();
+    let mut slot_s: IdMap<usize> = IdMap::default();
     let mut keys_s: Vec<Arc<str>> = Vec::new();
     let mut gids_s: Vec<u32> = Vec::new();
     let mut slot_i: HashMap<i64, usize> = HashMap::new();
@@ -1045,241 +1043,21 @@ pub fn partition_batch(b: &Batch, key: &KeySpec, n: usize) -> Option<Vec<Batch>>
     )
 }
 
-/// Stable per-partition sort by the key column `key` projects: a selection
-/// permutation, zero copy. Dictionary keys compare by precomputed rank so
-/// the sort never touches string content per row. `None` for untyped key
-/// columns (callers fall back to the row sort).
-pub fn sort_batch(b: &Batch, key: &KeySpec) -> Option<Batch> {
-    let col = key_col(b, key)?;
-    let mut idx: Vec<u32> = b.selected().map(|i| i as u32).collect();
-    match col {
-        Column::Int64(xs) => idx.sort_by(|&a, &c| xs[a as usize].cmp(&xs[c as usize])),
-        Column::Float64(xs) => idx.sort_by(|&a, &c| xs[a as usize].total_cmp(&xs[c as usize])),
-        Column::Bool(xs) => idx.sort_by(|&a, &c| xs[a as usize].cmp(&xs[c as usize])),
-        Column::Str { dict, ids, .. } => {
-            // Rank each distinct entry once; rows then compare by integer
-            // rank exactly as the row path compares string content.
-            let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-            order.sort_by(|&x, &y| dict[x as usize].cmp(&dict[y as usize]));
-            let mut rank = vec![0u32; dict.len()];
-            for (r, &e) in order.iter().enumerate() {
-                rank[e as usize] = r as u32;
-            }
-            idx.sort_by(|&a, &c| {
-                rank[ids[a as usize] as usize].cmp(&rank[ids[c as usize] as usize])
-            });
-        }
-        Column::Row(_) => return None,
-    }
-    Some(Batch { sel: Some(idx), ..b.clone() })
-}
-
-/// Per-row sort key view used to merge sorted batches across partitions.
-enum KeyView<'a> {
-    I(&'a [i64]),
-    F(&'a [f64]),
-    B(&'a [bool]),
-    S { dict: &'a [Arc<str>], ids: &'a [u32] },
-}
-
-impl KeyView<'_> {
-    fn cmp_rows(&self, i: usize, other: &Self, j: usize) -> std::cmp::Ordering {
-        match (self, other) {
-            (KeyView::I(a), KeyView::I(b)) => a[i].cmp(&b[j]),
-            (KeyView::F(a), KeyView::F(b)) => a[i].total_cmp(&b[j]),
-            (KeyView::B(a), KeyView::B(b)) => a[i].cmp(&b[j]),
-            (KeyView::S { dict: da, ids: ia }, KeyView::S { dict: db, ids: ib }) => {
-                da[ia[i] as usize].cmp(&db[ib[j] as usize])
-            }
-            // Uniform key column types are checked before merging.
-            _ => unreachable!("mixed key column types in merge"),
-        }
-    }
-}
-
-fn key_view<'a>(b: &'a Batch, key: &KeySpec) -> Option<KeyView<'a>> {
-    match key_col(b, key)? {
-        Column::Int64(xs) => Some(KeyView::I(xs)),
-        Column::Float64(xs) => Some(KeyView::F(xs)),
-        Column::Bool(xs) => Some(KeyView::B(xs)),
-        Column::Str { dict, ids, .. } => Some(KeyView::S { dict, ids }),
-        Column::Row(_) => None,
-    }
-}
-
-/// K-way merge of per-partition sorted batches into output batches whose
-/// row chunking matches the row path exactly (`ceil(total / n)` rows per
-/// output partition, one empty partition when no rows survive). Ties break
-/// toward the lowest partition index, which reproduces a stable global sort
-/// of the concatenated partitions. Gathered string columns rebuild their
-/// dictionaries by global interner id — no string re-hashing. `None` when
-/// key columns are untyped or column types/shapes are mixed across
-/// partitions (callers fall back to the row sort).
-pub fn merge_sorted(parts: &[Batch], key: &KeySpec, n: usize) -> Option<Vec<Batch>> {
-    let first = parts.first()?;
-    let shape = first.shape;
-    let width = first.cols.len();
-    for p in parts {
-        if p.shape != shape || p.cols.len() != width {
-            return None;
-        }
-        for (c, col) in p.cols.iter().enumerate() {
-            let same = matches!(
-                (first.cols[c].as_ref(), col.as_ref()),
-                (Column::Int64(_), Column::Int64(_))
-                    | (Column::Float64(_), Column::Float64(_))
-                    | (Column::Bool(_), Column::Bool(_))
-                    | (Column::Str { .. }, Column::Str { .. })
-                    | (Column::Row(_), Column::Row(_))
-            );
-            if !same {
-                return None;
-            }
-        }
-    }
-    let views: Vec<KeyView<'_>> = parts.iter().map(|p| key_view(p, key)).collect::<Option<_>>()?;
-    let sels: Vec<Vec<usize>> = parts.iter().map(|p| p.selected().collect()).collect();
-    let total: usize = sels.iter().map(Vec::len).sum();
-
-    // K-way merge over (already sorted) partitions; lowest partition index
-    // wins ties, draining each equal-key run in partition order.
-    let mut cursor = vec![0usize; parts.len()];
-    let mut order: Vec<(u32, u32)> = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (p, cur) in cursor.iter().enumerate() {
-            if *cur >= sels[p].len() {
-                continue;
-            }
-            match best {
-                None => best = Some(p),
-                Some(bp) => {
-                    let o = views[p].cmp_rows(sels[p][*cur], &views[bp], sels[bp][cursor[bp]]);
-                    if o == std::cmp::Ordering::Less {
-                        best = Some(p);
-                    }
-                }
-            }
-        }
-        let p = best?;
-        order.push((p as u32, sels[p][cursor[p]] as u32));
-        cursor[p] += 1;
-    }
-
-    if total == 0 {
-        // Row path emits one empty partition when nothing survives.
-        return Some(vec![Batch { sel: Some(Vec::new()), ..first.clone() }]);
-    }
-    // Global interner ids let gathered dictionary columns merge without
-    // re-hashing string content; resolved once per column allocation and
-    // cached on the column itself.
-    let gids: Vec<Vec<Option<&[u32]>>> = parts
-        .iter()
-        .map(|p| {
-            p.cols
-                .iter()
-                .map(|c| match c.as_ref() {
-                    Column::Str { dict, gids, .. } => Some(dict_gids(dict, gids)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
-    let chunk = total.div_ceil(n.max(1)).max(1);
-    let mut out = Vec::with_capacity(total.div_ceil(chunk));
-    for rows in order.chunks(chunk) {
-        let cols: Vec<Arc<Column>> = (0..width)
-            .map(|c| {
-                Arc::new(match first.cols[c].as_ref() {
-                    Column::Int64(_) => Column::Int64(
-                        rows.iter()
-                            .map(|&(p, i)| match parts[p as usize].cols[c].as_ref() {
-                                Column::Int64(xs) => xs[i as usize],
-                                _ => unreachable!(),
-                            })
-                            .collect(),
-                    ),
-                    Column::Float64(_) => Column::Float64(
-                        rows.iter()
-                            .map(|&(p, i)| match parts[p as usize].cols[c].as_ref() {
-                                Column::Float64(xs) => xs[i as usize],
-                                _ => unreachable!(),
-                            })
-                            .collect(),
-                    ),
-                    Column::Bool(_) => Column::Bool(
-                        rows.iter()
-                            .map(|&(p, i)| match parts[p as usize].cols[c].as_ref() {
-                                Column::Bool(xs) => xs[i as usize],
-                                _ => unreachable!(),
-                            })
-                            .collect(),
-                    ),
-                    Column::Str { .. } => {
-                        let mut local: FastMap<u32, u32> = FastMap::default();
-                        let mut dict: Vec<Arc<str>> = Vec::new();
-                        let mut out_gids: Vec<u32> = Vec::new();
-                        let mut ids: Vec<u32> = Vec::with_capacity(rows.len());
-                        for &(p, i) in rows {
-                            let Column::Str { dict: sd, ids: si, .. } =
-                                parts[p as usize].cols[c].as_ref()
-                            else {
-                                unreachable!()
-                            };
-                            let entry = si[i as usize] as usize;
-                            let gid = gids[p as usize][c].expect("str gids")[entry];
-                            let id = *local.entry(gid).or_insert_with(|| {
-                                dict.push(Arc::clone(&sd[entry]));
-                                out_gids.push(gid);
-                                dict.len() as u32 - 1
-                            });
-                            ids.push(id);
-                        }
-                        str_col(dict, ids, Some(out_gids))
-                    }
-                    Column::Row(_) => Column::Row(
-                        rows.iter()
-                            .map(|&(p, i)| match parts[p as usize].cols[c].as_ref() {
-                                Column::Row(xs) => xs[i as usize].clone(),
-                                _ => unreachable!(),
-                            })
-                            .collect(),
-                    ),
-                })
-            })
-            .collect();
-        out.push(Batch { cols, shape, len: rows.len(), sel: None });
-    }
-    Some(out)
-}
-
-/// Hashable key of a typed column row for the batched join build/probe.
-/// Variants mirror [`Value`]'s structural equality: `Int(1)` and
-/// `Float(1.0)` never match, floats compare by bit pattern, and strings
-/// compare by global interner id.
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-enum JoinKey {
-    I(i64),
-    F(u64),
-    B(bool),
-    S(u32),
-}
-
-/// Multiply-rotate hasher for the join build/probe table. [`JoinKey`]s are
-/// at most nine bytes of typed content, so SipHash's per-key setup cost
-/// dominates; a Fx-style mix is plenty for a table that never sees
-/// attacker-controlled keys (interner ids and typed payloads only).
+/// Multiply-rotate hasher for tables keyed by global interner id. An id is
+/// four bytes, so SipHash's per-key setup cost would dominate; a Fx-style
+/// mix is plenty for keys that are process-internal, never
+/// attacker-controlled.
 #[derive(Default)]
-struct JoinKeyHasher(u64);
+struct IdHasher(u64);
 
-impl JoinKeyHasher {
+impl IdHasher {
     #[inline]
     fn add(&mut self, w: u64) {
         self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-impl std::hash::Hasher for JoinKeyHasher {
+impl std::hash::Hasher for IdHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -1293,110 +1071,13 @@ impl std::hash::Hasher for JoinKeyHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    #[inline]
     fn write_u32(&mut self, n: u32) {
         self.add(n as u64);
     }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, n: i64) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
 }
 
-/// A map over process-internal keys (interner ids, typed join payloads).
-type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<JoinKeyHasher>>;
-type JoinKeyMap<V> = FastMap<JoinKey, V>;
-
-/// Per-row join keys for a batch's key column; string entries resolve to
-/// global interner ids once per distinct dictionary entry. `None` for
-/// untyped key columns.
-fn join_keys(b: &Batch, key: &KeySpec) -> Option<Vec<JoinKey>> {
-    let col = key_col(b, key)?;
-    let mut out = Vec::with_capacity(b.selected_len());
-    match col {
-        Column::Int64(xs) => {
-            for i in b.selected() {
-                out.push(JoinKey::I(xs[i]));
-            }
-        }
-        Column::Float64(xs) => {
-            for i in b.selected() {
-                out.push(JoinKey::F(xs[i].to_bits()));
-            }
-        }
-        Column::Bool(xs) => {
-            for i in b.selected() {
-                out.push(JoinKey::B(xs[i]));
-            }
-        }
-        Column::Str { dict, ids, gids } => {
-            let gids = dict_gids(dict, gids);
-            for i in b.selected() {
-                out.push(JoinKey::S(gids[ids[i] as usize]));
-            }
-        }
-        Column::Row(_) => return None,
-    }
-    Some(out)
-}
-
-/// Batched hash join over one co-partitioned bucket: build a slot table
-/// over the right contributions (dictionary keys resolve to interner ids —
-/// no `Value` hashing), then probe the left contributions with streaming
-/// selection order, emitting `(left, right)` pairs exactly as
-/// [`crate::kernels::hash_join`] does: left-major, right matches in right
-/// input order. `None` when any key column is untyped (callers fall back to
-/// the row join; differing typed key families simply never match, exactly
-/// like structural `Value` equality).
-pub fn join_buckets(
-    left: &[Batch],
-    right: &[Batch],
-    left_key: &KeySpec,
-    right_key: &KeySpec,
-) -> Option<Vec<Value>> {
-    // Validate both key columns up front so no work is wasted on a bucket
-    // that falls back anyway.
-    let rkeys: Vec<Vec<JoinKey>> =
-        right.iter().map(|rb| join_keys(rb, right_key)).collect::<Option<_>>()?;
-    let lkeys: Vec<Vec<JoinKey>> =
-        left.iter().map(|lb| join_keys(lb, left_key)).collect::<Option<_>>()?;
-    // Materialize each build-side row once (not once per match).
-    let mut table: JoinKeyMap<Vec<u32>> = JoinKeyMap::default();
-    let mut rvals: Vec<Value> = Vec::new();
-    for (rb, keys) in right.iter().zip(&rkeys) {
-        for (pos, i) in rb.selected().enumerate() {
-            table.entry(keys[pos]).or_default().push(rvals.len() as u32);
-            rvals.push(rb.row(i));
-        }
-    }
-    let mut out = Vec::new();
-    for (lb, keys) in left.iter().zip(&lkeys) {
-        for (pos, i) in lb.selected().enumerate() {
-            if let Some(matches) = table.get(&keys[pos]) {
-                let l = lb.row(i);
-                for &ri in matches {
-                    out.push(Value::pair(l.clone(), rvals[ri as usize].clone()));
-                }
-            }
-        }
-    }
-    Some(out)
-}
+/// A map keyed by global interner id.
+type IdMap<V> = HashMap<u32, V, std::hash::BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

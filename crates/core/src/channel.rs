@@ -137,20 +137,9 @@ impl ChannelData {
         }
     }
 
-    /// First data quantum of an in-memory channel without merging
-    /// partitions (loop-condition probes read one element; a full
-    /// [`ChannelData::flatten`] would deep-copy every partition).
-    pub fn first(&self) -> Result<Option<&Value>> {
-        match self {
-            ChannelData::Collection(d) => Ok(d.first()),
-            ChannelData::Partitions(p) => Ok(p.iter().find_map(|d| d.first())),
-            other => Err(RheemError::Execution(format!("cannot read from channel {other:?}"))),
-        }
-    }
-
     /// Up to `limit` leading quanta of an in-memory channel, in partition
     /// order (what a flatten-then-take would return, minus the copy of the
-    /// full dataset). `None` for file/opaque layouts.
+    /// full dataset). `None` for file, opaque and payload-less layouts.
     pub fn sample(&self, limit: usize) -> Option<Vec<Value>> {
         match self {
             ChannelData::Collection(d) => Some(d.iter().take(limit).cloned().collect()),
@@ -262,16 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn first_and_sample_avoid_flattening() {
+    fn sample_avoids_flattening() {
         let p = ChannelData::Partitions(Arc::new(vec![
             Arc::new(vec![]),
             Arc::new(vec![Value::from(1), Value::from(2)]),
             Arc::new(vec![Value::from(3)]),
         ]));
-        assert_eq!(p.first().unwrap(), Some(&Value::from(1)));
+        assert_eq!(p.sample(1).unwrap(), vec![Value::from(1)]);
         assert_eq!(p.sample(2).unwrap(), vec![Value::from(1), Value::from(2)]);
         assert_eq!(p.sample(9).unwrap().len(), 3);
-        assert!(ChannelData::None.first().is_err());
         assert!(ChannelData::None.sample(1).is_none());
     }
 

@@ -138,16 +138,16 @@ pub struct VecStats {
 /// Why a batched segment or exchange fell back to the row path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fallback {
-    /// A fused step had no spec descriptor (opaque closure), or runtime
-    /// column types didn't match the spec.
+    /// A fused step had no spec descriptor (opaque closure), runtime
+    /// column types didn't match the spec, or a wide operator with no
+    /// columnar landing (SortBy, Join, GroupBy, Distinct) materialized the
+    /// columns it was handed.
     OpaqueSegment,
     /// The exchange input arrived as rows (an upstream segment already
     /// fell back), so there was nothing columnar to ship.
     RowInput,
     /// Key or value column types were untyped or mixed across partitions.
     TypeMismatch,
-    /// The key extractor had no spec usable over columns.
-    OpaqueKey,
 }
 
 impl Fallback {
@@ -157,7 +157,6 @@ impl Fallback {
             Fallback::OpaqueSegment => "opaque-segment",
             Fallback::RowInput => "row-input",
             Fallback::TypeMismatch => "type-mismatch",
-            Fallback::OpaqueKey => "opaque-key",
         }
     }
 
@@ -167,7 +166,6 @@ impl Fallback {
             "opaque-segment" => Some(Fallback::OpaqueSegment),
             "row-input" => Some(Fallback::RowInput),
             "type-mismatch" => Some(Fallback::TypeMismatch),
-            "opaque-key" => Some(Fallback::OpaqueKey),
             _ => None,
         }
     }

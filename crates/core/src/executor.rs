@@ -516,15 +516,13 @@ impl<'a> Executor<'a> {
                 h.trace.end(sid, h.base_ms + state_vfinish);
             }
             if let Some(cond) = &cond {
-                // Batched feedback has no borrowable rows; materialize the
-                // probe element (one batch at most) instead of erroring.
-                let probe = match &state {
-                    ChannelData::Batches(_) | ChannelData::BatchParts(_) => {
-                        state.sample(1).and_then(|s| s.into_iter().next())
-                    }
-                    _ => state.first()?.cloned(),
-                };
-                let done = probe.map(|v| cond.call(&v, &BroadcastCtx::new())).unwrap_or(true);
+                // The condition reads the first quantum of any in-memory
+                // layout; a file, opaque or empty channel has none to read.
+                let probe = state.sample(1).ok_or_else(|| {
+                    RheemError::Execution(format!("cannot read from channel {state:?}"))
+                })?;
+                let done =
+                    probe.first().map(|v| cond.call(v, &BroadcastCtx::new())).unwrap_or(true);
                 if done {
                     break;
                 }

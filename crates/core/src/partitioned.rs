@@ -597,7 +597,7 @@ pub fn flatten_parts(parts: &[Dataset]) -> Vec<Value> {
 /// input order, which is exactly the record order the row shuffle would
 /// produce (same `bucket_of` routing, same stable append). `None` when any
 /// key column is untyped (callers take the row shuffle instead).
-pub fn bucketize(
+fn bucketize(
     bs: &[&Batch],
     key: &KeySpec,
     n: usize,
@@ -617,13 +617,13 @@ pub fn bucketize(
 
 /// Wire size of an exchange's bucketed contributions (≈90 % cross machines,
 /// like [`exchange`]).
-pub fn bucket_bytes(buckets: &[Vec<Batch>]) -> f64 {
+fn bucket_bytes(buckets: &[Vec<Batch>]) -> f64 {
     buckets.iter().flatten().map(batch::batch_bytes).sum::<f64>() * 0.9
 }
 
 /// Count/row totals of the batches a columnar exchange actually ships
 /// (empty selections stay local).
-pub fn shipped(buckets: &[Vec<Batch>]) -> (u64, u64) {
+fn shipped(buckets: &[Vec<Batch>]) -> (u64, u64) {
     let mut batches = 0u64;
     let mut rows = 0u64;
     for b in buckets.iter().flatten() {
@@ -1171,38 +1171,49 @@ mod tests {
         }
     }
 
-    /// What the join arm tells the clock, the exchange hook and the batch
-    /// statistics is what the exchange told them — also when only one slot
-    /// arrives columnar, so the arm takes the row path in batch mode.
+    /// What the join arm tells the clock and the exchange hook is what the
+    /// exchange told them, whatever layout each slot arrives in. Neither the
+    /// join nor the sort arm has a columnar landing: in batch mode each
+    /// reports the columnar rows it materialized, and row input reports
+    /// nothing.
     #[test]
     fn join_arm_reports_what_the_exchange_reported() {
         let profiles = Profiles::paper_testbed();
         let mut rng = kernels::SplitMix64(0x20_301c);
         let (left, right) = (side(&mut rng, 700, 0, 32, 0.2), side(&mut rng, 90, 0, 32, 0.2));
         let key = KeyUdf::field(0);
-        let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
         let (l, r) = (split_contiguous(&left, 7), split_contiguous(&right, 3));
-        let (want, want_bytes) = exchanged_join(&l, &r, &key, &key, 7);
-        let columnar: Vec<Batch> = r.iter().map(|p| Batch::from_values(p)).collect();
-        let right_layouts = [
-            (ChannelData::Partitions(Arc::new(r.clone())), Some(Fallback::RowInput)),
-            (ChannelData::BatchParts(Arc::new(columnar)), Some(Fallback::RowInput)),
-        ];
-        for (batched, (right, why)) in [true, false]
-            .into_iter()
-            .flat_map(|b| right_layouts.iter().cloned().map(move |l| (b, l)))
-        {
+        let columnar = |parts: &[Dataset]| {
+            let bs: Vec<Batch> = parts.iter().map(|p| Batch::from_values(p)).collect();
+            ChannelData::BatchParts(Arc::new(bs))
+        };
+        let run = |batched: bool, op: LogicalOp, inputs: &[ChannelData]| {
             let mut ctx = ExecCtx::new(&profiles, 0);
             ctx.set_batch(batched);
             ctx.set_tracing(true);
-            let inputs = [ChannelData::Partitions(Arc::new(l.clone())), right];
-            let out = Chain::new(&A, vec![join.clone()])
-                .execute(&mut ctx, &inputs, &BroadcastCtx::new())
-                .unwrap();
-            let ChannelData::Partitions(got) = out else { panic!("row partitions expected") };
+            let out = Chain::new(&A, vec![op]).execute(&mut ctx, inputs, &BroadcastCtx::new());
+            let ChannelData::Partitions(got) = out.unwrap() else {
+                panic!("row partitions expected")
+            };
             let got: Vec<Vec<Value>> = got.iter().map(|p| p.as_ref().clone()).collect();
+            (got, ctx.take_events(), ctx.take_vec_stats())
+        };
+        let reported = |stats: &crate::exec::VecStats, rows: u64| {
+            assert_eq!(stats.exch_row_rows, rows);
+            assert_eq!(stats.fallback, Some(Fallback::OpaqueSegment).filter(|_| rows > 0));
+            assert_eq!((stats.exch_batches, stats.exch_rows), (0, 0));
+        };
+
+        let join = LogicalOp::Join { left_key: key.clone(), right_key: key.clone() };
+        let (want, want_bytes) = exchanged_join(&l, &r, &key, &key, 7);
+        let right_layouts = [(ChannelData::Partitions(Arc::new(r.clone())), 0), (columnar(&r), 90)];
+        for (batched, (right, materialized)) in [true, false]
+            .into_iter()
+            .flat_map(|b| right_layouts.iter().cloned().map(move |l| (b, l)))
+        {
+            let inputs = [ChannelData::Partitions(Arc::new(l.clone())), right];
+            let (got, events, stats) = run(batched, join.clone(), &inputs);
             assert_eq!(got, want);
-            let events = ctx.take_events();
             assert_eq!(events.len(), 1);
             let attrs: Vec<String> =
                 events[0].attrs.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
@@ -1215,10 +1226,23 @@ mod tests {
                     "partitions=Int(7)".to_string()
                 ]
             );
-            let stats = ctx.take_vec_stats();
-            assert_eq!(stats.exch_row_rows, if batched { 790 } else { 0 });
-            assert_eq!(stats.fallback, why.filter(|_| batched));
-            assert_eq!((stats.exch_batches, stats.exch_rows), (0, 0));
+            reported(&stats, if batched { materialized } else { 0 });
+        }
+
+        // The sort arm: local sorts, one global sort, a contiguous re-split.
+        let sorted: Vec<Value> = l.iter().flat_map(|p| kernels::sort_by(p, &key)).collect();
+        let want: Vec<Vec<Value>> = split_contiguous(&kernels::sort_by(&sorted, &key), 7)
+            .iter()
+            .map(|p| p.as_ref().clone())
+            .collect();
+        let layouts = [(ChannelData::Partitions(Arc::new(l.clone())), 0), (columnar(&l), 700)];
+        for (batched, (input, materialized)) in
+            [true, false].into_iter().flat_map(|b| layouts.iter().cloned().map(move |l| (b, l)))
+        {
+            let (got, events, stats) = run(batched, LogicalOp::SortBy(key.clone()), &[input]);
+            assert_eq!(got, want);
+            assert!(events.is_empty(), "a sort fires no exchange hook");
+            reported(&stats, if batched { materialized } else { 0 });
         }
     }
 

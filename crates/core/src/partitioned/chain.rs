@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::{
-    bucket_bytes, bucketize, chain_cost, exchange, flatten_parts, input_partitions, input_parts,
-    input_rows, par_each, par_each_idx, partition_count, pool_size, read_text_parts,
-    reduce_exchange, routed_join, shipped, split_contiguous, Engine,
+    chain_cost, exchange, flatten_parts, input_partitions, input_parts, input_rows, par_each,
+    par_each_idx, partition_count, pool_size, read_text_parts, reduce_exchange, routed_join,
+    split_contiguous, Engine,
 };
 use crate::batch::{self, Batch, Part, VectorKernel};
 use crate::channel::{ChannelData, ChannelKind};
@@ -27,7 +27,7 @@ use crate::kernels;
 use crate::plan::{LogicalOp, SampleSize};
 use crate::platform::PlatformId;
 use crate::udf::{BroadcastCtx, KeyUdf};
-use crate::value::{Dataset, Value};
+use crate::value::Value;
 
 /// A dataflow engine's execution operator over a chain of logical
 /// operators (narrow runs fuse; wide operators run between them).
@@ -94,11 +94,16 @@ fn run_kernel(kernel: &VectorKernel, part: &Part) -> Option<Batch> {
     }
 }
 
-/// A batched run is about to move `rows` through a row exchange: report how
-/// many and why.
-fn report_row_exchange(ctx: &mut ExecCtx<'_>, rows: &[Dataset], why: Fallback) {
-    let total: u64 = rows.iter().map(|d| d.len() as u64).sum();
-    ctx.report_exchange_fallback(total, why);
+/// A wide operator with no columnar landing (SortBy, Join, GroupBy,
+/// Distinct) materializes the columnar partitions it is handed: in batch mode
+/// it reports those rows as an [`Fallback::OpaqueSegment`] exchange fallback.
+/// Partitions that arrive as rows report nothing.
+fn report_materialized(ctx: &mut ExecCtx<'_>, parts: &[Part]) {
+    if !ctx.batch() || parts.iter().all(|p| p.as_batch().is_none()) {
+        return;
+    }
+    let rows = parts.iter().filter_map(Part::as_batch).map(|b| b.selected_len() as u64).sum();
+    ctx.report_exchange_fallback(rows, Fallback::OpaqueSegment);
 }
 
 impl ExecutionOperator for Chain {
@@ -346,10 +351,8 @@ impl ExecutionOperator for Chain {
                         _ => (&identity, "Distinct"),
                     };
                     let n = parts.len();
+                    report_materialized(ctx, &parts);
                     let rows = batch::rows_of(&parts);
-                    if batched && parts.iter().any(|p| p.as_batch().is_some()) {
-                        report_row_exchange(ctx, &rows, Fallback::OpaqueSegment);
-                    }
                     let (exchanged, bytes) = exchange(&rows, key, n);
                     engine.exchanged(ctx, label, bytes, n);
                     let (out, t) = par_each(&exchanged, workers, |_i, d| {
@@ -365,52 +368,14 @@ impl ExecutionOperator for Chain {
                     // Sort partitions, then merge and re-split contiguously
                     // (range partitioning analogue).
                     let n = parts.len();
-                    // Columnar path: per-partition batch sort (selection
-                    // vector permutation, columns stay put), then a k-way
-                    // merge that re-chunks exactly like the row path.
-                    let mut columnar: Option<(Vec<Part>, f64, f64)> = None;
-                    if let (true, Some(ks), Some(bs)) =
-                        (batched, key.spec.as_ref(), batch::all_batches(&parts))
-                    {
-                        let (sorted, t) =
-                            par_each_idx(bs.len(), workers, |i| Ok(batch::sort_batch(bs[i], ks)))?;
-                        if let Some(sorted) = sorted.into_iter().collect::<Option<Vec<_>>>() {
-                            if let Some(merged) = batch::merge_sorted(&sorted, ks, n) {
-                                let bytes =
-                                    sorted.iter().map(batch::batch_bytes).sum::<f64>() * 0.9;
-                                let rows: u64 =
-                                    merged.iter().map(|b| b.selected_len() as u64).sum();
-                                ctx.report_exchange(merged.len() as u64, rows);
-                                columnar = Some((
-                                    merged.into_iter().map(Part::Cols).collect(),
-                                    profile.parallel_ms(&t),
-                                    bytes,
-                                ));
-                            }
-                        }
-                    }
-                    if let Some((out, tpar, bytes)) = columnar {
-                        parts = out;
-                        virtual_ms += tpar + profile.net_ms(bytes);
-                    } else {
-                        let rows = batch::rows_of(&parts);
-                        if batched {
-                            let why = if key.spec.is_none() {
-                                Fallback::OpaqueKey
-                            } else if parts.iter().any(|p| p.as_batch().is_none()) {
-                                Fallback::RowInput
-                            } else {
-                                Fallback::TypeMismatch
-                            };
-                            report_row_exchange(ctx, &rows, why);
-                        }
-                        let (sorted, t) =
-                            par_each(&rows, workers, |_i, d| Ok(kernels::sort_by(d, key)))?;
-                        let all = kernels::sort_by(&flatten_parts(&sorted), key);
-                        let bytes = dataset_bytes(&all) * 0.9;
-                        parts = batch::into_row_parts(split_contiguous(&all, n));
-                        virtual_ms += profile.parallel_ms(&t) + profile.net_ms(bytes);
-                    }
+                    report_materialized(ctx, &parts);
+                    let rows = batch::rows_of(&parts);
+                    let (sorted, t) =
+                        par_each(&rows, workers, |_i, d| Ok(kernels::sort_by(d, key)))?;
+                    let all = kernels::sort_by(&flatten_parts(&sorted), key);
+                    let bytes = dataset_bytes(&all) * 0.9;
+                    parts = batch::into_row_parts(split_contiguous(&all, n));
+                    virtual_ms += profile.parallel_ms(&t) + profile.net_ms(bytes);
                 }
                 LogicalOp::Reduce(agg) => {
                     let rows = batch::rows_of(&parts);
@@ -423,68 +388,14 @@ impl ExecutionOperator for Chain {
                 LogicalOp::Join { left_key, right_key } => {
                     let right = land(1)?;
                     let n = parts.len().max(right.len());
-                    // Columnar path: hash-partition both sides on their key
-                    // columns (selection vectors only), then build/probe per
-                    // destination bucket. Routing and output order match the
-                    // row exchange + hash join exactly.
-                    let mut columnar = None;
-                    if let (true, Some(lks), Some(rks)) =
-                        (batched, left_key.spec.as_ref(), right_key.spec.as_ref())
-                    {
-                        if let (Some(lbs), Some(rbs)) =
-                            (batch::all_batches(&parts), batch::all_batches(&right))
-                        {
-                            if let (Some(lb), Some(rb)) = (
-                                bucketize(&lbs, lks, n, workers)?,
-                                bucketize(&rbs, rks, n, workers)?,
-                            ) {
-                                columnar = Some((lb, rb, lks, rks));
-                            }
-                        }
-                    }
-                    if let Some((lb, rb, lks, rks)) = columnar {
-                        let bytes = bucket_bytes(&lb) + bucket_bytes(&rb);
-                        engine.exchanged(ctx, "Join", bytes, n);
-                        let (sl, rl) = shipped(&lb);
-                        let (sr, rr) = shipped(&rb);
-                        ctx.report_exchange(sl + sr, rl + rr);
-                        let (out, t) = par_each_idx(lb.len(), workers, |j| {
-                            let rows = match batch::join_buckets(&lb[j], &rb[j], lks, rks) {
-                                Some(rows) => rows,
-                                // Bucket refused to columnize: flatten its
-                                // contributions (same record order as the
-                                // row exchange) and hash-join row-wise.
-                                None => {
-                                    let flat = |bs: &[Batch]| -> Vec<Value> {
-                                        bs.iter().flat_map(|b| b.to_values()).collect()
-                                    };
-                                    let (l, r) = (flat(&lb[j]), flat(&rb[j]));
-                                    kernels::hash_join(&l, &r, left_key, right_key)
-                                }
-                            };
-                            Ok(Part::Rows(Arc::new(rows)))
-                        })?;
-                        parts = out;
-                        virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
-                    } else {
-                        let lrows = batch::rows_of(&parts);
-                        let rrows = batch::rows_of(&right);
-                        if batched {
-                            let total: u64 =
-                                lrows.iter().chain(rrows.iter()).map(|d| d.len() as u64).sum();
-                            let why = if left_key.spec.is_none() || right_key.spec.is_none() {
-                                Fallback::OpaqueKey
-                            } else {
-                                Fallback::RowInput
-                            };
-                            ctx.report_exchange_fallback(total, why);
-                        }
-                        let (out, bytes, t) =
-                            routed_join(&lrows, &rrows, left_key, right_key, n, workers)?;
-                        engine.exchanged(ctx, "Join", bytes, n);
-                        parts = batch::into_row_parts(out);
-                        virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
-                    }
+                    report_materialized(ctx, &parts);
+                    report_materialized(ctx, &right);
+                    let (lrows, rrows) = (batch::rows_of(&parts), batch::rows_of(&right));
+                    let (out, bytes, t) =
+                        routed_join(&lrows, &rrows, left_key, right_key, n, workers)?;
+                    engine.exchanged(ctx, "Join", bytes, n);
+                    parts = batch::into_row_parts(out);
+                    virtual_ms += profile.net_ms(bytes) + profile.parallel_ms(&t);
                 }
                 LogicalOp::Cartesian | LogicalOp::InequalityJoin { .. } => {
                     let right = input_partitions(&self.name, inputs, 1, profile.partitions)?;

@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints on the whole workspace, the whole workspace's
-# tests (a superset of tier-1's `cargo test -q`), the perf harness's tests,
-# the trace round trip, the differential, cross-platform, chaos,
-# fault-tolerance, explain and cache suites on a one-worker pool (where every
-# partition runs inline; explain's golden span structure pins the stage-span
-# attributes a job's runs are derived from; cache publication takes a
-# different path per node kind), the service and
-# fault-tolerance suites on 2- and 8-worker pools (job coordinators on pool
-# workers included), and the obs suite on 1-, 2- and 8-worker pools
-# (straggler verdicts come from the completion path). Batch
+# Repo gate: formatting, lints on the whole workspace, the workspace's docs
+# with warnings denied (a deleted or renamed item leaves no broken intra-doc
+# link behind), the whole workspace's tests (a superset of tier-1's
+# `cargo test -q`), the perf harness's tests, the trace round trip, the
+# differential, cross-platform, chaos, fault-tolerance, explain and cache
+# suites on a one-worker pool (where every partition runs inline; explain's
+# golden span structure pins the stage-span attributes a job's runs are
+# derived from; cache publication takes a different path per node kind), the
+# service and fault-tolerance suites on 2- and 8-worker pools (job
+# coordinators on pool workers included), and the obs suite on 1-, 2- and
+# 8-worker pools (straggler verdicts come from the completion path). Batch
 # and cache modes are forced in-process by tests/differential.rs and
 # tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
@@ -19,6 +20,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace (deny warnings: broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== build + every crate's unit and integration tests"
 cargo build --release

@@ -444,3 +444,37 @@ fn nested_loops_rerun_the_inner_loop_every_outer_iteration() {
         }
     }
 }
+
+/// A DoWhile's condition reads the first quantum of the loop's feedback,
+/// whatever layout the body hands back: a collection or column batches on
+/// java.streams (row or vectorized body), row or columnar partitions on
+/// spark. Each iteration adds 3 to every row's second field, and the loop
+/// stops once the first row's reaches 10: after 4 iterations on every
+/// layout. A probe that read any other row would stop after one.
+#[test]
+fn do_while_stops_at_the_same_iteration_on_every_feedback_layout() {
+    let rows = |bump: i64| -> Vec<Value> {
+        (0..20i64).map(|i| Value::pair(Value::from(i), Value::from(i + bump))).collect()
+    };
+    let expected = rows(12);
+    for forced in [ids::JAVA_STREAMS, ids::SPARK] {
+        for batch in [false, true] {
+            let mut b = PlanBuilder::new();
+            let reached = PredicateUdf::new("reached", |v| v.field(1).as_int() >= Some(10));
+            let sink = b
+                .collection(rows(0))
+                .do_while(reached, 50, |x| x.map(MapUdf::field_add_int("step", 1, 3)))
+                .collect();
+            let plan = b.build().unwrap();
+            let mut ctx = rheem::default_context().with_batch(batch);
+            ctx.forced_platform = Some(forced);
+            let mut out = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+            out.sort();
+            assert_eq!(out, expected, "forced={forced:?} batch={batch}");
+            // The batched body really hands back columns.
+            let analysis = ctx.explain_analyze(&plan).unwrap();
+            let vectorized = analysis.rows.iter().any(|r| r.vec.batches > 0);
+            assert_eq!(vectorized, batch, "forced={forced:?} batch={batch}");
+        }
+    }
+}

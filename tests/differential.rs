@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use rheem::prelude::*;
+use rheem_core::exec::Fallback;
 use rheem_core::fault::{FaultKind, FaultPlan, FaultRule, PERSISTENT};
 use rheem_core::kernels::SplitMix64;
 use rheem_core::udf::{CmpOp, FlatMapUdf, Sarg};
@@ -505,14 +506,17 @@ fn shuffle_plans_agree_under_chaos() {
     }
 }
 
-/// Vectorizable shuffle plans must actually ship batches across the exchange
-/// (guards against the columnar path silently falling back to rows), and
-/// opaque plans must report the fallback instead.
+/// Vectorizable ReduceBy plans must actually ship batches across the
+/// exchange (guards against the columnar path silently falling back to
+/// rows). Join and SortBy have no columnar landing, so their plans must
+/// report the columns they materialized, as must opaque plans.
 #[test]
 fn shuffle_plans_report_columnar_exchange() {
     // Deterministic fully-vectorizable specs, one per wide-op shape: an
     // all-int chain (float maps would knock the int-sum combine back to
-    // rows) feeding each exchange. Every one must ship batches.
+    // rows) feeding each exchange. Shapes 2 and 4 end their columnar
+    // segment in a ReduceBy and must ship batches; shapes 0, 1 and 3 hand
+    // their columns to a Join or a SortBy and must report them.
     for wide in 0u8..5 {
         let mut spec = gen_shuffle_spec(wide as u64);
         spec.pre_a = vec![0, 1];
@@ -524,10 +528,19 @@ fn shuffle_plans_report_columnar_exchange() {
         let mut ctx = rheem::default_context().with_batch(true);
         ctx.forced_platform = Some(ids::SPARK);
         let analysis = ctx.explain_analyze(&plan).unwrap();
-        assert!(
-            analysis.rows.iter().any(|r| r.vec.exch_batches > 0),
-            "wide op {wide}: columnar exchange never shipped a batch"
-        );
+        if matches!(wide, 2 | 4) {
+            assert!(
+                analysis.rows.iter().any(|r| r.vec.exch_batches > 0),
+                "wide op {wide}: columnar exchange never shipped a batch"
+            );
+        } else {
+            assert!(
+                analysis.rows.iter().any(|r| {
+                    r.vec.exch_row_rows > 0 && r.vec.fallback == Some(Fallback::OpaqueSegment)
+                }),
+                "wide op {wide}: materialized columns were not reported"
+            );
+        }
         // Row mode must stay fully dormant.
         let mut ctx = rheem::default_context().with_batch(false);
         ctx.forced_platform = Some(ids::SPARK);

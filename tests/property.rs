@@ -333,101 +333,6 @@ fn columnar_reduce_exchange_matches_row_exchange() {
     }
 }
 
-/// Batched sort — per-partition `sort_batch` plus the k-way `merge_sorted`
-/// re-chunk — produces exactly the row path's partitions: per-partition
-/// sort, global merge-sort, contiguous `div_ceil` re-chunk.
-#[test]
-fn sort_batch_merge_matches_row_sort() {
-    use rheem_core::batch::{self, Batch};
-    use rheem_core::udf::KeySpec;
-    for case in 0u64..24 {
-        let mut rng = SplitMix64(0x50B7 ^ case);
-        let data = rows_to_values(&int_rows(&mut rng));
-        let parts_n = 1 + rng.range_usize(5);
-        let chunks: Vec<Vec<Value>> =
-            data.chunks(data.len().div_ceil(parts_n).max(1)).map(|c| c.to_vec()).collect();
-        let n = chunks.len().max(1);
-        let key = KeyUdf::field(0);
-        // Row reference: local sorts, one global stable sort, re-chunk.
-        let mut all: Vec<Value> = chunks.iter().flat_map(|c| kernels::sort_by(c, &key)).collect();
-        all = kernels::sort_by(&all, &key);
-        let chunk = all.len().div_ceil(n).max(1);
-        let mut want: Vec<Vec<Value>> = all.chunks(chunk).map(|c| c.to_vec()).collect();
-        if want.is_empty() {
-            want.push(Vec::new());
-        }
-        // Columnar path.
-        let sorted: Vec<Batch> = chunks
-            .iter()
-            .map(|c| {
-                batch::sort_batch(&Batch::from_values(c), &KeySpec::Field(0))
-                    .expect("int pairs must sort columnar")
-            })
-            .collect();
-        let merged = batch::merge_sorted(&sorted, &KeySpec::Field(0), n)
-            .expect("sorted int batches must merge");
-        assert_eq!(merged.len(), want.len(), "case {case}: partition count");
-        for (j, b) in merged.iter().enumerate() {
-            assert_eq!(b.to_values(), want[j], "case {case} sort partition {j}");
-        }
-    }
-}
-
-/// `join_buckets` (batched build/probe over co-partitioned buckets) emits
-/// exactly what the row `shuffle` + `hash_join` pipeline does — same pairs,
-/// same left-major/right-input order — for int and string keys.
-#[test]
-fn join_buckets_matches_row_hash_join() {
-    use rheem_core::batch::{self, Batch};
-    use rheem_core::udf::KeySpec;
-    for case in 0u64..24 {
-        let mut rng = SplitMix64(0x701A ^ case);
-        let gen = |rng: &mut SplitMix64, strings: bool| -> Vec<Value> {
-            (0..rng.range_usize(80))
-                .map(|_| {
-                    let k = rng.range_usize(8);
-                    Value::pair(
-                        if strings { Value::from(format!("k{k}")) } else { Value::from(k as i64) },
-                        Value::from(rng.range_usize(100) as i64),
-                    )
-                })
-                .collect()
-        };
-        let strings = case % 2 == 1;
-        let left = gen(&mut rng, strings);
-        let right = gen(&mut rng, strings);
-        let n = 1 + rng.range_usize(5);
-        let lchunks: Vec<Arc<Vec<Value>>> =
-            left.chunks(left.len().div_ceil(n).max(1)).map(|c| Arc::new(c.to_vec())).collect();
-        let rchunks: Vec<Arc<Vec<Value>>> =
-            right.chunks(right.len().div_ceil(n).max(1)).map(|c| Arc::new(c.to_vec())).collect();
-        let key = KeyUdf::field(0);
-        // Row reference: hash exchange both sides, per-partition hash join.
-        let (le, _) = rheem_core::partitioned::exchange(&lchunks, &key, n);
-        let (re, _) = rheem_core::partitioned::exchange(&rchunks, &key, n);
-        let row_out: Vec<Vec<Value>> =
-            le.iter().zip(&re).map(|(l, r)| kernels::hash_join(l, r, &key, &key)).collect();
-        // Columnar path: partition each input batch, join per bucket.
-        let ks = KeySpec::Field(0);
-        let mut lb: Vec<Vec<Batch>> = vec![Vec::new(); n];
-        let mut rb: Vec<Vec<Batch>> = vec![Vec::new(); n];
-        for (chunks, buckets) in [(&lchunks, &mut lb), (&rchunks, &mut rb)] {
-            for c in chunks.iter() {
-                let parts = batch::partition_batch(&Batch::from_values(c), &ks, n)
-                    .expect("typed pairs must partition");
-                for (j, p) in parts.into_iter().enumerate() {
-                    buckets[j].push(p);
-                }
-            }
-        }
-        for j in 0..n {
-            let out = batch::join_buckets(&lb[j], &rb[j], &ks, &ks)
-                .expect("typed key columns must join columnar");
-            assert_eq!(out, row_out[j], "case {case} join bucket {j} (strings={strings})");
-        }
-    }
-}
-
 /// Float arithmetic, conjunctive sargs, and string-predicate kernels agree
 /// with the row closures they mirror, element for element — and refuse
 /// (fall back) rather than diverge on untyped data.
