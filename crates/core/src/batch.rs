@@ -295,6 +295,11 @@ impl Batch {
         }
     }
 
+    /// The surviving rows, in order, each materialized only when reached.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Value> + '_ {
+        self.selected().map(|i| self.row(i))
+    }
+
     /// Iterate surviving physical row indices in order: O(selected rows),
     /// so a bucket batch cut from a large chunk costs only its survivors.
     fn selected(&self) -> impl Iterator<Item = usize> + '_ {
@@ -1379,5 +1384,8 @@ mod tests {
         let b = vk.run_values(&data).unwrap();
         assert_eq!(b.to_values(), p.run(&data, &BroadcastCtx::new()));
         assert!(b.selected_len() < b.len());
+        // A sample reads the leading survivors, not the leading rows.
+        let ch = crate::channel::ChannelData::Batches(Arc::new(vec![b.clone()]));
+        assert_eq!(ch.sample(2).unwrap(), b.to_values()[..2]);
     }
 }

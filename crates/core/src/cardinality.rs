@@ -138,24 +138,16 @@ impl Estimator {
         // Loop iteration factors first: each op inside a loop runs
         // `iterations` times (nested loops multiply).
         for node in plan.operators() {
-            let mut f = 1.0;
-            let mut cur = node.loop_of;
-            let mut guard = 0;
-            while let Some(l) = cur {
-                f *= match &plan.node(l).op {
+            iter_factor[node.id.index()] = plan
+                .enclosing_loops(node.id)
+                .map(|l| match &plan.node(l).op {
                     LogicalOp::RepeatLoop { iterations } => *iterations as f64,
                     LogicalOp::DoWhile { max_iterations, .. } => {
                         self.dowhile_expected_iters.min(*max_iterations as f64)
                     }
                     _ => 1.0,
-                };
-                cur = plan.node(l).loop_of;
-                guard += 1;
-                if guard > 64 {
-                    break;
-                }
-            }
-            iter_factor[node.id.index()] = f;
+                })
+                .product();
         }
 
         for id in plan.topological_order()? {

@@ -146,18 +146,9 @@ impl ChannelData {
             ChannelData::Partitions(p) => {
                 Some(p.iter().flat_map(|d| d.iter()).take(limit).cloned().collect())
             }
+            // Only the rows taken are materialized.
             ChannelData::Batches(b) | ChannelData::BatchParts(b) => {
-                let mut out = Vec::with_capacity(limit);
-                for batch in b.iter() {
-                    // Materialize per batch; stop as soon as the limit fills.
-                    for v in batch.to_values() {
-                        if out.len() == limit {
-                            return Some(out);
-                        }
-                        out.push(v);
-                    }
-                }
-                Some(out)
+                Some(b.iter().flat_map(|batch| batch.rows()).take(limit).collect())
             }
             _ => None,
         }

@@ -94,8 +94,10 @@ pub struct ExecCtx<'a> {
     pub profiles: &'a Profiles,
     /// Base RNG seed of the job; engines derive per-op seeds from it.
     pub seed: u64,
-    /// Current loop iteration (0 outside loops) — lets samplers vary their
-    /// draw across iterations like ML4all's shuffled-partition sampler.
+    /// Current loop iteration path (0 outside loops): the iteration index in
+    /// a single-level loop, distinct per `(outer, inner)` pair when nested.
+    /// Lets samplers vary their draw across iterations like ML4all's
+    /// shuffled-partition sampler.
     pub iteration: u64,
     /// Stage id of the node being executed (keys fault-injection sites).
     pub stage: usize,

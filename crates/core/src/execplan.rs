@@ -69,6 +69,21 @@ pub struct Stage {
     pub loop_of: Option<OperatorId>,
 }
 
+/// A loop's region, worked out once so the executor never re-derives it.
+#[derive(Debug)]
+pub struct LoopRegion {
+    /// The loop-head node.
+    pub head: usize,
+    /// Nodes directly in the loop's body, in stage order (inner loop heads
+    /// included, their bodies not).
+    pub body: Vec<usize>,
+    /// Node whose value feeds the next iteration.
+    pub feedback: usize,
+    /// Every node nested in the loop, transitively: what an iteration
+    /// clears, and what a failover cut excludes while the loop is in flight.
+    pub nested: Vec<usize>,
+}
+
 /// The executable plan.
 pub struct ExecPlan {
     /// All nodes; indices are node ids. Topologically ordered (feedback
@@ -76,6 +91,10 @@ pub struct ExecPlan {
     pub nodes: Vec<ExecNode>,
     /// Stage partition.
     pub stages: Vec<Stage>,
+    /// Nodes outside every loop, in stage order.
+    pub top: Vec<usize>,
+    /// One region per loop, keyed by its loop operator.
+    pub loops: HashMap<OperatorId, LoopRegion>,
     /// For each logical collection sink: its node.
     pub sinks: Vec<(OperatorId, usize)>,
     /// Node providing each logical operator's output (tails only).
@@ -230,20 +249,6 @@ pub fn build_exec_plan(
         let producer_dynamic_loop = b
             .effective_loop(p)
             .filter(|_l| plan.node(p).op.kind().is_loop_head() || plan.node(p).loop_of.is_some());
-        let in_loop = |mut ctx: Option<OperatorId>, l: OperatorId| -> bool {
-            let mut guard = 0;
-            while let Some(c) = ctx {
-                if c == l {
-                    return true;
-                }
-                ctx = plan.node(c).loop_of;
-                guard += 1;
-                if guard > 64 {
-                    break;
-                }
-            }
-            false
-        };
         let region_of_edge = |consumer_cand: usize| -> Option<OperatorId> {
             let tail = opt.candidates[consumer_cand].output_op();
             let consumer_ctx = plan.node(tail).loop_of.or_else(|| {
@@ -251,8 +256,9 @@ pub fn build_exec_plan(
                 // loop body: the transfer happens every iteration.
                 plan.node(tail).op.kind().is_loop_head().then_some(tail)
             });
+            let within = |l, c| c == l || plan.enclosing_loops(c).any(|o| o == l);
             match producer_dynamic_loop {
-                Some(l) if consumer_ctx.map(|c| in_loop(Some(c), l)).unwrap_or(false) => Some(l),
+                Some(l) if consumer_ctx.is_some_and(|c| within(l, c)) => Some(l),
                 _ => plan.node(p).loop_of,
             }
         };
@@ -408,27 +414,41 @@ pub fn build_exec_plan(
         sealed = head || uncertain[nid];
     }
 
-    // 5. Sink and logical-output maps.
+    // 5. Sink and logical-output maps, and an empty region per loop head.
     let mut sinks = Vec::new();
     let mut node_of_logical = HashMap::new();
+    let mut loops = HashMap::new();
     for node in &b.nodes {
         if let Some(tail) = node.tail() {
             node_of_logical.insert(tail, node.id);
             if matches!(plan.node(tail).op, LogicalOp::CollectionSink) {
                 sinks.push((tail, node.id));
             }
+            if node.is_loop_head(plan) {
+                let (head, feedback) = (node.id, node.inputs[1]);
+                loops.insert(tail, LoopRegion { head, feedback, body: vec![], nested: vec![] });
+            }
         }
     }
 
-    Ok(ExecPlan { nodes: b.nodes, stages, sinks, node_of_logical })
+    // 6. Loop regions: every node joins the body of its innermost loop and
+    //    the nested set of each loop enclosing it.
+    let mut top = Vec::new();
+    for nid in stages.iter().flat_map(|s| s.nodes.iter().copied()) {
+        let Some(inner) = b.nodes[nid].loop_of else {
+            top.push(nid);
+            continue;
+        };
+        loops.get_mut(&inner).expect("loop body without a head").body.push(nid);
+        for l in std::iter::once(inner).chain(plan.enclosing_loops(inner)) {
+            loops.get_mut(&l).expect("enclosing loop without a head").nested.push(nid);
+        }
+    }
+
+    Ok(ExecPlan { nodes: b.nodes, stages, top, loops, sinks, node_of_logical })
 }
 
 impl ExecPlan {
-    /// Nodes in execution (stage) order.
-    pub fn topo_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.stages.iter().flat_map(|s| s.nodes.iter().copied())
-    }
-
     /// Distinct platforms used (driver excluded).
     pub fn platforms(&self) -> Vec<PlatformId> {
         let mut v = Vec::new();

@@ -49,7 +49,7 @@ pub struct ExecConfig {
     /// `[lo/tau, hi*tau]`.
     pub mismatch_tau: f64,
     /// Cross-platform fault tolerance (§7.1): max transient failures
-    /// tolerated per (stage, loop iteration) before the platform is given up
+    /// tolerated per (stage, iteration path) before the platform is given up
     /// on — each one retried with exponential backoff ([`BACKOFF_BASE_MS`]);
     /// one more exhausts the budget and triggers failover.
     pub retry_budget: u32,
@@ -233,26 +233,45 @@ struct RunState {
     lanes: HashMap<&'static str, Vec<f64>>,
     /// Lane held by the currently open stage run, released on close.
     run_lane: Option<(&'static str, usize)>,
-    /// Virtual-time floor: no node may start before this (loop iterations
-    /// serialize: iteration i+1 starts after iteration i completed).
-    floor: f64,
     measured: HashMap<OperatorId, f64>,
     exploration: ExplorationBuffer,
-    iteration: u64,
     job_virtual_ms: f64,
     /// Faults handled by the whole run (all stage runs), in commit order.
     faults: Vec<FaultRecord>,
     wall_start: Instant,
-    /// Failed attempts per (stage, iteration) — the retry-budget meter.
+    /// Failed attempts per (stage, iteration path) — the retry-budget meter.
     stage_attempts: HashMap<(usize, u64), u32>,
     /// Open trace span of the current stage run, with its run ordinal.
     run_span: Option<(u32, u32)>,
-    /// Parent span for new stage spans (phase span, or the innermost
-    /// iteration span inside loops). `None` when tracing is off.
+    /// Loops in flight, innermost last. Their regions hold partial state
+    /// that must not count as executed in a failover cut.
+    frames: Vec<LoopFrame>,
+}
+
+/// One loop in flight: pushed when the loop starts, popped when it ends.
+struct LoopFrame {
+    /// The loop operator; its region is `ExecPlan::loops[&op]`.
+    op: OperatorId,
+    /// Iteration path: the enclosing loop's path times this loop's max
+    /// iterations, plus the iteration index — the index itself in a
+    /// single-level loop, distinct per `(outer, inner)` pair when nested.
+    iteration: u64,
+    /// Virtual-time floor: iteration i+1 starts after iteration i completed.
+    floor: f64,
+    /// Parent span for stage spans: the current iteration's span.
     span_parent: Option<u32>,
-    /// Loops currently in flight (innermost last); their nodes hold partial
-    /// state and must not count as executed in a failover cut.
-    active_loops: Vec<OperatorId>,
+}
+
+impl RunState {
+    /// Iteration path of the innermost loop in flight (0 outside loops).
+    fn iteration(&self) -> u64 {
+        self.frames.last().map_or(0, |f| f.iteration)
+    }
+
+    /// Virtual-time floor of the innermost loop in flight.
+    fn floor(&self) -> f64 {
+        self.frames.last().map_or(0.0, |f| f.floor)
+    }
 }
 
 /// One failed attempt observed inside [`Executor::exec_node`]'s retry loop,
@@ -261,7 +280,7 @@ struct RunState {
 struct RetryRec {
     /// The injected fault behind the failure (`None` for organic errors).
     fault: Option<InjectedFault>,
-    /// Cumulative failed attempts on the (stage, iteration) budget meter.
+    /// Cumulative failed attempts on the (stage, iteration path) budget meter.
     failures: u32,
     /// Whether the retry budget absorbed this failure (`false` exhausts it).
     within_budget: bool,
@@ -342,19 +361,16 @@ impl<'a> Executor<'a> {
             started_platforms: HashSet::new(),
             lanes: HashMap::new(),
             run_lane: None,
-            floor: 0.0,
             measured: HashMap::new(),
             exploration: ExplorationBuffer::default(),
-            iteration: 0,
             job_virtual_ms: 0.0,
             faults: Vec::new(),
             wall_start: Instant::now(),
             stage_attempts: HashMap::new(),
             run_span: None,
-            span_parent: self.trace.as_ref().map(|h| h.parent),
-            active_loops: Vec::new(),
+            frames: Vec::new(),
         };
-        let pause = match self.run_region(&mut st, None) {
+        let pause = match self.run_top(&mut st) {
             Ok(pause) => pause,
             Err(RheemError::Exhausted(cause)) if self.config.failover => {
                 self.close_stage_run(&mut st);
@@ -365,7 +381,7 @@ impl<'a> Executor<'a> {
         self.close_stage_run(&mut st);
         let real_ms = st.wall_start.elapsed().as_secs_f64() * 1000.0;
         let virtual_ms = st.job_virtual_ms;
-        if let Some(()) = pause {
+        if pause {
             let executed = self.executed_logical(&st);
             return Ok(Outcome::Paused(self.build_checkpoint(st, executed, virtual_ms, real_ms)));
         }
@@ -387,33 +403,22 @@ impl<'a> Executor<'a> {
         }))
     }
 
-    /// Execute all nodes of `region` (a loop body, or the top level for
-    /// `None`) in stage order. Returns `Some(())` when a checkpoint fired.
-    fn run_region(&self, st: &mut RunState, region: Option<OperatorId>) -> Result<Option<()>> {
-        let node_ids: Vec<usize> = self
-            .eplan
-            .topo_nodes()
-            .filter(|&nid| self.eplan.nodes[nid].loop_of == region)
-            .collect();
-        for (i, &nid) in node_ids.iter().enumerate() {
+    /// Execute the top-level nodes in stage order. Returns `true` when a
+    /// checkpoint fired.
+    fn run_top(&self, st: &mut RunState) -> Result<bool> {
+        let top = &self.eplan.top;
+        for (i, &nid) in top.iter().enumerate() {
             self.ensure_node(st, nid)?;
-            // Progressive checkpoints: only at top level, at stage
-            // boundaries, with work remaining.
-            let stage_ends = node_ids
+            // Progressive checkpoints: at stage boundaries, work remaining.
+            let stage_ends = top
                 .get(i + 1)
-                .map(|&next| self.eplan.nodes[next].stage != self.eplan.nodes[nid].stage)
-                .unwrap_or(true);
-            if self.config.progressive
-                && region.is_none()
-                && stage_ends
-                && i + 1 < node_ids.len()
-                && self.checkpoint_triggers(st, nid)
-            {
+                .is_some_and(|&next| self.eplan.nodes[next].stage != self.eplan.nodes[nid].stage);
+            if self.config.progressive && stage_ends && self.checkpoint_triggers(st, nid) {
                 self.close_stage_run(st);
-                return Ok(Some(()));
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Compute a node's value if absent, recursively computing its
@@ -440,78 +445,61 @@ impl<'a> Executor<'a> {
     }
 
     fn run_loop(&self, st: &mut RunState, head: usize) -> Result<()> {
-        let node = &self.eplan.nodes[head];
-        let tail = node.tail().expect("loop head covers its logical op");
+        let tail = self.eplan.nodes[head].tail().expect("loop head covers its logical op");
+        let region = &self.eplan.loops[&tail];
         let (max_iters, cond) = match &self.plan.node(tail).op {
             LogicalOp::RepeatLoop { iterations } => (*iterations, None),
             LogicalOp::DoWhile { cond, max_iterations } => (*max_iterations, Some(cond.clone())),
-            other => {
-                return Err(RheemError::Execution(format!(
-                    "node {} is not a loop head ({:?})",
-                    head,
-                    other.kind()
-                )))
-            }
+            _ => unreachable!("only loop heads have regions"),
         };
-        let init_provider = node.inputs[0];
-        let feedback_provider = node.inputs[1];
+        let init_provider = self.eplan.nodes[head].inputs[0];
         self.ensure_node(st, init_provider)?;
         let mut state = st.values[init_provider]
             .clone()
             .ok_or_else(|| RheemError::Execution("loop initial input missing".into()))?;
         let mut state_vfinish = st.vfinish[init_provider];
-        let outer_iteration = st.iteration;
+        // Iteration paths extend the enclosing loop's path, which is not
+        // always the innermost frame: demand may run a sibling loop early.
+        let outer = self.plan.node(tail).loop_of;
+        let base = st.frames.iter().rfind(|f| Some(f.op) == outer).map_or(0, |f| f.iteration);
 
         // The loop-head stage itself (condition evaluation) is driver work.
-        // The loop is "in flight" until it completes: a failover cut taken
+        // The loop is "in flight" until its frame pops: a failover cut taken
         // mid-loop must discard its partial iteration state (on error we
         // deliberately do NOT pop, so `run` sees the loop as active).
-        st.active_loops.push(tail);
-        let outer_floor = st.floor;
-        let outer_parent = st.span_parent;
+        let floor = st.floor();
         let loop_span = self.trace.as_ref().map(|h| {
-            let sid = h.trace.begin(
-                outer_parent,
-                SpanKind::Loop,
-                &self.plan.node(tail).label(),
-                None,
-                h.base_ms + st.floor.max(state_vfinish),
-            );
+            let label = self.plan.node(tail).label();
+            let start = h.base_ms + floor.max(state_vfinish);
+            let sid = h.trace.begin(self.span_parent(st), SpanKind::Loop, &label, None, start);
             h.trace.attr(sid, "op", tail.0.into());
             h.trace.attr(sid, "max_iterations", max_iters.into());
             sid
         });
+        st.frames.push(LoopFrame { op: tail, iteration: base, floor, span_parent: loop_span });
         for i in 0..max_iters {
-            st.iteration = i as u64;
             st.values[head] = Some(state.clone());
             st.vfinish[head] = state_vfinish;
-            st.floor = st.floor.max(state_vfinish);
+            let frame = st.frames.last_mut().expect("pushed above");
+            frame.iteration = base.wrapping_mul(max_iters as u64).wrapping_add(i as u64);
+            frame.floor = frame.floor.max(state_vfinish);
+            let floor = frame.floor;
             let iter_span = self.trace.as_ref().map(|h| {
-                h.trace.begin(
-                    loop_span,
-                    SpanKind::Iteration,
-                    &format!("iteration {i}"),
-                    None,
-                    h.base_ms + st.floor,
-                )
+                let label = format!("iteration {i}");
+                h.trace.begin(loop_span, SpanKind::Iteration, &label, None, h.base_ms + floor)
             });
-            if iter_span.is_some() {
-                st.span_parent = iter_span;
+            frame.span_parent = iter_span;
+            for &v in &region.nested {
+                st.values[v] = None;
             }
-            // Clear all nodes nested (transitively) inside this loop.
-            for (vid, v) in st.values.iter_mut().enumerate() {
-                if self.nested_in_loop(vid, tail) {
-                    *v = None;
-                }
-            }
-            if self.run_region(st, Some(tail))?.is_some() {
-                unreachable!("checkpoints never fire inside loop bodies");
+            for &nid in &region.body {
+                self.ensure_node(st, nid)?;
             }
             self.close_stage_run(st);
-            state = st.values[feedback_provider]
+            state = st.values[region.feedback]
                 .clone()
                 .ok_or_else(|| RheemError::Execution("loop feedback missing".into()))?;
-            state_vfinish = st.vfinish[feedback_provider];
+            state_vfinish = st.vfinish[region.feedback];
             if let (Some(h), Some(sid)) = (&self.trace, iter_span) {
                 h.trace.end(sid, h.base_ms + state_vfinish);
             }
@@ -528,44 +516,24 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        st.active_loops.pop();
-        st.iteration = outer_iteration;
-        st.floor = outer_floor;
-        st.span_parent = outer_parent;
+        st.frames.pop();
         if let (Some(h), Some(sid)) = (&self.trace, loop_span) {
             h.trace.end(sid, h.base_ms + state_vfinish);
         }
+        if let Some(card) = state.cardinality() {
+            st.measured.insert(tail, card as f64);
+        }
         st.values[head] = Some(state);
         st.vfinish[head] = state_vfinish;
-        if let Some(tail_op) = self.eplan.nodes[head].tail() {
-            if let Some(card) = st.values[head].as_ref().unwrap().cardinality() {
-                st.measured.insert(tail_op, card as f64);
-            }
-        }
         Ok(())
-    }
-
-    fn nested_in_loop(&self, nid: usize, loop_op: OperatorId) -> bool {
-        let mut ctx = self.eplan.nodes[nid].loop_of;
-        let mut guard = 0;
-        while let Some(l) = ctx {
-            if l == loop_op {
-                return true;
-            }
-            ctx = self.plan.node(l).loop_of;
-            guard += 1;
-            if guard > 64 {
-                break;
-            }
-        }
-        false
     }
 
     fn run_node(&self, st: &mut RunState, nid: usize) -> Result<()> {
         let node = &self.eplan.nodes[nid];
         let (inputs, bc) = self.gather(st, nid)?;
-        let mut failures = st.stage_attempts.get(&(node.stage, st.iteration)).copied().unwrap_or(0);
-        let outcome = self.exec_node(nid, &inputs, &bc, st.iteration, &mut failures);
+        let key = (node.stage, st.iteration());
+        let mut failures = st.stage_attempts.get(&key).copied().unwrap_or(0);
+        let outcome = self.exec_node(nid, &inputs, &bc, key.1, &mut failures);
         self.commit_node(st, nid, outcome)
     }
 
@@ -730,7 +698,7 @@ impl<'a> Executor<'a> {
         }
 
         // The node may start once its producers finished (dependency order).
-        let mut vstart: f64 = st.floor.max(st.run_base);
+        let mut vstart: f64 = st.floor().max(st.run_base);
         for &i in &node.inputs {
             vstart = vstart.max(st.vfinish[i]);
         }
@@ -748,7 +716,7 @@ impl<'a> Executor<'a> {
             // then waits for a free lane — an engine admits only `slots()`
             // concurrent stage submissions (critical-path semantics: lanes
             // model the cluster's parallel stage capacity).
-            st.run_base = st.floor + pending_overhead;
+            st.run_base = st.floor() + pending_overhead;
             let mut lane = None;
             if platform != CONTROL {
                 let slots = self.profiles.get(platform).slots();
@@ -767,14 +735,14 @@ impl<'a> Executor<'a> {
             if let Some(h) = &self.trace {
                 let run_id = h.trace.next_run_id();
                 let sid = h.trace.begin(
-                    st.span_parent,
+                    self.span_parent(st),
                     SpanKind::Stage,
                     &format!("stage {}", node.stage),
                     Some(self.eplan.stages[node.stage].platform),
-                    h.base_ms + st.floor,
+                    h.base_ms + st.floor(),
                 );
                 h.trace.attr(sid, "stage", node.stage.into());
-                h.trace.attr(sid, "iteration", st.iteration.into());
+                h.trace.attr(sid, "iteration", st.iteration().into());
                 h.trace.attr(sid, "phase", h.trace.phase().into());
                 h.trace.attr(sid, "run", run_id.into());
                 if let Some(li) = lane {
@@ -793,7 +761,7 @@ impl<'a> Executor<'a> {
         for rec in &retries {
             st.faults.push(FaultRecord {
                 stage: node.stage,
-                iteration: st.iteration,
+                iteration: st.iteration(),
                 platform,
                 op: node.exec.name().to_string(),
                 kind: rec.fault.as_ref().map(|i| i.kind),
@@ -801,7 +769,7 @@ impl<'a> Executor<'a> {
                 recovered: rec.within_budget,
             });
             if let Some(h) = &self.trace {
-                let parent = st.run_span.map(|(s, _)| s).or(st.span_parent);
+                let parent = st.run_span.map(|(s, _)| s).or(self.span_parent(st));
                 let sid = h.trace.instant(
                     parent,
                     SpanKind::Retry,
@@ -820,7 +788,7 @@ impl<'a> Executor<'a> {
             }
         }
         if failures_after > 0 {
-            st.stage_attempts.insert((node.stage, st.iteration), failures_after);
+            st.stage_attempts.insert((node.stage, st.iteration()), failures_after);
         }
         let NodeExec { out, mut ops, mut vdur, events, node_retries, vec_stats } = result?;
 
@@ -851,7 +819,7 @@ impl<'a> Executor<'a> {
         // dependency-ordered start, and record a profile per metric so the
         // learner and EXPLAIN ANALYZE see uniform per-operator rows.
         if let Some(h) = &self.trace {
-            let parent = st.run_span.map(|(s, _)| s).or(st.span_parent);
+            let parent = st.run_span.map(|(s, _)| s).or(self.span_parent(st));
             let run_id = st.run_span.map(|(_, r)| r).unwrap_or(0);
             let phase = h.trace.phase();
             let mut t = vstart;
@@ -885,7 +853,7 @@ impl<'a> Executor<'a> {
                     platform: m.platform.0.to_string(),
                     node: nid,
                     stage: node.stage,
-                    iteration: st.iteration,
+                    iteration: st.iteration(),
                     phase,
                     run: run_id,
                     logical: if first_main {
@@ -1063,9 +1031,16 @@ impl<'a> Executor<'a> {
 
     /// Whether a node belongs to (or is the head of) a loop still in flight.
     fn in_active_loop(&self, st: &RunState, nid: usize) -> bool {
-        st.active_loops
+        st.frames
             .iter()
-            .any(|&l| self.eplan.nodes[nid].logical.contains(&l) || self.nested_in_loop(nid, l))
+            .map(|f| &self.eplan.loops[&f.op])
+            .any(|r| r.head == nid || r.nested.contains(&nid))
+    }
+
+    /// Parent span for new stage spans: the innermost iteration span inside
+    /// loops, else the phase span. `None` when tracing is off.
+    fn span_parent(&self, st: &RunState) -> Option<u32> {
+        st.frames.last().map_or(self.trace.as_ref().map(|h| h.parent), |f| f.span_parent)
     }
 
     fn checkpoint_materializable(&self, st: &RunState, executed: &HashSet<OperatorId>) -> bool {

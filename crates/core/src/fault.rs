@@ -14,7 +14,7 @@
 //!
 //! Determinism: whether a site is faulty, and how often it fails, is a pure
 //! function of `(seed, kind, platform, operator, stage)`. Attempt counters
-//! are keyed per `(site, loop iteration)`, so "fail twice then succeed"
+//! are keyed per `(site, iteration path)`, so "fail twice then succeed"
 //! means exactly that on every retry schedule, independent of wall clock or
 //! thread timing — chaos runs are reproducible byte-for-byte.
 
@@ -118,7 +118,7 @@ pub struct InjectedFault {
     pub op: String,
     /// Stage id at injection time.
     pub stage: usize,
-    /// Loop iteration at injection time (0 outside loops).
+    /// Loop iteration path at injection time (0 outside loops).
     pub iteration: u64,
     /// 1-based attempt number at this site that failed.
     pub attempt: u32,
@@ -165,7 +165,7 @@ impl fmt::Display for BudgetExhausted {
 pub struct FaultRecord {
     /// Stage the failure struck.
     pub stage: usize,
-    /// Loop iteration at the time (0 outside loops).
+    /// Loop iteration path at the time (0 outside loops).
     pub iteration: u64,
     /// Platform that failed.
     pub platform: PlatformId,
@@ -190,7 +190,7 @@ pub struct FaultPlan {
     /// Per-mille probability that any given site is faulty in seeded mode.
     density_millis: u32,
     rules: Vec<FaultRule>,
-    /// Failed attempts per `(site, iteration)` key.
+    /// Failed attempts per `(site, iteration path)` key.
     attempts: Mutex<HashMap<u64, u32>>,
 }
 

@@ -212,9 +212,11 @@ impl RheemPlan {
         validate::validate(self)
     }
 
-    /// Operators belonging to the body of the given loop.
-    pub fn loop_body(&self, loop_op: OperatorId) -> Vec<OperatorId> {
-        self.ops.iter().filter(|n| n.loop_of == Some(loop_op)).map(|n| n.id).collect()
+    /// The loops whose bodies enclose an operator, innermost first. Ends on
+    /// validated plans ([`RheemPlan::validate`] rejects a loop nested in
+    /// itself).
+    pub fn enclosing_loops(&self, id: OperatorId) -> impl Iterator<Item = OperatorId> + '_ {
+        std::iter::successors(self.node(id).loop_of, |&l| self.node(l).loop_of)
     }
 }
 

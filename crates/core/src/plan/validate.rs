@@ -65,9 +65,14 @@ pub(super) fn validate(plan: &RheemPlan) -> Result<()> {
         }
     }
 
-    // Loop feedback edges must come from inside the loop body.
+    // No loop nests in itself, and loop feedback edges come from inside the
+    // loop body. Every nesting cycle runs through a loop head, so bounding
+    // each head's walk by the plan size catches all of them.
     for node in plan.operators() {
         if node.op.kind().is_loop_head() {
+            if plan.enclosing_loops(node.id).take(n).any(|l| l == node.id) {
+                return Err(RheemError::Plan(format!("loop {} is nested in itself", node.label())));
+            }
             let feedback = node.inputs[1];
             if plan.node(feedback).loop_of != Some(node.id) {
                 return Err(RheemError::Plan(format!(
@@ -183,5 +188,9 @@ mod tests {
         // fix the forward-declared feedback edge
         p.node_mut(l).inputs[1] = body;
         p.validate().unwrap();
+        // A loop nested in itself is rejected, not walked forever.
+        p.set_loop(l, l);
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains("nested in itself"), "{err}");
     }
 }

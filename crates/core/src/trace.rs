@@ -236,7 +236,7 @@ pub struct OpProfile {
     pub node: usize,
     /// Stage id.
     pub stage: usize,
-    /// Loop iteration the run belonged to (0 outside loops).
+    /// Loop iteration path the run belonged to (0 outside loops).
     pub iteration: u64,
     /// Progressive execution phase the run belonged to.
     pub phase: u32,
@@ -294,7 +294,7 @@ pub struct RunProfile {
     pub stage: usize,
     /// Platform the run was dispatched to.
     pub platform: String,
-    /// Loop iteration (0 outside loops).
+    /// Loop iteration path (0 outside loops).
     pub iteration: u64,
     /// Virtual time of the whole run including submission overheads, ms.
     pub virtual_ms: f64,

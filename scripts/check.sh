@@ -3,15 +3,15 @@
 # with warnings denied (a deleted or renamed item leaves no broken intra-doc
 # link behind), the whole workspace's tests (a superset of tier-1's
 # `cargo test -q`), the perf harness's tests, the trace round trip, the
-# differential, cross-platform, chaos, fault-tolerance, explain and cache
-# suites on a one-worker pool (where every partition runs inline; explain's
-# golden span structure pins the stage-span attributes a job's runs are
-# derived from; cache publication takes a different path per node kind), the
-# service and fault-tolerance suites on 2- and 8-worker pools (job
-# coordinators on pool workers included), and the obs suite on 1-, 2- and
-# 8-worker pools (straggler verdicts come from the completion path). Batch
-# and cache modes are forced in-process by tests/differential.rs and
-# tests/cache.rs, so the suite runs once.
+# differential, cross-platform, chaos (nested loops included),
+# fault-tolerance, explain and cache suites on a one-worker pool (where every
+# partition runs inline; explain's golden span structure pins the stage-span
+# attributes a job's runs are derived from; cache publication takes a
+# different path per node kind), the service and fault-tolerance suites on
+# 2- and 8-worker pools (job coordinators on pool workers included), and the
+# obs suite on 1-, 2- and 8-worker pools (straggler verdicts come from the
+# completion path). Batch and cache modes are forced in-process by
+# tests/differential.rs and tests/cache.rs, so the suite runs once.
 # Run from the repo root: ./scripts/check.sh
 set -eu
 

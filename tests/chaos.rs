@@ -1,5 +1,5 @@
 //! Chaos sweep (§7.1): an exhaustive matrix of injection points over the
-//! WordCount and SGD (Listing 1) plans. Every `(stage, fault kind, fail
+//! WordCount and SGD (Listing 1) plans and a plan with nested loops. Every `(stage, fault kind, fail
 //! count)` cell must either recover within the retry budget (byte-identical
 //! answer, zero failovers) or escalate cleanly — fail over to a surviving
 //! platform or die with a *typed* error. Alongside each cell we check that
@@ -116,9 +116,29 @@ fn sgd_plan() -> (RheemPlan, OperatorId) {
     (b.build().unwrap(), sink)
 }
 
+/// A loop nested in a loop (`tests/cross_platform.rs`'s nested-loop shape):
+/// the inner body runs 3 × 2 times, each run under its own iteration path.
+fn nested_loops_plan() -> (RheemPlan, OperatorId) {
+    let int = |v: &Value| v.as_int().unwrap_or(0);
+    let mut b = PlanBuilder::new();
+    let sink = b
+        .collection((0..5i64).map(Value::from).collect::<Vec<_>>())
+        .repeat(3, |w| {
+            w.map(MapUdf::new("nest_inc", move |v| Value::from(int(v) + 1)))
+                .repeat(2, |x| x.map(MapUdf::new("nest_dbl", move |v| Value::from(int(v) * 2))))
+                .map(MapUdf::new("nest_id", |v| v.clone()))
+        })
+        .collect();
+    (b.build().unwrap(), sink)
+}
+
 type PlanFn = fn() -> (RheemPlan, OperatorId);
-const PLANS: [(&str, PlanFn); 3] =
-    [("wordcount", wordcount_plan), ("hybrid-wordcount", hybrid_wordcount_plan), ("sgd", sgd_plan)];
+const PLANS: [(&str, PlanFn); 4] = [
+    ("wordcount", wordcount_plan),
+    ("hybrid-wordcount", hybrid_wordcount_plan),
+    ("sgd", sgd_plan),
+    ("nested-loops", nested_loops_plan),
+];
 
 // ---- harness ------------------------------------------------------------
 
@@ -317,44 +337,50 @@ fn exhausted_stage_fails_over_and_completes() {
     }
 }
 
-/// Persistent failure *inside the SGD loop body*: the failover checkpoint
-/// must restart the loop cleanly — same final weights, and no loop
-/// iteration double-counted in the effective stage runs (the learner feeds
-/// on those).
+/// Persistent failure *inside a loop body* — SGD's, and the inner body of
+/// the nested-loop plan, whose failover cut must exclude both loops in
+/// flight: the failover checkpoint must restart the loop cleanly — same
+/// final answer, and no loop iteration double-counted in the effective
+/// stage runs (the learner feeds on those).
 #[test]
 fn mid_loop_failover_replays_without_duplicate_iteration_accounting() {
-    let (expected, _) = baseline(sgd_plan);
-    // Find a stage that actually iterates, and the platform it ran on.
-    let (loop_stage, victim) =
-        first_engine_run(&run_sorted(&rheem::default_context(), sgd_plan).unwrap().1, |r| {
-            r.iteration > 0
-        });
-    let mut ctx = rheem::default_context();
-    ctx.config_mut().retry_budget = BUDGET;
-    ctx.config_mut().fault_plan = Some(Arc::new(
-        FaultPlan::none().with_rule(
-            FaultRule::new(FaultKind::Transient)
-                .on_platform(victim)
-                .on_stage(loop_stage)
-                .failing(PERSISTENT),
-        ),
-    ));
-    let (out, result) = run_sorted(&ctx, sgd_plan).unwrap();
-    assert_eq!(out, expected, "mid-loop failover changed the learned weights");
-    assert!(result.metrics.failovers >= 1, "expected a mid-loop failover");
-    assert_no_duplicate_iteration_accounting(&result, "sgd mid-loop failover");
-    // Phase 1 ran the baseline plan until the loop stage exhausted its
-    // budget; the failover restarts the loop from iteration 0 in a later
-    // phase, so every phase-1 run of that stage was re-executed and must be
-    // superseded — phases differ, so the check above cannot see them.
-    let stale: Vec<bool> = trace(&result)
-        .runs
-        .iter()
-        .filter(|r| r.phase == 1 && r.stage == loop_stage)
-        .map(|r| r.superseded)
-        .collect();
-    assert!(!stale.is_empty(), "the loop stage must have run before the failover");
-    assert!(stale.iter().all(|&s| s), "re-executed loop runs left live: {stale:?}");
+    for (name, make) in [("sgd", sgd_plan as PlanFn), ("nested-loops", nested_loops_plan)] {
+        let (expected, _) = baseline(make);
+        // Find a stage of the innermost loop body — the engine stage that
+        // runs most often — and the platform it ran on.
+        let clean = run_sorted(&rheem::default_context(), make).unwrap().1;
+        let runs_of = |stage| trace(&clean).runs.iter().filter(|r| r.stage == stage).count();
+        let engine_runs = trace(&clean).runs.iter().filter(|r| r.platform != CONTROL.0);
+        let most = engine_runs.map(|r| runs_of(r.stage)).max().unwrap();
+        assert!(most > 1, "{name}: no engine stage iterates");
+        let (loop_stage, victim) = first_engine_run(&clean, |r| runs_of(r.stage) == most);
+        let mut ctx = rheem::default_context();
+        ctx.config_mut().retry_budget = BUDGET;
+        ctx.config_mut().fault_plan = Some(Arc::new(
+            FaultPlan::none().with_rule(
+                FaultRule::new(FaultKind::Transient)
+                    .on_platform(victim)
+                    .on_stage(loop_stage)
+                    .failing(PERSISTENT),
+            ),
+        ));
+        let (out, result) = run_sorted(&ctx, make).unwrap();
+        assert_eq!(out, expected, "{name}: mid-loop failover changed the answer");
+        assert!(result.metrics.failovers >= 1, "{name}: expected a mid-loop failover");
+        assert_no_duplicate_iteration_accounting(&result, &format!("{name} mid-loop failover"));
+        // Phase 1 ran the baseline plan until the loop stage exhausted its
+        // budget; the failover restarts the loop from iteration 0 in a later
+        // phase, so every phase-1 run of that stage was re-executed and must
+        // be superseded — phases differ, so the check above cannot see them.
+        let stale: Vec<bool> = trace(&result)
+            .runs
+            .iter()
+            .filter(|r| r.phase == 1 && r.stage == loop_stage)
+            .map(|r| r.superseded)
+            .collect();
+        assert!(!stale.is_empty(), "{name}: the loop stage must have run before the failover");
+        assert!(stale.iter().all(|&s| s), "{name}: re-executed loop runs left live: {stale:?}");
+    }
 }
 
 /// Seeded chaos over both workloads for the fixed CI seed matrix: survive

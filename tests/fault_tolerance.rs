@@ -12,7 +12,7 @@ use rheem_core::builtin::CONTROL;
 use rheem_core::channel::{kinds, ChannelData, ChannelKind};
 use rheem_core::cost::{CostModel, Load};
 use rheem_core::exec::{ExecCtx, ExecutionOperator};
-use rheem_core::fault::FaultPlan;
+use rheem_core::fault::{FaultKind, FaultPlan, FaultRule};
 use rheem_core::mapping::{Candidate, FnMapping};
 use rheem_core::plan::{DataQuanta, LogicalOp, OpKind, PlanBuilder};
 use rheem_core::udf::BroadcastCtx;
@@ -242,6 +242,41 @@ fn explicit_fault_plan_counts_attempts_per_job() {
     assert!(!first.is_empty(), "density 1.0 must strike the first job");
     for job in 1..6 {
         assert_eq!(faults(job), first, "job {job} met different faults");
+    }
+}
+
+/// A rule that fails every `(site, iteration)` once meets the map of
+/// `repeat(3, repeat(2, map) ∘ filter)` six times: each of the map's 3 × 2
+/// runs has its own iteration path, as each of `repeat(6, map)`'s runs has
+/// its own iteration. Every fault is retried in place, so the answer is the
+/// fault-free one.
+#[test]
+fn nested_loop_runs_each_meet_their_own_fault() {
+    let int = |v: &Value| v.as_int().unwrap_or(0);
+    let inc = move || MapUdf::new("inc", move |v| Value::from(int(v) + 1));
+    let flat = |q: DataQuanta| q.repeat(6, |w| w.map(inc()));
+    let nested = |q: DataQuanta| {
+        q.repeat(3, |w| w.repeat(2, |x| x.map(inc())).filter(PredicateUdf::new("keep", |_| true)))
+    };
+    let shapes: [(&str, &dyn Fn(DataQuanta) -> DataQuanta); 2] =
+        [("flat", &flat), ("nested", &nested)];
+    for (name, shape) in shapes {
+        let mut b = PlanBuilder::new();
+        let sink = shape(b.collection((0..5i64).map(Value::from).collect::<Vec<_>>())).collect();
+        let plan = b.build().unwrap();
+        let run = |faults: Option<FaultPlan>| {
+            let mut ctx = rheem::default_context().with_fusion(false);
+            ctx.forced_platform = Some(ids::JAVA_STREAMS);
+            ctx.config_mut().fault_plan = faults.map(Arc::new);
+            ctx.execute(&plan).unwrap()
+        };
+        let clean = run(None);
+        let rule = FaultRule::new(FaultKind::Transient).on_op("Map");
+        let faulty = run(Some(FaultPlan::none().with_rule(rule)));
+        assert_eq!(faulty.sink(sink).unwrap(), clean.sink(sink).unwrap(), "{name}");
+        let faults = &faulty.metrics.faults;
+        assert_eq!(faults.len(), 6, "{name}: {faults:?}");
+        assert!(faults.iter().all(|f| f.recovered), "{name}: {faults:?}");
     }
 }
 
