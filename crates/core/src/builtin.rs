@@ -15,7 +15,7 @@ use crate::cost::Load;
 use crate::error::{Result, RheemError};
 use crate::exec::{ExecCtx, ExecutionOperator};
 use crate::mapping::{Candidate, FnMapping};
-use crate::plan::{LogicalOp, OpKind, OperatorNode, RheemPlan};
+use crate::plan::{LogicalOp, OperatorNode, RheemPlan};
 use crate::platform::PlatformId;
 use crate::registry::Registry;
 use crate::udf::BroadcastCtx;
@@ -231,11 +231,6 @@ pub fn register_builtins(registry: &mut Registry) {
             _ => vec![],
         },
     )));
-}
-
-/// Whether an operator kind is always executed by the driver.
-pub fn is_control(kind: OpKind) -> bool {
-    kind.is_loop_head()
 }
 
 #[cfg(test)]

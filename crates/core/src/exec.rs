@@ -71,7 +71,8 @@ impl fmt::Debug for dyn ExecutionOperator {
 }
 
 /// Metrics of one execution-operator run, recorded in the job trace as an
-/// [`crate::trace::OpProfile`] for the cost learner (§4.3, §4.5).
+/// operator span, read back as an [`crate::trace::OpProfile`] for the cost
+/// learner (§4.3, §4.5).
 #[derive(Clone, Debug)]
 pub struct OpMetrics {
     /// Operator name (`ExecutionOperator::name`).
@@ -101,6 +102,10 @@ pub struct ExecCtx<'a> {
     pub iteration: u64,
     /// Stage id of the node being executed (keys fault-injection sites).
     pub stage: usize,
+    /// Whether a consumer of the node's output reads columns (set by the
+    /// executor from the exec plan); when none does, a fused run at the
+    /// chain's end keeps its output in rows.
+    pub(crate) columns_out: bool,
     faults: Option<Arc<FaultPlan>>,
     ops: Vec<OpMetrics>,
     virtual_ms: f64,
@@ -112,8 +117,9 @@ pub struct ExecCtx<'a> {
 
 /// Vectorization counters accumulated while executing one node: how much of
 /// the work ran through [`crate::batch`] kernels vs. the row interpreter.
-/// Surfaced on [`crate::trace::OpProfile`]s (never in trace *structure*, so
-/// batched and row runs stay byte-identical there).
+/// Recorded in the node's [`crate::trace::OpFacts`] and read back on its
+/// [`crate::trace::OpProfile`] (never in trace *structure*, so batched and
+/// row runs stay byte-identical there).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VecStats {
     /// Rows fed into vectorized kernels.
@@ -202,6 +208,7 @@ impl<'a> ExecCtx<'a> {
             seed,
             iteration: 0,
             stage: 0,
+            columns_out: true,
             faults: None,
             ops: Vec::new(),
             virtual_ms: 0.0,
@@ -252,8 +259,8 @@ impl<'a> ExecCtx<'a> {
         self.vec_stats.fallback.get_or_insert(why);
     }
 
-    /// Drain the vectorization counters (executor moves them onto the
-    /// node's profile).
+    /// Drain the vectorization counters (the executor moves them onto the
+    /// node's first operator span).
     pub fn take_vec_stats(&mut self) -> VecStats {
         std::mem::take(&mut self.vec_stats)
     }

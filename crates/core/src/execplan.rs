@@ -101,6 +101,18 @@ pub struct ExecPlan {
     pub node_of_logical: HashMap<OperatorId, usize>,
 }
 
+impl ExecPlan {
+    /// Whether some consumer of node `nid` reads its output as columns: any
+    /// but a wide operator with no columnar landing, which rebuilds rows at
+    /// once ([`crate::partitioned::rebuilds_rows`]).
+    pub(crate) fn columns_read(&self, plan: &RheemPlan, nid: usize) -> bool {
+        self.nodes.iter().filter(|n| n.inputs.contains(&nid)).any(|n| {
+            let first = n.logical.first().map(|&op| plan.node(op).op.kind());
+            !first.is_some_and(crate::partitioned::rebuilds_rows)
+        })
+    }
+}
+
 struct Builder<'a> {
     plan: &'a RheemPlan,
     nodes: Vec<ExecNode>,

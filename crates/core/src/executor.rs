@@ -20,7 +20,7 @@ use crate::monitor::{check_cardinality, Health};
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::Profiles;
-use crate::trace::{OpProfile, SpanKind, Trace};
+use crate::trace::{OpFacts, SpanKind, Trace};
 use crate::udf::BroadcastCtx;
 use crate::value::{Dataset, Value};
 
@@ -123,13 +123,14 @@ impl Default for ExecConfig {
     }
 }
 
-/// Where an executor writes its trace: the shared collector, the span to
-/// parent stage spans under, and the job-timeline offset of this phase
-/// (virtual ms already consumed by earlier phases).
-#[derive(Clone)]
-pub struct TraceHandle {
-    /// Shared trace collector.
-    pub trace: Arc<Trace>,
+/// Where an executor writes its trace: the job's collector (owned by the
+/// driver, which outlives every executor it builds), the span to parent
+/// stage spans under, and the job-timeline offset of this phase (virtual ms
+/// already consumed by earlier phases).
+#[derive(Clone, Copy)]
+pub struct TraceHandle<'t> {
+    /// The job's trace collector.
+    pub trace: &'t Trace,
     /// Parent span for this phase's stage/loop spans.
     pub parent: u32,
     /// Virtual-time offset of this executor run on the job timeline, ms.
@@ -203,7 +204,7 @@ pub struct Executor<'a> {
     profiles: &'a Profiles,
     config: &'a ExecConfig,
     faults: Option<Arc<FaultPlan>>,
-    trace: Option<TraceHandle>,
+    trace: Option<TraceHandle<'a>>,
     /// Cross-job result cache plus the per-node publication schedule
     /// (computed by the progressive driver from the phase plan): tail
     /// fingerprints and interior fused-chain cut points.
@@ -241,8 +242,8 @@ struct RunState {
     wall_start: Instant,
     /// Failed attempts per (stage, iteration path) — the retry-budget meter.
     stage_attempts: HashMap<(usize, u64), u32>,
-    /// Open trace span of the current stage run, with its run ordinal.
-    run_span: Option<(u32, u32)>,
+    /// Open trace span of the current stage run.
+    run_span: Option<u32>,
     /// Loops in flight, innermost last. Their regions hold partial state
     /// that must not count as executed in a failover cut.
     frames: Vec<LoopFrame>,
@@ -327,10 +328,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Record spans and operator profiles into this trace (the progressive
-    /// driver hands every phase the same collector with a fresh parent span
-    /// and the cumulative virtual-time offset).
-    pub fn with_trace(mut self, trace: Option<TraceHandle>) -> Self {
+    /// Record spans into this trace (the progressive driver hands every
+    /// phase the same collector with a fresh parent span and the cumulative
+    /// virtual-time offset).
+    pub fn with_trace(mut self, trace: Option<TraceHandle<'a>>) -> Self {
         self.trace = trace;
         self
     }
@@ -586,6 +587,7 @@ impl<'a> Executor<'a> {
         let mut ctx;
         let mut backoff_ms = 0.0;
         let mut node_retries = 0u32;
+        let columns_out = self.config.batch && self.eplan.columns_read(self.plan, nid);
         let out = loop {
             ctx = ExecCtx::new(self.profiles, self.config.seed.wrapping_add(nid as u64));
             ctx.iteration = iteration;
@@ -593,6 +595,7 @@ impl<'a> Executor<'a> {
             ctx.set_tracing(self.trace.is_some());
             ctx.set_faults(self.faults.clone());
             ctx.set_batch(self.config.batch);
+            ctx.columns_out = columns_out;
             // Stage crashes strike the submission itself, before any
             // operator code runs; operator/transfer faults strike inside
             // `execute` via the context's gates.
@@ -751,7 +754,7 @@ impl<'a> Executor<'a> {
                 if pending_overhead > 0.0 {
                     h.trace.attr(sid, "overhead_ms", pending_overhead.into());
                 }
-                st.run_span = Some((sid, run_id));
+                st.run_span = Some(sid);
             }
         }
 
@@ -769,7 +772,7 @@ impl<'a> Executor<'a> {
                 recovered: rec.within_budget,
             });
             if let Some(h) = &self.trace {
-                let parent = st.run_span.map(|(s, _)| s).or(self.span_parent(st));
+                let parent = st.run_span.or(self.span_parent(st));
                 let sid = h.trace.instant(
                     parent,
                     SpanKind::Retry,
@@ -816,12 +819,11 @@ impl<'a> Executor<'a> {
         }
 
         // Trace: lay the node's operator metrics out sequentially from its
-        // dependency-ordered start, and record a profile per metric so the
-        // learner and EXPLAIN ANALYZE see uniform per-operator rows.
+        // dependency-ordered start, one span per metric; the learner and
+        // EXPLAIN ANALYZE read them as uniform per-operator rows
+        // (`JobTrace::profiles`).
         if let Some(h) = &self.trace {
-            let parent = st.run_span.map(|(s, _)| s).or(self.span_parent(st));
-            let run_id = st.run_span.map(|(_, r)| r).unwrap_or(0);
-            let phase = h.trace.phase();
+            let parent = st.run_span.or(self.span_parent(st));
             let mut t = vstart;
             let mut main_span = None;
             for m in &ops {
@@ -843,35 +845,15 @@ impl<'a> Executor<'a> {
                 if first_main && node_retries > 0 {
                     h.trace.attr(sid, "retries", node_retries.into());
                 }
+                // Exact, unlike `end - start` on the job timeline.
+                h.trace.attr(sid, "virtual_ms", m.virtual_ms.into());
                 h.trace.end(sid, h.base_ms + t + m.virtual_ms);
                 t += m.virtual_ms;
                 if first_main {
+                    let logical = node.logical.iter().map(|l| l.0).collect();
+                    h.trace.facts(sid, OpFacts { logical, vec_stats });
                     main_span = Some(sid);
                 }
-                h.trace.add_profile(OpProfile {
-                    name: m.name.clone(),
-                    platform: m.platform.0.to_string(),
-                    node: nid,
-                    stage: node.stage,
-                    iteration: st.iteration(),
-                    phase,
-                    run: run_id,
-                    logical: if first_main {
-                        node.logical.iter().map(|l| l.0).collect()
-                    } else {
-                        Vec::new()
-                    },
-                    tuples_in: m.in_card,
-                    tuples_out: m.out_card,
-                    virtual_ms: m.virtual_ms,
-                    retries: if first_main { node_retries } else { 0 },
-                    vec_stats: if first_main {
-                        vec_stats
-                    } else {
-                        crate::exec::VecStats::default()
-                    },
-                    superseded: false,
-                });
             }
             if let Some(ms) = main_span {
                 for ev in &events {
@@ -929,7 +911,7 @@ impl<'a> Executor<'a> {
                 }
             }
             if let Some(h) = &self.trace {
-                if let Some((sid, _)) = st.run_span.take() {
+                if let Some(sid) = st.run_span.take() {
                     // The closed span is the run's record (`JobTrace::runs`).
                     h.trace.end(sid, h.base_ms + run_end);
                     h.trace.attr(sid, "virtual_ms", st.run_virtual_ms.into());

@@ -21,7 +21,6 @@
 //! platform mapping rules enforce the rest (see `upstream_chain` in
 //! [`crate::mapping`]).
 
-use crate::cost::CostModel;
 use crate::plan::{LogicalOp, OpKind};
 use crate::udf::{BroadcastCtx, FlatMapUdf, MapUdf, PredicateUdf};
 use crate::value::Value;
@@ -328,29 +327,6 @@ pub fn segment_chain(ops: &[LogicalOp]) -> Vec<Segment<'_>> {
         }
     }
     out
-}
-
-/// CPU cycles for a fused run under the linear per-operator model: the chain
-/// pays its setup δ **once** plus one per-tuple term whose UDF weight is the
-/// summed step cost (`δ + c_in · (α + Σ udf)`), instead of one δ and one α
-/// per operator — the modeled face of what the single traversal measures.
-pub fn fused_cpu_cycles(
-    model: &CostModel,
-    platform: &str,
-    pipeline: &FusedPipeline,
-    c_in: f64,
-    default_alpha: f64,
-    default_delta: f64,
-) -> f64 {
-    crate::cost::linear_cpu(
-        model,
-        platform,
-        "fused",
-        c_in,
-        pipeline.cost_hint(),
-        default_alpha,
-        default_delta,
-    )
 }
 
 #[cfg(test)]

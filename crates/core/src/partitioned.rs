@@ -174,6 +174,12 @@ fn is_wide(kind: OpKind) -> bool {
     )
 }
 
+/// Whether an operator rebuilds rows from the columns it is handed at once:
+/// the wide operators with no columnar landing, and `Sample`.
+pub(crate) fn rebuilds_rows(kind: OpKind) -> bool {
+    kind == OpKind::Sample || is_wide(kind) && !matches!(kind, OpKind::ReduceBy | OpKind::Count)
+}
+
 /// Operator kinds a dataflow engine implements (the parallel text source
 /// only when partitioned; loops stay with the driver).
 pub fn supported(kind: OpKind) -> bool {

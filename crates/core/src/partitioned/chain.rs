@@ -65,20 +65,14 @@ impl VecTally {
         self.fell.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Report a run of `steps` operators over `parts` partitions; without a
-    /// compiled kernel every partition of a batched run fell back.
-    fn report(self, ctx: &mut ExecCtx<'_>, steps: u32, compiled: bool, parts: usize) {
+    /// Report a run of `steps` operators; `missed` partitions wanted
+    /// columns but had no compiled kernel, so they fell back too.
+    fn report(self, ctx: &mut ExecCtx<'_>, steps: u32, missed: usize) {
         let cols = self.cols.into_inner();
         if cols > 0 {
             ctx.report_vectorized(self.rows.into_inner() as u64, cols as u64, steps * cols as u32);
         }
-        let fell = if compiled {
-            self.fell.into_inner()
-        } else if ctx.batch() {
-            parts
-        } else {
-            0
-        };
+        let fell = self.fell.into_inner() + missed;
         if fell > 0 {
             ctx.report_row_fallback(steps * fell as u32);
         }
@@ -192,7 +186,14 @@ impl ExecutionOperator for Chain {
                         );
                         hook(ctx, pipeline.len(), terminal);
                     }
-                    let vk = if batched { VectorKernel::compile(pipeline) } else { None };
+                    // Columnize only what stays columnar: the fused terminal
+                    // ReduceBy below, or the chain's output when a consumer
+                    // reads columns.
+                    let columnar = batched
+                        && segs.get(si).map_or(ctx.columns_out, |next| {
+                            matches!(next, Segment::Single { op: LogicalOp::ReduceBy { .. }, .. })
+                        });
+                    let vk = if columnar { VectorKernel::compile(pipeline) } else { None };
                     let tally = VecTally::default();
                     // Fused terminal aggregation: a chain feeding a ReduceBy
                     // runs inside the map-side combine — pipeline survivors
@@ -206,6 +207,7 @@ impl ExecutionOperator for Chain {
                     {
                         si += 1;
                         let vk = vk.filter(|_| batch::agg_vectorizable(key, agg));
+                        let missed = if columnar && vk.is_none() { parts.len() } else { 0 };
                         let (combined, t1) = par_each_idx(parts.len(), workers, |i| {
                             let part = &parts[i];
                             // One partition aggregates in one pass: its
@@ -232,7 +234,7 @@ impl ExecutionOperator for Chain {
                             let out = if once { state.finish() } else { state.finish_keyed() };
                             Ok(Part::Rows(Arc::new(out)))
                         })?;
-                        tally.report(ctx, pipeline.len() as u32 + 1, vk.is_some(), parts.len());
+                        tally.report(ctx, pipeline.len() as u32 + 1, missed);
                         if engine.single_partition {
                             parts = combined;
                             virtual_ms += profile.parallel_ms(&t1);
@@ -253,6 +255,7 @@ impl ExecutionOperator for Chain {
                         real_ms += start.elapsed().as_secs_f64() * 1000.0;
                         continue;
                     }
+                    let missed = if columnar && vk.is_none() { parts.len() } else { 0 };
                     let (out, times) = par_each_idx(parts.len(), workers, |i| {
                         let part = &parts[i];
                         if let Some(k) = vk.as_ref() {
@@ -264,7 +267,7 @@ impl ExecutionOperator for Chain {
                         }
                         Ok(Part::Rows(Arc::new(pipeline.run(&part.rows(), bc))))
                     })?;
-                    tally.report(ctx, pipeline.len() as u32, vk.is_some(), parts.len());
+                    tally.report(ctx, pipeline.len() as u32, missed);
                     parts = out;
                     virtual_ms += profile.parallel_ms(&times);
                     real_ms += times.iter().sum::<f64>();

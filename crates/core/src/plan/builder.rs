@@ -106,11 +106,6 @@ impl PlanBuilder {
         plan.validate()?;
         Ok(plan)
     }
-
-    /// Finish without validation (for tests constructing invalid plans).
-    pub fn build_unchecked(self) -> RheemPlan {
-        std::mem::take(&mut self.inner.borrow_mut().plan)
-    }
 }
 
 impl DataQuanta {

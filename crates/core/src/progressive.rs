@@ -192,7 +192,7 @@ pub fn run_progressive(
     let mut fp_overrides: HashMap<OperatorId, Fingerprint> = HashMap::new();
     // Job trace: one shared collector; every phase parents its spans under
     // a fresh phase span at the cumulative virtual-time offset.
-    let trace = if config.tracing { Some(Arc::new(Trace::new())) } else { None };
+    let trace = if config.tracing { Some(Trace::new()) } else { None };
     let job_span = trace.as_ref().map(|t| {
         let sid = t.begin(None, SpanKind::Job, "job", None, 0.0);
         if let Some(tenant) = &config.tenant {
@@ -260,9 +260,7 @@ pub fn run_progressive(
             (Arc::clone(c), publish_map(phase_plan, &fps, &eplan, registry, &opt.replayed))
         });
         let handle = match (&trace, phase_span) {
-            (Some(t), Some(ps)) => {
-                Some(TraceHandle { trace: Arc::clone(t), parent: ps, base_ms: virtual_ms })
-            }
+            (Some(t), Some(ps)) => Some(TraceHandle { trace: t, parent: ps, base_ms: virtual_ms }),
             _ => None,
         };
         let executor = Executor::new(phase_plan, &opt, &eplan, profiles, config)
@@ -303,7 +301,7 @@ pub fn run_progressive(
                     platforms,
                     est_ms: est_ms.unwrap_or(0.0),
                     exploration,
-                    trace: trace.map(|t| t.snapshot()),
+                    trace: trace.map(Trace::finish),
                 });
             }
             outcome => {

@@ -2,13 +2,14 @@
 //!
 //! The executor and the progressive optimizer record *virtual-time* spans —
 //! submit → enumeration → costing → stage dispatch → per-operator execution
-//! → channel conversion → retry/failover — into a [`Trace`], which the API
-//! snapshots into a [`JobTrace`] attached to every job result. On top of the
-//! span tree sit per-operator [`OpProfile`]s (tuples in/out, measured
-//! selectivity, virtual ms, fused-chain membership) that feed `EXPLAIN
-//! ANALYZE` and the cost learner. A stage run is recorded once, as its
-//! closed `Stage` span; [`JobTrace::runs`] is a [`RunProfile`] view of
-//! those spans, derived on snapshot and on parse.
+//! → channel conversion → retry/failover — into a [`Trace`], which the
+//! driver finishes into a [`JobTrace`] attached to every job result. Each
+//! fact is recorded once, on a span: a stage run as its closed `Stage` span,
+//! an operator run as its `Operator`/`Conversion`/`Backoff`/`Sniffer` span.
+//! [`JobTrace::runs`] ([`RunProfile`]) and [`JobTrace::profiles`]
+//! ([`OpProfile`]: tuples in/out, virtual ms, retries, fused-chain
+//! membership — what `EXPLAIN ANALYZE` and the cost learner read) are views
+//! of those spans, derived on finish and on parse.
 //!
 //! Determinism: span *structure* (parentage, order, kinds, names, platforms,
 //! cardinalities, fault events) is a pure function of the plan, the seed and
@@ -206,6 +207,21 @@ pub struct Span {
     /// A later failover re-executed this span's work (its metrics would
     /// double-count).
     pub superseded: bool,
+    /// Operator-run facts kept out of the structural rendering (set on the
+    /// first main operator span of each executed node).
+    pub facts: Option<OpFacts>,
+}
+
+/// The facts of an operator run that [`JobTrace::render_structure`] never
+/// prints: the chain's logical ids restate the plan, and the vectorization
+/// counters differ between batch and row mode.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct OpFacts {
+    /// Logical operators the execution operator covers, in chain order (raw
+    /// [`crate::plan::OperatorId`] values; empty for a channel conversion).
+    pub logical: Vec<u32>,
+    /// Vectorization counters of the node's run.
+    pub vec_stats: crate::exec::VecStats,
 }
 
 impl Span {
@@ -225,7 +241,8 @@ impl Span {
 }
 
 /// Measured profile of one execution-operator run, collected uniformly from
-/// every platform simulacrum via the [`crate::exec::ExecCtx`] metrics hooks.
+/// every platform simulacrum via the [`crate::exec::ExecCtx`] metrics hooks:
+/// a view of the run's span and of its parent `Stage` span.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpProfile {
     /// Execution operator name (`SparkMap`, `JavaChain3`, `RetryBackoff`…).
@@ -264,16 +281,6 @@ pub struct OpProfile {
 }
 
 impl OpProfile {
-    /// Measured selectivity (`tuples_out / tuples_in`), when defined.
-    pub fn selectivity(&self) -> Option<f64> {
-        (self.tuples_in > 0).then(|| self.tuples_out as f64 / self.tuples_in as f64)
-    }
-
-    /// Number of logical operators fused into this execution operator.
-    pub fn fused_len(&self) -> usize {
-        self.logical.len()
-    }
-
     /// Whether this is a bookkeeping pseudo-operator (backoff padding,
     /// exploration sniffer) rather than a data operator.
     pub fn is_pseudo(&self) -> bool {
@@ -305,20 +312,25 @@ pub struct RunProfile {
     pub superseded: bool,
 }
 
-/// An immutable snapshot of one job's trace.
+/// One job's finished trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobTrace {
     /// All spans, id-ordered (ids are indices).
     pub spans: Vec<Span>,
-    /// Per-operator profiles in execution order.
+    /// Per-operator profiles in execution order, derived from the operator
+    /// spans by [`Trace::finish`] and [`JobTrace::from_json`].
     pub profiles: Vec<OpProfile>,
     /// Per-stage-run summaries in run order, derived from the closed stage
-    /// spans by [`Trace::snapshot`] and [`JobTrace::from_json`] (so the
-    /// JSON schema does not repeat them).
+    /// spans the same way (so the JSON schema repeats neither view).
     pub runs: Vec<RunProfile>,
 }
 
 impl JobTrace {
+    /// The trace of `spans`, with both views derived from them.
+    fn of_spans(spans: Vec<Span>) -> JobTrace {
+        JobTrace { profiles: profiles_of(&spans), runs: runs_of(&spans), spans }
+    }
+
     /// Child span ids of `id`, in creation (≈ execution) order.
     pub fn children(&self, id: u32) -> Vec<u32> {
         self.spans.iter().filter(|s| s.parent == Some(id)).map(|s| s.id).collect()
@@ -506,48 +518,35 @@ impl JobTrace {
                 }
                 out.push(']');
             }
-            let _ = write!(out, "],\"superseded\":{}}}", s.superseded);
-        }
-        out.push_str("],\"profiles\":[");
-        for (i, p) in self.profiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json_string(&mut out, &p.name);
-            out.push_str(",\"platform\":");
-            json_string(&mut out, &p.platform);
-            let _ = write!(
-                out,
-                ",\"node\":{},\"stage\":{},\"iteration\":{},\"phase\":{},\"run\":{},\"logical\":[",
-                p.node, p.stage, p.iteration, p.phase, p.run
-            );
-            for (j, l) in p.logical.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            out.push(']');
+            if let Some(f) = &s.facts {
+                out.push_str(",\"facts\":{\"logical\":[");
+                for (j, l) in f.logical.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{l}");
                 }
-                let _ = write!(out, "{l}");
+                let v = &f.vec_stats;
+                let _ = write!(
+                    out,
+                    "],\"vec_rows\":{},\"vec_batches\":{},\"vec_steps\":{},\"row_steps\":{},\
+                     \"exch_batches\":{},\"exch_rows\":{},\"exch_row_rows\":{},\"fallback\":",
+                    v.rows,
+                    v.batches,
+                    v.vec_steps,
+                    v.row_steps,
+                    v.exch_batches,
+                    v.exch_rows,
+                    v.exch_row_rows,
+                );
+                match v.fallback {
+                    Some(why) => json_string(&mut out, why.as_str()),
+                    None => out.push_str("null"),
+                }
+                out.push('}');
             }
-            let _ = write!(
-                out,
-                "],\"tuples_in\":{},\"tuples_out\":{},\"virtual_ms\":{},\"retries\":{},\"vec_rows\":{},\"vec_batches\":{},\"vec_steps\":{},\"row_steps\":{},\"exch_batches\":{},\"exch_rows\":{},\"exch_row_rows\":{},\"fallback\":",
-                p.tuples_in,
-                p.tuples_out,
-                json_f64(p.virtual_ms),
-                p.retries,
-                p.vec_stats.rows,
-                p.vec_stats.batches,
-                p.vec_stats.vec_steps,
-                p.vec_stats.row_steps,
-                p.vec_stats.exch_batches,
-                p.vec_stats.exch_rows,
-                p.vec_stats.exch_row_rows,
-            );
-            match p.vec_stats.fallback {
-                Some(why) => json_string(&mut out, why.as_str()),
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"superseded\":{}}}", p.superseded);
+            let _ = write!(out, ",\"superseded\":{}}}", s.superseded);
         }
         out.push_str("]}");
         out
@@ -557,7 +556,7 @@ impl JobTrace {
     pub fn from_json(text: &str) -> Result<JobTrace> {
         let root = json::parse(text)?;
         let obj = root.as_obj("trace")?;
-        let mut trace = JobTrace::default();
+        let mut spans = Vec::new();
         for s in json::get(obj, "spans")?.as_arr("spans")? {
             let s = s.as_obj("span")?;
             let kind_s = json::get(s, "kind")?.as_str("kind")?;
@@ -580,7 +579,8 @@ impl JobTrace {
                 };
                 attrs.push((key, val));
             }
-            trace.spans.push(Span {
+            let facts = json::get(s, "facts").ok().map(|f| parse_facts(f.as_obj("facts")?));
+            spans.push(Span {
                 id: json::get(s, "id")?.as_f64("id")? as u32,
                 parent: match json::get(s, "parent")? {
                     json::Json::Null => None,
@@ -596,60 +596,35 @@ impl JobTrace {
                 end_ms: json::get(s, "end_ms")?.as_f64("end_ms")?,
                 attrs,
                 superseded: json::get(s, "superseded")?.as_bool("superseded")?,
+                facts: facts.transpose()?,
             });
         }
-        for p in json::get(obj, "profiles")?.as_arr("profiles")? {
-            let p = p.as_obj("profile")?;
-            let mut logical = Vec::new();
-            for l in json::get(p, "logical")?.as_arr("logical")? {
-                logical.push(l.as_f64("logical id")? as u32);
-            }
-            trace.profiles.push(OpProfile {
-                name: json::get(p, "name")?.as_str("name")?.to_string(),
-                platform: json::get(p, "platform")?.as_str("platform")?.to_string(),
-                node: json::get(p, "node")?.as_f64("node")? as usize,
-                stage: json::get(p, "stage")?.as_f64("stage")? as usize,
-                iteration: json::get(p, "iteration")?.as_f64("iteration")? as u64,
-                phase: json::get(p, "phase")?.as_f64("phase")? as u32,
-                run: json::get(p, "run")?.as_f64("run")? as u32,
-                logical,
-                tuples_in: json::get(p, "tuples_in")?.as_f64("tuples_in")? as u64,
-                tuples_out: json::get(p, "tuples_out")?.as_f64("tuples_out")? as u64,
-                virtual_ms: json::get(p, "virtual_ms")?.as_f64("virtual_ms")?,
-                retries: json::get(p, "retries")?.as_f64("retries")? as u32,
-                // Vectorization counters: absent in pre-batch traces → 0.
-                vec_stats: crate::exec::VecStats {
-                    rows: json::get(p, "vec_rows").and_then(|v| v.as_f64("vec_rows")).unwrap_or(0.0)
-                        as u64,
-                    batches: json::get(p, "vec_batches")
-                        .and_then(|v| v.as_f64("vec_batches"))
-                        .unwrap_or(0.0) as u64,
-                    vec_steps: json::get(p, "vec_steps")
-                        .and_then(|v| v.as_f64("vec_steps"))
-                        .unwrap_or(0.0) as u32,
-                    row_steps: json::get(p, "row_steps")
-                        .and_then(|v| v.as_f64("row_steps"))
-                        .unwrap_or(0.0) as u32,
-                    exch_batches: json::get(p, "exch_batches")
-                        .and_then(|v| v.as_f64("exch_batches"))
-                        .unwrap_or(0.0) as u64,
-                    exch_rows: json::get(p, "exch_rows")
-                        .and_then(|v| v.as_f64("exch_rows"))
-                        .unwrap_or(0.0) as u64,
-                    exch_row_rows: json::get(p, "exch_row_rows")
-                        .and_then(|v| v.as_f64("exch_row_rows"))
-                        .unwrap_or(0.0) as u64,
-                    fallback: json::get(p, "fallback")
-                        .ok()
-                        .and_then(|v| v.as_str("fallback").ok())
-                        .and_then(crate::exec::Fallback::parse),
-                },
-                superseded: json::get(p, "superseded")?.as_bool("superseded")?,
-            });
-        }
-        trace.runs = runs_of(&trace.spans);
-        Ok(trace)
+        Ok(JobTrace::of_spans(spans))
     }
+}
+
+/// Parse the `facts` object [`JobTrace::to_json`] writes on a span.
+fn parse_facts(f: &[(String, json::Json)]) -> Result<OpFacts> {
+    let num = |key: &str| json::get(f, key)?.as_f64(key);
+    let mut logical = Vec::new();
+    for l in json::get(f, "logical")?.as_arr("logical")? {
+        logical.push(l.as_f64("logical id")? as u32);
+    }
+    let fallback = match json::get(f, "fallback")? {
+        json::Json::Null => None,
+        v => crate::exec::Fallback::parse(v.as_str("fallback")?),
+    };
+    let vec_stats = crate::exec::VecStats {
+        rows: num("vec_rows")? as u64,
+        batches: num("vec_batches")? as u64,
+        vec_steps: num("vec_steps")? as u32,
+        row_steps: num("row_steps")? as u32,
+        exch_batches: num("exch_batches")? as u64,
+        exch_rows: num("exch_rows")? as u64,
+        exch_row_rows: num("exch_row_rows")? as u64,
+        fallback,
+    };
+    Ok(OpFacts { logical, vec_stats })
 }
 
 /// Shortest representation of `f` that parses back to the identical f64
@@ -927,13 +902,13 @@ pub mod json {
 #[derive(Default)]
 struct TraceInner {
     spans: Vec<Span>,
-    profiles: Vec<OpProfile>,
     phase: u32,
     next_run: u32,
 }
 
 /// Thread-safe trace collector shared between the progressive driver and
-/// the executor. Snapshot it into a [`JobTrace`] when the job finishes.
+/// the executors it builds. [`Trace::finish`] it into a [`JobTrace`] when
+/// the job ends.
 #[derive(Default)]
 pub struct Trace {
     inner: Mutex<TraceInner>,
@@ -966,6 +941,7 @@ impl Trace {
             end_ms: OPEN_END,
             attrs: Vec::new(),
             superseded: false,
+            facts: None,
         });
         id
     }
@@ -996,13 +972,13 @@ impl Trace {
         inner.spans[id as usize].attrs.push((key.to_string(), value));
     }
 
-    /// Record one operator profile.
-    pub fn add_profile(&self, profile: OpProfile) {
-        self.inner.lock().unwrap().profiles.push(profile);
+    /// Attach the operator-run facts kept out of the structure to a span.
+    pub fn facts(&self, id: u32, facts: OpFacts) {
+        self.inner.lock().expect("trace collector poisoned").spans[id as usize].facts = Some(facts);
     }
 
-    /// Enter the next progressive execution phase; later spans, profiles and
-    /// runs carry it, and [`Trace::supersede_current_phase`] marks only it.
+    /// Enter the next progressive execution phase; later stage spans carry
+    /// it, and [`Trace::supersede_current_phase`] marks only it.
     pub fn begin_phase(&self) -> u32 {
         let mut inner = self.inner.lock().unwrap();
         inner.phase += 1;
@@ -1022,37 +998,35 @@ impl Trace {
         id
     }
 
-    /// Mark the current phase's closed stage spans and profiles of the
-    /// given stages superseded: a failover is about to re-execute their
-    /// work (an in-flight loop restarts from iteration 0), so keeping them
-    /// live would double-count iterations in the learner. A stage span the
-    /// failure left open records no run and stays unmarked.
+    /// Mark the current phase's closed stage spans of the given stages, and
+    /// the operator spans under every such stage span, superseded: a
+    /// failover is about to re-execute their work (an in-flight loop
+    /// restarts from iteration 0), so keeping them live would double-count
+    /// iterations in the learner. A stage span the failure left open records
+    /// no run and stays unmarked; the operator runs it finished do not.
     pub fn supersede_current_phase(&self, stages: &HashSet<usize>) {
         let mut inner = self.inner.lock().unwrap();
-        let phase = inner.phase;
-        for p in inner.profiles.iter_mut() {
-            if p.phase == phase && stages.contains(&p.stage) {
-                p.superseded = true;
-            }
-        }
+        let phase = inner.phase as i64;
+        // Parents precede their children, so one pass sees every matching
+        // stage span before the operator spans under it.
+        let mut matched = HashSet::new();
         for s in inner.spans.iter_mut() {
-            if is_closed_stage(s)
-                && int_attr(s, "phase") == phase as i64
+            if s.kind == SpanKind::Stage
+                && int_attr(s, "phase") == phase
                 && stages.contains(&(int_attr(s, "stage") as usize))
             {
+                matched.insert(s.id);
+                s.superseded |= is_closed_stage(s);
+            } else if is_operator_run(s) && s.parent.is_some_and(|p| matched.contains(&p)) {
                 s.superseded = true;
             }
         }
     }
 
-    /// Immutable snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> JobTrace {
-        let inner = self.inner.lock().unwrap();
-        JobTrace {
-            spans: inner.spans.clone(),
-            profiles: inner.profiles.clone(),
-            runs: runs_of(&inner.spans),
-        }
+    /// The job's trace: every recorded span, moved, with the stage-run and
+    /// operator-run views derived from them.
+    pub fn finish(self) -> JobTrace {
+        JobTrace::of_spans(self.inner.into_inner().expect("trace collector poisoned").spans)
     }
 }
 
@@ -1060,6 +1034,15 @@ impl Trace {
 /// attaches `virtual_ms` when it closes the run).
 fn is_closed_stage(s: &Span) -> bool {
     s.kind == SpanKind::Stage && s.attr("virtual_ms").is_some()
+}
+
+/// Whether `s` records one operator run (a data operator, a conversion, or
+/// bookkeeping padding).
+fn is_operator_run(s: &Span) -> bool {
+    matches!(
+        s.kind,
+        SpanKind::Operator | SpanKind::Conversion | SpanKind::Backoff | SpanKind::Sniffer
+    )
 }
 
 /// Integer attribute `key` of a span (0 when absent).
@@ -1106,6 +1089,39 @@ fn runs_of(spans: &[Span]) -> Vec<RunProfile> {
         }
     }
     runs
+}
+
+/// The operator runs a span tree records: one per operator-run span under a
+/// `Stage` span, in execution order, each placed by its stage span's
+/// `stage`, `iteration`, `phase` and `run`.
+fn profiles_of(spans: &[Span]) -> Vec<OpProfile> {
+    let operator_runs = spans.iter().filter(|s| is_operator_run(s));
+    let profile = |s: &Span| {
+        // Parsed traces may carry any ids: look up, never index.
+        let run =
+            s.parent.and_then(|p| spans.get(p as usize)).filter(|r| r.kind == SpanKind::Stage)?;
+        let facts = s.facts.clone().unwrap_or_default();
+        Some(OpProfile {
+            name: s.name.clone(),
+            platform: s.platform.clone().unwrap_or_default(),
+            node: int_attr(s, "node") as usize,
+            stage: int_attr(run, "stage") as usize,
+            iteration: int_attr(run, "iteration") as u64,
+            phase: int_attr(run, "phase") as u32,
+            run: int_attr(run, "run") as u32,
+            logical: facts.logical,
+            tuples_in: int_attr(s, "tuples_in") as u64,
+            tuples_out: int_attr(s, "tuples_out") as u64,
+            virtual_ms: match s.attr("virtual_ms") {
+                Some(&AttrValue::Float(ms)) => ms,
+                _ => 0.0,
+            },
+            retries: int_attr(s, "retries") as u32,
+            vec_stats: facts.vec_stats,
+            superseded: s.superseded,
+        })
+    };
+    operator_runs.filter_map(profile).collect()
 }
 
 #[cfg(test)]
@@ -1159,39 +1175,33 @@ mod tests {
         retry(&t, stage, 1, true);
         let op =
             t.begin(Some(stage), SpanKind::Operator, "SparkMap", Some(PlatformId("spark")), 1.5);
+        t.attr(op, "node", 0u64.into());
         t.attr(op, "tuples_in", 100u64.into());
         t.attr(op, "tuples_out", 50u64.into());
+        t.attr(op, "fused", 2u64.into());
+        t.attr(op, "retries", 1u64.into());
         t.attr(op, "virtual_ms", 2.5f64.into());
         t.end(op, 4.0);
+        t.facts(
+            op,
+            OpFacts {
+                logical: vec![1, 2],
+                vec_stats: crate::exec::VecStats {
+                    rows: 100,
+                    batches: 1,
+                    vec_steps: 2,
+                    row_steps: 0,
+                    exch_batches: 4,
+                    exch_rows: 100,
+                    exch_row_rows: 0,
+                    fallback: Some(crate::exec::Fallback::OpaqueSegment),
+                },
+            },
+        );
         t.instant(Some(op), SpanKind::Event, "spark.shuffle", Some(PlatformId("spark")), 1.5);
         close_run(&t, stage, 4.0, 3.0);
         t.end(job, 4.0);
-        t.add_profile(OpProfile {
-            name: "SparkMap".into(),
-            platform: "spark".into(),
-            node: 0,
-            stage: 0,
-            iteration: 0,
-            phase: 1,
-            run: 0,
-            logical: vec![1, 2],
-            tuples_in: 100,
-            tuples_out: 50,
-            virtual_ms: 2.5,
-            retries: 1,
-            vec_stats: crate::exec::VecStats {
-                rows: 100,
-                batches: 1,
-                vec_steps: 2,
-                row_steps: 0,
-                exch_batches: 4,
-                exch_rows: 100,
-                exch_row_rows: 0,
-                fallback: Some(crate::exec::Fallback::OpaqueSegment),
-            },
-            superseded: false,
-        });
-        t.snapshot()
+        t.finish()
     }
 
     #[test]
@@ -1205,6 +1215,9 @@ mod tests {
         assert!(structure.contains("tuples_in=100"));
         assert!(!structure.contains("virtual_ms"), "floats excluded:\n{structure}");
         assert!(!structure.contains("ms ("), "times excluded:\n{structure}");
+        for facts in ["opaque-segment", "vec_rows"] {
+            assert!(!tree.contains(facts) && !structure.contains(facts), "facts printed");
+        }
     }
 
     #[test]
@@ -1227,12 +1240,12 @@ mod tests {
     fn json_round_trip_is_lossless() {
         let jt = sample_trace();
         let text = jt.to_json();
-        // Runs are derived from the stage spans, so the schema does not
-        // repeat them.
-        assert!(!text.contains("\"runs\""), "{text}");
+        // Runs and profiles are derived from the spans, so the schema
+        // repeats neither.
+        assert!(!text.contains("\"runs\"") && !text.contains("\"profiles\""), "{text}");
         let back = JobTrace::from_json(&text).unwrap();
         assert_eq!(jt, back);
-        assert_eq!(back.runs.len(), 1);
+        assert_eq!((back.runs.len(), back.profiles.len()), (1, 1));
         // And re-serialization is byte-stable.
         assert_eq!(text, back.to_json());
     }
@@ -1251,35 +1264,42 @@ mod tests {
     }
 
     #[test]
-    fn profile_selectivity_and_pseudo() {
+    fn operator_span_is_the_profile_record() {
         let jt = sample_trace();
-        let p = &jt.profiles[0];
-        assert_eq!(p.selectivity(), Some(0.5));
-        assert_eq!(p.fused_len(), 2);
-        assert!(!p.is_pseudo());
+        let expected = OpProfile {
+            name: "SparkMap".into(),
+            platform: "spark".into(),
+            node: 0,
+            stage: 0,
+            iteration: 0,
+            phase: 1,
+            run: 0,
+            logical: vec![1, 2],
+            tuples_in: 100,
+            tuples_out: 50,
+            virtual_ms: 2.5,
+            retries: 1,
+            vec_stats: jt.spans.iter().find_map(|s| s.facts.as_ref()).unwrap().vec_stats,
+            superseded: false,
+        };
+        assert_eq!(jt.profiles, vec![expected]);
+        assert!(!jt.profiles[0].is_pseudo());
+    }
+
+    /// One operator span under `parent`, the way the executor records it.
+    fn operator(t: &Trace, parent: u32, virtual_ms: f64) -> u32 {
+        let op = t.begin(Some(parent), SpanKind::Operator, "XMap", Some(PlatformId("spark")), 0.0);
+        t.attr(op, "virtual_ms", virtual_ms.into());
+        t.end(op, virtual_ms);
+        op
     }
 
     /// Record one closed stage run of `stage` in the current phase: its
-    /// stage span and one operator profile.
+    /// stage span and one operator span under it.
     fn record_run(t: &Trace, stage: usize, virtual_ms: f64) {
-        let (span, run) = open_run(t, None, stage, 0, 0.0);
+        let (span, _) = open_run(t, None, stage, 0, 0.0);
+        operator(t, span, virtual_ms);
         close_run(t, span, virtual_ms, virtual_ms);
-        t.add_profile(OpProfile {
-            name: "XMap".into(),
-            platform: "spark".into(),
-            node: 0,
-            stage,
-            iteration: 0,
-            phase: t.phase(),
-            run,
-            logical: vec![],
-            tuples_in: 0,
-            tuples_out: 0,
-            virtual_ms,
-            retries: 0,
-            vec_stats: crate::exec::VecStats::default(),
-            superseded: false,
-        });
     }
 
     #[test]
@@ -1291,12 +1311,16 @@ mod tests {
         record_run(&t, 0, 2.0);
         record_run(&t, 1, 3.0);
         t.supersede_current_phase(&HashSet::from([0]));
-        let jt = t.snapshot();
+        let jt = t.finish();
         // Earlier phase untouched, current phase + listed stage marked,
-        // unlisted stage untouched — on the span, and so on its run, and on
-        // the profile.
+        // unlisted stage untouched — on the stage span and its operator
+        // span, and so on the run and the profile.
         let expected = vec![false, true, false];
-        assert_eq!(jt.spans.iter().map(|s| s.superseded).collect::<Vec<_>>(), expected, "spans");
+        let marked = |kind| {
+            jt.spans.iter().filter(|s| s.kind == kind).map(|s| s.superseded).collect::<Vec<_>>()
+        };
+        assert_eq!(marked(SpanKind::Stage), expected, "stage spans");
+        assert_eq!(marked(SpanKind::Operator), expected, "operator spans");
         assert_eq!(jt.runs.iter().map(|r| r.superseded).collect::<Vec<_>>(), expected, "runs");
         let profiles: Vec<bool> = jt.profiles.iter().map(|p| p.superseded).collect();
         assert_eq!(profiles, expected, "profiles");
@@ -1311,15 +1335,20 @@ mod tests {
         t.begin_phase();
         record_run(&t, 0, 1.0);
         // A failure left this run's span open: no `virtual_ms`, no end.
+        // The operator it finished before failing is still superseded.
         let (open, _) = open_run(&t, None, 0, 1, 1.0);
+        operator(&t, open, 2.0);
         t.supersede_current_phase(&HashSet::from([0]));
-        let jt = t.snapshot();
+        let jt = t.finish();
         assert_eq!(jt.runs.len(), 1, "{:?}", jt.runs);
         assert!(jt.runs[0].superseded);
         let open = &jt.spans[open as usize];
         assert_eq!(open.end_ms, OPEN_END);
         assert!(!open.superseded, "an open span is never marked");
-        assert_eq!(JobTrace::from_json(&jt.to_json()).unwrap().runs, jt.runs);
+        let profiles: Vec<_> = jt.profiles.iter().map(|p| (p.iteration, p.superseded)).collect();
+        assert_eq!(profiles, vec![(0, true), (1, true)]);
+        let back = JobTrace::from_json(&jt.to_json()).unwrap();
+        assert_eq!((back.runs, back.profiles), (jt.runs, jt.profiles));
     }
 
     #[test]
@@ -1338,7 +1367,7 @@ mod tests {
         let op = t.begin(Some(second), SpanKind::Operator, "SparkMap", None, 1.0);
         retry(&t, op, 1, true);
         close_run(&t, second, 2.0, 1.0);
-        let jt = t.snapshot();
+        let jt = t.finish();
         assert_eq!(jt.runs.iter().map(|r| r.retries).collect::<Vec<_>>(), vec![2, 0]);
     }
 

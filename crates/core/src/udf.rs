@@ -422,14 +422,6 @@ pub enum PredSpec {
 }
 
 impl PredSpec {
-    /// The single sarg, when this spec is pushdown-eligible.
-    pub fn as_sarg(&self) -> Option<&Sarg> {
-        match self {
-            PredSpec::Sarg(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Evaluate the structured predicate against a quantum.
     pub fn eval(&self, v: &Value) -> bool {
         match self {

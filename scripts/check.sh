@@ -6,7 +6,8 @@
 # differential, cross-platform, chaos (nested loops included),
 # fault-tolerance, explain and cache suites on a one-worker pool (where every
 # partition runs inline; explain's golden span structure pins the stage-span
-# attributes a job's runs are derived from; cache publication takes a
+# and operator-span attributes a job's runs and per-operator profiles are
+# derived from; cache publication takes a
 # different path per node kind), the service and fault-tolerance suites on
 # 2- and 8-worker pools (job coordinators on pool workers included), and the
 # obs suite on 1-, 2- and 8-worker pools (straggler verdicts come from the

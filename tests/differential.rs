@@ -47,6 +47,10 @@ struct Spec {
 
 fn pairs(rng: &mut SplitMix64, max_len: usize) -> Vec<Value> {
     let len = rng.range_usize(max_len);
+    pairs_of_len(rng, len)
+}
+
+fn pairs_of_len(rng: &mut SplitMix64, len: usize) -> Vec<Value> {
     (0..len)
         .map(|_| {
             Value::pair(
@@ -375,6 +379,29 @@ fn gen_shuffle_spec(case: u64) -> ShuffleSpec {
     }
 }
 
+/// Specs that reach the columnar ReduceBy exchange: int-only spec'd chains
+/// (codes 0 and 1 — a float map would knock the int-sum combine back to
+/// rows), no opaque op, one per ReduceBy shape. The last one carries more
+/// than 8 192 rows, so the exchange merges buckets across partitions.
+fn int_reduce_specs() -> Vec<ShuffleSpec> {
+    let mut rng = SplitMix64(0x1E7_5EED);
+    [(2u8, 80usize), (3, 80), (4, 20_000)]
+        .into_iter()
+        .map(|(wide, rows)| {
+            let mut chain = || (0..2).map(|_| rng.range_usize(2) as u8).collect::<Vec<u8>>();
+            let (pre_a, pre_b) = (chain(), chain());
+            ShuffleSpec {
+                pre_a,
+                pre_b,
+                wide,
+                opaque: false,
+                data_a: pairs_of_len(&mut rng, rows),
+                data_b: pairs_of_len(&mut rng, 50),
+            }
+        })
+        .collect()
+}
+
 /// Narrow ops drawn entirely from spec'd builtins, so the whole pre-exchange
 /// segment compiles to a vector kernel and partitions arrive columnar at the
 /// wide operator.
@@ -447,11 +474,11 @@ fn run_shuffle_spec(
 
 /// Shuffle-heavy random plans (Join / SortBy / ReduceBy over typed key
 /// columns) must be byte-identical — including output *order* — between the
-/// columnar exchange and the row exchange, on every engine.
+/// columnar exchange and the row exchange, on every engine. The int-only
+/// ReduceBy specs make the columnar exchange actually run.
 #[test]
 fn shuffle_plans_agree_across_batch_and_scheduler_modes() {
-    for case in 0u64..10 {
-        let spec = gen_shuffle_spec(case);
+    for (case, spec) in (0u64..10).map(gen_shuffle_spec).chain(int_reduce_specs()).enumerate() {
         for forced in PLATFORMS {
             let (row_out, row_trace) = run_shuffle_spec(&spec, false, Some(forced), None).unwrap();
             let (out, trace) = run_shuffle_spec(&spec, true, Some(forced), None).unwrap();
@@ -469,12 +496,12 @@ fn shuffle_plans_agree_across_batch_and_scheduler_modes() {
 
 /// The shuffle axis must also survive the chaos matrix: batched and row
 /// exchanges either recover to identical answers and traces or die with the
-/// same typed error — across all chaos seeds.
+/// same typed error — across all chaos seeds, the int-only ReduceBy specs
+/// included.
 #[test]
 fn shuffle_plans_agree_under_chaos() {
     for chaos_seed in chaos_seeds() {
-        for case in 0u64..6 {
-            let spec = gen_shuffle_spec(case);
+        for (case, spec) in (0u64..6).map(gen_shuffle_spec).chain(int_reduce_specs()).enumerate() {
             let row = run_shuffle_spec(&spec, false, None, Some(chaos_seed));
             let bat = run_shuffle_spec(&spec, true, None, Some(chaos_seed));
             match (row, bat) {
@@ -508,15 +535,17 @@ fn shuffle_plans_agree_under_chaos() {
 
 /// Vectorizable ReduceBy plans must actually ship batches across the
 /// exchange (guards against the columnar path silently falling back to
-/// rows). Join and SortBy have no columnar landing, so their plans must
-/// report the columns they materialized, as must opaque plans.
+/// rows). Join and SortBy have no columnar landing: a chain feeding only one
+/// must not columnize rows for it to rebuild, and columns that still arrive
+/// must be reported as materialized, as must opaque plans' rows.
 #[test]
 fn shuffle_plans_report_columnar_exchange() {
     // Deterministic fully-vectorizable specs, one per wide-op shape: an
     // all-int chain (float maps would knock the int-sum combine back to
     // rows) feeding each exchange. Shapes 2 and 4 end their columnar
     // segment in a ReduceBy and must ship batches; shapes 0, 1 and 3 hand
-    // their columns to a Join or a SortBy and must report them.
+    // rows to a Join or a SortBy; shape 4's SortBy materializes the merged
+    // columns of the exchange before it.
     for wide in 0u8..5 {
         let mut spec = gen_shuffle_spec(wide as u64);
         spec.pre_a = vec![0, 1];
@@ -533,12 +562,23 @@ fn shuffle_plans_report_columnar_exchange() {
                 analysis.rows.iter().any(|r| r.vec.exch_batches > 0),
                 "wide op {wide}: columnar exchange never shipped a batch"
             );
-        } else {
+        }
+        let landings: Vec<_> = analysis
+            .rows
+            .iter()
+            .filter(|r| matches!(r.exec_name.as_str(), "SparkSortBy" | "SparkJoin"))
+            .collect();
+        let materialized: u64 = landings.iter().map(|r| r.vec.exch_row_rows).sum();
+        if wide == 4 {
             assert!(
-                analysis.rows.iter().any(|r| {
-                    r.vec.exch_row_rows > 0 && r.vec.fallback == Some(Fallback::OpaqueSegment)
-                }),
+                materialized > 0
+                    && landings.iter().all(|r| r.vec.fallback == Some(Fallback::OpaqueSegment)),
                 "wide op {wide}: materialized columns were not reported"
+            );
+        } else {
+            assert_eq!(
+                materialized, 0,
+                "wide op {wide}: a chain columnized rows for a SortBy or Join"
             );
         }
         // Row mode must stay fully dormant.
