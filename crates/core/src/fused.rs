@@ -19,7 +19,9 @@
 //! points (sinks, caches, fan-out to multiple consumers) and platform
 //! boundaries; [`fusable`] names the operators that may join a chain and
 //! platform mapping rules enforce the rest (see `upstream_chain` in
-//! [`crate::mapping`]).
+//! [`crate::mapping`]). A dataflow engine runs a pipeline as one of the
+//! three chain shapes its mappings build ([`crate::partitioned::Shape`]):
+//! a narrow run alone, or a narrow run into one wide terminal.
 
 use crate::plan::{LogicalOp, OpKind};
 use crate::udf::{BroadcastCtx, FlatMapUdf, MapUdf, PredicateUdf};
@@ -94,20 +96,6 @@ pub fn fusable(op: &LogicalOp) -> bool {
         op.kind(),
         OpKind::Map | OpKind::FlatMap | OpKind::Filter | OpKind::SargFilter | OpKind::Project
     )
-}
-
-/// Display name of an engine's operator over `ops`: `SparkMap` for a single
-/// operator, `SparkChain3` for a narrow chain; a chain ending in a wide
-/// operator names its tail (`SparkChain3∘ReduceBy`) so traces still
-/// show what the stage aggregates into.
-pub fn chain_name(label: &str, ops: &[LogicalOp]) -> String {
-    match ops {
-        [single] => format!("{label}{:?}", single.kind()),
-        [head @ .., last] if !fusable(last) => {
-            format!("{label}Chain{}\u{2218}{:?}", head.len(), last.kind())
-        }
-        _ => format!("{label}Chain{}", ops.len()),
-    }
 }
 
 /// Interior *cut points* of an operator chain: every proper prefix length
@@ -288,47 +276,6 @@ impl std::fmt::Debug for FusedPipeline {
     }
 }
 
-/// Segment a composite operator's chain into maximal fused runs and
-/// unfusable singletons, in order. Engines execute each `Fused` segment as
-/// one traversal and each `Single` with its dedicated code path.
-#[derive(Debug)]
-pub enum Segment<'a> {
-    /// A maximal run of ≥1 fusable operators, compiled.
-    Fused {
-        /// Index of the first covered operator within the chain.
-        start: usize,
-        /// The compiled pipeline.
-        pipeline: FusedPipeline,
-    },
-    /// An operator that needs its own code path.
-    Single {
-        /// Index within the chain.
-        index: usize,
-        /// The operator.
-        op: &'a LogicalOp,
-    },
-}
-
-/// Split `ops` into maximal fusable runs and singletons.
-pub fn segment_chain(ops: &[LogicalOp]) -> Vec<Segment<'_>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < ops.len() {
-        if fusable(&ops[i]) {
-            let start = i;
-            while i < ops.len() && fusable(&ops[i]) {
-                i += 1;
-            }
-            let pipeline = FusedPipeline::from_ops(&ops[start..i]).expect("run checked fusable");
-            out.push(Segment::Fused { start, pipeline });
-        } else {
-            out.push(Segment::Single { index: i, op: &ops[i] });
-            i += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,27 +332,6 @@ mod tests {
         assert!(FusedPipeline::from_ops(&[LogicalOp::Distinct]).is_none());
         assert!(!fusable(&LogicalOp::Count));
         assert!(fusable(&chain()[0]));
-    }
-
-    #[test]
-    fn segments_split_at_wide_ops() {
-        let mut ops = chain();
-        ops.push(LogicalOp::Distinct);
-        ops.extend(chain());
-        let segs = segment_chain(&ops);
-        assert_eq!(segs.len(), 3);
-        match (&segs[0], &segs[1], &segs[2]) {
-            (
-                Segment::Fused { start: 0, pipeline: a },
-                Segment::Single { index: 3, op },
-                Segment::Fused { start: 4, pipeline: b },
-            ) => {
-                assert_eq!(a.len(), 3);
-                assert_eq!(b.len(), 3);
-                assert_eq!(op.kind(), OpKind::Distinct);
-            }
-            other => panic!("unexpected segmentation: {other:?}"),
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ mod bridge;
 mod chain;
 
 pub use bridge::{Collect, FromCollection, ReadTextFile};
-pub use chain::Chain;
+pub use chain::{Chain, Narrow, Shape};
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,7 +26,7 @@ use crate::channel::{ChannelData, ChannelKind};
 use crate::cost::{linear_cpu, CostModel};
 use crate::error::{Result, RheemError};
 use crate::exec::{dataset_bytes, ExecCtx, Fallback};
-use crate::fused::{self, Segment};
+use crate::fused;
 use crate::kernels::{self, NO_ENTRY};
 use crate::mapping::{upstream_chain, Candidate, FnMapping};
 use crate::plan::{LogicalOp, OpKind, OperatorId, OperatorNode, RheemPlan};
@@ -55,6 +55,9 @@ pub struct Engine {
     /// no parallel text source. The constants below that only a
     /// partitioned engine reads are 0 on such a row.
     pub single_partition: bool,
+    /// The wide kinds a narrow run may fuse into as its terminal
+    /// ([`Shape::Into`]).
+    pub fuse_into: &'static [OpKind],
     /// Cost-model constants of a stage (job submission δ, per-kind α).
     pub costs: ChainCosts,
     /// PageRank: share of the edge bytes exchanged per iteration (full
@@ -91,47 +94,43 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// The mapping candidate that runs the plan operators `covers` (one, or
-    /// a chain in dataflow order) as a single [`Chain`] on this engine.
-    pub fn candidate(&'static self, plan: &RheemPlan, covers: Vec<OperatorId>) -> Candidate {
-        let ops = covers.iter().map(|&id| plan.node(id).op.clone()).collect();
-        Candidate { covers, exec: Arc::new(Chain::new(self, ops)) }
-    }
-
-    /// Register the engine's three mappings: 1-to-1 for every [`supported`]
-    /// operator (sources only on a partitioned engine), narrow-chain fusion
-    /// (stage pipelining: one pass, no intermediate collections), and
-    /// narrow-chain fusion *into* a terminal ReduceBy, whose survivors
-    /// stream straight into the hash accumulator (fused terminal
-    /// aggregation).
+    /// Register the engine's mappings, which build its three [`Shape`]s and
+    /// no other chain: 1-to-1 for every [`supported`] operator (sources only
+    /// on a partitioned engine), a narrow run of two or more fusable
+    /// operators (stage pipelining: one pass, no intermediate collections),
+    /// and a narrow run *into* one wide terminal of [`Engine::fuse_into`],
+    /// whose survivors stream straight into the terminal's exchange. A run
+    /// reaches only through operators with one input, one consumer and no
+    /// broadcasts ([`upstream_chain`]).
     pub fn add_mappings(&'static self, registry: &mut Registry) {
-        registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
+        let candidate = move |covers: Vec<OperatorId>, shape: Shape| {
+            vec![Candidate { covers, exec: Arc::new(Chain::new(self, shape)) }]
+        };
+        registry.add_mapping(Arc::new(FnMapping(move |_: &RheemPlan, node: &OperatorNode| {
             let kind = node.op.kind();
             if !supported(kind) || (self.single_partition && kind.is_source()) {
                 return vec![];
             }
-            vec![self.candidate(plan, vec![node.id])]
+            candidate(vec![node.id], Shape::One(node.op.clone()))
         })));
         registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
-            let fusable = |n: &OperatorNode| fused::fusable(&n.op);
-            if !fusable(node) {
-                return vec![];
-            }
-            let chain = upstream_chain(plan, node, fusable);
-            if chain.len() < 2 {
-                return vec![];
-            }
-            vec![self.candidate(plan, chain)]
-        })));
-        registry.add_mapping(Arc::new(FnMapping(move |plan: &RheemPlan, node: &OperatorNode| {
-            if node.op.kind() != OpKind::ReduceBy {
+            let into = self.fuse_into.contains(&node.op.kind());
+            if !into && !fused::fusable(&node.op) {
                 return vec![];
             }
             let chain = upstream_chain(plan, node, |n| fused::fusable(&n.op) || n.id == node.id);
             if chain.len() < 2 {
                 return vec![];
             }
-            vec![self.candidate(plan, chain)]
+            let mut ops: Vec<LogicalOp> =
+                chain.iter().map(|&id| plan.node(id).op.clone()).collect();
+            let terminal = if into { ops.pop() } else { None };
+            let Some(run) = Narrow::new(ops) else { return vec![] };
+            let shape = match terminal {
+                Some(t) => Shape::Into(run, t),
+                None => Shape::Run(run),
+            };
+            candidate(chain, shape)
         })));
     }
 
@@ -146,7 +145,7 @@ impl Engine {
 pub struct ChainCosts {
     /// Cost-model platform token (`spark.map.alpha`).
     pub token: &'static str,
-    /// Submission δ (cycles) the chain's first segment pays.
+    /// Submission δ (cycles) the chain's first step pays.
     pub stage_delta: f64,
     /// α of a fused narrow run (× 0.55 when it vectorizes).
     pub fused_alpha: f64,
@@ -206,41 +205,27 @@ pub fn supported(kind: OpKind) -> bool {
     )
 }
 
-/// Cost one operator chain: walk its segments, charging the submission δ to
-/// the first, one per-tuple term to each fused run (its UDF weight is the
-/// summed step cost) and the kind's α to each standalone operator, while
-/// propagating a rough cardinality. Returns the CPU cycles and the bytes the
-/// chain's wide operators exchange. Keys off the plan only — never the
-/// runtime batch switch — so plan choice is mode-independent.
+/// Cost one chain by its shape: the submission δ goes to its first step, a
+/// fused run of two or more operators pays one per-tuple term (its UDF
+/// weight is the summed step cost), and each standalone operator pays its
+/// kind's α, while a rough cardinality propagates. A ReduceBy terminal of
+/// such a run combines inside the pipeline pass (fused terminal
+/// aggregation): no materialized narrow output, no input re-scan — and a
+/// dictionary-keyed vectorized combine skips per-row hashing — so its α is
+/// discounted. A one-operator run is costed as that operator alone, and its
+/// terminal as a second one with no discount. Returns the CPU cycles and
+/// the bytes the chain's wide operators exchange. Keys off the plan only —
+/// never the runtime batch switch — so plan choice is mode-independent.
 pub fn chain_cost(
     costs: &ChainCosts,
-    ops: &[LogicalOp],
+    shape: &Shape,
     in_cards: &[f64],
     avg_bytes: f64,
     model: &CostModel,
 ) -> (f64, f64) {
-    let mut cycles = 0.0;
-    let mut net_bytes = 0.0;
-    let mut card: f64 = in_cards.iter().sum();
-    let mut after_fused = false;
-    let mut after_vectorized = false;
-    for (si, seg) in fused::segment_chain(ops).into_iter().enumerate() {
-        let delta = if si == 0 { costs.stage_delta } else { 0.0 };
-        let op = match seg {
-            Segment::Fused { pipeline, .. } if pipeline.len() > 1 => {
-                // Recognized chains run on typed column slices.
-                let vectorized = pipeline.vectorizable();
-                let alpha = costs.fused_alpha * if vectorized { 0.55 } else { 1.0 };
-                let udf = pipeline.cost_hint() * 50.0;
-                cycles += linear_cpu(model, costs.token, "fused", card, udf, alpha, delta);
-                card *= pipeline.selectivity();
-                after_fused = true;
-                after_vectorized = vectorized;
-                continue;
-            }
-            Segment::Fused { start, .. } => &ops[start],
-            Segment::Single { op, .. } => op,
-        };
+    // One standalone operator over `card` quanta, its α scaled by
+    // `discount`: its cycles, exchanged bytes and output cardinality.
+    let standalone = |op: &LogicalOp, card: f64, delta: f64, discount: f64| {
         let kind = op.kind();
         let size = match kind {
             OpKind::Cartesian | OpKind::InequalityJoin => {
@@ -250,31 +235,59 @@ pub fn chain_cost(
             OpKind::PageRank => card * costs.pagerank_size,
             _ => card,
         };
-        let mut alpha = (costs.alpha)(kind);
-        // A ReduceBy fed by the preceding fused segment runs its map-side
-        // combine inside the pipeline pass (fused terminal aggregation): no
-        // materialized narrow output, no input re-scan — and a
-        // dictionary-keyed vectorized combine skips per-row hashing.
-        if let (true, LogicalOp::ReduceBy { key, agg }) = (after_fused, op) {
-            let vec_agg = after_vectorized && batch::agg_vectorizable(key, agg);
-            alpha *= if vec_agg { 0.6 } else { 0.75 };
-        }
-        after_fused = false;
-        after_vectorized = false;
+        let alpha = (costs.alpha)(kind) * discount;
         let udf = op.udf_cost_hint() * 50.0;
-        cycles += linear_cpu(model, costs.token, kind.token(), size, udf, alpha, delta);
-        if is_wide(kind) {
-            net_bytes += card * avg_bytes * 0.9;
+        let cycles = linear_cpu(model, costs.token, kind.token(), size, udf, alpha, delta);
+        let net_bytes = if is_wide(kind) { card * avg_bytes * 0.9 } else { 0.0 };
+        let out = card
+            * match kind {
+                OpKind::Filter | OpKind::SargFilter => 0.5,
+                OpKind::FlatMap => 4.0,
+                OpKind::ReduceBy | OpKind::GroupBy | OpKind::Distinct => 0.5,
+                OpKind::Count | OpKind::Reduce => 0.0,
+                _ => 1.0,
+            };
+        (cycles, net_bytes, out)
+    };
+    let card: f64 = in_cards.iter().sum();
+    let (run, terminal) = match shape {
+        Shape::One(op) => {
+            let (cycles, net_bytes, _) = standalone(op, card, costs.stage_delta, 1.0);
+            return (cycles, net_bytes);
         }
-        card *= match kind {
-            OpKind::Filter | OpKind::SargFilter => 0.5,
-            OpKind::FlatMap => 4.0,
-            OpKind::ReduceBy | OpKind::GroupBy | OpKind::Distinct => 0.5,
-            OpKind::Count | OpKind::Reduce => 0.0,
-            _ => 1.0,
-        };
-    }
-    (cycles, net_bytes)
+        Shape::Run(run) => (run, None),
+        Shape::Into(run, terminal) => (run, Some(terminal)),
+    };
+    let (cycles, card, discount) = match &run.ops[..] {
+        [op] => {
+            let (cycles, _, card) = standalone(op, card, costs.stage_delta, 1.0);
+            (cycles, card, 1.0)
+        }
+        _ => {
+            // Recognized runs execute on typed column slices.
+            let pipeline = &run.pipeline;
+            let vectorized = pipeline.vectorizable();
+            let alpha = costs.fused_alpha * if vectorized { 0.55 } else { 1.0 };
+            let udf = pipeline.cost_hint() * 50.0;
+            let cycles =
+                linear_cpu(model, costs.token, "fused", card, udf, alpha, costs.stage_delta);
+            let discount = match terminal {
+                Some(LogicalOp::ReduceBy { key, agg }) => {
+                    let vec_agg = vectorized && batch::agg_vectorizable(key, agg);
+                    if vec_agg {
+                        0.6
+                    } else {
+                        0.75
+                    }
+                }
+                _ => 1.0,
+            };
+            (cycles, card * pipeline.selectivity(), discount)
+        }
+    };
+    let Some(terminal) = terminal else { return (cycles, 0.0) };
+    let (terminal_cycles, net_bytes, _) = standalone(terminal, card, 0.0, discount);
+    (cycles + terminal_cycles, net_bytes)
 }
 
 /// Deal `data` into `n` contiguous chunks (at least one partition, possibly
@@ -788,6 +801,7 @@ mod tests {
         accepts: &[KIND_A],
         output: KIND_A,
         single_partition: false,
+        fuse_into: &[OpKind::ReduceBy],
         costs: ChainCosts {
             token: "standin.a",
             stage_delta: 20_000.0,
@@ -814,6 +828,7 @@ mod tests {
         accepts: &[KIND_B],
         output: KIND_B,
         single_partition: false,
+        fuse_into: &[OpKind::ReduceBy, OpKind::GroupBy, OpKind::Distinct],
         costs: ChainCosts {
             token: "standin.b",
             stage_delta: 12_000.0,
@@ -840,6 +855,7 @@ mod tests {
         accepts: &[KIND_C],
         output: KIND_C,
         single_partition: true,
+        fuse_into: &[OpKind::ReduceBy],
         costs: ChainCosts {
             token: "standin.c",
             stage_delta: 2_000.0,
@@ -875,7 +891,8 @@ mod tests {
         let profiles = Profiles::paper_testbed();
         let mut ctx = ExecCtx::new(&profiles, 0);
         ctx.set_batch(batched);
-        let out = Chain::new(engine, vec![op]).execute(&mut ctx, inputs, &BroadcastCtx::new())?;
+        let out =
+            Chain::new(engine, Shape::One(op)).execute(&mut ctx, inputs, &BroadcastCtx::new())?;
         Ok(out.flatten()?.as_ref().clone())
     }
 
@@ -933,7 +950,7 @@ mod tests {
         let plain = |rows: &[Value]| ChannelData::Collection(Arc::new(rows.to_vec()));
         for engine in [&A, &B, &C] {
             for (op, reference) in &ops {
-                let name = fused::chain_name(engine.label, std::slice::from_ref(op));
+                let name = Chain::new(engine, Shape::One(op.clone())).name().to_string();
                 for (batched, (layout, data, rows)) in [true, false]
                     .into_iter()
                     .flat_map(|b| layouts(&there).into_iter().map(move |l| (b, l)))
@@ -1006,6 +1023,17 @@ mod tests {
         }
     }
 
+    /// The shape the mappings build over `ops`.
+    fn shape_of(ops: &[LogicalOp]) -> Shape {
+        match ops {
+            [op] => Shape::One(op.clone()),
+            [run @ .., last] if !fused::fusable(last) => {
+                Shape::Into(Narrow::new(run.to_vec()).unwrap(), last.clone())
+            }
+            _ => Shape::Run(Narrow::new(ops.to_vec()).unwrap()),
+        }
+    }
+
     /// Each engine reports through its own hook and only there.
     #[test]
     fn hooks_fire_per_exchange_and_per_stage() {
@@ -1014,7 +1042,7 @@ mod tests {
             let mut ctx = ExecCtx::new(&profiles, 0);
             ctx.set_tracing(true);
             let input = ChannelData::Collection(Arc::new(pairs(0..30, 3)));
-            let chain = Chain::new(engine, ops.to_vec());
+            let chain = Chain::new(engine, shape_of(ops));
             chain.execute(&mut ctx, &[input], &BroadcastCtx::new()).unwrap();
             ctx.take_events()
         };
@@ -1063,7 +1091,7 @@ mod tests {
         ] {
             let mut ctx = ExecCtx::new(&profiles, 0);
             ctx.set_batch(batched);
-            let chain = Chain::new(&C, ops.to_vec());
+            let chain = Chain::new(&C, shape_of(ops));
             let out = chain
                 .execute(&mut ctx, std::slice::from_ref(&input), &BroadcastCtx::new())
                 .unwrap();
@@ -1197,7 +1225,8 @@ mod tests {
             let mut ctx = ExecCtx::new(&profiles, 0);
             ctx.set_batch(batched);
             ctx.set_tracing(true);
-            let out = Chain::new(&A, vec![op]).execute(&mut ctx, inputs, &BroadcastCtx::new());
+            let out =
+                Chain::new(&A, Shape::One(op)).execute(&mut ctx, inputs, &BroadcastCtx::new());
             let ChannelData::Partitions(got) = out.unwrap() else {
                 panic!("row partitions expected")
             };

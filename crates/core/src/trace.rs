@@ -998,12 +998,11 @@ impl Trace {
         id
     }
 
-    /// Mark the current phase's closed stage spans of the given stages, and
-    /// the operator spans under every such stage span, superseded: a
-    /// failover is about to re-execute their work (an in-flight loop
-    /// restarts from iteration 0), so keeping them live would double-count
-    /// iterations in the learner. A stage span the failure left open records
-    /// no run and stays unmarked; the operator runs it finished do not.
+    /// Mark the current phase's stage spans of the given stages, and the
+    /// operator spans under every such stage span, superseded: a failover is
+    /// about to re-execute their work (an in-flight loop restarts from
+    /// iteration 0), so keeping them live would double-count iterations in
+    /// the learner.
     pub fn supersede_current_phase(&self, stages: &HashSet<usize>) {
         let mut inner = self.inner.lock().unwrap();
         let phase = inner.phase as i64;
@@ -1016,7 +1015,7 @@ impl Trace {
                 && stages.contains(&(int_attr(s, "stage") as usize))
             {
                 matched.insert(s.id);
-                s.superseded |= is_closed_stage(s);
+                s.superseded = true;
             } else if is_operator_run(s) && s.parent.is_some_and(|p| matched.contains(&p)) {
                 s.superseded = true;
             }
@@ -1024,16 +1023,17 @@ impl Trace {
     }
 
     /// The job's trace: every recorded span, moved, with the stage-run and
-    /// operator-run views derived from them.
+    /// operator-run views derived from them. Only a job that ran to its end
+    /// finishes its trace, and the executor closes the open stage run
+    /// before it returns, so every stage span carries its `virtual_ms`.
     pub fn finish(self) -> JobTrace {
-        JobTrace::of_spans(self.inner.into_inner().expect("trace collector poisoned").spans)
+        let spans = self.inner.into_inner().expect("trace collector poisoned").spans;
+        debug_assert!(
+            spans.iter().all(|s| s.kind != SpanKind::Stage || s.attr("virtual_ms").is_some()),
+            "a finished trace holds an open stage span"
+        );
+        JobTrace::of_spans(spans)
     }
-}
-
-/// Whether `s` is a stage run's span that its run closed (the executor
-/// attaches `virtual_ms` when it closes the run).
-fn is_closed_stage(s: &Span) -> bool {
-    s.kind == SpanKind::Stage && s.attr("virtual_ms").is_some()
 }
 
 /// Whether `s` records one operator run (a data operator, a conversion, or
@@ -1053,9 +1053,9 @@ fn int_attr(s: &Span, key: &str) -> i64 {
     }
 }
 
-/// The stage runs a span tree records: one per closed `Stage` span (one
-/// that carries `virtual_ms`), in run order, each with its recovered
-/// `Retry` children as retries.
+/// The stage runs a span tree records: one per `Stage` span, in run order,
+/// each with its recovered `Retry` children as retries. A stage span with no
+/// `virtual_ms` (only a parsed trace can hold one) records no run.
 fn runs_of(spans: &[Span]) -> Vec<RunProfile> {
     let mut runs: Vec<RunProfile> = Vec::new();
     let mut run_of: Vec<Option<usize>> = vec![None; spans.len()];
@@ -1327,28 +1327,6 @@ mod tests {
         assert_eq!(jt.profiles_effective().count(), 2);
         // Effective runs only: 1.0 + 3.0.
         assert!((jt.total_run_virtual_ms() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn open_stage_span_yields_no_run_and_is_never_superseded() {
-        let t = Trace::new();
-        t.begin_phase();
-        record_run(&t, 0, 1.0);
-        // A failure left this run's span open: no `virtual_ms`, no end.
-        // The operator it finished before failing is still superseded.
-        let (open, _) = open_run(&t, None, 0, 1, 1.0);
-        operator(&t, open, 2.0);
-        t.supersede_current_phase(&HashSet::from([0]));
-        let jt = t.finish();
-        assert_eq!(jt.runs.len(), 1, "{:?}", jt.runs);
-        assert!(jt.runs[0].superseded);
-        let open = &jt.spans[open as usize];
-        assert_eq!(open.end_ms, OPEN_END);
-        assert!(!open.superseded, "an open span is never marked");
-        let profiles: Vec<_> = jt.profiles.iter().map(|p| (p.iteration, p.superseded)).collect();
-        assert_eq!(profiles, vec![(0, true), (1, true)]);
-        let back = JobTrace::from_json(&jt.to_json()).unwrap();
-        assert_eq!((back.runs, back.profiles), (jt.runs, jt.profiles));
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //!
 //! What Flink *is* here is the [`FLINK`] table — its constants over the one
 //! partitioned engine of [`rheem_core::partitioned`] — plus what only Flink
-//! has: the `flink.vertex` trace event, its pipelined `flink.dataset`
-//! channel, and its chaining rule (a job vertex may end in one wide
-//! operator). The per-iteration advantage the paper observes (e.g. CrocoPR's
+//! has: the `flink.vertex` trace event and its pipelined `flink.dataset`
+//! channel. Its chaining rule (a job vertex may end in a ReduceBy, GroupBy
+//! or Distinct) is the table's `fuse_into` row over the engine's shared
+//! mappings ([`Engine::add_mappings`]), which it registers like every other
+//! engine. The per-iteration advantage the paper observes (e.g. CrocoPR's
 //! preparation phase, Fig. 9(f)) emerges from the profile's lower stage/task
 //! overheads: the executor re-dispatches loop-body stages every iteration,
 //! so cheaper stages compound across iterations.
@@ -18,12 +20,8 @@ use std::sync::Arc;
 
 use rheem_core::channel::{kinds, ChannelDescriptor, ChannelKind};
 use rheem_core::exec::ExecCtx;
-use rheem_core::fused;
-use rheem_core::mapping::{upstream_chain, FnMapping};
-use rheem_core::partitioned::{
-    supported, ChainCosts, Collect, Engine, FromCollection, ReadTextFile,
-};
-use rheem_core::plan::{OpKind, OperatorNode, RheemPlan};
+use rheem_core::partitioned::{ChainCosts, Collect, Engine, FromCollection, ReadTextFile};
+use rheem_core::plan::OpKind;
 use rheem_core::platform::{ids, Platform, PlatformId};
 use rheem_core::registry::Registry;
 
@@ -39,6 +37,7 @@ pub static FLINK: Engine = Engine {
     accepts: &[DATASET],
     output: DATASET,
     single_partition: false,
+    fuse_into: &[OpKind::ReduceBy, OpKind::GroupBy, OpKind::Distinct],
     costs: ChainCosts {
         token: "flink",
         stage_delta: 12_000.0,
@@ -120,44 +119,7 @@ impl Platform for FlinkPlatform {
         registry.add_conversion(kinds::HDFS_FILE, DATASET, Arc::new(ReadTextFile::new(&FLINK)));
         registry.add_conversion(kinds::LOCAL_FILE, DATASET, Arc::new(ReadTextFile::new(&FLINK)));
 
-        registry.add_mapping(Arc::new(FnMapping(|plan: &RheemPlan, node: &OperatorNode| {
-            if !supported(node.op.kind()) {
-                return vec![];
-            }
-            vec![FLINK.candidate(plan, vec![node.id])]
-        })));
-        // Operator chaining: Flink fuses longer narrow chains and can end
-        // them with one wide operator (the chain executes as one job
-        // vertex pipeline).
-        registry.add_mapping(Arc::new(FnMapping(|plan: &RheemPlan, node: &OperatorNode| {
-            let narrow = |n: &OperatorNode| fused::fusable(&n.op);
-            let wide_anchor =
-                matches!(node.op.kind(), OpKind::ReduceBy | OpKind::GroupBy | OpKind::Distinct);
-            let chain = if narrow(node) {
-                upstream_chain(plan, node, narrow)
-            } else if wide_anchor && node.inputs.len() == 1 && node.broadcasts.is_empty() {
-                // A wide operator can terminate a chained pipeline: fuse
-                // the narrow run feeding it (if it feeds only this op).
-                let inp = plan.node(node.inputs[0]);
-                let consumers = plan.consumers();
-                if consumers[inp.id.index()].len() == 1
-                    && narrow(inp)
-                    && inp.loop_of == node.loop_of
-                {
-                    let mut c = upstream_chain(plan, inp, narrow);
-                    c.push(node.id);
-                    c
-                } else {
-                    return vec![];
-                }
-            } else {
-                return vec![];
-            };
-            if chain.len() < 2 {
-                return vec![];
-            }
-            vec![FLINK.candidate(plan, chain)]
-        })));
+        FLINK.add_mappings(registry);
     }
 }
 

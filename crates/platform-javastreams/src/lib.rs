@@ -27,6 +27,7 @@ pub static JAVA_STREAMS: Engine = Engine {
     accepts: &[kinds::COLLECTION],
     output: kinds::COLLECTION,
     single_partition: true,
+    fuse_into: &[OpKind::ReduceBy],
     costs: ChainCosts {
         token: "java.streams",
         stage_delta: 2_000.0,
@@ -110,7 +111,7 @@ mod tests {
     use rheem_core::api::RheemContext;
     use rheem_core::channel::ChannelData;
     use rheem_core::exec::ExecutionOperator;
-    use rheem_core::partitioned::Chain;
+    use rheem_core::partitioned::{Chain, Shape};
     use rheem_core::plan::{LogicalOp, PlanBuilder};
     use rheem_core::udf::{BroadcastCtx, FlatMapUdf, KeyUdf, MapUdf, PredicateUdf, ReduceUdf};
     use rheem_core::value::Value;
@@ -214,7 +215,7 @@ mod tests {
 
     #[test]
     fn unsupported_op_reports_cleanly() {
-        let op = Chain::new(&JAVA_STREAMS, vec![LogicalOp::CollectionSink]);
+        let op = Chain::new(&JAVA_STREAMS, Shape::One(LogicalOp::CollectionSink));
         let profiles = rheem_core::platform::Profiles::bare();
         let mut ecx = ExecCtx::new(&profiles, 0);
         let r = op.execute(

@@ -10,8 +10,8 @@
 //! (consumed once — Spark recomputes lineage otherwise) and
 //! `spark.rdd.cached` (reusable, the `Cache` operator of Fig. 3(b)) — the
 //! cache/uncache/save-as-text-file conversions. Its chaining rules (narrow
-//! chains pipeline into a stage; a ReduceBy may end one) are the engine's
-//! shared mappings ([`Engine::add_mappings`]).
+//! runs pipeline into a stage; a ReduceBy may end one, its `fuse_into` row)
+//! are the engine's shared mappings ([`Engine::add_mappings`]).
 
 #![warn(missing_docs)]
 
@@ -44,6 +44,7 @@ pub static SPARK: Engine = Engine {
     accepts: &[RDD, RDD_CACHED],
     output: RDD,
     single_partition: false,
+    fuse_into: &[OpKind::ReduceBy],
     costs: ChainCosts {
         token: "spark",
         stage_delta: 20_000.0,

@@ -151,6 +151,80 @@ fn all_platforms_agree_on_wordcount_result() {
     }
 }
 
+/// Flink fuses a narrow run into a GroupBy as well as into a ReduceBy: over
+/// 20 000 rows (more than one partition), `map → filter → group_by` runs as
+/// one chain, and its groups are java.streams' groups.
+#[test]
+fn flink_fuses_a_narrow_run_into_group_by() {
+    let rows: Vec<Value> =
+        (0..20_000i64).map(|i| Value::pair(Value::from(i % 13), Value::from(i))).collect();
+    let mut b = PlanBuilder::new();
+    let grouped = b
+        .collection(rows)
+        .map(MapUdf::new("inc", |v| {
+            Value::pair(v.field(0).clone(), Value::from(v.field(1).as_int().unwrap() + 1))
+        }))
+        .filter(PredicateUdf::new("odd", |v| v.field(1).as_int().unwrap() % 2 == 1))
+        .group_by(KeyUdf::field(0));
+    let sink = grouped.collect();
+    let plan = b.build().unwrap();
+    let run = |forced| {
+        let mut ctx = rheem::default_context();
+        ctx.forced_platform = Some(forced);
+        let mut groups = ctx.execute(&plan).unwrap().sink(sink).unwrap().to_vec();
+        groups.sort();
+        (ctx, groups)
+    };
+    let (flink, on_flink) = run(ids::FLINK);
+    let opt = flink.optimize(&plan).unwrap();
+    let chosen = &opt.candidates[opt.choice[grouped.id().index()]];
+    assert_eq!(chosen.exec.name(), "FlinkChain2\u{2218}GroupBy");
+    let (_, on_java) = run(ids::JAVA_STREAMS);
+    assert_eq!(on_flink.len(), 13);
+    assert_eq!(on_flink, on_java);
+}
+
+/// The one mapping rule of the dataflow engines: a run reaches only through
+/// operators without broadcasts, so a narrow operator carrying one fuses
+/// into no ReduceBy, GroupBy or Distinct — each engine offers the terminal
+/// alone.
+#[test]
+fn a_narrow_op_with_a_broadcast_fuses_into_no_terminal() {
+    type Terminal = fn(&rheem_core::plan::DataQuanta) -> rheem_core::plan::DataQuanta;
+    let terminals: [Terminal; 3] = [
+        |q| q.reduce_by_key(KeyUdf::field(0), ReduceUdf::sum()),
+        |q| q.group_by(KeyUdf::field(0)),
+        |q| q.distinct(),
+    ];
+    let engines = [ids::JAVA_STREAMS, ids::SPARK, ids::FLINK];
+    for terminal in terminals {
+        let mut b = PlanBuilder::new();
+        let weights = b.collection(vec![Value::from(1i64)]);
+        let mapped = b
+            .collection(
+                (0..100i64)
+                    .map(|i| Value::pair(Value::from(i % 5), Value::from(i)))
+                    .collect::<Vec<_>>(),
+            )
+            .map(MapUdf::new("id", |v| v.clone()))
+            .broadcast("w", &weights);
+        let wide = terminal(&mapped);
+        wide.collect();
+        let plan = b.build().unwrap();
+        let ctx = rheem::default_context();
+        let candidates = ctx.registry().candidates_for(&plan, plan.node(wide.id()));
+        for engine in engines {
+            let covers: Vec<(String, usize)> = candidates
+                .iter()
+                .filter(|c| c.exec.platform() == engine)
+                .map(|c| (c.exec.name().to_string(), c.covers.len()))
+                .collect();
+            assert_eq!(covers.len(), 1, "{engine}: {covers:?}");
+            assert_eq!(covers[0].1, 1, "{engine}: {covers:?}");
+        }
+    }
+}
+
 /// Landing acceptance over the real engines: whatever layout arrives on
 /// slot 0 or on slot 1 of a binary operator, java.streams, spark and flink
 /// give the single-partition interpreter's answer (as a multiset —
@@ -162,7 +236,7 @@ fn distributed_engines_land_every_channel_layout() {
     use rheem_core::batch::Batch;
     use rheem_core::channel::ChannelData;
     use rheem_core::exec::{ExecCtx, ExecutionOperator};
-    use rheem_core::partitioned::Chain;
+    use rheem_core::partitioned::{Chain, Shape};
     use rheem_core::plan::IneqCond;
     use std::sync::Arc;
 
@@ -211,7 +285,7 @@ fn distributed_engines_land_every_channel_layout() {
         [&platform_javastreams::JAVA_STREAMS, &platform_spark::SPARK, &platform_flink::FLINK];
     for engine in engines {
         for op in &ops {
-            let chain = Chain::new(engine, vec![op.clone()]);
+            let chain = Chain::new(engine, Shape::One(op.clone()));
             for (batched, (layout, data, full)) in
                 [true, false].into_iter().flat_map(|b| layouts.iter().map(move |l| (b, l)))
             {
